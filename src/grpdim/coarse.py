@@ -286,20 +286,21 @@ class Graphing:
     def _check_treeable(self):
         g = self.owner
         uf = _UnionFind(g.n_units)
-        seen_edges = set()
+        edge_of: dict[tuple[int, int], int] = {}  # unit pair -> min(a, inv a)
         for a in iter_bits(self.q.mask):
             u, v = g.src[a], g.rng[a]
             if u == v:
                 return False, f"generator {a} is a loop at unit {u}"
-            edge = (min(u, v), max(u, v), min(a, g.inv[a]))
-            if edge in seen_edges:
-                continue
-            if any(e[0] == edge[0] and e[1] == edge[1] for e in seen_edges):
-                return False, f"parallel generators between units {edge[0]} and {edge[1]}"
+            pair = (min(u, v), max(u, v))
+            rep = min(a, g.inv[a])
+            if pair in edge_of:
+                if edge_of[pair] == rep:
+                    continue
+                return False, f"parallel generators between units {pair[0]} and {pair[1]}"
             if uf.find(u) == uf.find(v):
                 return False, f"generator {a} closes a cycle"
             uf.union(u, v)
-            seen_edges.add(edge)
+            edge_of[pair] = rep
         return True, None
 
     def ball(self, r: int) -> ArrowSet:

@@ -59,7 +59,6 @@ class Groupoid:
         "parent",
         "parent_arrows",
         "parent_units",
-        "_pair_arrow",
         "_principal",
     )
 
@@ -118,7 +117,6 @@ class Groupoid:
         self.parent = parent
         self.parent_arrows = parent_arrows
         self.parent_units = parent_units
-        self._pair_arrow = None
         self._principal = None
 
     # -- basic queries -------------------------------------------------
@@ -134,15 +132,6 @@ class Groupoid:
 
     def compose_or_none(self, a: int, b: int) -> "int | None":
         return self.comp.get(a * self.n_arrows + b)
-
-    def pair_arrow(self, u: int, v: int) -> "int | None":
-        """The minimum-id arrow with source ``u`` and range ``v`` (unique when principal)."""
-        if self._pair_arrow is None:
-            table: dict[tuple[int, int], int] = {}
-            for a in range(self.n_arrows - 1, -1, -1):
-                table[(self.src[a], self.rng[a])] = a
-            self._pair_arrow = table
-        return self._pair_arrow.get((u, v))
 
     # -- set constructors ----------------------------------------------
 
@@ -650,6 +639,61 @@ def validate(g: Groupoid) -> ValidationReport:
                 )
             )
 
+    if not out and _structure_certificate(g):
+        return ValidationReport(out)
+    out.extend(_associativity_violations(g))
+    return ValidationReport(out)
+
+
+def _structure_certificate(g: Groupoid) -> bool:
+    """Prove associativity from the structure of connected groupoids.
+
+    Every connected groupoid is isomorphic to X×H×X, with H the isotropy
+    group at a root r and (x, h, y)(y, k, z) = (x, hk, z).  For each orbit,
+    pick r and tree arrows t_u : r → u, and map each arrow a to
+    (rng a, h_a, src a) with h_a = t_{rng a}⁻¹·a·t_{src a}.  If that map is
+    injective and multiplicative, and H is associative, then X×H×X is
+    associative and so is ``g``: both sides of (a·b)·d = a·(b·d) map to the
+    same triple.  Cost O(m + |comp| + Σ|H|³).
+
+    Requires every other check of :func:`validate` to have passed: ``comp``
+    is then defined on exactly the composable pairs, with the right
+    endpoints.  False means some product is not associative.
+    """
+    m = g.n_arrows
+    src, rng, inv, comp, by_src = g.src, g.rng, g.inv, g.comp, g.by_src
+    tree = [-1] * g.n_units
+    for r in range(g.n_units):
+        if tree[r] >= 0:
+            continue
+        # Products have the right endpoints, so every unit of r's orbit gets
+        # an arrow from r: the breadth-first tree has depth one, and t_r = r.
+        for a in iter_bits(by_src[r]):
+            if tree[rng[a]] < 0:
+                tree[rng[a]] = a
+        iso = list(iter_bits(by_src[r] & g.by_rng[r]))
+        for x in iso:
+            for y in iso:
+                xy = comp[x * m + y]
+                for z in iso:
+                    if comp[xy * m + z] != comp[x * m + comp[y * m + z]]:
+                        return False
+
+    h = [comp[inv[tree[rng[a]]] * m + comp[a * m + tree[src[a]]]] for a in range(m)]
+    if len({(rng[a], h[a], src[a]) for a in range(m)}) != m:
+        return False
+    for key, c in comp.items():
+        a, b = divmod(key, m)
+        if comp[h[a] * m + h[b]] != h[c]:
+            return False
+    return True
+
+
+def _associativity_violations(g: Groupoid) -> list[Violation]:
+    """Every triple (a, b, d) on which associativity fails: O(|comp|·|fiber|)."""
+    out: list[Violation] = []
+    m = g.n_arrows
+    src, rng, comp = g.src, g.rng, g.comp
     for key, c in comp.items():
         a, b = divmod(key, m)
         if src[a] != rng[b]:
@@ -666,4 +710,4 @@ def validate(g: Groupoid) -> ValidationReport:
                         (a, b, d),
                     )
                 )
-    return ValidationReport(out)
+    return out

@@ -23,10 +23,12 @@ from grpdim import (
     pair_groupoid,
     pair_index,
     power,
+    product,
     rotation_perms,
     symmetrize,
     tree_window,
     treeable_cover,
+    trivial_perms,
 )
 
 
@@ -213,7 +215,13 @@ def test_graphing_verifies_treeable():
     )
     chorded = Graphing(g, chord)
     assert not chorded.treeable
-    assert chorded.failure is not None
+    assert chorded.failure == "generator 18 closes a cycle"
+    # two generators 1 -> 0 in pair(2) × Z/2, which has isotropy Z/2 at each unit
+    z2 = action_groupoid(cyclic_table(2), trivial_perms(2, 1))
+    gp = product(pair_groupoid(2), z2).groupoid
+    parallel = Graphing(gp, gp.arrow_set([4, 5, 6, 7]))
+    assert not parallel.treeable
+    assert parallel.failure == "parallel generators between units 0 and 1"
 
 
 def test_graphing_requires_generation():

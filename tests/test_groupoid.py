@@ -11,6 +11,7 @@ from conftest import (
     random_groupoid,
     random_unit_set,
 )
+import grpdim.groupoid as groupoid_module
 from grpdim import (
     ArrowSet,
     Groupoid,
@@ -25,6 +26,7 @@ from grpdim import (
     pair_groupoid,
     pair_index,
     power,
+    product,
     restrict,
     rotation_perms,
     symmetrize,
@@ -64,6 +66,90 @@ def test_validate_z4_group_table():
     g = action_groupoid(cyclic_table(4), trivial_perms(4, 1))
     assert validate(g).ok
     assert g.n_units == 1 and g.n_arrows == 4
+
+
+def _with_comp(g, key, value):
+    comp = {divmod(k, g.n_arrows): v for k, v in g.comp.items()}
+    comp[key] = value
+    return Groupoid(g.n_units, g.src, g.rng, g.inv, comp)
+
+
+def _exhaustive_report(monkeypatch, g):
+    """validate as it runs without the structure certificate: every triple checked."""
+    with monkeypatch.context() as mp:
+        mp.setattr(groupoid_module, "_structure_certificate", lambda g: False)
+        return validate(g)
+
+
+def test_validate_agrees_with_exhaustive_checker(monkeypatch):
+    rng = random.Random(20231)
+    invalid = only_associativity = 0
+    for trial in range(1000):
+        if trial % 3:
+            g = random_groupoid(rng, max_arrows=rng.choice([60, 120, 200]))
+        else:
+            # orbits of several units with isotropy: pair(k) × a random table
+            tail = random_groupoid(rng, max_arrows=40)
+            g = product(pair_groupoid(rng.randint(2, 3)), tail).groupoid
+        if trial % 2:
+            ends = {}
+            for a in range(g.n_arrows):
+                ends.setdefault((g.src[a], g.rng[a]), []).append(a)
+            keys = sorted(g.comp)
+            # half the time keep the endpoints right, which only the unit,
+            # inverse and associativity laws can catch
+            twins = [k for k in keys if len(ends[g.src[g.comp[k]], g.rng[g.comp[k]]]) > 1]
+            if twins and rng.random() < 0.5:
+                key = rng.choice(twins)
+                old = g.comp[key]
+                new = rng.choice([c for c in ends[g.src[old], g.rng[old]] if c != old])
+            else:
+                key = rng.choice(keys)
+                new = rng.choice([c for c in range(g.n_arrows) if c != g.comp[key]])
+            g = _with_comp(g, divmod(key, g.n_arrows), new)
+        got = validate(g)
+        want = _exhaustive_report(monkeypatch, g)
+        assert got.ok == want.ok
+        assert got.violations == want.violations
+        invalid += not want.ok
+        only_associativity += want.codes() == {"associativity"}
+    assert invalid >= 400
+    # tables that pass every other check, so the certificate must reject them
+    assert only_associativity >= 20
+
+
+def _z4_with_bad_square():
+    g = action_groupoid(cyclic_table(4), trivial_perms(4, 1))
+    return _with_comp(g, (1, 1), 3)
+
+
+def _isotropy_larger_than_at_root():
+    # units r=0, x=1; 2 is an involution at x; 3 : r -> x and 4 = 3⁻¹.  The
+    # isotropy at r is trivial, so the structure map sends 2 and the identity
+    # 1 to the same triple: it is multiplicative, and only its injectivity
+    # check rejects the table.
+    comp = {(0, 0): 0, (1, 1): 1, (2, 1): 2, (1, 2): 2, (2, 2): 1, (3, 0): 3, (1, 3): 3}
+    comp.update({(2, 3): 3, (4, 1): 4, (0, 4): 4, (4, 2): 4, (3, 4): 1, (4, 3): 0})
+    return Groupoid(2, [0, 1, 1, 0, 1], [0, 1, 1, 1, 0], [0, 1, 2, 4, 3], comp)
+
+
+@pytest.mark.parametrize("make", [_z4_with_bad_square, _isotropy_larger_than_at_root])
+def test_validate_associativity_only(monkeypatch, make):
+    broken = make()
+    report = validate(broken)
+    assert report.codes() == {"associativity"}
+    assert report.violations == _exhaustive_report(monkeypatch, broken).violations
+
+
+def test_validate_large_tables_take_certificate_path(monkeypatch):
+    def exhaustive(g):
+        raise AssertionError("exhaustive associativity loop ran on a valid table")
+
+    monkeypatch.setattr(groupoid_module, "_associativity_violations", exhaustive)
+    assert validate(pair_groupoid(50)).ok
+    n = 1500
+    units = Groupoid(n, range(n), range(n), range(n), {(u, u): u for u in range(n)})
+    assert validate(units).ok
 
 
 def test_compose_sets_identity_absorbs():
