@@ -9,8 +9,10 @@ arrows, compatibility = bound arrows) and the coarse decomposition search
 
 Exact mode explores partitions in lexicographic order with classes
 canonicalized by first use, so the returned assignment is the minimum of the
-search order and independent of everything but the inputs.  Greedy mode is a
-single first-fit pass: sound, incomplete.
+search order and independent of everything but the inputs.  It records the
+states whose subtrees failed, so a whole-tree refutation visits each
+distinguishable frontier once.  Greedy mode is a single first-fit pass:
+sound, incomplete.
 """
 
 from __future__ import annotations
@@ -39,6 +41,38 @@ def _try_add(state, item, adj, ok):
     return (items | 1 << item, tuple(rest))
 
 
+def _state_key(states, near, future, width):
+    """Injective encoding of what ``states`` leaves for the unassigned items.
+
+    ``future`` is F, the unassigned items, and ``near`` is N(F), the items
+    adjacent to some item of F.  A live component (members meeting
+    ``near``) becomes one int of three ``width``-bit fields: ``members &
+    near``, ``common & F`` and the union of ``members & near`` over the live
+    components of its class it may merge with (``members_i <= common_j``,
+    itself included).  A class packs its sorted component ints into one int;
+    the first field of each is nonzero, so the bit length splits it back.
+    Classes are interchangeable, so the key is their sorted ints.
+    """
+    shift = 3 * width
+    keys = []
+    for _, comps in states:
+        live = [(m, q) for m, q in comps if m & near]
+        recs = []
+        for m, q in live:
+            compat = 0
+            for m2, q2 in live:
+                if not m & ~q2:
+                    compat |= m2
+            recs.append(((m & near) << width | q & future) << width | compat & near)
+        recs.sort()
+        key = 0
+        for r in recs:
+            key = key << shift | r
+        keys.append(key)
+    keys.sort()
+    return tuple(keys)
+
+
 def partition_search(
     n_items: int,
     n_classes: int,
@@ -50,6 +84,25 @@ def partition_search(
 
     Each returned class is a pair ``(items_mask, components)`` with the
     components listed as ``(member_mask, common_mask)`` pairs.
+
+    Exact mode is a depth-first search on an explicit stack, so its depth is
+    not bounded by the recursion limit.  It requires ``adj`` and ``ok`` to be
+    symmetric (both callers ensure it: L is oc-normal, gauges are checked).
+    When every child of a node has failed, the node's key is stored; a node
+    whose key is stored is not entered.  With F the unassigned items, the key
+    holds the item index (one store per depth) and, per class, the components
+    with a neighbour in F as ``(members & N(F), common & F)`` with their
+    pairwise mergeability bits ``members_i <= common_j``; classes are sorted
+    (``_state_key`` gives the encoding).  That is everything the future can
+    see: an item y in F joins a component iff it is adjacent to ``members &
+    N(F)``, and the merged component stays feasible iff y lies in every
+    ``common & F`` (by symmetry of ``ok``, ``members <= ok[y]`` iff ``y in
+    common``) and the merged old members are pairwise mergeable.
+    Components without a neighbour in F never change again, and an empty
+    class acts like a class of such components.  The key is exact, never a
+    hash, so a stored key proves that its subtree has no solution.  Only
+    failures are stored, so the first solution reached, the least one in
+    the search order, is the same as without the cache.
     """
     empty = (0, ())
     if mode == "greedy":
@@ -67,19 +120,46 @@ def partition_search(
     if mode != "exact":
         raise ValueError(f"unknown search mode: {mode!r}")
 
-    def dfs(item, states, used):
-        if item == n_items:
-            return states
+    states = [empty] * n_classes
+    if n_items == 0:
+        return states
+    near = [0] * (n_items + 1)
+    for item in range(n_items - 1, -1, -1):
+        near[item] = near[item + 1] | adj[item]
+    full = (1 << n_items) - 1
+
+    def key_at(states, item):
+        return _state_key(states, near[item], full >> item << item, n_items)
+
+    failed = [set() for _ in range(n_items)]
+    # one frame per assigned depth: [states, classes used, next class, key];
+    # a key is computed on entry if its depth has a stored key, else on failure
+    stack = [[states, 0, 0, None]]
+    while stack:
+        frame = stack[-1]
+        states, used, c, key = frame
+        item = len(stack) - 1
         limit = min(used + 1, n_classes)
-        for c in range(limit):
+        while c < limit:
             ns = _try_add(states[c], item, adj, ok)
+            c += 1
             if ns is None:
                 continue
             nxt = list(states)
-            nxt[c] = ns
-            res = dfs(item + 1, nxt, used + 1 if c == used else used)
-            if res is not None:
-                return res
-        return None
-
-    return dfs(0, [empty] * n_classes, 0)
+            nxt[c - 1] = ns
+            if item + 1 == n_items:
+                return nxt
+            child_key = None
+            if failed[item + 1]:
+                child_key = key_at(nxt, item + 1)
+                if child_key in failed[item + 1]:
+                    continue
+            frame[2] = c
+            stack.append([nxt, used + 1 if c - 1 == used else used, 0, child_key])
+            break
+        else:
+            if key is None:
+                key = key_at(states, item)
+            failed[item].add(key)
+            stack.pop()
+    return None

@@ -20,6 +20,7 @@ from grpdim import (
     kl_dad_check,
     symmetrize,
 )
+from grpdim._search import _try_add
 
 
 # -- generators --------------------------------------------------------------
@@ -209,3 +210,30 @@ def brute_ef_exists(e_gauge, f_gauge, n_points: int, d_max: int) -> bool:
             if ok:
                 return True
     return False
+
+
+def recursive_partition_search(n_items, n_classes, adj, ok):
+    """Exact partition search by plain recursion, with no record of failures.
+
+    The same search order and per-class states as exact
+    ``grpdim._search.partition_search``, with one recursion level per item
+    and every subtree searched: the oracle for that engine.
+    """
+    empty = (0, ())
+
+    def dfs(item, states, used):
+        if item == n_items:
+            return states
+        limit = min(used + 1, n_classes)
+        for c in range(limit):
+            ns = _try_add(states[c], item, adj, ok)
+            if ns is None:
+                continue
+            nxt = list(states)
+            nxt[c] = ns
+            res = dfs(item + 1, nxt, used + 1 if c == used else used)
+            if res is not None:
+                return res
+        return None
+
+    return dfs(0, [empty] * n_classes, 0)
