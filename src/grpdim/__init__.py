@@ -57,7 +57,6 @@ from .coarse import (
     Gauge,
     Graphing,
     TreeCoverResult,
-    arrow_space,
     asdim_fiber_decompositions,
     asdim_to_dad,
     dad_to_asdim,

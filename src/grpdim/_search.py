@@ -1,18 +1,18 @@
-"""Shared exact/greedy search for class partitions with mergeable components.
+"""Shared exact/greedy search for assigning items to classes.
 
-Items are assigned to classes one by one in increasing id.  Within a class,
-items form components under an adjacency relation; a component is feasible
-while it stays inside the common compatibility mask of its members.  This is
-the engine behind both the principal-groupoid dad search (adjacency = window
-arrows, compatibility = bound arrows) and the coarse decomposition search
-(adjacency = E, compatibility = F).
+``class_search`` is the one engine: items are assigned to classes one by
+one in increasing id, and a caller-supplied transition says whether a class
+takes an item.  ``partition_search`` gives it mergeable components: within a
+class, items form components under an adjacency relation, and a component is
+feasible while it stays inside the common compatibility mask of its members
+(principal dad search: window and bound arrows; coarse decompositions: E and
+F).  ``dad._generic_search`` gives it generated subgroupoids, for groupoids
+with isotropy.
 
 Exact mode explores partitions in lexicographic order with classes
 canonicalized by first use, so the returned assignment is the minimum of the
-search order and independent of everything but the inputs.  It records the
-states whose subtrees failed, so a whole-tree refutation visits each
-distinguishable frontier once.  Greedy mode is a single first-fit pass:
-sound, incomplete.
+search order and independent of everything but the inputs.  Greedy mode is a
+single first-fit pass: sound, incomplete.
 """
 
 from __future__ import annotations
@@ -104,12 +104,36 @@ def partition_search(
     failures are stored, so the first solution reached, the least one in
     the search order, is the same as without the cache.
     """
-    empty = (0, ())
+    near = [0] * (n_items + 1)
+    for item in range(n_items - 1, -1, -1):
+        near[item] = near[item + 1] | adj[item]
+    full = (1 << n_items) - 1
+
+    def key_at(states, item):
+        return _state_key(states, near[item], full >> item << item, n_items)
+
+    try_add = _try_add  # looked up per call, so a replaced _try_add is used
+    return class_search(
+        n_items, n_classes, (0, ()), lambda s, item: try_add(s, item, adj, ok), mode, key_at
+    )
+
+
+def class_search(n_items, n_classes, empty, try_add, mode="exact", key_at=None):
+    """Assign items 0..n-1 to ``n_classes`` classes; the class states or None.
+
+    Classes start as ``empty``; ``try_add(state, item)`` returns the state
+    with ``item`` added, or None if the class refuses it.  Exact mode is a
+    depth-first search on an explicit stack, so its depth is not bounded by
+    the recursion limit.  ``key_at(states, item)``, if given, is an exact key
+    of what ``states`` leaves for items ``item..n-1``: when every child of a
+    node has failed, its key is stored, and a node whose key is stored is not
+    entered.  Without ``key_at`` nothing is stored.
+    """
+    states = [empty] * n_classes
     if mode == "greedy":
-        states = [empty] * n_classes
         for item in range(n_items):
             for c in range(n_classes):
-                ns = _try_add(states[c], item, adj, ok)
+                ns = try_add(states[c], item)
                 if ns is not None:
                     states[c] = ns
                     break
@@ -120,18 +144,7 @@ def partition_search(
     if mode != "exact":
         raise ValueError(f"unknown search mode: {mode!r}")
 
-    states = [empty] * n_classes
-    if n_items == 0:
-        return states
-    near = [0] * (n_items + 1)
-    for item in range(n_items - 1, -1, -1):
-        near[item] = near[item + 1] | adj[item]
-    full = (1 << n_items) - 1
-
-    def key_at(states, item):
-        return _state_key(states, near[item], full >> item << item, n_items)
-
-    failed = [set() for _ in range(n_items)]
+    failed = [set() for _ in range(n_items + 1)]
     # one frame per assigned depth: [states, classes used, next class, key];
     # a key is computed on entry if its depth has a stored key, else on failure
     stack = [[states, 0, 0, None]]
@@ -139,16 +152,16 @@ def partition_search(
         frame = stack[-1]
         states, used, c, key = frame
         item = len(stack) - 1
+        if item == n_items:
+            return states
         limit = min(used + 1, n_classes)
         while c < limit:
-            ns = _try_add(states[c], item, adj, ok)
+            ns = try_add(states[c], item)
             c += 1
             if ns is None:
                 continue
             nxt = list(states)
             nxt[c - 1] = ns
-            if item + 1 == n_items:
-                return nxt
             child_key = None
             if failed[item + 1]:
                 child_key = key_at(nxt, item + 1)
@@ -158,8 +171,7 @@ def partition_search(
             stack.append([nxt, used + 1 if c - 1 == used else used, 0, child_key])
             break
         else:
-            if key is None:
-                key = key_at(states, item)
-            failed[item].add(key)
+            if key_at is not None:
+                failed[item].add(key_at(states, item) if key is None else key)
             stack.pop()
     return None

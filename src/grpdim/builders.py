@@ -361,9 +361,6 @@ class Product:
     groupoid: Groupoid
     arrow_ids: Mapping[tuple[int, int], int]
 
-    def arrow_id(self, a: int, b: int) -> int:
-        return self.arrow_ids[(a, b)]
-
     def unit_id(self, u: int, v: int) -> int:
         return u * self.right.n_units + v
 

@@ -1,9 +1,10 @@
 """Batch CLI: validate instances, run searches and theorem pipelines, emit
 TSV rows on stdout and re-verifiable JSON artifacts under --out.
 
-Exit codes: 0 success/certified, 1 refuted/none, 2 input error.  Artifacts
-never contain timing, so repeated runs are byte-identical; wall time appears
-only in the stdout report row.
+Exit codes: 0 success/certified, 1 refuted/none, 2 input error, 3 internal
+error (an uncaught exception: one line naming it goes to stderr, no
+traceback).  Artifacts never contain timing, so repeated runs are
+byte-identical; wall time appears only in the stdout report row.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .setspec import parse_arrow_spec
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(click.ClickException):
@@ -99,7 +101,20 @@ def _workers() -> "int | None":
         return None
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports an uncaught exception with exit code 3, never the refuted code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            click.echo(f"grpdim: internal error: {type(exc).__name__}: {exc}", err=True)
+            ctx.exit(EXIT_INTERNAL)
+
+
+@click.group(cls=_Main)
 def main():
     """Dimension witnesses for finite groupoid windows."""
 

@@ -65,11 +65,6 @@ class Gauge:
     def related(self, p: int, q: int) -> bool:
         return bool(self.rel[p] >> q & 1)
 
-    def __or__(self, other: "Gauge") -> "Gauge":
-        if self.n != other.n:
-            raise CoarseError("gauges live on different point sets")
-        return Gauge(self.n, [a | b for a, b in zip(self.rel, other.rel)])
-
     def __le__(self, other: "Gauge") -> bool:
         if self.n != other.n:
             raise CoarseError("gauges live on different point sets")
@@ -102,12 +97,6 @@ class CoarseSpace:
             raise CoarseError("gauge size does not match the point set")
         self.gauges[name] = gauge
 
-    def index_of(self, label: int) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise CoarseError(f"label {label} not a point of this space") from None
-
 
 def gauge_from(g: Groupoid, k_set: ArrowSet) -> Gauge:
     """Pairs of same-fiber arrows whose quotient lies in the window, plus the diagonal."""
@@ -125,10 +114,6 @@ def gauge_from(g: Groupoid, k_set: ArrowSet) -> Gauge:
             acc |= 1 << comp[base + q]
         rel[p] = acc
     return Gauge(m, rel)
-
-
-def arrow_space(g: Groupoid) -> CoarseSpace:
-    return CoarseSpace(tuple(range(g.n_arrows)))
 
 
 def fiber(g: Groupoid, x: int, gauge_sets: "dict[str, ArrowSet] | None" = None) -> CoarseSpace:

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._search import partition_search
+from ._search import class_search, partition_search
 from .covers import ControlFunction, Cover, CoverError, fold_number
 from .groupoid import (
     ArrowSet,
     Groupoid,
     GroupoidError,
     UnitSet,
+    _close,
     _same_owner,
     compose_sets,
     generated,
@@ -118,84 +119,25 @@ def _principal_tables(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet):
 
 def _generic_try_add(g, k_mask, l_mask, state, u):
     units, srcm, rngm, closure = state
-    units2 = units | 1 << u
     srcm2 = srcm | g.by_src[u]
     rngm2 = rngm | g.by_rng[u]
     seeds = k_mask & ((g.by_src[u] & rngm2) | (g.by_rng[u] & srcm2)) & ~closure
-    if seeds & ~l_mask:
-        return None
-    m = g.n_arrows
-    comp = g.comp
-    src = g.src
-    rng = g.rng
-    inv = g.inv
-    by_src = g.by_src
-    by_rng = g.by_rng
-    els = closure | seeds
-    queue = list(iter_bits(seeds))
-    idx = 0
-    while idx < len(queue):
-        x = queue[idx]
-        idx += 1
-        y = inv[x]
-        if not els >> y & 1:
-            if not l_mask >> y & 1:
-                return None
-            els |= 1 << y
-            queue.append(y)
-        base = x * m
-        for y in iter_bits(by_rng[src[x]] & els):
-            c = comp[base + y]
-            if not els >> c & 1:
-                if not l_mask >> c & 1:
-                    return None
-                els |= 1 << c
-                queue.append(c)
-        for y in iter_bits(by_src[rng[x]] & els):
-            c = comp[y * m + x]
-            if not els >> c & 1:
-                if not l_mask >> c & 1:
-                    return None
-                els |= 1 << c
-                queue.append(c)
-    return (units2, srcm2, rngm2, els)
+    els = _close(g, seeds, closure, l_mask)
+    return None if els is None else (units | 1 << u, srcm2, rngm2, els)
 
 
 def _generic_search(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, d: int, mode: str):
-    """Closure-tracking partition search for arbitrary (possibly non-principal) groupoids."""
-    n = g.n_units
+    """Closure-tracking partition search for arbitrary (possibly non-principal) groupoids.
+
+    A class state is ``(units, sources, ranges, closure)``: its unit mask,
+    the arrows with source or range in it, and the subgroupoid its K-arrows
+    generate, which must stay inside L.
+    """
     k_mask, l_mask = k_set.mask, l_set.mask
-    empty = (0, 0, 0, 0)
-
-    if mode == "greedy":
-        states = [empty] * (d + 1)
-        for u in range(n):
-            for c in range(d + 1):
-                ns = _generic_try_add(g, k_mask, l_mask, states[c], u)
-                if ns is not None:
-                    states[c] = ns
-                    break
-            else:
-                return None
-        return [s[0] for s in states]
-
-    def dfs(u, states, used):
-        if u == n:
-            return states
-        limit = min(used + 1, d + 1)
-        for c in range(limit):
-            ns = _generic_try_add(g, k_mask, l_mask, states[c], u)
-            if ns is None:
-                continue
-            nxt = list(states)
-            nxt[c] = ns
-            res = dfs(u + 1, nxt, used + 1 if c == used else used)
-            if res is not None:
-                return res
-        return None
-
-    res = dfs(0, [empty] * (d + 1), 0)
-    return None if res is None else [s[0] for s in res]
+    states = class_search(
+        g.n_units, d + 1, (0, 0, 0, 0), lambda s, u: _generic_try_add(g, k_mask, l_mask, s, u), mode
+    )
+    return None if states is None else [s[0] for s in states]
 
 
 def kl_dad_search(

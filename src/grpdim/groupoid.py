@@ -147,42 +147,32 @@ class Groupoid:
     def all_units(self) -> "UnitSet":
         return UnitSet(self, self.units_mask)
 
-    def unit_arrows(self) -> "ArrowSet":
-        return ArrowSet(self, self.units_mask)
-
     # -- restriction back-maps -----------------------------------------
 
     def to_parent_arrows(self, aset: "ArrowSet") -> "ArrowSet":
-        if self.parent is None:
-            raise GroupoidError("groupoid has no parent")
-        _same_owner(self, aset.owner)
-        return ArrowSet(self.parent, mask_of(self.parent_arrows[a] for a in aset))
+        return self._to_parent(ArrowSet, aset, self.parent_arrows)
 
     def from_parent_arrows(self, aset: "ArrowSet") -> "ArrowSet":
-        if self.parent is None:
-            raise GroupoidError("groupoid has no parent")
-        _same_owner(self.parent, aset.owner)
-        out = 0
-        for local, orig in enumerate(self.parent_arrows):
-            if aset.mask >> orig & 1:
-                out |= 1 << local
-        return ArrowSet(self, out)
+        return self._from_parent(ArrowSet, aset, self.parent_arrows)
 
     def to_parent_units(self, uset: "UnitSet") -> "UnitSet":
-        if self.parent is None:
-            raise GroupoidError("groupoid has no parent")
-        _same_owner(self, uset.owner)
-        return UnitSet(self.parent, mask_of(self.parent_units[u] for u in uset))
+        return self._to_parent(UnitSet, uset, self.parent_units)
 
     def from_parent_units(self, uset: "UnitSet") -> "UnitSet":
+        return self._from_parent(UnitSet, uset, self.parent_units)
+
+    def _to_parent(self, cls, local_set, parent_ids):
         if self.parent is None:
             raise GroupoidError("groupoid has no parent")
-        _same_owner(self.parent, uset.owner)
-        out = 0
-        for local, orig in enumerate(self.parent_units):
-            if uset.mask >> orig & 1:
-                out |= 1 << local
-        return UnitSet(self, out)
+        _same_owner(self, local_set.owner)
+        return cls(self.parent, mask_of(parent_ids[i] for i in local_set))
+
+    def _from_parent(self, cls, parent_set, parent_ids):
+        if self.parent is None:
+            raise GroupoidError("groupoid has no parent")
+        _same_owner(self.parent, parent_set.owner)
+        mask = parent_set.mask
+        return cls(self, mask_of(i for i, orig in enumerate(parent_ids) if mask >> orig & 1))
 
     def __repr__(self):
         return f"Groupoid(units={self.n_units}, arrows={self.n_arrows})"
@@ -193,45 +183,50 @@ def _same_owner(g: Groupoid, h: Groupoid) -> None:
         raise OwnerMismatchError("sets belong to different groupoids")
 
 
-class ArrowSet:
-    """An immutable subset of a groupoid's arrows, stored as a bitmask."""
+class _MaskSet:
+    """An immutable subset of a groupoid's arrows or units, stored as a bitmask.
+
+    Sets of different kinds never compare equal, even with equal masks.
+    """
 
     __slots__ = ("owner", "mask")
+    _kind = ""  # "arrow" or "unit", set by each subclass
+    _size = ""  # the owner attribute that bounds the ids
 
     def __init__(self, owner: Groupoid, mask: int = 0):
-        if mask >> owner.n_arrows:
-            raise GroupoidError("arrow mask exceeds owner's arrow range")
+        if mask >> getattr(owner, self._size):
+            raise GroupoidError(f"{self._kind} mask exceeds owner's {self._kind} range")
         self.owner = owner
         self.mask = mask
 
-    def __or__(self, other: "ArrowSet") -> "ArrowSet":
+    def __or__(self, other):
         _same_owner(self.owner, other.owner)
-        return ArrowSet(self.owner, self.mask | other.mask)
+        return self.__class__(self.owner, self.mask | other.mask)
 
-    def __and__(self, other: "ArrowSet") -> "ArrowSet":
+    def __and__(self, other):
         _same_owner(self.owner, other.owner)
-        return ArrowSet(self.owner, self.mask & other.mask)
+        return self.__class__(self.owner, self.mask & other.mask)
 
-    def __sub__(self, other: "ArrowSet") -> "ArrowSet":
+    def __sub__(self, other):
         _same_owner(self.owner, other.owner)
-        return ArrowSet(self.owner, self.mask & ~other.mask)
+        return self.__class__(self.owner, self.mask & ~other.mask)
 
-    def __le__(self, other: "ArrowSet") -> bool:
+    def __le__(self, other) -> bool:
         _same_owner(self.owner, other.owner)
         return self.mask & ~other.mask == 0
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, ArrowSet)
+            other.__class__ is self.__class__
             and self.owner is other.owner
             and self.mask == other.mask
         )
 
     def __hash__(self):
-        return hash((id(self.owner), self.mask))
+        return hash((id(self.owner), self.mask, self._kind))
 
-    def __contains__(self, a: int) -> bool:
-        return bool(self.mask >> a & 1)
+    def __contains__(self, i: int) -> bool:
+        return bool(self.mask >> i & 1)
 
     def __iter__(self) -> Iterator[int]:
         return iter_bits(self.mask)
@@ -241,6 +236,19 @@ class ArrowSet:
 
     def __bool__(self) -> bool:
         return self.mask != 0
+
+    def __repr__(self):
+        ids = list(self)
+        shown = ",".join(map(str, ids[:8])) + (",..." if len(ids) > 8 else "")
+        return f"{self.__class__.__name__}[{len(ids)}]{{{shown}}}"
+
+
+class ArrowSet(_MaskSet):
+    """An immutable subset of a groupoid's arrows, stored as a bitmask."""
+
+    __slots__ = ()
+    _kind = "arrow"
+    _size = "n_arrows"
 
     def inverse(self) -> "ArrowSet":
         inv = self.owner.inv
@@ -264,69 +272,17 @@ class ArrowSet:
             return False
         return self.inverse().mask == self.mask
 
-    def __repr__(self):
-        ids = list(self)
-        shown = ",".join(map(str, ids[:8])) + (",..." if len(ids) > 8 else "")
-        return f"ArrowSet[{len(ids)}]{{{shown}}}"
 
-
-class UnitSet:
+class UnitSet(_MaskSet):
     """An immutable subset of a groupoid's units, stored as a bitmask."""
 
-    __slots__ = ("owner", "mask")
-
-    def __init__(self, owner: Groupoid, mask: int = 0):
-        if mask >> owner.n_units:
-            raise GroupoidError("unit mask exceeds owner's unit range")
-        self.owner = owner
-        self.mask = mask
-
-    def __or__(self, other: "UnitSet") -> "UnitSet":
-        _same_owner(self.owner, other.owner)
-        return UnitSet(self.owner, self.mask | other.mask)
-
-    def __and__(self, other: "UnitSet") -> "UnitSet":
-        _same_owner(self.owner, other.owner)
-        return UnitSet(self.owner, self.mask & other.mask)
-
-    def __sub__(self, other: "UnitSet") -> "UnitSet":
-        _same_owner(self.owner, other.owner)
-        return UnitSet(self.owner, self.mask & ~other.mask)
-
-    def __le__(self, other: "UnitSet") -> bool:
-        _same_owner(self.owner, other.owner)
-        return self.mask & ~other.mask == 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UnitSet)
-            and self.owner is other.owner
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((id(self.owner), self.mask, "u"))
-
-    def __contains__(self, u: int) -> bool:
-        return bool(self.mask >> u & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
+    __slots__ = ()
+    _kind = "unit"
+    _size = "n_units"
 
     def identity_arrows(self) -> ArrowSet:
         # unit u and its identity arrow share the id u, so the mask carries over
         return ArrowSet(self.owner, self.mask)
-
-    def __repr__(self):
-        ids = list(self)
-        shown = ",".join(map(str, ids[:8])) + (",..." if len(ids) > 8 else "")
-        return f"UnitSet[{len(ids)}]{{{shown}}}"
 
 
 # -- arrow-set algebra ----------------------------------------------------
@@ -388,39 +344,45 @@ def generated(k: ArrowSet, units: UnitSet) -> ArrowSet:
     """
     _same_owner(k.owner, units.owner)
     g = k.owner
-    m = g.n_arrows
-    comp = g.comp
-    src = g.src
-    rng = g.rng
-    inv = g.inv
-    by_src = g.by_src
-    by_rng = g.by_rng
+    return ArrowSet(g, _close(g, (k & arrows_within(g, units)).mask, 0, g.arrows_mask))
 
-    seed = (k & arrows_within(g, units)).mask
-    els = 0
-    queue = list(iter_bits(seed))
-    for x in queue:
-        els |= 1 << x
-    idx = 0
-    while idx < len(queue):
-        x = queue[idx]
-        idx += 1
+
+def _close(g: Groupoid, seeds: int, els: int, limit: int) -> "int | None":
+    """Closure of the arrow mask ``els | seeds`` under inversion and composition.
+
+    ``els`` must already be closed, so only products with an arrow of
+    ``seeds`` or a later one are formed.  Returns None as soon as the
+    closure leaves the arrow mask ``limit``.
+    """
+    els |= seeds
+    if els & ~limit:
+        return None
+    m = g.n_arrows
+    comp, src, rng, inv, by_src, by_rng = g.comp, g.src, g.rng, g.inv, g.by_src, g.by_rng
+    queue = list(iter_bits(seeds))
+    for x in queue:  # the queue grows while it is read
         y = inv[x]
         if not els >> y & 1:
+            if not limit >> y & 1:
+                return None
             els |= 1 << y
             queue.append(y)
         base = x * m
         for y in iter_bits(by_rng[src[x]] & els):
             c = comp[base + y]
             if not els >> c & 1:
+                if not limit >> c & 1:
+                    return None
                 els |= 1 << c
                 queue.append(c)
         for y in iter_bits(by_src[rng[x]] & els):
             c = comp[y * m + x]
             if not els >> c & 1:
+                if not limit >> c & 1:
+                    return None
                 els |= 1 << c
                 queue.append(c)
-    return ArrowSet(g, els)
+    return els
 
 
 def restrict(g: Groupoid, units: UnitSet) -> Groupoid:

@@ -15,7 +15,7 @@ from .coarse import (
     dad_to_asdim,
     treeable_cover,
 )
-from .covers import control_apply, ostrand_lift
+from .covers import _level_cover, control_apply
 from .dad import (
     blowup_lift,
     blowup_transfer,
@@ -40,13 +40,6 @@ def _need_witness(witness, stage: str):
     if witness is None:
         raise PipelineError(f"stage {stage!r}: search found no witness")
     return witness
-
-
-def _lift_to_level(g: Groupoid, ctrl, k_set: ArrowSet, level: int):
-    cover = ctrl.cover_for(k_set) if level == ctrl.d else None
-    if cover is None:
-        cover = ostrand_lift(g, ctrl, k_set, level - 1)
-    return cover
 
 
 def product_theorem(
@@ -81,8 +74,8 @@ def product_theorem(
     ctrl_left = discover_control_function(gl, w_left.d, mode)
     ctrl_right = discover_control_function(gr, w_right.d, mode)
     level = w_left.d + w_right.d
-    cover_left = _lift_to_level(gl, ctrl_left, k_left, level)
-    cover_right = _lift_to_level(gr, ctrl_right, k_right, level)
+    cover_left = _level_cover(gl, ctrl_left, k_left, level)
+    cover_right = _level_cover(gr, ctrl_right, k_right, level)
     bound_left = control_apply(ctrl_left, k_left, level)
     bound_right = control_apply(ctrl_right, k_right, level)
     _stage(

@@ -21,6 +21,7 @@ from grpdim import (
     symmetrize,
 )
 from grpdim._search import _try_add
+from grpdim.dad import _generic_try_add
 
 
 # -- generators --------------------------------------------------------------
@@ -237,3 +238,33 @@ def recursive_partition_search(n_items, n_classes, adj, ok):
         return None
 
     return dfs(0, [empty] * n_classes, 0)
+
+
+def recursive_generic_search(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, d: int):
+    """Exact closure-tracking search by plain recursion: the unit masks of
+    the d+1 classes, or None.
+
+    The same search order and class states as exact
+    ``grpdim.dad._generic_search``, with one recursion level per unit: the
+    oracle for that engine.
+    """
+    n = g.n_units
+    k_mask, l_mask = k_set.mask, l_set.mask
+
+    def dfs(u, states, used):
+        if u == n:
+            return states
+        limit = min(used + 1, d + 1)
+        for c in range(limit):
+            ns = _generic_try_add(g, k_mask, l_mask, states[c], u)
+            if ns is None:
+                continue
+            nxt = list(states)
+            nxt[c] = ns
+            res = dfs(u + 1, nxt, used + 1 if c == used else used)
+            if res is not None:
+                return res
+        return None
+
+    res = dfs(0, [(0, 0, 0, 0)] * (d + 1), 0)
+    return None if res is None else [s[0] for s in res]

@@ -151,3 +151,23 @@ def test_asdim_arrow_space(instances):
     res = run_cli("asdim", p7, "--points", "arrows", "--e-spec", "ball:1",
                   "--f-spec", "power:K:3", "--graphing", p7g, "--d-max", "1")
     assert res.returncode == 0 and "d=1" in res.stdout
+
+
+def test_internal_error_exits_3(instances, monkeypatch):
+    from click.testing import CliRunner
+
+    import grpdim.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("search blew up")
+
+    monkeypatch.setattr(cli, "kl_dad_search", broken)
+    p7 = str(instances / "p7.json")
+    res = CliRunner().invoke(cli.main, ["dad", p7, "--k-spec", "units"])
+    assert res.exit_code == cli.EXIT_INTERNAL == 3
+    assert res.stdout == ""
+    assert res.stderr == "grpdim: internal error: RuntimeError: search blew up\n"
+    # refutations and input errors keep their codes
+    monkeypatch.setattr(cli, "kl_dad_search", lambda *args: None)
+    assert CliRunner().invoke(cli.main, ["dad", p7, "--k-spec", "units"]).exit_code == 1
+    assert CliRunner().invoke(cli.main, ["dad", p7, "--k-spec", "nonsense"]).exit_code == 2

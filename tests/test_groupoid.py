@@ -16,6 +16,7 @@ from grpdim import (
     ArrowSet,
     Groupoid,
     GroupoidError,
+    UnitSet,
     action_groupoid,
     compose_sets,
     cyclic_table,
@@ -331,6 +332,27 @@ def test_set_constructors_reject_out_of_range():
         g.arrow_set([9])
     with pytest.raises(GroupoidError):
         g.unit_set([3])
+
+
+@pytest.mark.parametrize(
+    "cls, other_cls, kind, full_repr",
+    [
+        (ArrowSet, UnitSet, "arrow", "ArrowSet[9]{0,1,2,3,4,5,6,7,...}"),
+        (UnitSet, ArrowSet, "unit", "UnitSet[3]{0,1,2}"),
+    ],
+)
+def test_mask_set_kinds(cls, other_cls, kind, full_repr):
+    g = pair_groupoid(3)  # 3 units, 9 arrows
+    size = g.n_arrows if cls is ArrowSet else g.n_units
+    with pytest.raises(GroupoidError, match=f"^{kind} mask exceeds owner's {kind} range$"):
+        cls(g, 1 << size)
+    a, b = cls(g, 0b011), cls(g, 0b110)
+    assert a != other_cls(g, 0b011) and other_cls(g, 0b011) != a
+    assert a == cls(g, 0b011) and hash(a) == hash(cls(g, 0b011))
+    for got, mask in ((a | b, 0b111), (a & b, 0b010), (a - b, 0b001)):
+        assert type(got) is cls and got == cls(g, mask)
+    assert repr(a - b) == f"{cls.__name__}[1]{{0}}"
+    assert repr(cls(g, (1 << size) - 1)) == full_repr
 
 
 def test_cover_owner_mismatch():
