@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -91,14 +90,11 @@ def _specs(g, k_spec, l_spec, graphing):
     return k_set, l_set
 
 
-def _workers() -> "int | None":
-    raw = os.environ.get("GRPDIM_WORKERS")
-    if not raw:
-        return None
+def _parse_int(text: str, option: str) -> int:
     try:
-        return max(1, int(raw))
+        return int(text)
     except ValueError:
-        return None
+        raise InputError(f"bad {option} value {text!r}: not an integer") from None
 
 
 class _Main(click.Group):
@@ -261,7 +257,7 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
         if mode and mode.startswith("tree:"):
             if gr is None:
                 raise InputError("tree mode needs --graphing")
-            n_scale = int(mode.split(":", 1)[1])
+            n_scale = _parse_int(mode.split(":", 1)[1], "--mode")
             res = treeable_cover(g, gr, n_scale)
             params = f"mode={mode}"
             obj = {
@@ -283,7 +279,7 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
         if points_spec == "arrows":
             pts = list(range(g.n_arrows))
         elif points_spec.startswith("fiber:"):
-            x = int(points_spec.split(":", 1)[1])
+            x = _parse_int(points_spec.split(":", 1)[1], "--points")
             if not 0 <= x < g.n_units:
                 raise InputError(f"unit {x} out of range")
             pts = [a for a in range(g.n_arrows) if g.rng[a] == x]
@@ -347,7 +343,7 @@ def cmd_theorem(which, base_path, left, right, graphing, left_graphing,
             gr_graph = _load_graphing(gr_, right_graphing or graphing)
             k_l = parse_arrow_spec(gl, k_spec, graphing=gl_graph)
             k_r = parse_arrow_spec(gr_, k_spec, graphing=gr_graph)
-            units = _parse_units(refute_units) if refute_units else None
+            units = _parse_units(refute_units, "--refute-units") if refute_units else None
             report = product_theorem(gl, k_l, gr_, k_r, l_power, d_max, units)
             instance = f"{left}|{right}"
         elif which == "union":
@@ -355,7 +351,7 @@ def cmd_theorem(which, base_path, left, right, graphing, left_graphing,
                 raise InputError("union needs --path and --parts")
             g = _load_instance(base_path)
             gr0 = _load_graphing(g, graphing)
-            part_sets = [g.unit_set(_parse_units(p)) for p in parts.split(";")]
+            part_sets = [g.unit_set(_parse_units(p, "--parts")) for p in parts.split(";")]
             k_set = parse_arrow_spec(g, k_spec, graphing=gr0)
             report = union_theorem(g, part_sets, k_set, l_power, d_max)
             instance = base_path
@@ -373,7 +369,7 @@ def cmd_theorem(which, base_path, left, right, graphing, left_graphing,
             g = _load_instance(base_path)
             gr0 = _load_graphing(g, graphing)
             k_set, l_set = _specs(g, k_spec, l_spec, gr0)
-            report = bridge_theorem(g, k_set, l_set, d_max, workers=_workers())
+            report = bridge_theorem(g, k_set, l_set, d_max)
             instance = base_path
     except (GroupoidError, PipelineError) as exc:
         raise InputError(str(exc)) from exc
@@ -391,15 +387,15 @@ def cmd_theorem(which, base_path, left, right, graphing, left_graphing,
     sys.exit(EXIT_OK if certified else EXIT_REFUTED)
 
 
-def _parse_units(text: str) -> list[int]:
+def _parse_units(text: str, option: str) -> list[int]:
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if "-" in chunk:
             lo, hi = chunk.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            out.extend(range(_parse_int(lo, option), _parse_int(hi, option) + 1))
         elif chunk:
-            out.append(int(chunk))
+            out.append(_parse_int(chunk, option))
     return out
 
 
@@ -420,7 +416,7 @@ def cmd_sweep(path, windows, what, k_spec, l_spec, d_max, n_scale, graphing, out
     gr = _load_graphing(g, graphing)
     try:
         rows = sweep_rows(
-            g, gr, _parse_units(windows), what, k_spec, l_spec, d_max, n_scale
+            g, gr, _parse_units(windows, "--windows"), what, k_spec, l_spec, d_max, n_scale
         )
     except (GroupoidError, PipelineError) as exc:
         raise InputError(str(exc)) from exc

@@ -103,17 +103,7 @@ def gauge_from(g: Groupoid, k_set: ArrowSet) -> Gauge:
     _same_owner(g, k_set.owner)
     if not k_set.is_oc_normal():
         raise CoarseError("gauge windows must be symmetric and contain every unit")
-    m = g.n_arrows
-    rel = [1 << p for p in range(m)]
-    comp = g.comp
-    for p in range(m):
-        partners = g.by_rng[g.src[p]] & k_set.mask
-        base = p * m
-        acc = rel[p]
-        for q in iter_bits(partners):
-            acc |= 1 << comp[base + q]
-        rel[p] = acc
-    return Gauge(m, rel)
+    return fiber_gauge(g, range(g.n_arrows), k_set)
 
 
 def fiber(g: Groupoid, x: int, gauge_sets: "dict[str, ArrowSet] | None" = None) -> CoarseSpace:
@@ -128,7 +118,11 @@ def fiber(g: Groupoid, x: int, gauge_sets: "dict[str, ArrowSet] | None" = None) 
 
 
 def fiber_gauge(g: Groupoid, points: Sequence[int], k_set: ArrowSet) -> Gauge:
-    """Gauge induced by a window on an explicit list of same-fiber arrows."""
+    """Gauge induced by a window on an explicit list of arrows.
+
+    Point i is related to point j when ``points[j] = points[i] q`` for an arrow
+    q of the window, so arrows in different range fibers are never related.
+    """
     _same_owner(g, k_set.owner)
     index = {a: i for i, a in enumerate(points)}
     n = len(points)
@@ -163,6 +157,26 @@ def _normalize_families(n: int, families) -> list[list[int]]:
     return out
 
 
+def _ef_violation(e_gauge: Gauge, f_gauge: Gauge, families) -> "tuple | None":
+    """The first (family, member, point, "E" or "F") where a member meets an
+    earlier member of its family in E, or is not F-bounded; None if there is none.
+
+    One pass per family: each point's E-row is tested against the union of
+    the earlier members, which covers every pair of members because E is
+    symmetric, and overlapping or repeated members because E is reflexive.
+    """
+    for i, members in enumerate(families):
+        earlier = 0
+        for j, mask in enumerate(members):
+            for p in iter_bits(mask):
+                if e_gauge.rel[p] & earlier:
+                    return i, j, p, "E"
+                if mask & ~f_gauge.rel[p]:
+                    return i, j, p, "F"
+            earlier |= mask
+    return None
+
+
 def ef_asdim_check(e_gauge: Gauge, f_gauge: Gauge, families) -> bool:
     """Cover + F-bounded members + pairwise E-separated families."""
     if e_gauge.n != f_gauge.n:
@@ -173,15 +187,7 @@ def ef_asdim_check(e_gauge: Gauge, f_gauge: Gauge, families) -> bool:
     for members in fams:
         for mask in members:
             covered |= mask
-            for p in iter_bits(mask):
-                if mask & ~f_gauge.rel[p]:
-                    return False
-        for i, m1 in enumerate(members):
-            for m2 in members[i + 1 :]:
-                for p in iter_bits(m1):
-                    if e_gauge.rel[p] & m2:
-                        return False
-    return covered == (1 << n) - 1
+    return covered == (1 << n) - 1 and _ef_violation(e_gauge, f_gauge, fams) is None
 
 
 def ef_asdim_search(
@@ -491,32 +497,17 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
             src_mask |= g.by_src[u]
         for x in range(g.n_units):
             pts = list(iter_bits(g.by_rng[x] & src_mask))
-            blocks: list[list[int]] = []
-            for a in pts:
-                placed = False
-                for block in blocks:
-                    if g.compose(g.inv[block[0]], a) in h_i:
-                        block.append(a)
-                        placed = True
-                        break
-                if not placed:
-                    blocks.append([a])
-            # re-check that the relation is a genuine equivalence on these points
-            for i, b1 in enumerate(blocks):
-                for a in b1:
-                    for b in b1:
-                        if g.compose(g.inv[a], b) not in h_i:
-                            raise CoarseError(
-                                "relation is not transitive; generated class is not a subgroupoid"
-                            )
-                for b2 in blocks[i + 1 :]:
-                    for a in b1:
-                        for b in b2:
-                            if g.compose(g.inv[a], b) in h_i:
-                                raise CoarseError(
-                                    "relation is not transitive; generated class is not a subgroupoid"
-                                )
-            members.extend(frozenset(b) for b in blocks)
+            rows = fiber_gauge(g, pts, h_i).rel
+            # the relation is a genuine equivalence on these points
+            if any(rows[j] != row for row in rows for j in iter_bits(row)):
+                raise CoarseError(
+                    "relation is not transitive; generated class is not a subgroupoid"
+                )
+            members.extend(
+                frozenset(pts[j] for j in iter_bits(row))
+                for i, row in enumerate(rows)
+                if row & -row == 1 << i
+            )
         families.append(tuple(members))
 
     e_gauge = gauge_from(g, witness.K)
@@ -535,7 +526,10 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
 # -- asdim -> dad -----------------------------------------------------------
 
 
-def _orbit_minima(g: Groupoid, h_arrows: ArrowSet, y: UnitSet) -> list[int]:
+def _h_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> tuple[ArrowSet, dict[int, list[int]]]:
+    """The subgroupoid H generated by the window over Y, and the points of its
+    range fiber at the least unit of each H-orbit in Y, by unit."""
+    h_arrows = generated(k_set, y)
     uf = _UnionFind(g.n_units)
     for a in h_arrows:
         uf.union(g.src[a], g.rng[a])
@@ -544,7 +538,9 @@ def _orbit_minima(g: Groupoid, h_arrows: ArrowSet, y: UnitSet) -> list[int]:
         root = uf.find(u)
         if root not in minima:
             minima[root] = u
-    return sorted(minima.values())
+    return h_arrows, {
+        x: list(iter_bits(g.by_rng[x] & h_arrows.mask)) for x in sorted(minima.values())
+    }
 
 
 def asdim_fiber_decompositions(
@@ -554,38 +550,24 @@ def asdim_fiber_decompositions(
     l_set: ArrowSet,
     d_max: int,
     mode: "str | None" = None,
-    workers: "int | None" = None,
 ) -> dict[int, list[list[frozenset[int]]]]:
     """(E,F)-decompose each fundamental-domain fiber of the Y-confined subgroupoid.
 
     E and F are the fiber gauges of the window and the bound; the returned
-    members carry absolute arrow ids.  Fibers are independent; with
-    ``workers`` they are solved in a thread pool and merged by unit id.
+    members carry absolute arrow ids, keyed by unit.
     """
-    h_arrows = generated(k_set, y)
-    xs = _orbit_minima(g, h_arrows, y)
-
-    def solve(x: int) -> tuple[int, list[list[frozenset[int]]]]:
-        points = [a for a in iter_bits(g.by_rng[x]) if a in h_arrows]
+    decomps = {}
+    for x, points in _h_fibers(g, y, k_set)[1].items():
         e_gauge = fiber_gauge(g, points, k_set)
         f_gauge = fiber_gauge(g, points, l_set)
         space = CoarseSpace(tuple(points))
         fams = ef_asdim_search(space, e_gauge, f_gauge, d_max, mode)
         if fams is None:
             raise CoarseError(f"fiber at unit {x} admits no decomposition at d_max={d_max}")
-        absolute = [
+        decomps[x] = [
             [frozenset(points[i] for i in member) for member in fam] for fam in fams
         ]
-        return x, absolute
-
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(solve, xs))
-    else:
-        results = dict(solve(x) for x in xs)
-    return {x: results[x] for x in sorted(results)}
+    return decomps
 
 
 def asdim_to_dad(
@@ -606,16 +588,15 @@ def asdim_to_dad(
     if not is_principal(g):
         raise CoarseError("the reconstruction requires a principal groupoid")
     _same_owner(g, y.owner)
-    h_arrows = generated(k_set, y)
-    xs = _orbit_minima(g, h_arrows, y)
+    h_arrows, fibers = _h_fibers(g, y, k_set)
 
     n_classes = 0
     checked: dict[int, list[list[int]]] = {}
-    for x in xs:
+    for x, points in fibers.items():
         fams = fiber_families.get(x)
         if fams is None:
             raise CoarseError(f"missing fiber decomposition at unit {x}")
-        fiber_pts = mask_of(a for a in iter_bits(g.by_rng[x]) if a in h_arrows)
+        fiber_pts = mask_of(points)
         masks = [[mask_of(member) for member in fam] for fam in fams]
         total = 0
         for i, fam in enumerate(masks):
@@ -627,30 +608,27 @@ def asdim_to_dad(
                 if member & total:
                     raise CoarseError(f"fiber {x} blocks overlap at family {i}")
                 total |= member
-                for a in iter_bits(member):
-                    for b in iter_bits(member):
-                        if g.compose(g.inv[a], b) not in l_set:
-                            raise CoarseError(
-                                f"fiber {x}, family {i}, block {j}: quotient of "
-                                f"arrows {a},{b} escapes the bound"
-                            )
-            for j1, m1 in enumerate(fam):
-                for j2 in range(j1 + 1, len(fam)):
-                    for a in iter_bits(m1):
-                        for b in iter_bits(fam[j2]):
-                            if g.compose(g.inv[a], b) in k_set:
-                                raise CoarseError(
-                                    f"fiber {x}, family {i}: blocks {j1},{j2} are "
-                                    "not window-separated"
-                                )
         if total != fiber_pts:
             raise CoarseError(f"fiber {x} blocks do not partition the H-fiber")
+        index = {a: p for p, a in enumerate(points)}
+        local = [[mask_of(index[a] for a in iter_bits(m)) for m in fam] for fam in masks]
+        bad = _ef_violation(
+            fiber_gauge(g, points, k_set), fiber_gauge(g, points, l_set), local
+        )
+        if bad is not None:
+            i, j, p, kind = bad
+            what = (
+                "is not window-separated from an earlier block"
+                if kind == "E"
+                else "has a quotient with its block that escapes the bound"
+            )
+            raise CoarseError(f"fiber {x}, family {i}, block {j}: arrow {points[p]} {what}")
         checked[x] = masks
         n_classes = max(n_classes, len(masks))
 
     class_units = [0] * n_classes
-    for x in xs:
-        for i, fam in enumerate(checked[x]):
+    for masks in checked.values():
+        for i, fam in enumerate(masks):
             for member in fam:
                 for a in iter_bits(member):
                     class_units[i] |= 1 << g.src[a]
@@ -669,11 +647,11 @@ def asdim_to_dad(
     )
     witness = kl_dad_check(gy, k_local, l_local, Cover(gy, classes, gy.all_units()))
     if not witness.certified:
-        _explain_reconstruction_failure(g, gy, witness, h_arrows, xs, checked, k_set, l_set)
+        _explain_reconstruction_failure(g, gy, witness, h_arrows, fibers)
     return witness
 
 
-def _explain_reconstruction_failure(g, gy, witness, h_arrows, xs, checked, k_set, l_set):
+def _explain_reconstruction_failure(g, gy, witness, h_arrows, xs):
     for i, gen in enumerate(witness.generated_per_class):
         escape = gen - witness.L
         for a_local in escape:

@@ -50,7 +50,6 @@ def product_theorem(
     l_power: int = 2,
     d_max: int = 2,
     refute_units=None,
-    mode: str = "exact",
 ) -> dict:
     """Certify dad(G x H) <= dad(G) + dad(H) at window scale.
 
@@ -62,17 +61,17 @@ def product_theorem(
     """
     report = {"operation": "theorem-product", "stages": [], "artifacts": {}}
     w_left = _need_witness(
-        kl_dad_search(gl, k_left, power(k_left, l_power), d_max, mode), "left-search"
+        kl_dad_search(gl, k_left, power(k_left, l_power), d_max), "left-search"
     )
     w_right = _need_witness(
-        kl_dad_search(gr, k_right, power(k_right, l_power), d_max, mode), "right-search"
+        kl_dad_search(gr, k_right, power(k_right, l_power), d_max), "right-search"
     )
     _stage(report, "factor-search", d_left=w_left.d, d_right=w_right.d)
     report["artifacts"]["left-witness"] = w_left.to_json_obj()
     report["artifacts"]["right-witness"] = w_right.to_json_obj()
 
-    ctrl_left = discover_control_function(gl, w_left.d, mode)
-    ctrl_right = discover_control_function(gr, w_right.d, mode)
+    ctrl_left = discover_control_function(gl, w_left.d)
+    ctrl_right = discover_control_function(gr, w_right.d)
     level = w_left.d + w_right.d
     cover_left = _level_cover(gl, ctrl_left, k_left, level)
     cover_right = _level_cover(gr, ctrl_right, k_right, level)
@@ -119,7 +118,6 @@ def union_theorem(
     k_base: ArrowSet,
     l_power: int = 2,
     d_max: int = 2,
-    mode: str = "exact",
 ) -> dict:
     """Merge per-part witnesses over a clopen partition at the chained scales.
 
@@ -135,7 +133,7 @@ def union_theorem(
         sub = restrict(g, part)
         k_local = sub.from_parent_arrows(cubed15)
         w = _need_witness(
-            kl_dad_search(sub, k_local, power(k_local, l_power), d_max, mode),
+            kl_dad_search(sub, k_local, power(k_local, l_power), d_max),
             f"part-{i}-search",
         )
         witnesses.append(w)
@@ -160,11 +158,10 @@ def morita_theorem(
     k_set: ArrowSet,
     l_set: ArrowSet,
     d_max: int = 2,
-    mode: str = "exact",
 ) -> dict:
     """Round-trip a witness through a unit-duplicating blow-up, both directions."""
     report = {"operation": "theorem-morita", "stages": [], "artifacts": {}}
-    w_base = _need_witness(kl_dad_search(g, k_set, l_set, d_max, mode), "base-search")
+    w_base = _need_witness(kl_dad_search(g, k_set, l_set, d_max), "base-search")
     _stage(report, "base-search", d=w_base.d)
     report["artifacts"]["base-witness"] = w_base.to_json_obj()
 
@@ -176,7 +173,7 @@ def morita_theorem(
     k_up = map_arrows_back(bl.groupoid, bl.pi, k_set)
     l_up = map_arrows_back(bl.groupoid, bl.pi, l_set)
     w_up = _need_witness(
-        kl_dad_search(bl.groupoid, k_up, l_up, d_max, mode), "blowup-search"
+        kl_dad_search(bl.groupoid, k_up, l_up, d_max), "blowup-search"
     )
     _stage(report, "blowup-search", d=w_up.d)
     transferred = blowup_transfer(bl, w_up, k_set, l_set)
@@ -197,12 +194,10 @@ def bridge_theorem(
     k_set: ArrowSet,
     l_set: ArrowSet,
     d_max: int = 2,
-    mode: str = "exact",
-    workers: "int | None" = None,
 ) -> dict:
     """dad -> asdim -> dad at one window scale, closing at equal dimension."""
     report = {"operation": "theorem-bridge", "stages": [], "artifacts": {}}
-    w = _need_witness(kl_dad_search(g, k_set, l_set, d_max, mode), "dad-search")
+    w = _need_witness(kl_dad_search(g, k_set, l_set, d_max), "dad-search")
     _stage(report, "dad-search", d=w.d)
     report["artifacts"]["dad-witness"] = w.to_json_obj()
 
@@ -222,7 +217,7 @@ def bridge_theorem(
     if not bridge.certified:
         raise PipelineError("stage 'dad-to-asdim': decomposition failed certification")
 
-    decomps = asdim_fiber_decompositions(g, g.all_units(), k_set, l_set, w.d, mode, workers)
+    decomps = asdim_fiber_decompositions(g, g.all_units(), k_set, l_set, w.d, "exact")
     _stage(report, "fiber-decompositions", fibers=sorted(decomps))
     back = asdim_to_dad(g, g.all_units(), k_set, l_set, decomps)
     _stage(report, "asdim-to-dad", d=back.d, certified=back.certified)
@@ -243,7 +238,6 @@ def sweep_rows(
     l_spec: str,
     d_max: int = 3,
     n_scale: int = 1,
-    mode: str = "exact",
 ) -> list[dict]:
     """Run dad searches or treeable certificates over prefix windows of the units."""
     from .setspec import parse_arrow_spec
@@ -259,7 +253,7 @@ def sweep_rows(
         if what == "dad":
             k_set = parse_arrow_spec(sub, k_spec, graphing=sub_graphing)
             l_set = parse_arrow_spec(sub, l_spec, k_set=k_set, graphing=sub_graphing)
-            witness = kl_dad_search(sub, k_set, l_set, d_max, mode)
+            witness = kl_dad_search(sub, k_set, l_set, d_max)
             rows.append(
                 {
                     "window": w_size,

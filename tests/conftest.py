@@ -21,6 +21,7 @@ from grpdim import (
     symmetrize,
 )
 from grpdim._search import _try_add
+from grpdim.groupoid import iter_bits, mask_of
 from grpdim.dad import _generic_try_add
 
 
@@ -268,3 +269,55 @@ def recursive_generic_search(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, d: i
 
     res = dfs(0, [(0, 0, 0, 0)] * (d + 1), 0)
     return None if res is None else [s[0] for s in res]
+
+
+def pairwise_ef_asdim_check(e_gauge, f_gauge, families) -> bool:
+    """(E,F)-decomposition check over every pair of members of each family.
+
+    Cover of all points, F-bounded members, and E-separated members within
+    each family; empty members are dropped.  The oracle for
+    ``grpdim.coarse.ef_asdim_check``.
+    """
+    n = e_gauge.n
+    covered = 0
+    for fam in families:
+        members = [m if isinstance(m, int) else mask_of(m) for m in fam]
+        members = [m for m in members if m]
+        for mask in members:
+            covered |= mask
+            for p in iter_bits(mask):
+                if mask & ~f_gauge.rel[p]:
+                    return False
+        for i, m1 in enumerate(members):
+            for m2 in members[i + 1 :]:
+                for p in iter_bits(m1):
+                    if e_gauge.rel[p] & m2:
+                        return False
+    return covered == (1 << n) - 1
+
+
+def first_fit_dad_blocks(g: Groupoid, witness) -> list[tuple[frozenset[int], ...]]:
+    """The families of ``dad_to_asdim`` built first-fit, with one ``compose``
+    call per pair of points: the oracle for that block builder.
+
+    In fiber x, an arrow with source in class i joins the first block whose
+    first arrow b has ``inv(b) a`` in the generated subgroupoid H_i.
+    """
+    families = []
+    for cls, h_i in zip(witness.cover.classes, witness.generated_per_class):
+        members = []
+        src_mask = 0
+        for u in cls:
+            src_mask |= g.by_src[u]
+        for x in range(g.n_units):
+            blocks: list[list[int]] = []
+            for a in iter_bits(g.by_rng[x] & src_mask):
+                for block in blocks:
+                    if g.compose(g.inv[block[0]], a) in h_i:
+                        block.append(a)
+                        break
+                else:
+                    blocks.append([a])
+            members.extend(frozenset(b) for b in blocks)
+        families.append(tuple(members))
+    return families

@@ -171,3 +171,26 @@ def test_internal_error_exits_3(instances, monkeypatch):
     monkeypatch.setattr(cli, "kl_dad_search", lambda *args: None)
     assert CliRunner().invoke(cli.main, ["dad", p7, "--k-spec", "units"]).exit_code == 1
     assert CliRunner().invoke(cli.main, ["dad", p7, "--k-spec", "nonsense"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["asdim", "{p7}", "--mode", "tree:x", "--graphing", "{p7g}"], "--mode"),
+        (["asdim", "{p7}", "--points", "fiber:x"], "--points"),
+        (["sweep", "{p7}", "--windows", "a-b", "--graphing", "{p7g}"], "--windows"),
+        (["theorem", "union", "--path", "{p7}", "--graphing", "{p7g}",
+          "--parts", "0-x;2-3"], "--parts"),
+        (["theorem", "product", "--left", "{p7}", "--right", "{p7}", "--graphing", "{p7g}",
+          "--refute-units", "0,y"], "--refute-units"),
+    ],
+)
+def test_bad_numbers_are_input_errors(instances, args, option):
+    from click.testing import CliRunner
+
+    import grpdim.cli as cli
+
+    paths = {"p7": instances / "p7.json", "p7g": instances / "p7.graphing.json"}
+    res = CliRunner().invoke(cli.main, [a.format(**paths) for a in args])
+    assert res.exit_code == cli.EXIT_INPUT == 2
+    assert f"bad {option} value" in res.stderr

@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from conftest import brute_ef_exists, disjoint_union, pair_blocks_groupoid
+from conftest import (
+    brute_ef_exists,
+    disjoint_union,
+    first_fit_dad_blocks,
+    pair_blocks_groupoid,
+    pairwise_ef_asdim_check,
+    random_arrow_set,
+    random_groupoid,
+    random_principal_groupoid,
+)
 from grpdim import (
     ArrowSet,
     CoarseError,
@@ -19,6 +28,7 @@ from grpdim import (
     fiber,
     fiber_gauge,
     gauge_from,
+    is_principal,
     kl_dad_search,
     pair_groupoid,
     pair_index,
@@ -30,6 +40,7 @@ from grpdim import (
     treeable_cover,
     trivial_perms,
 )
+from grpdim.groupoid import mask_of
 
 
 def line(n):
@@ -201,6 +212,48 @@ def test_ef_search_agrees_with_bruteforce():
             assert (got is not None) == brute_ef_exists(e, f, n, d_max)
 
 
+def random_gauge(rng, n, density, base=None):
+    rel = list(base.rel) if base is not None else [1 << p for p in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            if rng.random() < density:
+                rel[p] |= 1 << q
+                rel[q] |= 1 << p
+    return Gauge(n, rel)
+
+
+def test_ef_check_agrees_with_pairwise_oracle():
+    # random families on random gauges, with repeated, overlapping and empty
+    # members inside a family and points shared across families
+    rng = random.Random(23)
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        e = random_gauge(rng, n, rng.choice([0.0, 0.1, 0.3]))
+        f = random_gauge(rng, n, rng.choice([0.3, 0.7, 1.0]), base=e)
+        fams = [[set() for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(1, 3))]
+        for p in range(n):
+            if rng.random() < 0.97:
+                rng.choice(rng.choice(fams)).add(p)
+        for _ in range(rng.randint(0, 2)):
+            fam = rng.choice(fams)
+            full = [m for fm in fams for m in fm if m]
+            kind = rng.randrange(4)
+            if kind == 0:
+                fam.append(set(rng.choice(fam)))
+            elif kind == 1:
+                fam.insert(rng.randint(0, len(fam)), set())
+            elif full and kind == 2:
+                fam.append({rng.choice(sorted(rng.choice(full))), rng.randrange(n)})
+            elif full:
+                rng.choice(rng.choice(fams)).add(rng.choice(sorted(rng.choice(full))))
+        fams = [[mask_of(m) if rng.random() < 0.5 else m for m in fam] for fam in fams]
+        got = ef_asdim_check(e, f, fams)
+        assert got == pairwise_ef_asdim_check(e, f, fams)
+        outcomes[got] += 1
+    assert outcomes[True] > 300 and outcomes[False] > 300
+
+
 # -- treeable covers ------------------------------------------------------------
 
 
@@ -320,6 +373,32 @@ def test_dad_to_asdim_disjoint_union_naturality():
             assert len(comps) == 1
 
 
+def test_dad_to_asdim_matches_first_fit_oracle():
+    # certified witnesses on principal groupoids and on groupoids with isotropy
+    rng = random.Random(29)
+    counts = {True: 0, False: 0}
+    multi = 0
+    while min(counts.values()) < 60:
+        if rng.random() < 0.5:
+            g = random_principal_groupoid(rng, rng.randint(20, 50))
+        else:
+            g = random_groupoid(rng, rng.randint(30, 70))
+        k_set = random_arrow_set(rng, g, rng.uniform(0.05, 0.5))
+        l_set = [power(k_set, 2), power(k_set, 3), g.all_arrows()][rng.randrange(3)]
+        w = kl_dad_search(g, k_set, l_set, 2)
+        if w is None:
+            continue
+        bridge = dad_to_asdim(g, w)
+        assert bridge.certified
+        expected = first_fit_dad_blocks(g, w)
+        assert len(bridge.families) == len(expected)
+        for got_fam, want_fam in zip(bridge.families, expected):
+            assert list(got_fam) == list(want_fam)
+            multi += sum(len(m) > 1 for m in got_fam)
+        counts[is_principal(g)] += 1
+    assert multi > 100
+
+
 def test_dad_to_asdim_requires_certified():
     g, graphing = line(7)
     k = graphing.ball(1)
@@ -395,8 +474,51 @@ def test_asdim_to_dad_rejects_unseparated_blocks():
     bad = [[{a} for a in pts], []]  # singletons: adjacent ones are not separated
     decomps = dict(decomps)
     decomps[x] = bad
-    with pytest.raises(CoarseError):
+    with pytest.raises(CoarseError, match=rf"fiber {x}, family 0, block 1: arrow \d+ is not"):
         asdim_to_dad(g, g.all_units(), k, l_set, decomps)
+
+
+def _line7_decomposition():
+    g, graphing = line(7)
+    k = graphing.ball(1)
+    l_set = power(k, 2)
+    decomps = asdim_fiber_decompositions(g, g.all_units(), k, l_set, 1)
+    assert list(decomps) == [0]  # one orbit: the H-fiber at 0 is the whole fiber
+    return g, k, l_set, decomps[0]
+
+
+def test_asdim_to_dad_rejects_block_leaving_the_h_fiber():
+    g, k, l_set, fams = _line7_decomposition()
+    outside = next(a for a in range(g.n_arrows) if g.rng[a] == 1)
+    bad = [list(fam) for fam in fams]
+    bad[1][0] = bad[1][0] | {outside}
+    with pytest.raises(CoarseError, match="fiber 0, family 1, block 0 leaves the H-fiber"):
+        asdim_to_dad(g, g.all_units(), k, l_set, {0: bad})
+
+
+def test_asdim_to_dad_rejects_blocks_overlapping_across_families():
+    g, k, l_set, fams = _line7_decomposition()
+    bad = [list(fams[0]), list(fams[1]) + [frozenset([min(fams[0][0])])]]
+    with pytest.raises(CoarseError, match="fiber 0 blocks overlap at family 1"):
+        asdim_to_dad(g, g.all_units(), k, l_set, {0: bad})
+
+
+def test_asdim_to_dad_rejects_blocks_that_miss_part_of_the_fiber():
+    g, k, l_set, fams = _line7_decomposition()
+    bad = [list(fams[0]), list(fams[1])[1:]]
+    with pytest.raises(CoarseError, match="fiber 0 blocks do not partition the H-fiber"):
+        asdim_to_dad(g, g.all_units(), k, l_set, {0: bad})
+
+
+def test_asdim_to_dad_rejects_block_escaping_the_bound():
+    # one block holding the whole fiber is separated but not L-bounded
+    g, k, l_set, fams = _line7_decomposition()
+    whole = frozenset(a for fam in fams for m in fam for a in m)
+    with pytest.raises(
+        CoarseError,
+        match=r"fiber 0, family 0, block 0: arrow \d+ has a quotient .* escapes the bound",
+    ):
+        asdim_to_dad(g, g.all_units(), k, l_set, {0: [[whole]]})
 
 
 def test_asdim_to_dad_rejects_non_principal():
