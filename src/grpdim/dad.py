@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._search import class_search, partition_search
+from ._search import class_search, compact_order, partition_search, refute_then_witness
 from .covers import ControlFunction, Cover, CoverError, fold_number
 from .groupoid import (
     ArrowSet,
@@ -103,14 +103,21 @@ def kl_dad_check(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, cover: Cover) ->
 # -- search ---------------------------------------------------------------
 
 
+def _window_graph(g: Groupoid, k_set: ArrowSet) -> list[int]:
+    """Unit rows of K's arrows between distinct units: the graph whose
+    compact order both engines refute in."""
+    adj = [0] * g.n_units
+    for a in iter_bits(k_set.mask & ~g.units_mask):
+        u, v = g.src[a], g.rng[a]
+        if u != v:  # isotropy arrows join no two units
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
 def _principal_tables(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet):
     n = g.n_units
-    adj = [0] * n
-    for a in iter_bits(k_set.mask):
-        if a < n:
-            continue
-        adj[g.src[a]] |= 1 << g.rng[a]
-        adj[g.rng[a]] |= 1 << g.src[a]
+    adj = _window_graph(g, k_set)
     ok = [0] * n
     for a in iter_bits(l_set.mask):
         ok[g.src[a]] |= 1 << g.rng[a]
@@ -126,17 +133,27 @@ def _generic_try_add(g, k_mask, l_mask, state, u):
     return None if els is None else (units | 1 << u, srcm2, rngm2, els)
 
 
-def _generic_search(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, d: int, mode: str):
+def _generic_search(
+    g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, d: int, mode: str, order=None
+):
     """Closure-tracking partition search for arbitrary (possibly non-principal) groupoids.
 
     A class state is ``(units, sources, ranges, closure)``: its unit mask,
     the arrows with source or range in it, and the subgroupoid its K-arrows
-    generate, which must stay inside L.
+    generate, which must stay inside L.  Exact mode refutes in ``order``
+    (default: ``compact_order`` of ``_window_graph``) and takes a solution
+    from the id-order run, as ``partition_search`` does.
     """
     k_mask, l_mask = k_set.mask, l_set.mask
-    states = class_search(
-        g.n_units, d + 1, (0, 0, 0, 0), lambda s, u: _generic_try_add(g, k_mask, l_mask, s, u), mode
-    )
+
+    def run(units):
+        return class_search(
+            units, d + 1, (0, 0, 0, 0), lambda s, u: _generic_try_add(g, k_mask, l_mask, s, u), mode
+        )
+
+    if mode == "exact" and order is None:
+        order = compact_order(g.n_units, _window_graph(g, k_set))
+    states = refute_then_witness(run, g.n_units, order, mode)
     return None if states is None else [s[0] for s in states]
 
 
@@ -150,10 +167,13 @@ def kl_dad_search(
     """Search for a certified witness of minimal d <= d_max.
 
     Exact mode is complete over unit color assignments: since shrinking a
-    class preserves certification, it suffices to explore partitions, in
-    lexicographic order with colors canonicalized by first use.  The returned
-    witness is the minimum of that order at the least feasible d.  Greedy
-    mode is a first-fit pass per d: sound but incomplete.
+    class preserves certification, it suffices to explore partitions.  Each
+    d is refuted in ``compact_order`` of the window graph (K's non-unit
+    arrows), computed once per search, so the cost does not depend on the
+    unit ids.  At the least feasible d the witness comes from a second run
+    in lexicographic order of unit ids with colors canonicalized by first
+    use, so it is the minimum of that order.  Greedy mode is a first-fit
+    pass per d in unit-id order: sound but incomplete.
     """
     if d_max < 0:
         raise WitnessError("d_max must be nonnegative")
@@ -167,13 +187,16 @@ def kl_dad_search(
     principal = is_principal(g)
     if principal:
         adj, ok = _principal_tables(g, k_set, l_set)
+    else:
+        adj = _window_graph(g, k_set)
+    order = compact_order(g.n_units, adj) if mode == "exact" else None
 
     for d in range(d_max + 1):
         if principal:
-            states = partition_search(g.n_units, d + 1, adj, ok, mode)
+            states = partition_search(g.n_units, d + 1, adj, ok, mode, order)
             masks = None if states is None else [s[0] for s in states]
         else:
-            masks = _generic_search(g, k_set, l_set, d, mode)
+            masks = _generic_search(g, k_set, l_set, d, mode, order)
         if masks is not None:
             cover = Cover(g, tuple(UnitSet(g, m) for m in masks), g.all_units())
             witness = kl_dad_check(g, k_set, l_set, cover)

@@ -20,7 +20,6 @@ from grpdim import (
     kl_dad_check,
     symmetrize,
 )
-from grpdim._search import _try_add
 from grpdim.groupoid import iter_bits, mask_of
 from grpdim.dad import _generic_try_add
 
@@ -129,6 +128,25 @@ def random_groupoid(rng: random.Random, max_arrows: int = 200) -> Groupoid:
     return disjoint_union(comps)
 
 
+def relabel_units(g: Groupoid, perm: list[int]) -> tuple[Groupoid, list[int]]:
+    """The groupoid with unit u renamed ``perm[u]``, and its arrow map.
+
+    Unit arrows move with their units; other arrow ids stay.
+    """
+    n, m = g.n_units, g.n_arrows
+    amap = [perm[a] if a < n else a for a in range(m)]
+    src, rng, inv = [0] * m, [0] * m, [0] * m
+    for a in range(m):
+        src[amap[a]] = perm[g.src[a]]
+        rng[amap[a]] = perm[g.rng[a]]
+        inv[amap[a]] = amap[g.inv[a]]
+    comp = {}
+    for key, c in g.comp.items():
+        a, b = divmod(key, m)
+        comp[(amap[a], amap[b])] = amap[c]
+    return Groupoid(n, src, rng, inv, comp), amap
+
+
 def random_arrow_set(rng: random.Random, g: Groupoid, density: float = 0.3) -> ArrowSet:
     mask = 0
     for a in range(g.n_arrows):
@@ -214,12 +232,59 @@ def brute_ef_exists(e_gauge, f_gauge, n_points: int, d_max: int) -> bool:
     return False
 
 
+def naive_compact_order(n, adj):
+    """``grpdim._search.compact_order`` from its definition: every step
+    recomputes the frontier for each candidate."""
+    nbrs = [adj[v] & ~(1 << v) for v in range(n)]
+
+    def frontier(placed):
+        return sum(1 for u in iter_bits(placed) if nbrs[u] & ~placed)
+
+    order, pos, placed = [], {}, 0
+    while len(order) < n:
+        cands = [v for v in range(n) if not placed >> v & 1 and nbrs[v] & placed]
+        if cands:
+            v = min(cands, key=lambda v: (
+                frontier(placed | 1 << v) - frontier(placed),
+                min(pos[u] for u in iter_bits(nbrs[v] & placed)),
+                v,
+            ))
+        else:
+            v = min((v for v in range(n) if not placed >> v & 1),
+                    key=lambda v: (nbrs[v].bit_count(), v))
+        pos[v] = len(order)
+        order.append(v)
+        placed |= 1 << v
+    return order
+
+
+def full_try_add(state, item, adj, ok):
+    """Class ``state`` with ``item`` added, or None: every component is kept,
+    in the order of its last change (the merged one goes last)."""
+    items, comps = state
+    nbr = adj[item] & items
+    new_mask = 1 << item
+    new_common = ok[item]
+    rest = []
+    for cmask, ccommon in comps:
+        if cmask & nbr:
+            new_mask |= cmask
+            new_common &= ccommon
+        else:
+            rest.append((cmask, ccommon))
+    if new_mask & ~new_common:
+        return None
+    rest.append((new_mask, new_common))
+    return (items | 1 << item, tuple(rest))
+
+
 def recursive_partition_search(n_items, n_classes, adj, ok):
     """Exact partition search by plain recursion, with no record of failures.
 
-    The same search order and per-class states as exact
-    ``grpdim._search.partition_search``, with one recursion level per item
-    and every subtree searched: the oracle for that engine.
+    The search order and returned per-class states of exact
+    ``grpdim._search.partition_search`` (items in increasing id), with one
+    recursion level per item, every component carried and every subtree
+    searched: the oracle for that engine.
     """
     empty = (0, ())
 
@@ -228,7 +293,7 @@ def recursive_partition_search(n_items, n_classes, adj, ok):
             return states
         limit = min(used + 1, n_classes)
         for c in range(limit):
-            ns = _try_add(states[c], item, adj, ok)
+            ns = full_try_add(states[c], item, adj, ok)
             if ns is None:
                 continue
             nxt = list(states)

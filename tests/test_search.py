@@ -2,14 +2,20 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from conftest import (
     brute_dad_search,
+    brute_ef_exists,
+    naive_compact_order,
     random_arrow_set,
     random_groupoid,
     recursive_generic_search,
     recursive_partition_search,
+    relabel_units,
 )
 from grpdim import (
+    ArrowSet,
     CoarseSpace,
     Cover,
     Gauge,
@@ -28,9 +34,9 @@ from grpdim import (
     UnitSet,
 )
 from grpdim import _search
-from grpdim._search import partition_search
+from grpdim._search import compact_order, partition_search
 from grpdim.dad import _generic_search, _principal_tables
-from grpdim.groupoid import iter_bits
+from grpdim.groupoid import iter_bits, mask_of
 
 
 def random_symmetric(rng, n, density, reflexive):
@@ -59,10 +65,47 @@ def relabel(rows, perm):
     return out
 
 
+def shuffled(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def relabel_instance(rng, g, k_set, l_set):
+    """``g`` with its units shuffled, and K and L carried along."""
+    g2, amap = relabel_units(g, shuffled(rng, g.n_units))
+    return g2, *(ArrowSet(g2, mask_of(amap[a] for a in s)) for s in (k_set, l_set))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 14).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+)))
+def test_compact_order_follows_its_definition(graph):
+    n, edges = graph
+    adj = [0] * n
+    for p, q in edges:  # self-loops included: the order ignores them
+        adj[p] |= 1 << q
+        adj[q] |= 1 << p
+    order = compact_order(n, adj)
+    assert sorted(order) == list(range(n))
+    assert compact_order(n, adj) == order
+    assert order == naive_compact_order(n, adj)
+    degree = [(adj[v] & ~(1 << v)).bit_count() for v in range(n)]
+    assert order[0] == min(range(n), key=lambda v: (degree[v], v))
+    placed = 0
+    for v in order:
+        if not adj[v] & ~(1 << v) & placed:
+            # v starts a component, so every earlier one is finished
+            assert not any(adj[u] & ~placed for u in iter_bits(placed))
+        placed |= 1 << v
+
+
 def test_exact_search_matches_recursive_oracle_on_random_instances():
-    # dense enough that frontiers carry several components whose pairwise
-    # mergeability differs, so a key without it (or without common & F)
-    # reports false failures here
+    # random tables carry random labels, so the compact order differs from
+    # id order on nearly every instance; dense enough that frontiers carry
+    # several components whose pairwise mergeability differs, so a key
+    # without it (or without common & F) reports false failures here
     rng = random.Random(3)
     found = refuted = 0
     for _ in range(3000):
@@ -79,17 +122,21 @@ def test_exact_search_matches_recursive_oracle_on_random_instances():
 
 def test_exact_search_matches_recursive_oracle_on_relabelled_grids():
     rng = random.Random(5)
-    for a, b in ((3, 3), (4, 3), (4, 4), (5, 3)):
+    for a, b in ((3, 3), (4, 3), (4, 4), (5, 3), (5, 5), (6, 6)):
         g, k_set, l_set = grid_tables(a, b)
         adj, ok = _principal_tables(g, k_set, l_set)
         n = g.n_units
+        # a verdict does not depend on the labelling; the as-built oracle
+        # gives it cheaply where a relabelled cache-free refutation is slow
+        feasible = [recursive_partition_search(n, c, adj, ok) is not None for c in (1, 2, 3)]
         for _ in range(3):
-            perm = list(range(n))
-            rng.shuffle(perm)
+            perm = shuffled(rng, n)
             adj_p, ok_p = relabel(adj, perm), relabel(ok, perm)
             for classes in (1, 2, 3):
-                expected = recursive_partition_search(n, classes, adj_p, ok_p)
-                assert partition_search(n, classes, adj_p, ok_p) == expected
+                got = partition_search(n, classes, adj_p, ok_p)
+                assert (got is not None) == feasible[classes - 1]
+                if got is not None or n <= 25:
+                    assert got == recursive_partition_search(n, classes, adj_p, ok_p)
 
 
 def test_generic_search_matches_recursive_oracle():
@@ -104,6 +151,8 @@ def test_generic_search_matches_recursive_oracle():
         instances += 1
         k_set = random_arrow_set(rng, g, rng.uniform(0.1, 0.6))
         l_set = [k_set, power(k_set, 2), random_arrow_set(rng, g, 0.6)][instances % 3]
+        if instances % 2:  # units of a random groupoid come in contiguous blocks
+            g, k_set, l_set = relabel_instance(rng, g, k_set, l_set)
         for d in range(3):
             expected = recursive_generic_search(g, k_set, l_set, d)
             assert _generic_search(g, k_set, l_set, d, "exact") == expected
@@ -116,32 +165,77 @@ def test_generic_search_matches_recursive_oracle():
     assert found > 200 and refuted > 60
 
 
-def test_generic_search_matches_brute_force_on_small_instances():
-    # the oracle above shares the transition; exhaustive colourings do not,
+def test_searches_match_brute_force_on_small_instances():
+    # the oracles above share the transitions; exhaustive colourings do not,
     # so a closure that wrongly refuses a class shows up here
     rng = random.Random(17)
-    instances = found = refuted = 0
-    while instances < 150:
+    counts = {True: [0, 0], False: [0, 0]}  # principal -> [found, refuted]
+    while sum(counts[False]) < 200 or sum(counts[True]) < 60:
         g = random_groupoid(rng, rng.randint(36, 44))
-        if is_principal(g) or g.n_units > 6:
+        principal = is_principal(g)
+        if g.n_units > 6 or sum(counts[principal]) >= (60 if principal else 200):
             continue
-        instances += 1
         k_set = random_arrow_set(rng, g, rng.uniform(0.2, 0.7))
-        l_set = [k_set, power(k_set, 2), random_arrow_set(rng, g, 0.6)][instances % 3]
+        # on principal instances the bound of units alone refutes whenever
+        # K is not bipartite
+        other = ArrowSet(g, g.units_mask) if principal else random_arrow_set(rng, g, 0.6)
+        l_set = [k_set, power(k_set, 2), other][sum(counts[principal]) % 3]
+        if rng.random() < 0.5:
+            g, k_set, l_set = relabel_instance(rng, g, k_set, l_set)
         got = kl_dad_search(g, k_set, l_set, 1)
         expected = brute_dad_search(g, k_set, l_set, 1)
         if expected is None:
             assert got is None
-            refuted += 1
         else:
             assert got is not None and got.d == expected[0]
             assert got.cover.classes == expected[1].classes
-            found += 1
-    assert found > 100 and refuted > 20
+        counts[principal][expected is None] += 1
+    assert counts[False][0] > 100 and counts[False][1] > 20
+    assert min(counts[True]) > 10
+
+
+def test_ef_search_matches_oracles_on_relabelled_gauges():
+    # E is a union of paths, so id order and the compact order differ once
+    # the points are shuffled
+    rng = random.Random(29)
+    found = refuted = 0
+    for _ in range(400):
+        n = rng.randint(2, 14)
+        perm = shuffled(rng, n)
+        e_rel = [1 << p for p in range(n)]
+        for p in range(n - 1):
+            if rng.random() < 0.8:
+                e_rel[perm[p]] |= 1 << perm[p + 1]
+                e_rel[perm[p + 1]] |= 1 << perm[p]
+        f_rel = list(e_rel)
+        for p in range(n):
+            for q in range(p + 1, n):
+                if rng.random() < 0.3:
+                    f_rel[p] |= 1 << q
+                    f_rel[q] |= 1 << p
+        e, f = Gauge(n, e_rel), Gauge(n, f_rel)
+        d_max = rng.randint(0, 2)
+        got = ef_asdim_search(CoarseSpace(tuple(range(n))), e, f, d_max, mode="exact")
+        self_free = [e_rel[p] & ~(1 << p) for p in range(n)]
+        for d in range(d_max + 1):
+            states = recursive_partition_search(n, d + 1, self_free, f_rel)
+            if states is not None:
+                assert got is not None and len(got) == d + 1
+                assert got == [
+                    sorted((frozenset(iter_bits(m)) for m, _ in comps), key=min)
+                    for _, comps in states
+                ]
+                found += 1
+                break
+        else:
+            assert got is None
+            refuted += 1
+        if n <= 7:
+            assert (got is not None) == brute_ef_exists(e, f, n, d_max)
+    assert found > 100 and refuted > 50
 
 
 def test_refutation_node_count(monkeypatch):
-    g, k_set, l_set = grid_tables(6, 6)
     calls = 0
     try_add = _search._try_add
 
@@ -151,9 +245,20 @@ def test_refutation_node_count(monkeypatch):
         return try_add(*args)
 
     monkeypatch.setattr(_search, "_try_add", counting)
+    g, k_set, l_set = grid_tables(6, 6)
     assert kl_dad_search(g, k_set, l_set, 1) is None
-    # 61,097 calls without the failure records, 6,619 with them
-    assert calls <= 10_000
+    # 61,097 calls in id order without the failure records, 6,619 with
+    # them, 1,455 in compact order
+    assert calls <= 1_600
+    g, k_set, l_set = grid_tables(8, 8)
+    adj, ok = _principal_tables(g, k_set, l_set)
+    n = g.n_units
+    for seed in (0, 1):
+        # hundreds of thousands of calls in id order; 1,395 and 1,299 here
+        perm = shuffled(random.Random(seed), n)
+        calls = 0
+        assert partition_search(n, 2, relabel(adj, perm), relabel(ok, perm)) is None
+        assert calls <= 1_600
 
 
 def test_exact_search_depth_is_not_bounded_by_recursion():
