@@ -14,8 +14,9 @@ refutation costs what the instance needs and not what its item ids happen
 to be.  Only when that run finds a solution does a second run go in
 increasing id, exploring partitions in lexicographic order with classes
 canonicalized by first use: the returned assignment is still the minimum of
-that order and independent of everything but the inputs.  Greedy mode is a
-single first-fit pass in increasing id: sound, incomplete.
+that order and independent of everything but the inputs.  Greedy mode is
+the first descent of the same search in increasing id, given up at its
+first dead end: sound, incomplete.
 """
 
 from __future__ import annotations
@@ -184,8 +185,8 @@ def partition_search(
     adj)``; pass it to reuse one order across several ``n_classes``) and
     returns None if that finds nothing.  Otherwise it searches again in
     increasing id and returns that run's first solution, the least
-    partition in lexicographic order.  Greedy mode is one first-fit pass in
-    increasing id.
+    partition in lexicographic order.  Greedy mode is the first descent of
+    the id-order search, and returns None at its first dead end.
 
     Exact mode is a depth-first search on an explicit stack, so its depth is
     not bounded by the recursion limit.  It requires ``adj`` and ``ok`` to be
@@ -262,27 +263,19 @@ def class_search(order, n_classes, empty, try_add, mode="exact", key_at=None):
     exact key of what ``states`` leaves for the items ``order[depth:]``: when
     every child of a node has failed, its key is stored, and a node whose
     key is stored is not entered.  Without ``key_at`` nothing is stored.
+
+    Greedy mode gives up at the first node whose children all fail, so it
+    follows the first descent only: each item goes to the first class that
+    takes it.  That is first fit over all ``n_classes`` classes, because
+    ``try_add`` is pure and every class past the used ones is ``empty``.
     """
-    n_items = len(order)
-    states = [empty] * n_classes
-    if mode == "greedy":
-        for item in order:
-            for c in range(n_classes):
-                ns = try_add(states[c], item)
-                if ns is not None:
-                    states[c] = ns
-                    break
-            else:
-                return None
-        return states
-
-    if mode != "exact":
+    if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown search mode: {mode!r}")
-
+    n_items = len(order)
     failed = [set() for _ in range(n_items + 1)]
     # one frame per assigned depth: [states, classes used, next class, key];
     # a key is computed on entry if its depth has a stored key, else on failure
-    stack = [[states, 0, 0, None]]
+    stack = [[[empty] * n_classes, 0, 0, None]]
     while stack:
         frame = stack[-1]
         states, used, c, key = frame
@@ -307,6 +300,8 @@ def class_search(order, n_classes, empty, try_add, mode="exact", key_at=None):
             stack.append([nxt, used + 1 if c - 1 == used else used, 0, child_key])
             break
         else:
+            if mode == "greedy":
+                return None
             if key_at is not None:
                 failed[depth].add(key_at(states, depth) if key is None else key)
             stack.pop()

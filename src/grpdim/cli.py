@@ -1,10 +1,12 @@
 """Batch CLI: validate instances, run searches and theorem pipelines, emit
 TSV rows on stdout and re-verifiable JSON artifacts under --out.
 
-Exit codes: 0 success/certified, 1 refuted/none, 2 input error, 3 internal
-error (an uncaught exception: one line naming it goes to stderr, no
-traceback).  Artifacts never contain timing, so repeated runs are
-byte-identical; wall time appears only in the stdout report row.
+Exit codes: 0 success/certified, 1 refuted/none (exact search only), 2 input
+error, 3 internal error (an uncaught exception: one line naming it goes to
+stderr, no traceback), 4 unknown (a greedy search found nothing, which
+refutes nothing; the row reads ``incomplete``).  Artifacts never contain
+timing, so repeated runs are byte-identical; wall time appears only in the
+stdout report row.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import builders
 from .builders import BuilderError, canonical_dumps, load, load_graphing
 from .covers import fold_number
 from .dad import DadWitness, kl_dad_search
-from .coarse import ef_asdim_search, fiber_gauge, treeable_cover, CoarseSpace
+from .coarse import ef_asdim_search, fiber_gauge, treeable_cover
 from .groupoid import GroupoidError
 from .pipelines import (
     PipelineError,
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_UNKNOWN = 4
 
 
 class InputError(click.ClickException):
@@ -56,6 +59,13 @@ def _row(instance, operation, params, result, witness_path, started) -> None:
             [str(instance), operation, params, result, witness_path or "-", str(wall_ms)]
         )
     )
+
+
+def _exit_missed(instance, operation, params, mode, started) -> None:
+    """Exact search found nothing: refuted.  Greedy found nothing: unknown."""
+    greedy = mode == "greedy"
+    _row(instance, operation, params, "incomplete" if greedy else "none", None, started)
+    sys.exit(EXIT_UNKNOWN if greedy else EXIT_REFUTED)
 
 
 def _write_artifact(out_dir, name, obj) -> str:
@@ -224,8 +234,7 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
         raise InputError(str(exc)) from exc
     params = f"k={k_spec};l={l_spec};d_max={d_max};mode={mode}"
     if witness is None:
-        _row(path, "dad", params, "none", None, started)
-        sys.exit(EXIT_REFUTED)
+        _exit_missed(path, "dad", params, mode, started)
     obj = witness.to_json_obj()
     obj["instance_digest"] = _digest(path)
     obj["k_spec"] = k_spec
@@ -244,7 +253,7 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
 @click.option("--e-spec", default="ball:1", show_default=True)
 @click.option("--f-spec", default="ball:4", show_default=True)
 @click.option("--d-max", type=int, default=2, show_default=True)
-@click.option("--mode", default=None,
+@click.option("--mode", default="exact", show_default=True,
               help="exact, greedy, or tree:<N> for the annuli certificate")
 @click.option("--graphing", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), default=None)
@@ -254,7 +263,7 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
     g = _load_instance(path)
     gr = _load_graphing(g, graphing)
     try:
-        if mode and mode.startswith("tree:"):
+        if mode.startswith("tree:"):
             if gr is None:
                 raise InputError("tree mode needs --graphing")
             n_scale = _parse_int(mode.split(":", 1)[1], "--mode")
@@ -289,14 +298,12 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
         f_set = parse_arrow_spec(g, f_spec, k_set=e_set, graphing=gr)
         e_gauge = fiber_gauge(g, pts, e_set)
         f_gauge = fiber_gauge(g, pts, f_set)
-        space = CoarseSpace(tuple(pts))
-        families = ef_asdim_search(space, e_gauge, f_gauge, d_max, mode)
+        families = ef_asdim_search(e_gauge, f_gauge, d_max, mode)
     except GroupoidError as exc:
         raise InputError(str(exc)) from exc
     params = f"points={points_spec};e={e_spec};f={f_spec};d_max={d_max}"
     if families is None:
-        _row(path, "asdim", params, "none", None, started)
-        sys.exit(EXIT_REFUTED)
+        _exit_missed(path, "asdim", params, mode, started)
     obj = {
         "format": "asdim-decomposition",
         "version": 1,

@@ -35,9 +35,6 @@ class CoarseError(GroupoidError):
     pass
 
 
-EXACT_POINT_LIMIT = 24  # beyond this the auto search mode falls back to greedy
-
-
 class Gauge:
     """A symmetric reflexive relation on points 0..n-1, one bitmask per point."""
 
@@ -191,29 +188,23 @@ def ef_asdim_check(e_gauge: Gauge, f_gauge: Gauge, families) -> bool:
 
 
 def ef_asdim_search(
-    space: CoarseSpace,
-    e_gauge: Gauge,
-    f_gauge: Gauge,
-    d_max: int,
-    mode: "str | None" = None,
+    e_gauge: Gauge, f_gauge: Gauge, d_max: int, mode: str = "exact"
 ) -> "list[list[frozenset[int]]] | None":
-    """Decompose the space into up to d_max+1 E-separated families of F-bounded members.
+    """Decompose the points into up to d_max+1 E-separated families of F-bounded members.
 
     Members are the E-components of each family, which is the finest (hence
     easiest to bound) choice; partitions suffice because dropping a point from
     a family never breaks separation or boundedness.  Exact mode is complete:
     it refutes each d in ``compact_order`` of E, computed once per search,
     and at the least feasible d returns the lexicographically least
-    partition in point order.  Greedy is first-fit in point order.  The auto
-    mode picks exact up to 24 points.
+    partition in point order.  Greedy is first-fit in point order, and its
+    None refutes nothing.
     """
     if d_max < 0:
         raise CoarseError("d_max must be nonnegative")
-    n = space.n
-    if e_gauge.n != n or f_gauge.n != n:
-        raise CoarseError("gauges do not match the space")
-    if mode is None:
-        mode = "exact" if n <= EXACT_POINT_LIMIT else "greedy"
+    n = e_gauge.n
+    if f_gauge.n != n:
+        raise CoarseError("E and F live on different point sets")
     if mode not in ("exact", "greedy"):
         raise CoarseError(f"unknown search mode: {mode!r}")
     self_free = [e_gauge.rel[p] & ~(1 << p) for p in range(n)]
@@ -552,7 +543,6 @@ def asdim_fiber_decompositions(
     k_set: ArrowSet,
     l_set: ArrowSet,
     d_max: int,
-    mode: "str | None" = None,
 ) -> dict[int, list[list[frozenset[int]]]]:
     """(E,F)-decompose each fundamental-domain fiber of the Y-confined subgroupoid.
 
@@ -563,8 +553,7 @@ def asdim_fiber_decompositions(
     for x, points in _h_fibers(g, y, k_set)[1].items():
         e_gauge = fiber_gauge(g, points, k_set)
         f_gauge = fiber_gauge(g, points, l_set)
-        space = CoarseSpace(tuple(points))
-        fams = ef_asdim_search(space, e_gauge, f_gauge, d_max, mode)
+        fams = ef_asdim_search(e_gauge, f_gauge, d_max)
         if fams is None:
             raise CoarseError(f"fiber at unit {x} admits no decomposition at d_max={d_max}")
         decomps[x] = [

@@ -135,11 +135,10 @@ class ControlFunction:
     every class.  Bounds must be symmetric-with-units supersets of ``K``.
     """
 
-    def __init__(self, d: int, provider: Callable[[ArrowSet], tuple[ArrowSet, Cover]], label: str = ""):
+    def __init__(self, d: int, provider: Callable[[ArrowSet], tuple[ArrowSet, Cover]]):
         if d < 0:
             raise CoverError("dimension parameter must be nonnegative")
         self.d = d
-        self.label = label
         self._provider = provider
         self._memo: dict[int, tuple[ArrowSet, Cover]] = {}
         self._apply_memo: dict[tuple[int, int], ArrowSet] = {}
@@ -168,7 +167,7 @@ class ControlFunction:
         return self._entry(k_set)[1]
 
     def __repr__(self):
-        return f"ControlFunction(d={self.d}{', ' + self.label if self.label else ''})"
+        return f"ControlFunction(d={self.d})"
 
 
 def control_apply(ctrl: ControlFunction, k_set: ArrowSet, k: int) -> ArrowSet:

@@ -230,29 +230,22 @@ def glue_two(
     k0: ArrowSet,
     k1: ArrowSet,
     k2: ArrowSet,
-    h0: "ArrowSet | None" = None,
-    h1: "ArrowSet | None" = None,
 ) -> GluingCertificate:
     """Two-set gluing: confine the window's subgroupoid over V0 | V1 in K2^5.
 
     Hypotheses (re-verified): K0 <= K1 <= K2 symmetric with units,
-    generated(K0, V0) <= K1 and generated(K1^3, V1) <= K2.  Optional ``h0`` /
-    ``h1`` are caller-supplied generated sets; they must match the
-    recomputation.  The certificate also carries the three case sets of the
-    underlying factorization argument for diagnostics.
+    generated(K0, V0) <= K1 and generated(K1^3, V1) <= K2.  The certificate
+    also carries the three case sets of the underlying factorization argument
+    for diagnostics.
     """
     for name, s in (("K0", k0), ("K1", k1), ("K2", k2)):
         _require_oc(name, s)
     if not (k0 <= k1 and k1 <= k2):
         raise HypothesisError("window chain K0 <= K1 <= K2 violated")
     gh0 = generated(k0, v0)
-    if h0 is not None and h0 != gh0:
-        raise HypothesisError("supplied H0 does not match generated(K0, V0)")
     if not gh0 <= k1:
         raise HypothesisError("generated(K0, V0) escapes K1")
     gh1 = generated(power(k1, 3), v1)
-    if h1 is not None and h1 != gh1:
-        raise HypothesisError("supplied H1 does not match generated(K1^3, V1)")
     if not gh1 <= k2:
         raise HypothesisError("generated(K1^3, V1) escapes K2")
 
@@ -485,25 +478,22 @@ def pullback_witness(
 # -- blow-up transfer ------------------------------------------------------
 
 
-def blowup_lift(bl, witness: DadWitness, k_psi: "ArrowSet | None" = None) -> DadWitness:
+def blowup_lift(bl, witness: DadWitness) -> DadWitness:
     """Lift a witness to the blow-up through the projection (a pullback)."""
     gb = bl.groupoid
-    if k_psi is None:
-        k_psi = map_arrows_back(gb, bl.pi, witness.K)
-    return pullback_witness(gb, bl.base, bl.pi, k_psi, witness)
+    return pullback_witness(gb, bl.base, bl.pi, map_arrows_back(gb, bl.pi, witness.K), witness)
 
 
 def blowup_transfer(
     bl,
     witness_psi: DadWitness,
     k_set: ArrowSet,
-    l_g: "ArrowSet | None" = None,
+    l_g: ArrowSet,
 ) -> DadWitness:
     """Push a blow-up witness down: classes map through the unit surjection.
 
-    The blow-up witness window must contain the lift of ``k_set``; the default
-    bound on the base is the projection of the blow-up bound.  The result is
-    re-certified directly.
+    The blow-up witness window must contain the lift of ``k_set``; the result
+    is re-certified directly at ``(k_set, l_g)``.
     """
     g = bl.base
     gb = bl.groupoid
@@ -518,8 +508,6 @@ def blowup_transfer(
     if not recheck.certified:
         raise HypothesisError("blow-up witness fails re-certification")
 
-    if l_g is None:
-        l_g = symmetrize(map_arrows_forward(g, bl.pi, witness_psi.L))
     classes = tuple(
         UnitSet(g, mask_of(bl.psi[x] for x in cls))
         for cls in witness_psi.cover.classes
@@ -533,17 +521,12 @@ def blowup_transfer(
 # -- control-function discovery -------------------------------------------
 
 
-def discover_control_function(
-    g: Groupoid,
-    d: int,
-    mode: str = "exact",
-    label: str = "",
-) -> ControlFunction:
+def discover_control_function(g: Groupoid, d: int) -> ControlFunction:
     """Control function whose bounds are minimal powers found by witness search.
 
     For each window the provider searches ``L = K^j`` for j = 1, 2, ... until
-    a d-witness certifies, so the bound is the least power of the window that
-    the search can confine.
+    a d-witness certifies; the search is exact, so the bound is the least
+    power of the window that admits a d-witness.
     """
 
     def provider(k_set: ArrowSet) -> tuple[ArrowSet, Cover]:
@@ -552,7 +535,7 @@ def discover_control_function(
         j = 1
         while True:
             bound = power(k_set, j)
-            witness = kl_dad_search(g, k_set, bound, d, mode)
+            witness = kl_dad_search(g, k_set, bound, d)
             if witness is not None:
                 # pad lower-dimensional witnesses with empty classes
                 classes = witness.cover.classes
@@ -564,4 +547,4 @@ def discover_control_function(
                 )
             j += 1
 
-    return ControlFunction(d, provider, label=label or f"min-power({mode})")
+    return ControlFunction(d, provider)

@@ -106,7 +106,7 @@ def product_theorem(
         sub = restrict(prod.groupoid, prod.groupoid.unit_set(refute_units))
         k_sub = symmetrize(sub.from_parent_arrows(prod.lift_sets(k_left, k_right)))
         l_sub = power(k_sub, l_power)
-        refuted = kl_dad_search(sub, k_sub, l_sub, level - 1, "exact") is None
+        refuted = kl_dad_search(sub, k_sub, l_sub, level - 1) is None
         _stage(report, "refute-below", d_tried=level - 1, refuted=refuted)
         report["refuted_below"] = refuted
     return report
@@ -217,7 +217,7 @@ def bridge_theorem(
     if not bridge.certified:
         raise PipelineError("stage 'dad-to-asdim': decomposition failed certification")
 
-    decomps = asdim_fiber_decompositions(g, g.all_units(), k_set, l_set, w.d, "exact")
+    decomps = asdim_fiber_decompositions(g, g.all_units(), k_set, l_set, w.d)
     _stage(report, "fiber-decompositions", fibers=sorted(decomps))
     back = asdim_to_dad(g, g.all_units(), k_set, l_set, decomps)
     _stage(report, "asdim-to-dad", d=back.d, certified=back.certified)

@@ -13,11 +13,14 @@ from itertools import product as iproduct
 from grpdim import (
     ArrowSet,
     Cover,
+    Graphing,
     Groupoid,
     UnitSet,
     arrows_within,
     compose_sets,
     kl_dad_check,
+    pair_groupoid,
+    pair_index,
     symmetrize,
 )
 from grpdim.groupoid import iter_bits, mask_of
@@ -145,6 +148,21 @@ def relabel_units(g: Groupoid, perm: list[int]) -> tuple[Groupoid, list[int]]:
         a, b = divmod(key, m)
         comp[(amap[a], amap[b])] = amap[c]
     return Groupoid(n, src, rng, inv, comp), amap
+
+
+def random_tree(n: int, shape: int, labelling: int) -> tuple[Groupoid, Graphing]:
+    """The pair groupoid on n vertices with the edge graphing of a random
+    recursive tree: the shape and the vertex labels are seeded separately,
+    as in the benchmark's coarse workload."""
+    rng = random.Random(f"coarse-shape-{shape}")
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    perm = list(range(n))
+    random.Random(f"coarse-labels-{shape}-{labelling}").shuffle(perm)
+    g = pair_groupoid(n)
+    q = 0
+    for u, v in edges:
+        q |= 1 << pair_index(n, perm[u], perm[v]) | 1 << pair_index(n, perm[v], perm[u])
+    return g, Graphing(g, ArrowSet(g, q))
 
 
 def random_arrow_set(rng: random.Random, g: Groupoid, density: float = 0.3) -> ArrowSet:
@@ -304,6 +322,25 @@ def recursive_partition_search(n_items, n_classes, adj, ok):
         return None
 
     return dfs(0, [empty] * n_classes, 0)
+
+
+def first_fit_search(order, n_classes, empty, try_add):
+    """Greedy assignment by one first-fit pass: each item of ``order`` goes
+    to the first of the ``n_classes`` classes that takes it, else None.
+
+    The loop greedy mode of ``grpdim._search.class_search`` used to run: the
+    oracle for that mode.
+    """
+    states = [empty] * n_classes
+    for item in order:
+        for c in range(n_classes):
+            ns = try_add(states[c], item)
+            if ns is not None:
+                states[c] = ns
+                break
+        else:
+            return None
+    return states
 
 
 def recursive_generic_search(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, d: int):

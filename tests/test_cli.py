@@ -1,16 +1,28 @@
 import json
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import grpdim
+
+SRC = str(Path(grpdim.__file__).resolve().parents[1])
+
 
 def run_cli(*args, cwd=None):
+    # the tested package's directory goes first on the path, so commands run
+    # in another working directory import it too
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "grpdim.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 
@@ -145,12 +157,45 @@ def test_asdim_diagonal_gauges_zero_dim(instances):
     assert res.returncode == 0 and "d=0" in res.stdout
 
 
-def test_asdim_arrow_space(instances):
+ARROW_SPACE_DECOMPOSITION = (
+    '{"certified":true,"e_spec":"ball:1","f_spec":"power:K:3","families":'
+    '[[[0,7,8,9],[1,13,14,15],[2,19,20,21],[3,25,26,27],[4,35,36],[5,42],[6,48],'
+    '[11,12],[17,18],[23,24],[29,30],[31,32,33],[37,38,39,40],[43,44,45,46]],'
+    '[[10],[16],[22],[28],[34],[41],[47]]],"format":"asdim-decomposition",'
+    '"instance_digest":"0cd6859e7ecb7365","points":[' + ",".join(map(str, range(49)))
+    + '],"version":1}\n'
+)
+
+
+def test_asdim_arrow_space(instances, tmp_path):
+    # 49 points; the greedy pass finds the exact search's answer here
     p7 = str(instances / "p7.json")
     p7g = str(instances / "p7.graphing.json")
-    res = run_cli("asdim", p7, "--points", "arrows", "--e-spec", "ball:1",
-                  "--f-spec", "power:K:3", "--graphing", p7g, "--d-max", "1")
-    assert res.returncode == 0 and "d=1" in res.stdout
+    for mode in ([], ["--mode", "exact"], ["--mode", "greedy"]):
+        res = run_cli("asdim", p7, "--points", "arrows", "--e-spec", "ball:1",
+                      "--f-spec", "power:K:3", "--graphing", p7g, "--d-max", "1",
+                      "--out", "run", *mode, cwd=tmp_path)
+        assert res.returncode == 0
+        assert res.stdout.rsplit("\t", 1)[0] == (
+            f"{p7}\tasdim\tpoints=arrows;e=ball:1;f=power:K:3;d_max=1\td=1"
+            "\trun/asdim-decomposition.json"
+        )
+        artifact = (tmp_path / "run" / "asdim-decomposition.json").read_text()
+        assert artifact == ARROW_SPACE_DECOMPOSITION
+
+
+def test_greedy_misses_exit_unknown(instances):
+    import grpdim.cli as cli
+
+    assert cli.EXIT_UNKNOWN == 4
+    p7 = str(instances / "p7.json")
+    p7g = str(instances / "p7.graphing.json")
+    for command in ("dad", "asdim"):
+        args = [command, p7, "--graphing", p7g, "--d-max", "0"]
+        miss = run_cli(*args, "--mode", "greedy")
+        assert miss.returncode == 4 and miss.stdout.split("\t")[3] == "incomplete"
+        refuted = run_cli(*args, "--mode", "exact")
+        assert refuted.returncode == 1 and refuted.stdout.split("\t")[3] == "none"
 
 
 def test_internal_error_exits_3(instances, monkeypatch):
@@ -194,3 +239,19 @@ def test_bad_numbers_are_input_errors(instances, args, option):
     res = CliRunner().invoke(cli.main, [a.format(**paths) for a in args])
     assert res.exit_code == cli.EXIT_INPUT == 2
     assert f"bad {option} value" in res.stderr
+
+
+def readme_cli_commands():
+    """The commands of README's CLI block, continuation lines rejoined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.strip()]
+
+
+def test_readme_cli_block_runs(tmp_path):
+    commands = readme_cli_commands()
+    assert len(commands) == 9 and all(argv[0] == "grpdim" for argv in commands)
+    for argv in commands:
+        res = run_cli(*argv[1:], cwd=tmp_path)
+        assert res.returncode == 0, (argv, res.stdout, res.stderr)

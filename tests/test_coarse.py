@@ -11,11 +11,11 @@ from conftest import (
     random_arrow_set,
     random_groupoid,
     random_principal_groupoid,
+    random_tree,
 )
 from grpdim import (
     ArrowSet,
     CoarseError,
-    CoarseSpace,
     Gauge,
     Graphing,
     action_groupoid,
@@ -66,7 +66,7 @@ def grid_space(n, e_radius, f_radius, metric="l1"):
             rel.append(mask)
         return Gauge(len(pts), rel)
 
-    return CoarseSpace(tuple(range(len(pts)))), gauge(e_radius), gauge(f_radius)
+    return gauge(e_radius), gauge(f_radius)
 
 
 # -- gauges -------------------------------------------------------------------
@@ -157,8 +157,7 @@ def test_ef_check_line_window_blocks():
 def test_ef_search_diagonal_zero_dim():
     e = Gauge.diagonal(6)
     f = Gauge.diagonal(6)
-    space = CoarseSpace(tuple(range(6)))
-    fams = ef_asdim_search(space, e, f, 0)
+    fams = ef_asdim_search(e, f, 0)
     assert fams is not None and len(fams) == 1
     assert all(len(m) == 1 for m in fams[0])
 
@@ -168,9 +167,8 @@ def test_ef_search_line24():
     pts = [a for a in range(g.n_arrows) if g.rng[a] == 0]
     e = fiber_gauge(g, pts, graphing.ball(2))
     f = fiber_gauge(g, pts, graphing.ball(7))
-    space = CoarseSpace(tuple(pts))
-    assert ef_asdim_search(space, e, f, 0) is None
-    fams = ef_asdim_search(space, e, f, 1)
+    assert ef_asdim_search(e, f, 0) is None
+    fams = ef_asdim_search(e, f, 1)
     assert fams is not None and len(fams) == 2
     assert ef_asdim_check(e, f, fams)
 
@@ -178,13 +176,13 @@ def test_ef_search_line24():
 def test_ef_search_grid_two_dimensional_behavior():
     # at window 2 / bound 4 the 5x5 grid needs three families greedily,
     # and two families are exactly refuted on the 4x4 subgrid at bound 3
-    space5, e5, f5 = grid_space(5, 2, 4)
-    greedy = ef_asdim_search(space5, e5, f5, 3, mode="greedy")
+    e5, f5 = grid_space(5, 2, 4)
+    greedy = ef_asdim_search(e5, f5, 3, mode="greedy")
     assert greedy is not None and len(greedy) == 3
     assert ef_asdim_check(e5, f5, greedy)
-    space4, e4, f4 = grid_space(4, 2, 3)
-    assert ef_asdim_search(space4, e4, f4, 1, mode="exact") is None
-    exact = ef_asdim_search(space4, e4, f4, 2, mode="exact")
+    e4, f4 = grid_space(4, 2, 3)
+    assert ef_asdim_search(e4, f4, 1, mode="exact") is None
+    exact = ef_asdim_search(e4, f4, 2, mode="exact")
     assert exact is not None and len(exact) == 3
 
 
@@ -206,9 +204,8 @@ def test_ef_search_agrees_with_bruteforce():
                     frel[p] |= 1 << q
                     frel[q] |= 1 << p
         f = Gauge(n, frel)
-        space = CoarseSpace(tuple(range(n)))
         for d_max in (0, 1):
-            got = ef_asdim_search(space, e, f, d_max, mode="exact")
+            got = ef_asdim_search(e, f, d_max, mode="exact")
             assert (got is not None) == brute_ef_exists(e, f, n, d_max)
 
 
@@ -420,6 +417,20 @@ def test_asdim_to_dad_p7_closes_loop():
     decomps = asdim_fiber_decompositions(g, g.all_units(), k, l_set, 1)
     w = asdim_to_dad(g, g.all_units(), k, l_set, decomps)
     assert w.certified and w.d == 1
+
+
+@pytest.mark.parametrize("shape, labelling", [(1, 3), (6, 0)])
+def test_asdim_fiber_decompositions_on_forty_vertex_trees(shape, labelling):
+    # 40-point fibers: a search that gave up above 24 points reported that
+    # these fibers admit no decomposition at the witness d
+    g, graphing = random_tree(40, shape, labelling)
+    k = graphing.ball(1)
+    l_set = power(k, 2)
+    w = kl_dad_search(g, k, l_set, 2)
+    decomps = asdim_fiber_decompositions(g, g.all_units(), k, l_set, w.d)
+    assert list(decomps) == [0] and len(decomps[0]) == w.d + 1 == 2
+    back = asdim_to_dad(g, g.all_units(), k, l_set, decomps)
+    assert back.certified and back.d == w.d
 
 
 def test_asdim_to_dad_z8_window():

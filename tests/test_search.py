@@ -1,4 +1,5 @@
-"""The exact search engine against its recursive, cache-free oracles."""
+"""The search engine against its oracles: recursive and cache-free for exact
+mode, one first-fit pass for greedy mode."""
 
 import random
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     brute_dad_search,
     brute_ef_exists,
+    first_fit_search,
+    full_try_add,
     naive_compact_order,
     random_arrow_set,
     random_groupoid,
@@ -16,7 +19,6 @@ from conftest import (
 )
 from grpdim import (
     ArrowSet,
-    CoarseSpace,
     Cover,
     Gauge,
     Groupoid,
@@ -26,6 +28,8 @@ from grpdim import (
     is_principal,
     kl_dad_check,
     kl_dad_search,
+    pair_groupoid,
+    pair_index,
     power,
     product,
     symmetrize,
@@ -35,7 +39,7 @@ from grpdim import (
 )
 from grpdim import _search
 from grpdim._search import compact_order, partition_search
-from grpdim.dad import _generic_search, _principal_tables
+from grpdim.dad import _generic_search, _generic_try_add, _principal_tables
 from grpdim.groupoid import iter_bits, mask_of
 
 
@@ -215,7 +219,7 @@ def test_ef_search_matches_oracles_on_relabelled_gauges():
                     f_rel[q] |= 1 << p
         e, f = Gauge(n, e_rel), Gauge(n, f_rel)
         d_max = rng.randint(0, 2)
-        got = ef_asdim_search(CoarseSpace(tuple(range(n))), e, f, d_max, mode="exact")
+        got = ef_asdim_search(e, f, d_max, mode="exact")
         self_free = [e_rel[p] & ~(1 << p) for p in range(n)]
         for d in range(d_max + 1):
             states = recursive_partition_search(n, d + 1, self_free, f_rel)
@@ -233,6 +237,144 @@ def test_ef_search_matches_oracles_on_relabelled_gauges():
         if n <= 7:
             assert (got is not None) == brute_ef_exists(e, f, n, d_max)
     assert found > 100 and refuted > 50
+
+
+def first_fit_partition(n, classes, adj, ok):
+    return first_fit_search(range(n), classes, (0, ()), lambda s, i: full_try_add(s, i, adj, ok))
+
+
+def test_greedy_partition_search_is_first_fit():
+    # greedy is the first descent of the id-order search: the same hits and
+    # misses as one first-fit pass, and a hit is the exact search's answer
+    rng = random.Random(31)
+    tables = []
+    for _ in range(1500):
+        n = rng.randint(4, 16)
+        adj = random_symmetric(rng, n, rng.uniform(0.1, 0.5), reflexive=False)
+        ok = random_symmetric(rng, n, rng.uniform(0.3, 0.9), reflexive=True)
+        tables.append((n, rng.randint(1, 3), adj, ok))
+    for a, b in ((3, 3), (4, 4), (5, 5), (6, 6)):
+        adj, ok = _principal_tables(*grid_tables(a, b))
+        n = a * b
+        for _ in range(6):
+            perm = shuffled(rng, n)
+            tables += [(n, c, relabel(adj, perm), relabel(ok, perm)) for c in (2, 3, 4)]
+    hits = gaps = misses = 0
+    for n, classes, adj, ok in tables:
+        got = partition_search(n, classes, adj, ok, "greedy")
+        expected = first_fit_partition(n, classes, adj, ok)
+        exact = partition_search(n, classes, adj, ok)
+        if expected is None:
+            assert got is None
+            gaps += exact is not None
+            misses += exact is None
+            continue
+        hits += 1
+        assert [(m, set(comps)) for m, comps in got] == [(m, set(comps)) for m, comps in expected]
+        assert exact == got
+    assert hits > 600 and gaps > 80 and misses > 400
+
+
+def test_greedy_ef_search_is_first_fit():
+    # E is a union of paths on shuffled points or a random graph
+    rng = random.Random(37)
+    hits = gaps = misses = 0
+    for i in range(1200):
+        n = rng.randint(2, 16)
+        if i % 2:
+            e_rel = random_symmetric(rng, n, rng.uniform(0.1, 0.4), reflexive=True)
+        else:
+            perm = shuffled(rng, n)
+            e_rel = [1 << p for p in range(n)]
+            for p in range(n - 1):
+                if rng.random() < 0.8:
+                    e_rel[perm[p]] |= 1 << perm[p + 1]
+                    e_rel[perm[p + 1]] |= 1 << perm[p]
+        f_rel = random_symmetric(rng, n, rng.uniform(0.2, 0.7), reflexive=True)
+        f_rel = [r | e for r, e in zip(f_rel, e_rel)]
+        e, f = Gauge(n, e_rel), Gauge(n, f_rel)
+        self_free = [e_rel[p] & ~(1 << p) for p in range(n)]
+        d_max = rng.randint(1, 2)
+        expected = None
+        for d in range(d_max + 1):
+            states = first_fit_partition(n, d + 1, self_free, f_rel)
+            if states is not None:
+                expected = [
+                    sorted((frozenset(iter_bits(m)) for m, _ in comps), key=min)
+                    for _, comps in states
+                ]
+                assert [m for m, _ in partition_search(n, d + 1, self_free, f_rel)] == [
+                    m for m, _ in states
+                ]
+                break
+        assert ef_asdim_search(e, f, d_max, mode="greedy") == expected
+        if expected is not None:
+            hits += 1
+        elif ef_asdim_search(e, f, d_max) is not None:
+            gaps += 1
+        else:
+            misses += 1
+    assert hits > 800 and gaps > 30 and misses > 15
+
+
+def random_window_times_z2(rng):
+    """The pair groupoid on 6-10 units times Z/2 acting trivially, with the
+    window of a random graph and the bound equal to it."""
+    n = rng.randint(6, 10)
+    base = pair_groupoid(n)
+    q = base.units_mask
+    density = rng.uniform(0.2, 0.6)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                q |= 1 << pair_index(n, u, v) | 1 << pair_index(n, v, u)
+    z2 = action_groupoid(cyclic_table(2), trivial_perms(2, 1))
+    prod = product(base, z2)
+    k_set = symmetrize(prod.lift_sets(ArrowSet(base, q), z2.all_arrows()))
+    return prod.groupoid, k_set, k_set
+
+
+def test_greedy_generic_search_is_first_fit():
+    rng = random.Random(41)
+    instances = hits = gaps = misses = 0
+    while instances < 400:
+        if instances % 2:
+            g = random_groupoid(rng, rng.randint(30, 60))
+            if is_principal(g):
+                continue
+            units = ArrowSet(g, g.units_mask)
+            k_set = random_arrow_set(rng, g, rng.uniform(0.1, 0.6)) | units
+            l_set = [k_set, power(k_set, 2), random_arrow_set(rng, g, 0.6) | units][
+                instances % 3
+            ]
+        else:
+            g, k_set, l_set = random_window_times_z2(rng)
+        instances += 1
+        if instances % 4 < 2:
+            g, k_set, l_set = relabel_instance(rng, g, k_set, l_set)
+        k_mask, l_mask = k_set.mask, l_set.mask
+        d_max = rng.randint(1, 2)
+        expected = None
+        for d in range(d_max + 1):
+            states = first_fit_search(
+                range(g.n_units), d + 1, (0, 0, 0, 0),
+                lambda s, u: _generic_try_add(g, k_mask, l_mask, s, u),
+            )
+            if states is not None:
+                expected = [s[0] for s in states]
+                assert _generic_search(g, k_set, l_set, d, "exact") == expected
+                break
+        got = kl_dad_search(g, k_set, l_set, d_max, mode="greedy")
+        if expected is not None:
+            assert [c.mask for c in got.cover.classes] == expected
+            hits += 1
+            continue
+        assert got is None
+        if kl_dad_search(g, k_set, l_set, d_max) is not None:
+            gaps += 1
+        else:
+            misses += 1
+    assert hits > 200 and gaps > 15 and misses > 25
 
 
 def test_refutation_node_count(monkeypatch):
@@ -270,5 +412,5 @@ def test_exact_search_depth_is_not_bounded_by_recursion():
     w = kl_dad_search(z2, z2.all_arrows(), z2.all_arrows(), 0, mode="exact")
     assert w is not None and w.d == 0 and w.certified
     diagonal = Gauge.diagonal(n)
-    families = ef_asdim_search(CoarseSpace(tuple(range(n))), diagonal, diagonal, 0, mode="exact")
+    families = ef_asdim_search(diagonal, diagonal, 0, mode="exact")
     assert families is not None and len(families) == 1 and len(families[0]) == n
