@@ -88,6 +88,8 @@ def tree_window(shape: str, size: int) -> tuple[Groupoid, Graphing]:
 
 
 def cyclic_table(k: int) -> list[list[int]]:
+    if k < 1:
+        raise BuilderError("group order must be positive")
     return [[(a + b) % k for b in range(k)] for a in range(k)]
 
 
@@ -485,12 +487,16 @@ def save(g: Groupoid, path) -> None:
     Path(path).write_text(canonical_dumps(instance_to_obj(g)), encoding="utf-8")
 
 
-def load(path) -> Groupoid:
+def read_json(path):
+    """The parsed contents of an input file; text that is not JSON raises LoadError."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
         raise LoadError(f"not valid JSON: {exc}") from exc
-    return obj_to_instance(obj)
+
+
+def load(path) -> Groupoid:
+    return obj_to_instance(read_json(path))
 
 
 def save_graphing(graphing: Graphing, path) -> None:
@@ -500,10 +506,10 @@ def save_graphing(graphing: Graphing, path) -> None:
 
 
 def load_graphing(g: Groupoid, path) -> Graphing:
+    obj = read_json(path)
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
         ids = [int(v) for v in obj["q"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise LoadError(f"malformed graphing file: {exc}") from exc
     for a in ids:
         if not 0 <= a < g.n_arrows:

@@ -2,17 +2,19 @@
 TSV rows on stdout and re-verifiable JSON artifacts under --out.
 
 Exit codes: 0 success/certified, 1 refuted/none (exact search only), 2 input
-error, 3 internal error (an uncaught exception: one line naming it goes to
-stderr, no traceback), 4 unknown (a greedy search found nothing, which
-refutes nothing; the row reads ``incomplete``).  Artifacts never contain
-timing, so repeated runs are byte-identical; wall time appears only in the
-stdout report row.
+error (a bad option, an unreadable or malformed instance, graphing or witness
+file, or an unwritable --out; one ``Error:`` line goes to stderr), 3 internal
+error (a broken internal invariant or any other uncaught exception: one line
+naming it goes to stderr, no traceback), 4 unknown (a greedy search found
+nothing, which refutes nothing; the row reads ``incomplete``).  Exit codes
+are decided in one place, ``_Main.invoke``.  Artifacts never contain timing,
+so repeated runs are byte-identical; wall time appears only in the stdout
+report row.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 import time
 from pathlib import Path
@@ -20,13 +22,12 @@ from pathlib import Path
 import click
 
 from . import builders
-from .builders import BuilderError, canonical_dumps, load, load_graphing
+from .builders import BuilderError, canonical_dumps, load, load_graphing, read_json
 from .covers import fold_number
 from .dad import DadWitness, kl_dad_search
 from .coarse import ef_asdim_search, fiber_gauge, treeable_cover
 from .groupoid import GroupoidError
 from .pipelines import (
-    PipelineError,
     bridge_theorem,
     morita_theorem,
     product_theorem,
@@ -78,22 +79,6 @@ def _write_artifact(out_dir, name, obj) -> str:
     return str(path)
 
 
-def _load_instance(path):
-    try:
-        return load(path)
-    except (BuilderError, OSError) as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _load_graphing(g, path):
-    if path is None:
-        return None
-    try:
-        return load_graphing(g, path)
-    except (GroupoidError, OSError) as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _specs(g, k_spec, l_spec, graphing):
     k_set = parse_arrow_spec(g, k_spec, graphing=graphing)
     l_set = parse_arrow_spec(g, l_spec, k_set=k_set, graphing=graphing)
@@ -108,13 +93,20 @@ def _parse_int(text: str, option: str) -> int:
 
 
 class _Main(click.Group):
-    """Reports an uncaught exception with exit code 3, never the refuted code 1."""
+    """The one place that turns an exception into an exit code.
+
+    A library error (bad input files, specs or parameters) or an OS error
+    exits 2 with one ``Error:`` line; anything else, such as a broken
+    internal invariant, exits 3, never the refuted code 1.
+    """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
+        except (GroupoidError, OSError) as exc:
+            raise InputError(str(exc)) from exc
         except Exception as exc:
             click.echo(f"grpdim: internal error: {type(exc).__name__}: {exc}", err=True)
             ctx.exit(EXIT_INTERNAL)
@@ -164,46 +156,44 @@ def cmd_build(family, n, group, points, trivial_action, shape, left, right,
               base_path, multiplicity, out, graphing_out):
     """Build an instance file (and optionally a graphing sidecar)."""
     graphing = None
-    try:
-        if family == "pair":
-            if n is None:
-                raise InputError("--family pair needs --n")
-            g, graphing = builders.tree_window("path", n)
-        elif family == "tree":
-            if not shape or ":" not in shape:
-                raise InputError("--family tree needs --shape path:<n>|binary:<d>")
-            kind, _, size = shape.partition(":")
-            g, graphing = builders.tree_window(kind, int(size))
-        elif family == "action":
-            if not group or not group.startswith("cyclic:"):
-                raise InputError("--family action needs --group cyclic:<k>")
-            order = int(group.split(":", 1)[1])
-            npts = points if points is not None else order
-            perms = (
-                builders.trivial_perms(order, npts)
-                if trivial_action
-                else builders.rotation_perms(order, npts)
-            )
-            g = builders.action_groupoid(builders.cyclic_table(order), perms)
-        elif family == "partial":
-            if n is None:
-                raise InputError("--family partial needs --n")
-            g = builders.partial_action_groupoid(builders.z_shift_partial_spec(n))
-        elif family == "product":
-            if not left or not right:
-                raise InputError("--family product needs --left and --right")
-            g = builders.product(_load_instance(left), _load_instance(right)).groupoid
-        else:  # blowup
-            if not base_path:
-                raise InputError("--family blowup needs --path")
-            base = _load_instance(base_path)
-            g = builders.blowup(base, builders.replicate_psi(base, multiplicity)).groupoid
-        builders.save(g, out)
-        if graphing is not None and graphing_out:
-            builders.save_graphing(graphing, graphing_out)
-        click.echo(f"{out}\tbuild\t{family}\tok\t-\t0")
-    except (GroupoidError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    if family == "pair":
+        if n is None:
+            raise InputError("--family pair needs --n")
+        g, graphing = builders.tree_window("path", n)
+    elif family == "tree":
+        if not shape or ":" not in shape:
+            raise InputError("--family tree needs --shape path:<n>|binary:<d>")
+        kind, _, size = shape.partition(":")
+        g, graphing = builders.tree_window(kind, _parse_int(size, "--shape"))
+    elif family == "action":
+        if not group or not group.startswith("cyclic:"):
+            raise InputError("--family action needs --group cyclic:<k>")
+        order = _parse_int(group.split(":", 1)[1], "--group")
+        table = builders.cyclic_table(order)
+        npts = points if points is not None else order
+        perms = (
+            builders.trivial_perms(order, npts)
+            if trivial_action
+            else builders.rotation_perms(order, npts)
+        )
+        g = builders.action_groupoid(table, perms)
+    elif family == "partial":
+        if n is None:
+            raise InputError("--family partial needs --n")
+        g = builders.partial_action_groupoid(builders.z_shift_partial_spec(n))
+    elif family == "product":
+        if not left or not right:
+            raise InputError("--family product needs --left and --right")
+        g = builders.product(load(left), load(right)).groupoid
+    else:  # blowup
+        if not base_path:
+            raise InputError("--family blowup needs --path")
+        base = load(base_path)
+        g = builders.blowup(base, builders.replicate_psi(base, multiplicity)).groupoid
+    builders.save(g, out)
+    if graphing is not None and graphing_out:
+        builders.save_graphing(graphing, graphing_out)
+    click.echo(f"{out}\tbuild\t{family}\tok\t-\t0")
 
 
 @main.command("dad")
@@ -219,19 +209,15 @@ def cmd_build(family, n, group, points, trivial_action, shape, left, right,
 def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
     """Search a (K,L)-dad witness, or re-verify one with --recheck."""
     started = time.monotonic()
-    g = _load_instance(path)
-    gr = _load_graphing(g, graphing)
-    try:
-        if recheck:
-            obj = json.loads(Path(recheck).read_text(encoding="utf-8"))
-            witness = DadWitness.from_json_obj(g, obj)
-            result = "certified" if witness.certified else "refuted"
-            _row(path, "dad-recheck", f"{recheck}", result, recheck, started)
-            sys.exit(EXIT_OK if witness.certified else EXIT_REFUTED)
-        k_set, l_set = _specs(g, k_spec, l_spec, gr)
-        witness = kl_dad_search(g, k_set, l_set, d_max, mode)
-    except GroupoidError as exc:
-        raise InputError(str(exc)) from exc
+    g = load(path)
+    gr = load_graphing(g, graphing) if graphing else None
+    if recheck:
+        witness = DadWitness.from_json_obj(g, read_json(recheck))
+        result = "certified" if witness.certified else "refuted"
+        _row(path, "dad-recheck", f"{recheck}", result, recheck, started)
+        sys.exit(EXIT_OK if witness.certified else EXIT_REFUTED)
+    k_set, l_set = _specs(g, k_spec, l_spec, gr)
+    witness = kl_dad_search(g, k_set, l_set, d_max, mode)
     params = f"k={k_spec};l={l_spec};d_max={d_max};mode={mode}"
     if witness is None:
         _exit_missed(path, "dad", params, mode, started)
@@ -260,47 +246,44 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
 def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
     """Decompose a coarse space, or certify a treeable annuli cover."""
     started = time.monotonic()
-    g = _load_instance(path)
-    gr = _load_graphing(g, graphing)
-    try:
-        if mode.startswith("tree:"):
-            if gr is None:
-                raise InputError("tree mode needs --graphing")
-            n_scale = _parse_int(mode.split(":", 1)[1], "--mode")
-            res = treeable_cover(g, gr, n_scale)
-            params = f"mode={mode}"
-            obj = {
-                "format": "tree-cover",
-                "version": 1,
-                "scale": n_scale,
-                "families": [[sorted(m) for m in fam] for fam in res.families],
-                "max_diameter": res.max_diameter,
-                "min_separation": res.min_separation,
-                "certified": res.certified,
-            }
-            wpath = _write_artifact(out, "tree-cover.json", obj)
-            for fam_i, cls_i, annulus, fib, size, diam in res.rows:
-                click.echo(f"{fam_i}\t{cls_i}\t{annulus}\t{fib}\t{size}\t{diam}")
-            result = "certified" if res.certified else "failed"
-            _row(path, "asdim-tree", params, result, wpath, started)
-            sys.exit(EXIT_OK if res.certified else EXIT_REFUTED)
+    g = load(path)
+    gr = load_graphing(g, graphing) if graphing else None
+    if mode.startswith("tree:"):
+        if gr is None:
+            raise InputError("tree mode needs --graphing")
+        n_scale = _parse_int(mode.split(":", 1)[1], "--mode")
+        res = treeable_cover(g, gr, n_scale)
+        params = f"mode={mode}"
+        obj = {
+            "format": "tree-cover",
+            "version": 1,
+            "scale": n_scale,
+            "families": [[sorted(m) for m in fam] for fam in res.families],
+            "max_diameter": res.max_diameter,
+            "min_separation": res.min_separation,
+            "certified": res.certified,
+        }
+        wpath = _write_artifact(out, "tree-cover.json", obj)
+        for fam_i, cls_i, annulus, fib, size, diam in res.rows:
+            click.echo(f"{fam_i}\t{cls_i}\t{annulus}\t{fib}\t{size}\t{diam}")
+        result = "certified" if res.certified else "failed"
+        _row(path, "asdim-tree", params, result, wpath, started)
+        sys.exit(EXIT_OK if res.certified else EXIT_REFUTED)
 
-        if points_spec == "arrows":
-            pts = list(range(g.n_arrows))
-        elif points_spec.startswith("fiber:"):
-            x = _parse_int(points_spec.split(":", 1)[1], "--points")
-            if not 0 <= x < g.n_units:
-                raise InputError(f"unit {x} out of range")
-            pts = [a for a in range(g.n_arrows) if g.rng[a] == x]
-        else:
-            raise InputError(f"bad --points spec {points_spec!r}")
-        e_set = parse_arrow_spec(g, e_spec, graphing=gr)
-        f_set = parse_arrow_spec(g, f_spec, k_set=e_set, graphing=gr)
-        e_gauge = fiber_gauge(g, pts, e_set)
-        f_gauge = fiber_gauge(g, pts, f_set)
-        families = ef_asdim_search(e_gauge, f_gauge, d_max, mode)
-    except GroupoidError as exc:
-        raise InputError(str(exc)) from exc
+    if points_spec == "arrows":
+        pts = list(range(g.n_arrows))
+    elif points_spec.startswith("fiber:"):
+        x = _parse_int(points_spec.split(":", 1)[1], "--points")
+        if not 0 <= x < g.n_units:
+            raise InputError(f"unit {x} out of range")
+        pts = [a for a in range(g.n_arrows) if g.rng[a] == x]
+    else:
+        raise InputError(f"bad --points spec {points_spec!r}")
+    e_set = parse_arrow_spec(g, e_spec, graphing=gr)
+    f_set = parse_arrow_spec(g, f_spec, k_set=e_set, graphing=gr)
+    e_gauge = fiber_gauge(g, pts, e_set)
+    f_gauge = fiber_gauge(g, pts, f_set)
+    families = ef_asdim_search(e_gauge, f_gauge, d_max, mode)
     params = f"points={points_spec};e={e_spec};f={f_spec};d_max={d_max}"
     if families is None:
         _exit_missed(path, "asdim", params, mode, started)
@@ -340,46 +323,44 @@ def cmd_theorem(which, base_path, left, right, graphing, left_graphing,
                 multiplicity, refute_units, out):
     """Run a permanence pipeline end to end and certify the inequality."""
     started = time.monotonic()
-    try:
-        if which == "product":
-            if not left or not right:
-                raise InputError("product needs --left and --right")
-            gl = _load_instance(left)
-            gr_ = _load_instance(right)
-            gl_graph = _load_graphing(gl, left_graphing or graphing)
-            gr_graph = _load_graphing(gr_, right_graphing or graphing)
-            k_l = parse_arrow_spec(gl, k_spec, graphing=gl_graph)
-            k_r = parse_arrow_spec(gr_, k_spec, graphing=gr_graph)
-            units = _parse_units(refute_units, "--refute-units") if refute_units else None
-            report = product_theorem(gl, k_l, gr_, k_r, l_power, d_max, units)
-            instance = f"{left}|{right}"
-        elif which == "union":
-            if not base_path or not parts:
-                raise InputError("union needs --path and --parts")
-            g = _load_instance(base_path)
-            gr0 = _load_graphing(g, graphing)
-            part_sets = [g.unit_set(_parse_units(p, "--parts")) for p in parts.split(";")]
-            k_set = parse_arrow_spec(g, k_spec, graphing=gr0)
-            report = union_theorem(g, part_sets, k_set, l_power, d_max)
-            instance = base_path
-        elif which == "morita":
-            if not base_path:
-                raise InputError("morita needs --path")
-            g = _load_instance(base_path)
-            gr0 = _load_graphing(g, graphing)
-            k_set, l_set = _specs(g, k_spec, l_spec, gr0)
-            report = morita_theorem(g, multiplicity, k_set, l_set, d_max)
-            instance = base_path
-        else:
-            if not base_path:
-                raise InputError("bridge needs --path")
-            g = _load_instance(base_path)
-            gr0 = _load_graphing(g, graphing)
-            k_set, l_set = _specs(g, k_spec, l_spec, gr0)
-            report = bridge_theorem(g, k_set, l_set, d_max)
-            instance = base_path
-    except (GroupoidError, PipelineError) as exc:
-        raise InputError(str(exc)) from exc
+    if which == "product":
+        if not left or not right:
+            raise InputError("product needs --left and --right")
+        gl = load(left)
+        gr_ = load(right)
+        gl_path, gr_path = left_graphing or graphing, right_graphing or graphing
+        gl_graph = load_graphing(gl, gl_path) if gl_path else None
+        gr_graph = load_graphing(gr_, gr_path) if gr_path else None
+        k_l = parse_arrow_spec(gl, k_spec, graphing=gl_graph)
+        k_r = parse_arrow_spec(gr_, k_spec, graphing=gr_graph)
+        units = _parse_units(refute_units, "--refute-units") if refute_units else None
+        report = product_theorem(gl, k_l, gr_, k_r, l_power, d_max, units)
+        instance = f"{left}|{right}"
+    elif which == "union":
+        if not base_path or not parts:
+            raise InputError("union needs --path and --parts")
+        g = load(base_path)
+        gr0 = load_graphing(g, graphing) if graphing else None
+        part_sets = [g.unit_set(_parse_units(p, "--parts")) for p in parts.split(";")]
+        k_set = parse_arrow_spec(g, k_spec, graphing=gr0)
+        report = union_theorem(g, part_sets, k_set, l_power, d_max)
+        instance = base_path
+    elif which == "morita":
+        if not base_path:
+            raise InputError("morita needs --path")
+        g = load(base_path)
+        gr0 = load_graphing(g, graphing) if graphing else None
+        k_set, l_set = _specs(g, k_spec, l_spec, gr0)
+        report = morita_theorem(g, multiplicity, k_set, l_set, d_max)
+        instance = base_path
+    else:
+        if not base_path:
+            raise InputError("bridge needs --path")
+        g = load(base_path)
+        gr0 = load_graphing(g, graphing) if graphing else None
+        k_set, l_set = _specs(g, k_spec, l_spec, gr0)
+        report = bridge_theorem(g, k_set, l_set, d_max)
+        instance = base_path
 
     paths = {}
     for name, obj in report["artifacts"].items():
@@ -419,14 +400,11 @@ def _parse_units(text: str, option: str) -> list[int]:
 def cmd_sweep(path, windows, what, k_spec, l_spec, d_max, n_scale, graphing, out):
     """Window sweep over unit-prefix restrictions; TSV rows per window."""
     started = time.monotonic()
-    g = _load_instance(path)
-    gr = _load_graphing(g, graphing)
-    try:
-        rows = sweep_rows(
-            g, gr, _parse_units(windows, "--windows"), what, k_spec, l_spec, d_max, n_scale
-        )
-    except (GroupoidError, PipelineError) as exc:
-        raise InputError(str(exc)) from exc
+    g = load(path)
+    gr = load_graphing(g, graphing) if graphing else None
+    rows = sweep_rows(
+        g, gr, _parse_units(windows, "--windows"), what, k_spec, l_spec, d_max, n_scale
+    )
     lines = []
     for row in rows:
         lines.append(f"{row['window']}\t{row['result']}")

@@ -28,6 +28,7 @@ from .groupoid import (
     mask_of,
     restrict,
     symmetrize,
+    unit_graph,
 )
 
 
@@ -218,7 +219,7 @@ def ef_asdim_search(
                 for _, comps in states
             ]
             if not ef_asdim_check(e_gauge, f_gauge, families):
-                raise CoarseError("search produced an invalid decomposition (internal error)")
+                raise RuntimeError("search produced an invalid decomposition")
             return families
     return None
 
@@ -298,14 +299,6 @@ class Graphing:
     def length(self, a: int) -> int:
         return self.lengths[a]
 
-    def _unit_adjacency(self) -> list[int]:
-        g = self.owner
-        adj = [0] * g.n_units
-        for a in iter_bits(self.q.mask):
-            adj[g.src[a]] |= 1 << g.rng[a]
-            adj[g.rng[a]] |= 1 << g.src[a]
-        return adj
-
     def path_vertex(self, a: int, t: int) -> int:
         """The t-th unit on the unique reduced path from rng(a) to src(a)."""
         if not self.treeable:
@@ -314,7 +307,7 @@ class Graphing:
         root = g.rng[a]
         parents = self._paths.get(root)
         if parents is None:
-            adj = self._unit_adjacency()
+            adj = unit_graph(g, self.q)
             parents = [-1] * g.n_units
             parents[root] = root
             frontier = [root]
@@ -401,7 +394,7 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
             for b in members[i + 1 :]:
                 d = dist(a, b)
                 if d is None:
-                    raise CoarseError("class spans two fibers (internal error)")
+                    raise RuntimeError("class spans two fibers")
                 diam = max(diam, d)
         diameters[key] = diam
         max_diameter = max(max_diameter, diam)
@@ -520,8 +513,8 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
 # -- asdim -> dad -----------------------------------------------------------
 
 
-def _h_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> tuple[ArrowSet, dict[int, list[int]]]:
-    """The subgroupoid H generated by the window over Y, and the points of its
+def _h_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, list[int]]:
+    """For the subgroupoid H generated by the window over Y, the points of its
     range fiber at the least unit of each H-orbit in Y, by unit."""
     h_arrows = generated(k_set, y)
     uf = _UnionFind(g.n_units)
@@ -532,7 +525,7 @@ def _h_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> tuple[ArrowSet, dict[
         root = uf.find(u)
         if root not in minima:
             minima[root] = u
-    return h_arrows, {
+    return {
         x: list(iter_bits(g.by_rng[x] & h_arrows.mask)) for x in sorted(minima.values())
     }
 
@@ -550,7 +543,7 @@ def asdim_fiber_decompositions(
     members carry absolute arrow ids, keyed by unit.
     """
     decomps = {}
-    for x, points in _h_fibers(g, y, k_set)[1].items():
+    for x, points in _h_fibers(g, y, k_set).items():
         e_gauge = fiber_gauge(g, points, k_set)
         f_gauge = fiber_gauge(g, points, l_set)
         fams = ef_asdim_search(e_gauge, f_gauge, d_max)
@@ -576,11 +569,21 @@ def asdim_to_dad(
     window-separated blocks whose quotients stay inside the bound.  Class i
     collects the sources of the family-i arrows; the witness is re-certified
     on ``restrict(g, y)``.  Requires a principal groupoid.
+
+    Once the fiber checks pass, the witness is certified.  A K-step k from u
+    to v inside class i lies in H, so u and v share an H-orbit; the arrows
+    h, h' from u and v to its least unit x are the only ones in the fiber at
+    x, so both lie in family i.  Their quotient is k^-1, a K-arrow, so
+    E-separation puts h and h' in one block.  Along a chain of K-steps every
+    arrow to x stays in that block, so each arrow that class i generates is
+    the quotient of two arrows of one block and lies in L by F-boundedness.
+    A failed re-certification is therefore a broken invariant: it raises
+    RuntimeError, not CoarseError.
     """
     if not is_principal(g):
         raise CoarseError("the reconstruction requires a principal groupoid")
     _same_owner(g, y.owner)
-    h_arrows, fibers = _h_fibers(g, y, k_set)
+    fibers = _h_fibers(g, y, k_set)
 
     n_classes = 0
     checked: dict[int, list[list[int]]] = {}
@@ -639,26 +642,5 @@ def asdim_to_dad(
     )
     witness = kl_dad_check(gy, k_local, l_local, Cover(gy, classes, gy.all_units()))
     if not witness.certified:
-        _explain_reconstruction_failure(g, gy, witness, h_arrows, fibers)
+        raise RuntimeError("fiber decompositions passed their checks but the witness failed")
     return witness
-
-
-def _explain_reconstruction_failure(g, gy, witness, h_arrows, xs):
-    for i, gen in enumerate(witness.generated_per_class):
-        escape = gen - witness.L
-        for a_local in escape:
-            a = gy.parent_arrows[a_local]
-            u, v = g.src[a], g.rng[a]
-            h = next(
-                (b for b in iter_bits(g.by_src[u] & h_arrows.mask) if g.rng[b] in xs),
-                None,
-            )
-            hp = next(
-                (b for b in iter_bits(g.by_src[v] & h_arrows.mask) if g.rng[b] in xs),
-                None,
-            )
-            raise CoarseError(
-                f"class {i}: arrow {a} = inv(h')h escapes the bound; the witnesses "
-                f"h={h}, h'={hp} of its endpoints lie in different blocks"
-            )
-    raise CoarseError("reconstruction failed: classes do not cover the window endpoints")

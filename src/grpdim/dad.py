@@ -28,11 +28,13 @@ from .groupoid import (
     mask_of,
     power,
     symmetrize,
+    unit_graph,
 )
 
 
 class WitnessError(GroupoidError):
-    """Ill-posed witness request (owners, normality, base mismatch)."""
+    """Ill-posed witness request (owners, normality, base mismatch) or
+    malformed serialized witness."""
 
 
 class HypothesisError(GroupoidError):
@@ -70,7 +72,19 @@ class DadWitness:
         }
 
     @staticmethod
-    def from_json_obj(g: Groupoid, obj: dict) -> "DadWitness":
+    def from_json_obj(g: Groupoid, obj) -> "DadWitness":
+        """Re-certify a serialized witness from scratch.
+
+        A malformed object (a missing ``k``, ``l`` or ``cover`` key, or an id
+        that is not a nonnegative int) raises WitnessError.
+        """
+        try:
+            id_lists = [obj["k"], obj["l"], obj["cover"]["base"], *obj["cover"]["classes"]]
+        except (KeyError, TypeError) as exc:
+            raise WitnessError(f"malformed witness: missing or misplaced key ({exc})") from None
+        for ids in id_lists:
+            if not isinstance(ids, list) or any(type(i) is not int or i < 0 for i in ids):
+                raise WitnessError(f"malformed witness: {ids!r} is not a list of nonnegative ids")
         cover = Cover.from_json_obj(g, obj["cover"])
         return kl_dad_check(g, g.arrow_set(obj["k"]), g.arrow_set(obj["l"]), cover)
 
@@ -103,21 +117,9 @@ def kl_dad_check(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, cover: Cover) ->
 # -- search ---------------------------------------------------------------
 
 
-def _window_graph(g: Groupoid, k_set: ArrowSet) -> list[int]:
-    """Unit rows of K's arrows between distinct units: the graph whose
-    compact order both engines refute in."""
-    adj = [0] * g.n_units
-    for a in iter_bits(k_set.mask & ~g.units_mask):
-        u, v = g.src[a], g.rng[a]
-        if u != v:  # isotropy arrows join no two units
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return adj
-
-
 def _principal_tables(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet):
     n = g.n_units
-    adj = _window_graph(g, k_set)
+    adj = unit_graph(g, k_set)
     ok = [0] * n
     for a in iter_bits(l_set.mask):
         ok[g.src[a]] |= 1 << g.rng[a]
@@ -141,7 +143,7 @@ def _generic_search(
     A class state is ``(units, sources, ranges, closure)``: its unit mask,
     the arrows with source or range in it, and the subgroupoid its K-arrows
     generate, which must stay inside L.  Exact mode refutes in ``order``
-    (default: ``compact_order`` of ``_window_graph``) and takes a solution
+    (default: ``compact_order`` of K's ``unit_graph``) and takes a solution
     from the id-order run, as ``partition_search`` does.
     """
     k_mask, l_mask = k_set.mask, l_set.mask
@@ -152,7 +154,7 @@ def _generic_search(
         )
 
     if mode == "exact" and order is None:
-        order = compact_order(g.n_units, _window_graph(g, k_set))
+        order = compact_order(g.n_units, unit_graph(g, k_set))
     states = refute_then_witness(run, g.n_units, order, mode)
     return None if states is None else [s[0] for s in states]
 
@@ -188,7 +190,7 @@ def kl_dad_search(
     if principal:
         adj, ok = _principal_tables(g, k_set, l_set)
     else:
-        adj = _window_graph(g, k_set)
+        adj = unit_graph(g, k_set)
     order = compact_order(g.n_units, adj) if mode == "exact" else None
 
     for d in range(d_max + 1):
@@ -201,7 +203,7 @@ def kl_dad_search(
             cover = Cover(g, tuple(UnitSet(g, m) for m in masks), g.all_units())
             witness = kl_dad_check(g, k_set, l_set, cover)
             if not witness.certified:
-                raise WitnessError("search produced an uncertifiable cover (internal error)")
+                raise RuntimeError("search produced an uncertifiable cover")
             return witness
     return None
 
@@ -444,12 +446,11 @@ def pullback_witness(
     pi: Sequence[int],
     k_g: ArrowSet,
     witness_h: DadWitness,
-    l_g: "ArrowSet | None" = None,
 ) -> DadWitness:
     """Pull a witness back along a homomorphism into the domain groupoid.
 
-    Classes become unit preimages; the default bound is the preimage of the
-    union of the target's generated subgroupoids.  The result is re-certified
+    Classes become unit preimages; the bound is the preimage of the union of
+    the target's generated subgroupoids.  The result is re-certified
     directly.
     """
     check_functor(g, h, pi)
@@ -460,11 +461,10 @@ def pullback_witness(
     if not recheck.certified:
         raise HypothesisError("target witness fails re-certification")
 
-    if l_g is None:
-        union = h.arrow_set()
-        for gen in witness_h.generated_per_class:
-            union = union | gen
-        l_g = symmetrize(map_arrows_back(g, pi, union))
+    union = h.arrow_set()
+    for gen in witness_h.generated_per_class:
+        union = union | gen
+    l_g = symmetrize(map_arrows_back(g, pi, union))
     classes = tuple(
         UnitSet(g, mask_of(u for u in range(g.n_units) if pi[u] in cls))
         for cls in witness_h.cover.classes

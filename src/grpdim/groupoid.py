@@ -68,7 +68,7 @@ class Groupoid:
         src: Iterable[int],
         rng: Iterable[int],
         inv: Iterable[int],
-        comp,
+        comp: "dict[tuple[int, int], int]",
         *,
         parent: "Groupoid | None" = None,
         parent_arrows: "tuple[int, ...] | None" = None,
@@ -94,9 +94,7 @@ class Groupoid:
                     raise GroupoidError(f"{name}[{a}]={v} out of range")
 
         flat: dict[int, int] = {}
-        items = comp.items() if isinstance(comp, dict) else ((t[:2], t[2]) for t in comp)
-        for key, c in items:
-            a, b = key
+        for (a, b), c in comp.items():
             if not (0 <= a < m and 0 <= b < m and 0 <= c < m):
                 raise GroupoidError(f"comp entry ({a},{b})->{c} out of range")
             k = a * m + b
@@ -334,6 +332,18 @@ def arrows_within(g: Groupoid, units: UnitSet) -> ArrowSet:
         src_in |= g.by_src[u]
         rng_in |= g.by_rng[u]
     return ArrowSet(g, src_in & rng_in)
+
+
+def unit_graph(g: Groupoid, k_set: ArrowSet) -> list[int]:
+    """Adjacency rows, one bitmask per unit, of the simple graph whose edges
+    join the distinct endpoints of the arrows of ``k_set``."""
+    adj = [0] * g.n_units
+    for a in iter_bits(k_set.mask & ~g.units_mask):
+        u, v = g.src[a], g.rng[a]
+        if u != v:  # isotropy arrows join no two units
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
 
 
 def generated(k: ArrowSet, units: UnitSet) -> ArrowSet:

@@ -17,13 +17,16 @@ def run_cli(*args, cwd=None):
     # in another working directory import it too
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run(
+    res = subprocess.run(
         [sys.executable, "-m", "grpdim.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+    # every call keeps the exit-code contract: a documented code, no traceback
+    assert res.returncode in range(5) and "Traceback" not in res.stderr, (args, res.stderr)
+    return res
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +86,43 @@ def test_dad_recheck(instances, tmp_path):
     assert run_cli("dad", p7, "--graphing", p7g, "--out", str(out)).returncode == 0
     res = run_cli("dad", p7, "--recheck", str(out / "dad-witness.json"))
     assert res.returncode == 0 and "certified" in res.stdout
+
+
+@pytest.fixture(scope="module")
+def witness(instances, tmp_path_factory):
+    out = tmp_path_factory.mktemp("witness")
+    res = run_cli("dad", str(instances / "p7.json"), "--graphing",
+                  str(instances / "p7.graphing.json"), "--out", str(out))
+    assert res.returncode == 0
+    return json.loads((out / "dad-witness.json").read_text())
+
+
+MALFORMED_WITNESSES = {
+    "bad-json": lambda w: "{",
+    "empty-object": lambda w: "{}",
+    "negative-class-id": lambda w: json.dumps(
+        dict(w, cover=dict(w["cover"], classes=[[-1], *w["cover"]["classes"]]))
+    ),
+    "string-k": lambda w: json.dumps(dict(w, k="3")),
+    "out-of-range-id": lambda w: json.dumps(dict(w, l=[*w["l"], 10**6])),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_WITNESSES))
+def test_recheck_rejects_malformed_witness(instances, witness, tmp_path, case):
+    bad = tmp_path / "dad-witness.json"
+    bad.write_text(MALFORMED_WITNESSES[case](witness))
+    res = run_cli("dad", str(instances / "p7.json"), "--recheck", str(bad))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+
+
+def test_out_naming_a_file_is_an_input_error(instances, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    res = run_cli("dad", str(instances / "p7.json"), "--graphing",
+                  str(instances / "p7.graphing.json"), "--out", str(taken))
+    assert res.returncode == 2 and res.stderr.startswith("Error: ")
 
 
 def test_asdim_fiber_and_tree(instances, tmp_path):
@@ -218,6 +258,27 @@ def test_internal_error_exits_3(instances, monkeypatch):
     assert CliRunner().invoke(cli.main, ["dad", p7, "--k-spec", "nonsense"]).exit_code == 2
 
 
+def test_uncertifiable_search_result_exits_3(instances, monkeypatch):
+    # a search answer that fails its own re-certification is a broken
+    # invariant, not bad input
+    import dataclasses
+
+    from click.testing import CliRunner
+
+    import grpdim.cli as cli
+    import grpdim.dad as dad
+
+    check = dad.kl_dad_check
+    monkeypatch.setattr(
+        dad, "kl_dad_check", lambda *args: dataclasses.replace(check(*args), certified=False)
+    )
+    res = CliRunner().invoke(cli.main, ["dad", str(instances / "p7.json"), "--k-spec", "units"])
+    assert res.exit_code == cli.EXIT_INTERNAL == 3
+    assert res.stderr == (
+        "grpdim: internal error: RuntimeError: search produced an uncertifiable cover\n"
+    )
+
+
 @pytest.mark.parametrize(
     "args, option",
     [
@@ -228,14 +289,17 @@ def test_internal_error_exits_3(instances, monkeypatch):
           "--parts", "0-x;2-3"], "--parts"),
         (["theorem", "product", "--left", "{p7}", "--right", "{p7}", "--graphing", "{p7g}",
           "--refute-units", "0,y"], "--refute-units"),
+        (["build", "--family", "tree", "--shape", "binary:x", "--out", "{out}"], "--shape"),
+        (["build", "--family", "action", "--group", "cyclic:x", "--out", "{out}"], "--group"),
     ],
 )
-def test_bad_numbers_are_input_errors(instances, args, option):
+def test_bad_numbers_are_input_errors(instances, tmp_path, args, option):
     from click.testing import CliRunner
 
     import grpdim.cli as cli
 
-    paths = {"p7": instances / "p7.json", "p7g": instances / "p7.graphing.json"}
+    paths = {"p7": instances / "p7.json", "p7g": instances / "p7.graphing.json",
+             "out": tmp_path / "built.json"}
     res = CliRunner().invoke(cli.main, [a.format(**paths) for a in args])
     assert res.exit_code == cli.EXIT_INPUT == 2
     assert f"bad {option} value" in res.stderr

@@ -12,6 +12,7 @@ from conftest import (
     random_groupoid,
     random_principal_groupoid,
     random_tree,
+    random_unit_set,
 )
 from grpdim import (
     ArrowSet,
@@ -537,6 +538,73 @@ def test_asdim_to_dad_rejects_non_principal():
     k = symmetrize(z2.all_arrows())
     with pytest.raises(CoarseError):
         asdim_to_dad(z2, z2.all_units(), k, k, {})
+
+
+def _corrupt_fiber_families(rng, g, decomps):
+    """A copy of fiber decompositions with one block edited at random."""
+    out = {x: [[set(m) for m in fam] for fam in fams] for x, fams in decomps.items()}
+    fams = out[rng.choice(sorted(out))]
+    block = rng.choice([m for fam in fams for m in fam])
+    a = rng.choice(sorted(block))
+    kind = rng.randrange(5)
+    if kind == 0:  # move an arrow into a new block of some family, maybe a new one
+        block.discard(a)
+        i = rng.randrange(len(fams) + 1)
+        if i == len(fams):
+            fams.append([])
+        fams[i].append({a})
+    elif kind == 1:  # drop an arrow
+        block.discard(a)
+    elif kind == 2:  # add any arrow
+        block.add(rng.randrange(g.n_arrows))
+    elif kind == 3:  # merge two blocks of one family
+        fam = rng.choice(fams)
+        if len(fam) > 1:
+            fam[0] |= fam.pop()
+    else:  # move a whole block into another family, alone or joined to a block
+        for fam in fams:
+            if block in fam:
+                fam.remove(block)
+        fam = rng.choice(fams)
+        if fam and rng.random() < 0.5:
+            rng.choice(fam).update(block)
+        else:
+            fam.append(block)
+    return out
+
+
+def test_asdim_to_dad_certifies_whatever_passes_its_fiber_checks():
+    # on principal groupoids a reconstruction that passes the fiber checks
+    # always certifies: asdim_to_dad raises CoarseError or returns a
+    # certified witness, never the RuntimeError of a broken invariant
+    rng = random.Random(11)
+    outcomes = {"certified": 0, "rejected": 0}
+    for trial in range(60):
+        if trial % 2:  # long fibers: a tree's ball window on a pair groupoid
+            g, graphing = random_tree(rng.randint(6, 12), rng.randrange(99), rng.randrange(99))
+            k = graphing.ball(1)
+            l_set = power(k, rng.randint(1, 3))
+        else:  # many short fibers: pair blocks under random windows
+            g = random_principal_groupoid(rng, 40)
+            k = random_arrow_set(rng, g, 0.3)
+            l_set = k | random_arrow_set(rng, g, 0.3)
+        y = random_unit_set(rng, g, 0.7)
+        try:
+            decomps = asdim_fiber_decompositions(g, y, k, l_set, 3)
+        except CoarseError:
+            continue
+        trials = [decomps]
+        if decomps:
+            trials += [_corrupt_fiber_families(rng, g, decomps) for _ in range(4)]
+        for fams in trials:
+            try:
+                w = asdim_to_dad(g, y, k, l_set, fams)
+            except CoarseError:
+                outcomes["rejected"] += 1
+                continue
+            assert w.certified
+            outcomes["certified"] += 1
+    assert min(outcomes.values()) > 20, outcomes
 
 
 def test_gauge_power_contains_relational_composition():

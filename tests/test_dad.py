@@ -360,7 +360,7 @@ def test_product_zero_dim_factors():
 def test_pullback_identity():
     g, k = line(7)
     w = kl_dad_search(g, k, power(k, 2), 1)
-    out = pullback_witness(g, g, list(range(g.n_arrows)), k, w, w.L)
+    out = pullback_witness(g, g, list(range(g.n_arrows)), k, w)
     assert out.certified
     assert out.cover.classes == w.cover.classes
 
