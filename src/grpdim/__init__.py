@@ -53,7 +53,6 @@ from .dad import (
 from .coarse import (
     AsdimBridge,
     CoarseError,
-    CoarseSpace,
     Gauge,
     Graphing,
     TreeCoverResult,
@@ -62,7 +61,6 @@ from .coarse import (
     dad_to_asdim,
     ef_asdim_check,
     ef_asdim_search,
-    fiber,
     fiber_gauge,
     gauge_from,
     treeable_cover,

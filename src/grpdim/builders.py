@@ -95,6 +95,8 @@ def cyclic_table(k: int) -> list[list[int]]:
 
 def rotation_perms(k: int, n_points: int) -> list[tuple[int, ...]]:
     """Z/k rotating each consecutive block of k points."""
+    if n_points < 1:
+        raise BuilderError("point count must be positive")
     if n_points % k:
         raise BuilderError("point count must be a multiple of the group order")
     perms = []
@@ -108,6 +110,8 @@ def rotation_perms(k: int, n_points: int) -> list[tuple[int, ...]]:
 
 
 def trivial_perms(k: int, n_points: int) -> list[tuple[int, ...]]:
+    if n_points < 1:
+        raise BuilderError("point count must be positive")
     return [tuple(range(n_points))] * k
 
 

@@ -1,14 +1,15 @@
 """The canonical coarse structure on arrows, (E,F)-decompositions, treeable
 covers, and the two bridges between dad witnesses and coarse decompositions.
 
-Points of the coarse spaces here are arrows of a groupoid; gauges relate two
-arrows in the same range fiber when the quotient ``g^-1 h`` lies in a window
-set.  Arrows in different fibers are never gauge-related.
+Points of the coarse spaces here are arrows of a groupoid; a window set
+relates two arrows in the same range fiber when the quotient ``g^-1 h`` lies
+in it.  Arrows in different fibers are never related.  Certificates read the
+relation as window rows in arrow ids; gauges index it densely for the search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ._search import compact_order, partition_search
@@ -79,40 +80,34 @@ class Gauge:
         return f"Gauge(n={self.n}, pairs={pairs})"
 
 
-@dataclass
-class CoarseSpace:
-    """A finite point set (labels are arrow ids or abstract) with named gauges."""
-
-    labels: tuple[int, ...]
-    gauges: dict[str, Gauge] = field(default_factory=dict)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def add_gauge(self, name: str, gauge: Gauge) -> None:
-        if gauge.n != self.n:
-            raise CoarseError("gauge size does not match the point set")
-        self.gauges[name] = gauge
+def _window_rows(g: Groupoid, points: int, window: ArrowSet) -> dict[int, int]:
+    """For each arrow a of the mask ``points``, the mask of a and the arrows
+    ``a q`` with q in the window: a's row of ``gauge_from(g, window)``, in
+    arrow ids.  Every row lies in a's range fiber.
+    """
+    _same_owner(g, window.owner)
+    m = g.n_arrows
+    comp, by_rng, src = g.comp, g.by_rng, g.src
+    rows = {}
+    for a in iter_bits(points):
+        base = a * m
+        acc = 1 << a
+        for q in iter_bits(by_rng[src[a]] & window.mask):
+            acc |= 1 << comp[base + q]
+        rows[a] = acc
+    return rows
 
 
 def gauge_from(g: Groupoid, k_set: ArrowSet) -> Gauge:
-    """Pairs of same-fiber arrows whose quotient lies in the window, plus the diagonal."""
-    _same_owner(g, k_set.owner)
+    """Pairs of same-fiber arrows whose quotient lies in the window, as a Gauge.
+
+    Certificates read the same relation as window rows in arrow ids and build
+    no Gauge; this dense form serves the search and the public API.
+    """
+    rows = _window_rows(g, g.arrows_mask, k_set)
     if not k_set.is_oc_normal():
         raise CoarseError("gauge windows must be symmetric and contain every unit")
-    return fiber_gauge(g, range(g.n_arrows), k_set)
-
-
-def fiber(g: Groupoid, x: int, gauge_sets: "dict[str, ArrowSet] | None" = None) -> CoarseSpace:
-    """The range fiber at a unit as a coarse space; gauges restrict fiberwise."""
-    if not 0 <= x < g.n_units:
-        raise CoarseError(f"unit {x} out of range")
-    labels = tuple(iter_bits(g.by_rng[x]))
-    space = CoarseSpace(labels)
-    for name, k_set in (gauge_sets or {}).items():
-        space.add_gauge(name, fiber_gauge(g, labels, k_set))
-    return space
+    return Gauge(g.n_arrows, list(rows.values()))
 
 
 def fiber_gauge(g: Groupoid, points: Sequence[int], k_set: ArrowSet) -> Gauge:
@@ -120,22 +115,15 @@ def fiber_gauge(g: Groupoid, points: Sequence[int], k_set: ArrowSet) -> Gauge:
 
     Point i is related to point j when ``points[j] = points[i] q`` for an arrow
     q of the window, so arrows in different range fibers are never related.
+    The search needs these dense indices; certificates read window rows in
+    arrow ids.
     """
-    _same_owner(g, k_set.owner)
     index = {a: i for i, a in enumerate(points)}
-    n = len(points)
-    m = g.n_arrows
-    rel = [1 << i for i in range(n)]
-    for i, a in enumerate(points):
-        partners = g.by_rng[g.src[a]] & k_set.mask
-        base = a * m
-        acc = rel[i]
-        for q in iter_bits(partners):
-            j = index.get(g.comp[base + q])
-            if j is not None:
-                acc |= 1 << j
-        rel[i] = acc
-    return Gauge(n, rel)
+    mask = mask_of(points)
+    rows = _window_rows(g, mask, k_set)
+    return Gauge(
+        len(points), [mask_of(index[b] for b in iter_bits(rows[a] & mask)) for a in points]
+    )
 
 
 # -- (E,F)-asdim -----------------------------------------------------------
@@ -155,24 +143,42 @@ def _normalize_families(n: int, families) -> list[list[int]]:
     return out
 
 
-def _ef_violation(e_gauge: Gauge, f_gauge: Gauge, families) -> "tuple | None":
-    """The first (family, member, point, "E" or "F") where a member meets an
-    earlier member of its family in E, or is not F-bounded; None if there is none.
+def _ef_violation(e_rows, f_rows, families, points: int) -> "tuple | None":
+    """The first (family, member, point, kind) that keeps families of member
+    masks from (E,F)-decomposing the mask ``points``; None if there is none.
 
-    One pass per family: each point's E-row is tested against the union of
-    the earlier members, which covers every pair of members because E is
-    symmetric, and overlapping or repeated members because E is reflexive.
+    Rows are indexed by point (``Gauge.rel`` or ``_window_rows``).  Kind
+    "cover" (no family or member) is the least point missed or stray.  Then
+    one pass per family: each point's E-row is tested against the union of
+    the earlier members ("E"), which covers every pair of members because E
+    is symmetric, and overlapping members because E is reflexive; and each
+    member against the F-rows of its points ("F").
     """
+    covered = 0
+    for members in families:
+        for mask in members:
+            covered |= mask
+    if covered != points:
+        missed = covered ^ points
+        return None, None, (missed & -missed).bit_length() - 1, "cover"
     for i, members in enumerate(families):
         earlier = 0
         for j, mask in enumerate(members):
             for p in iter_bits(mask):
-                if e_gauge.rel[p] & earlier:
+                if e_rows[p] & earlier:
                     return i, j, p, "E"
-                if mask & ~f_gauge.rel[p]:
+                if mask & ~f_rows[p]:
                     return i, j, p, "F"
             earlier |= mask
     return None
+
+
+def _decomposes_arrows(g: Groupoid, e_window: ArrowSet, f_window: ArrowSet, families) -> bool:
+    """``_ef_violation`` on all arrows, with the window rows of E and F."""
+    every = g.arrows_mask
+    e_rows, f_rows = (_window_rows(g, every, w) for w in (e_window, f_window))
+    masks = [[mask_of(m) for m in fam] for fam in families]
+    return _ef_violation(e_rows, f_rows, masks, every) is None
 
 
 def ef_asdim_check(e_gauge: Gauge, f_gauge: Gauge, families) -> bool:
@@ -181,11 +187,7 @@ def ef_asdim_check(e_gauge: Gauge, f_gauge: Gauge, families) -> bool:
         raise CoarseError("E and F live on different point sets")
     n = e_gauge.n
     fams = _normalize_families(n, families)
-    covered = 0
-    for members in fams:
-        for mask in members:
-            covered |= mask
-    return covered == (1 << n) - 1 and _ef_violation(e_gauge, f_gauge, fams) is None
+    return _ef_violation(e_gauge.rel, f_gauge.rel, fams, (1 << n) - 1) is None
 
 
 def ef_asdim_search(
@@ -352,8 +354,9 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
     word-length computation: every class has diameter <= 4N, distinct classes
     in one family are at distance >= N (so the families are
     gauge(ball(N-1))-separated), and distinct classes inside one annulus are
-    at distance >= 2N.  The decomposition is also re-checked with
-    ``ef_asdim_check`` at E = gauge(ball(N-1)), F = gauge(ball(4N)).
+    at distance >= 2N.  The decomposition is also re-checked as an
+    (E,F)-decomposition of all arrows at E = ball(N-1), F = ball(4N), read as
+    window rows in arrow ids.
     """
     if graphing.owner is not g:
         raise CoarseError("graphing belongs to a different groupoid")
@@ -418,13 +421,11 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
             if k1[0] == k2[0] and (min_same_annulus is None or best < min_same_annulus):
                 min_same_annulus = best
 
-    e_gauge = gauge_from(g, graphing.ball(n - 1))
-    f_gauge = gauge_from(g, graphing.ball(4 * n))
     certified = (
         max_diameter <= 4 * n
         and (min_separation is None or min_separation >= n)
         and (min_same_annulus is None or min_same_annulus >= 2 * n)
-        and ef_asdim_check(e_gauge, f_gauge, family_members)
+        and _decomposes_arrows(g, graphing.ball(n - 1), graphing.ball(4 * n), family_members)
     )
 
     rows = []
@@ -449,13 +450,12 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
 
 @dataclass(frozen=True)
 class AsdimBridge:
-    """Decomposition of the arrow space induced by a dad witness."""
+    """Decomposition of the arrow space induced by a dad witness, certified on
+    the window rows of ``e_window`` and ``f_window`` in arrow ids."""
 
     families: tuple[tuple[frozenset[int], ...], ...]
     e_window: ArrowSet
     f_window: ArrowSet
-    e_gauge: Gauge
-    f_gauge: Gauge
     certified: bool
 
 
@@ -464,8 +464,9 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
 
     Family i collects, fiber by fiber, the classes of the relation
     "same range and quotient inside the generated subgroupoid H_i" on the
-    arrows with source in class i.  E is the gauge of the witness window, F
-    the gauge of the symmetrized union of the H_i; the result is re-verified.
+    arrows with source in class i: the window rows of H_i, in arrow ids.  E
+    is the witness window, F the symmetrized union of the H_i; the result is
+    re-verified on their window rows over all arrows.
     """
     _same_owner(g, witness.owner)
     if not witness.certified:
@@ -482,31 +483,24 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
         src_mask = 0
         for u in cls:
             src_mask |= g.by_src[u]
+        rows = _window_rows(g, src_mask, h_i)
         for x in range(g.n_units):
-            pts = list(iter_bits(g.by_rng[x] & src_mask))
-            rows = fiber_gauge(g, pts, h_i).rel
-            # the relation is a genuine equivalence on these points
-            if any(rows[j] != row for row in rows for j in iter_bits(row)):
-                raise CoarseError(
-                    "relation is not transitive; generated class is not a subgroupoid"
-                )
-            members.extend(
-                frozenset(pts[j] for j in iter_bits(row))
-                for i, row in enumerate(rows)
-                if row & -row == 1 << i
-            )
+            for a in iter_bits(g.by_rng[x] & src_mask):
+                row = rows[a]
+                # the relation is a genuine equivalence on these arrows
+                if any(rows.get(b) != row for b in iter_bits(row)):
+                    raise CoarseError(
+                        "relation is not transitive; generated class is not a subgroupoid"
+                    )
+                if row & -row == 1 << a:
+                    members.append(frozenset(iter_bits(row)))
         families.append(tuple(members))
 
-    e_gauge = gauge_from(g, witness.K)
-    f_gauge = gauge_from(g, f_window)
-    certified = ef_asdim_check(e_gauge, f_gauge, families)
     return AsdimBridge(
         families=tuple(families),
         e_window=witness.K,
         f_window=f_window,
-        e_gauge=e_gauge,
-        f_gauge=f_gauge,
-        certified=certified,
+        certified=_decomposes_arrows(g, witness.K, f_window, families),
     )
 
 
@@ -578,11 +572,18 @@ def asdim_to_dad(
     arrow to x stays in that block, so each arrow that class i generates is
     the quotient of two arrows of one block and lies in L by F-boundedness.
     A failed re-certification is therefore a broken invariant: it raises
-    RuntimeError, not CoarseError.
+    RuntimeError, not CoarseError.  The classes cover Y: H holds every unit
+    of Y, so each unit of Y is the source of a point of the checked fiber at
+    the least unit of its H-orbit.  The fiber checks read window rows of K
+    and L in arrow ids, so both must be symmetric and contain every unit.
     """
     if not is_principal(g):
         raise CoarseError("the reconstruction requires a principal groupoid")
     _same_owner(g, y.owner)
+    for name, window in (("window", k_set), ("bound", l_set)):
+        _same_owner(g, window.owner)
+        if not window.is_oc_normal():
+            raise CoarseError(f"the {name} must be symmetric and contain every unit")
     fibers = _h_fibers(g, y, k_set)
 
     n_classes = 0
@@ -605,19 +606,17 @@ def asdim_to_dad(
                 total |= member
         if total != fiber_pts:
             raise CoarseError(f"fiber {x} blocks do not partition the H-fiber")
-        index = {a: p for p, a in enumerate(points)}
-        local = [[mask_of(index[a] for a in iter_bits(m)) for m in fam] for fam in masks]
         bad = _ef_violation(
-            fiber_gauge(g, points, k_set), fiber_gauge(g, points, l_set), local
+            _window_rows(g, fiber_pts, k_set), _window_rows(g, fiber_pts, l_set), masks, fiber_pts
         )
         if bad is not None:
-            i, j, p, kind = bad
+            i, j, a, kind = bad
             what = (
                 "is not window-separated from an earlier block"
                 if kind == "E"
                 else "has a quotient with its block that escapes the bound"
             )
-            raise CoarseError(f"fiber {x}, family {i}, block {j}: arrow {points[p]} {what}")
+            raise CoarseError(f"fiber {x}, family {i}, block {j}: arrow {a} {what}")
         checked[x] = masks
         n_classes = max(n_classes, len(masks))
 
@@ -627,12 +626,6 @@ def asdim_to_dad(
             for member in fam:
                 for a in iter_bits(member):
                     class_units[i] |= 1 << g.src[a]
-
-    covered = 0
-    for mask in class_units:
-        covered |= mask
-    if covered != y.mask:
-        raise CoarseError("class sources do not cover Y (invalid fiber data)")
 
     gy = restrict(g, y)
     k_local = gy.from_parent_arrows(k_set)

@@ -97,10 +97,7 @@ class Groupoid:
         for (a, b), c in comp.items():
             if not (0 <= a < m and 0 <= b < m and 0 <= c < m):
                 raise GroupoidError(f"comp entry ({a},{b})->{c} out of range")
-            k = a * m + b
-            if k in flat and flat[k] != c:
-                raise GroupoidError(f"conflicting comp entries for ({a},{b})")
-            flat[k] = c
+            flat[a * m + b] = c
         self.comp = flat
 
         by_src = [0] * n_units
@@ -277,10 +274,6 @@ class UnitSet(_MaskSet):
     __slots__ = ()
     _kind = "unit"
     _size = "n_units"
-
-    def identity_arrows(self) -> ArrowSet:
-        # unit u and its identity arrow share the id u, so the mask carries over
-        return ArrowSet(self.owner, self.mask)
 
 
 # -- arrow-set algebra ----------------------------------------------------

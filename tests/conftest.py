@@ -13,6 +13,7 @@ from itertools import product as iproduct
 from grpdim import (
     ArrowSet,
     Cover,
+    Gauge,
     Graphing,
     Groupoid,
     UnitSet,
@@ -179,6 +180,11 @@ def random_unit_set(rng: random.Random, g: Groupoid, density: float = 0.5) -> Un
         if rng.random() < density:
             mask |= 1 << u
     return UnitSet(g, mask)
+
+
+def fiber_points(g: Groupoid, x: int) -> list[int]:
+    """The arrows with range x, in id order: the points of the range fiber at x."""
+    return list(iter_bits(g.by_rng[x]))
 
 
 # -- oracles -----------------------------------------------------------------
@@ -371,6 +377,21 @@ def recursive_generic_search(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, d: i
 
     res = dfs(0, [(0, 0, 0, 0)] * (d + 1), 0)
     return None if res is None else [s[0] for s in res]
+
+
+def brute_gauge(g: Groupoid, k_set: ArrowSet) -> Gauge:
+    """The gauge of a window by its definition: p ~ q when they share a range
+    and ``inv(p) q`` lies in the window, or p == q.  The oracle for
+    ``gauge_from`` and for the window rows that certificates read.
+    """
+    rel = []
+    for p in range(g.n_arrows):
+        row = 1 << p
+        for q in iter_bits(g.by_rng[g.rng[p]]):
+            if g.compose(g.inv[p], q) in k_set:
+                row |= 1 << q
+        rel.append(row)
+    return Gauge(g.n_arrows, rel)
 
 
 def pairwise_ef_asdim_check(e_gauge, f_gauge, families) -> bool:

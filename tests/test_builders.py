@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from conftest import fiber_points
 from grpdim import (
     BuilderError,
     LoadError,
     action_groupoid,
     blowup,
     cyclic_table,
-    fiber,
+    fiber_gauge,
     is_principal,
     load,
     load_graphing,
@@ -127,11 +128,13 @@ def test_product_shapes():
 def test_product_fibers_multiply():
     gl, gr = pair_groupoid(2), pair_groupoid(3)
     prod = product(gl, gr)
+    gp = prod.groupoid
     for u in range(2):
         for v in range(3):
             assert (
-                fiber(prod.groupoid, prod.unit_id(u, v)).n
-                == fiber(gl, u).n * fiber(gr, v).n
+                fiber_gauge(gp, fiber_points(gp, prod.unit_id(u, v)), gp.all_arrows()).n
+                == fiber_gauge(gl, fiber_points(gl, u), gl.all_arrows()).n
+                * fiber_gauge(gr, fiber_points(gr, v), gr.all_arrows()).n
             )
 
 

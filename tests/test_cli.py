@@ -125,6 +125,17 @@ def test_out_naming_a_file_is_an_input_error(instances, tmp_path):
     assert res.returncode == 2 and res.stderr.startswith("Error: ")
 
 
+@pytest.mark.parametrize("points, action", [
+    ("-3", []), ("0", []), ("-3", ["--trivial-action"]), ("0", ["--trivial-action"]),
+])
+def test_build_action_rejects_point_counts_below_one(tmp_path, points, action):
+    out = tmp_path / "g.json"
+    res = run_cli("build", "--family", "action", "--group", "cyclic:3",
+                  "--points", points, *action, "--out", str(out))
+    assert res.returncode == 2 and res.stdout == "" and not out.exists()
+    assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+
+
 def test_asdim_fiber_and_tree(instances, tmp_path):
     p7 = str(instances / "p7.json")
     p7g = str(instances / "p7.graphing.json")

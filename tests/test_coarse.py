@@ -4,7 +4,9 @@ import pytest
 
 from conftest import (
     brute_ef_exists,
+    brute_gauge,
     disjoint_union,
+    fiber_points,
     first_fit_dad_blocks,
     pair_blocks_groupoid,
     pairwise_ef_asdim_check,
@@ -26,7 +28,6 @@ from grpdim import (
     dad_to_asdim,
     ef_asdim_check,
     ef_asdim_search,
-    fiber,
     fiber_gauge,
     gauge_from,
     is_principal,
@@ -41,7 +42,8 @@ from grpdim import (
     treeable_cover,
     trivial_perms,
 )
-from grpdim.groupoid import mask_of
+from grpdim.coarse import _ef_violation, _window_rows
+from grpdim.groupoid import iter_bits, mask_of
 
 
 def line(n):
@@ -107,15 +109,15 @@ def test_gauge_monotone():
 
 def test_fiber_space():
     g, graphing = line(5)
-    space = fiber(g, 2, {"E": graphing.ball(1)})
-    assert space.n == 5
-    assert all(g.rng[a] == 2 for a in space.labels)
-    gauge = space.gauges["E"]
-    for i, a in enumerate(space.labels):
-        for j, b in enumerate(space.labels):
+    labels = fiber_points(g, 2)
+    gauge = fiber_gauge(g, labels, graphing.ball(1))
+    assert gauge.n == 5
+    assert all(g.rng[a] == 2 for a in labels)
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
             assert gauge.related(i, j) == (abs(g.src[a] - g.src[b]) <= 1)
     trivial = pair_blocks_groupoid([], 3)
-    assert fiber(trivial, 1).n == 1
+    assert fiber_gauge(trivial, fiber_points(trivial, 1), trivial.all_arrows()).n == 1
 
 
 def test_fiber_counts_multiply_in_products():
@@ -127,7 +129,11 @@ def test_fiber_counts_multiply_in_products():
     gp = prod.groupoid
     for u in range(3):
         for v in range(4):
-            assert fiber(gp, prod.unit_id(u, v)).n == fiber(gl, u).n * fiber(gr, v).n
+            assert (
+                fiber_gauge(gp, fiber_points(gp, prod.unit_id(u, v)), gp.all_arrows()).n
+                == fiber_gauge(gl, fiber_points(gl, u), gl.all_arrows()).n
+                * fiber_gauge(gr, fiber_points(gr, v), gr.all_arrows()).n
+            )
 
 
 # -- (E,F) checks and search ---------------------------------------------------
@@ -250,6 +256,103 @@ def test_ef_check_agrees_with_pairwise_oracle():
         assert got == pairwise_ef_asdim_check(e, f, fams)
         outcomes[got] += 1
     assert outcomes[True] > 300 and outcomes[False] > 300
+
+
+def _fiberwise_families(rng, g, e_set, f_set):
+    """Families of arrow sets, each member inside one range fiber: an exact
+    decomposition of each fiber at d <= 2 where one exists, random blocks
+    elsewhere, then at random one member split, merged, moved or dropped."""
+    fams = [[], [], []]
+    for x in range(g.n_units):
+        pts = fiber_points(g, x)
+        found = ef_asdim_search(fiber_gauge(g, pts, e_set), fiber_gauge(g, pts, f_set), 2)
+        if found is None or rng.random() < 0.2:
+            found = [[] for _ in range(3)]
+            for p in range(len(pts)):
+                fam = rng.choice(found)
+                if fam and rng.random() < 0.5:
+                    fam[-1] = fam[-1] | {p}
+                else:
+                    fam.append(frozenset([p]))
+        for i, fam in enumerate(found):
+            fams[i].extend({pts[p] for p in member} for member in fam)
+    kind = rng.randrange(5)  # 0 keeps the families as built
+    members = [(i, j) for i, fam in enumerate(fams) for j in range(len(fam))]
+    i, j = rng.choice(members)
+    member = fams[i][j]
+    if kind == 1 and len(member) > 1:  # split a member in two within its family
+        part = set(rng.sample(sorted(member), rng.randint(1, len(member) - 1)))
+        fams[i][j] = member - part
+        fams[i].append(part)
+    elif kind == 2 and len(fams[i]) > 1:  # merge two members of one family
+        k = rng.choice([k for k in range(len(fams[i])) if k != j])
+        fams[i][k] = fams[i][k] | member
+        fams[i].pop(j)
+    elif kind == 3:  # move a member to another family
+        fams[i].pop(j)
+        fams[rng.choice([k for k in range(3) if k != i])].append(member)
+    elif kind == 4:  # drop a member: the families no longer cover
+        fams[i].pop(j)
+    return fams
+
+
+def test_window_rows_agree_with_gauge_oracle():
+    # certificates check (E,F)-decompositions on window rows in arrow ids;
+    # the oracle is ef_asdim_check and the pairwise check on gauges built
+    # from the definition of the window relation
+    rng = random.Random(37)
+    outcomes = {True: 0, False: 0}
+    for trial in range(240):
+        if trial % 3 == 2:
+            g, graphing = random_tree(rng.randint(2, 8), rng.randrange(99), rng.randrange(99))
+            e_set = graphing.ball(rng.randint(0, 2))
+            f_set = power(e_set, rng.randint(1, 3))
+        else:
+            if trial % 3 == 0:
+                g = random_principal_groupoid(rng, rng.randint(10, 40))
+            else:
+                g = random_groupoid(rng, rng.randint(40, 70))
+            e_set = random_arrow_set(rng, g, rng.uniform(0.0, 0.4))
+            f_set = e_set | random_arrow_set(rng, g, rng.uniform(0.0, 0.6))
+        fams = _fiberwise_families(rng, g, e_set, f_set)
+        e_gauge, f_gauge = brute_gauge(g, e_set), brute_gauge(g, f_set)
+        assert gauge_from(g, e_set) == e_gauge and gauge_from(g, f_set) == f_gauge
+        every = g.arrows_mask
+        violation = _ef_violation(
+            _window_rows(g, every, e_set),
+            _window_rows(g, every, f_set),
+            [[mask_of(m) for m in fam] for fam in fams],
+            every,
+        )
+        got = violation is None
+        assert got == ef_asdim_check(e_gauge, f_gauge, fams)
+        assert got == pairwise_ef_asdim_check(e_gauge, f_gauge, fams)
+        outcomes[got] += 1
+    assert min(outcomes.values()) > 60, outcomes
+
+
+@pytest.mark.parametrize("n_scale", [1, 2, 3])
+def test_coarse_certificates_agree_with_gauge_oracle(n_scale):
+    rng = random.Random(f"certificates-{n_scale}")
+    for _ in range(3):
+        g, graphing = random_tree(rng.randint(2, 40), rng.randrange(99), rng.randrange(99))
+        res = treeable_cover(g, graphing, n_scale)
+        bounds = (  # -1 stands for "no pair of classes"
+            res.max_diameter <= 4 * n_scale
+            and res.min_separation not in range(n_scale)
+            and res.min_same_annulus_separation not in range(2 * n_scale)
+        )
+        e_gauge = brute_gauge(g, graphing.ball(n_scale - 1))
+        f_gauge = brute_gauge(g, graphing.ball(4 * n_scale))
+        oracle = pairwise_ef_asdim_check(e_gauge, f_gauge, res.families)
+        assert res.certified == (bounds and oracle)
+        k = graphing.ball(1)
+        w = kl_dad_search(g, k, power(k, 1 + n_scale), 2)
+        bridge = dad_to_asdim(g, w)
+        oracle = pairwise_ef_asdim_check(
+            brute_gauge(g, w.K), brute_gauge(g, bridge.f_window), bridge.families
+        )
+        assert bridge.certified == oracle
 
 
 # -- treeable covers ------------------------------------------------------------
@@ -533,6 +636,17 @@ def test_asdim_to_dad_rejects_block_escaping_the_bound():
         asdim_to_dad(g, g.all_units(), k, l_set, {0: [[whole]]})
 
 
+def test_asdim_to_dad_rejects_windows_that_are_not_oc_normal():
+    g, k, l_set, fams = _line7_decomposition()
+    step = next(a for a in iter_bits(k.mask) if not g.is_unit(a))
+    one_way = ArrowSet(g, k.mask & ~(1 << step))
+    unitless = ArrowSet(g, k.mask & ~1)
+    for bad_k, bad_l, name in ((one_way, l_set, "window"), (unitless, l_set, "window"),
+                               (k, ArrowSet(g, l_set.mask & ~(1 << step)), "bound")):
+        with pytest.raises(CoarseError, match=f"the {name} must be symmetric"):
+            asdim_to_dad(g, g.all_units(), bad_k, bad_l, {0: fams})
+
+
 def test_asdim_to_dad_rejects_non_principal():
     z2 = action_groupoid(cyclic_table(2), [tuple(range(2))] * 2)
     k = symmetrize(z2.all_arrows())
@@ -546,7 +660,7 @@ def _corrupt_fiber_families(rng, g, decomps):
     fams = out[rng.choice(sorted(out))]
     block = rng.choice([m for fam in fams for m in fam])
     a = rng.choice(sorted(block))
-    kind = rng.randrange(5)
+    kind = rng.randrange(5)  # 0 keeps the families as built
     if kind == 0:  # move an arrow into a new block of some family, maybe a new one
         block.discard(a)
         i = rng.randrange(len(fams) + 1)
@@ -623,11 +737,11 @@ def test_gauge_power_contains_relational_composition():
 def test_fiber_z8_is_cyclic_metric():
     z8 = action_groupoid(cyclic_table(8), rotation_perms(8, 8))
     k = symmetrize(z8.arrow_set(range(8, 16)))
-    space = fiber(z8, 0, {"E": k})
-    gauge = space.gauges["E"]
-    assert space.n == 8
-    for i, a in enumerate(space.labels):
-        for j, b in enumerate(space.labels):
+    labels = fiber_points(z8, 0)
+    gauge = fiber_gauge(z8, labels, k)
+    assert gauge.n == 8
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
             diff = (z8.src[a] - z8.src[b]) % 8
             expected = diff in (0, 1, 7)
             assert gauge.related(i, j) == expected
