@@ -1,7 +1,8 @@
 """Batch CLI: validate instances, run searches and theorem pipelines, emit
 TSV rows on stdout and re-verifiable JSON artifacts under --out.
 
-Exit codes: 0 success/certified, 1 refuted/none (exact search only), 2 input
+Exit codes: 0 success/certified, 1 refuted/none (exact search only, also
+inside a theorem pipeline: one stderr line names the stage), 2 input
 error (a bad option, an unreadable or malformed instance, graphing or witness
 file, or an unwritable --out; one ``Error:`` line goes to stderr), 3 internal
 error (a broken internal invariant or any other uncaught exception: one line
@@ -28,6 +29,7 @@ from .dad import DadWitness, kl_dad_search
 from .coarse import ef_asdim_search, fiber_gauge, treeable_cover
 from .groupoid import GroupoidError
 from .pipelines import (
+    NoWitnessError,
     bridge_theorem,
     morita_theorem,
     product_theorem,
@@ -95,9 +97,11 @@ def _parse_int(text: str, option: str) -> int:
 class _Main(click.Group):
     """The one place that turns an exception into an exit code.
 
-    A library error (bad input files, specs or parameters) or an OS error
-    exits 2 with one ``Error:`` line; anything else, such as a broken
-    internal invariant, exits 3, never the refuted code 1.
+    A pipeline stage whose exact search finds no witness is a refutation:
+    it exits 1 with one stderr line naming the stage.  A library error (bad
+    input files, specs or parameters) or an OS error exits 2 with one
+    ``Error:`` line; anything else, such as a broken internal invariant,
+    exits 3, never the refuted code 1.
     """
 
     def invoke(self, ctx):
@@ -105,6 +109,9 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
+        except NoWitnessError as exc:
+            click.echo(f"grpdim: refuted: {exc}", err=True)
+            ctx.exit(EXIT_REFUTED)
         except (GroupoidError, OSError) as exc:
             raise InputError(str(exc)) from exc
         except Exception as exc:
@@ -376,14 +383,20 @@ def cmd_theorem(which, base_path, left, right, graphing, left_graphing,
 
 
 def _parse_units(text: str, option: str) -> list[int]:
+    """Units listed as ids and ranges ``lo-hi``; a reversed range or a list
+    with no unit in it is an input error."""
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if "-" in chunk:
-            lo, hi = chunk.split("-", 1)
-            out.extend(range(_parse_int(lo, option), _parse_int(hi, option) + 1))
+            lo, hi = (_parse_int(end, option) for end in chunk.split("-", 1))
+            if hi < lo:
+                raise InputError(f"bad {option} value {chunk!r}: reversed range")
+            out.extend(range(lo, hi + 1))
         elif chunk:
             out.append(_parse_int(chunk, option))
+    if not out:
+        raise InputError(f"bad {option} value {text!r}: lists no unit")
     return out
 
 

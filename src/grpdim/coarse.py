@@ -22,8 +22,9 @@ from .groupoid import (
     UnitSet,
     _UnionFind,
     _same_owner,
+    arrows_within,
     compose_sets,
-    generated,
+    generated,  # unused here; perfbench's tracer test finds it in this namespace
     is_principal,
     iter_bits,
     mask_of,
@@ -152,7 +153,8 @@ def _ef_violation(e_rows, f_rows, families, points: int) -> "tuple | None":
     one pass per family: each point's E-row is tested against the union of
     the earlier members ("E"), which covers every pair of members because E
     is symmetric, and overlapping members because E is reflexive; and each
-    member against the F-rows of its points ("F").
+    member against the F-rows of its points ("F"), unless ``f_rows`` is None
+    because the caller has bounded the members itself.
     """
     covered = 0
     for members in families:
@@ -167,7 +169,7 @@ def _ef_violation(e_rows, f_rows, families, points: int) -> "tuple | None":
             for p in iter_bits(mask):
                 if e_rows[p] & earlier:
                     return i, j, p, "E"
-                if mask & ~f_rows[p]:
+                if f_rows is not None and mask & ~f_rows[p]:
                     return i, j, p, "F"
             earlier |= mask
     return None
@@ -302,7 +304,12 @@ class Graphing:
         return self.lengths[a]
 
     def path_vertex(self, a: int, t: int) -> int:
-        """The t-th unit on the unique reduced path from rng(a) to src(a)."""
+        """The t-th unit on the unique reduced path from rng(a) to src(a).
+
+        The path has |a| edges (word length is forest distance; see
+        ``treeable_cover``), so the unit is |a| - t steps from src(a) toward
+        rng(a) in the BFS tree rooted at rng(a).
+        """
         if not self.treeable:
             raise CoarseError("paths require a treeable graphing")
         g = self.owner
@@ -322,18 +329,17 @@ class Graphing:
                             nxt.append(v)
                 frontier = nxt
             self._paths[root] = parents
-        path = [g.src[a]]
-        while path[-1] != root:
-            path.append(parents[path[-1]])
-        path.reverse()
-        if not 0 <= t < len(path):
+        if not 0 <= t <= self.lengths[a]:
             raise CoarseError(f"path position {t} out of range for arrow {a}")
-        return path[t]
+        v = g.src[a]
+        for _ in range(self.lengths[a] - t):
+            v = parents[v]
+        return v
 
 
 @dataclass(frozen=True)
 class TreeCoverResult:
-    """Even/odd annuli decomposition with its brute-force certificate.
+    """Even/odd annuli decomposition with its certificate.
 
     Rows carry (family, class id, annulus, fiber, size, diameter) per class.
     """
@@ -347,16 +353,57 @@ class TreeCoverResult:
     certified: bool
 
 
+def _forest_gap(adj: Sequence[int], start: int, target: int, limit: "int | None") -> "int | None":
+    """The least number of edges from a unit of the mask ``start`` to one of
+    ``target`` in the graph ``adj``, by bitmask BFS; None if it is not below
+    ``limit`` (None: no limit) or ``target`` is out of reach."""
+    if not target:
+        return None
+    seen = frontier = start
+    gap = 0
+    while not frontier & target:
+        gap += 1
+        if not frontier or gap == limit:
+            return None
+        nxt = 0
+        for u in iter_bits(frontier):
+            nxt |= adj[u]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return gap
+
+
 def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverResult:
     """Split annuli of width N into same-past classes; certify bounds exactly.
 
-    Classes are fiberwise.  The certificate checks, by exhaustive pairwise
-    word-length computation: every class has diameter <= 4N, distinct classes
-    in one family are at distance >= N (so the families are
-    gauge(ball(N-1))-separated), and distinct classes inside one annulus are
-    at distance >= 2N.  The decomposition is also re-checked as an
-    (E,F)-decomposition of all arrows at E = ball(N-1), F = ball(4N), read as
-    window rows in arrow ids.
+    Classes are fiberwise.  The certificate checks that every class has
+    diameter <= 4N, that distinct classes in one family are at distance >= N
+    (so the families are gauge(ball(N-1))-separated), and that distinct
+    classes inside one annulus are at distance >= 2N.  Diameters are
+    pairwise word lengths inside each class; since ball(4N) is the set of
+    arrows of length <= 4N, they are also the F-boundedness check at
+    F = ball(4N).  The cover and E-separation at E = ball(N-1) are re-checked
+    on window rows in arrow ids.
+
+    Separations are forest distances, by two facts about a treeable graphing
+    Q (its unit graph is a forest, with one generator and its inverse per
+    edge, and Q generates g):
+
+    1. g is principal.  Every arrow is a word in Q, which walks the forest;
+       a word whose walk is closed backtracks somewhere, at a step ``q^-1 q``
+       (the edge has no other generator) that cancels to a unit, so the
+       word reduces to the unit at its base.  Hence every arrow with equal
+       source and range is a unit, and two arrows with the same ends are
+       equal (their quotient is such an arrow).
+    2. For a, b in one range fiber, |a^-1 b| is the forest distance from
+       src a to src b.  A word of length l for a^-1 b walks l edges from
+       src b to src a, so |a^-1 b| is at least the distance; the word along
+       the forest path is an arrow with those ends, so it is a^-1 b by 1.
+
+    So a class's distance to the other classes of its family (or annulus) in
+    its fiber is the first layer of a BFS from its source units that meets
+    their source units.  A BFS stops once it reaches the least separation
+    found so far, which it cannot improve.
     """
     if graphing.owner is not g:
         raise CoarseError("graphing belongs to a different groupoid")
@@ -383,49 +430,39 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
     for key in keys:
         family_members[key[0] % 2].append(frozenset(classes[key]))
 
-    # exhaustive pairwise certificate
-    def dist(a: int, b: int) -> "int | None":
-        if g.rng[a] != g.rng[b]:
-            return None
-        return graphing.length(g.compose(g.inv[a], b))
+    lengths, comp, inv, m = graphing.lengths, g.comp, g.inv, g.n_arrows
+    diameters = {
+        key: max(lengths[comp[inv[a] * m + b]] for i, a in enumerate(members) for b in members[i:])
+        for key, members in classes.items()
+    }
+    max_diameter = max(diameters.values())
 
-    max_diameter = 0
-    diameters: dict[tuple, int] = {}
-    for key, members in classes.items():
-        diam = 0
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                d = dist(a, b)
-                if d is None:
-                    raise RuntimeError("class spans two fibers")
-                diam = max(diam, d)
-        diameters[key] = diam
-        max_diameter = max(max_diameter, diam)
-
+    sources = {key: mask_of(g.src[a] for a in members) for key, members in classes.items()}
+    family_sources: dict[tuple[int, int], int] = {}  # (parity, fiber) -> source units
+    annulus_sources: dict[tuple[int, int], int] = {}  # (annulus, fiber) -> source units
+    for (k, x, _), mask in sources.items():
+        family_sources[k % 2, x] = family_sources.get((k % 2, x), 0) | mask
+        annulus_sources[k, x] = annulus_sources.get((k, x), 0) | mask
+    adj = unit_graph(g, graphing.q)
     min_separation = None
     min_same_annulus = None
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i + 1 :]:
-            if k1[0] % 2 != k2[0] % 2 or k1[1] != k2[1]:
-                continue
-            best = None
-            for a in classes[k1]:
-                for b in classes[k2]:
-                    d = dist(a, b)
-                    if d is not None and (best is None or d < best):
-                        best = d
-            if best is None:
-                continue
-            if min_separation is None or best < min_separation:
-                min_separation = best
-            if k1[0] == k2[0] and (min_same_annulus is None or best < min_same_annulus):
-                min_same_annulus = best
+    # a family's classes in one fiber are disjoint and g is principal, so
+    # their source masks are disjoint too: "& ~mask" leaves the other classes
+    for (k, x, _), mask in sources.items():
+        gap = _forest_gap(adj, mask, family_sources[k % 2, x] & ~mask, min_separation)
+        if gap is not None:
+            min_separation = gap
+        gap = _forest_gap(adj, mask, annulus_sources[k, x] & ~mask, min_same_annulus)
+        if gap is not None:
+            min_same_annulus = gap
 
+    e_rows = _window_rows(g, g.arrows_mask, graphing.ball(n - 1))
+    masks = [[mask_of(member) for member in fam] for fam in family_members]
     certified = (
         max_diameter <= 4 * n
         and (min_separation is None or min_separation >= n)
         and (min_same_annulus is None or min_same_annulus >= 2 * n)
-        and _decomposes_arrows(g, graphing.ball(n - 1), graphing.ball(4 * n), family_members)
+        and _ef_violation(e_rows, None, masks, g.arrows_mask) is None
     )
 
     rows = []
@@ -508,20 +545,39 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
 
 
 def _h_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, list[int]]:
-    """For the subgroupoid H generated by the window over Y, the points of its
-    range fiber at the least unit of each H-orbit in Y, by unit."""
-    h_arrows = generated(k_set, y)
-    uf = _UnionFind(g.n_units)
-    for a in h_arrows:
-        uf.union(g.src[a], g.rng[a])
-    minima: dict[int, int] = {}
-    for u in y:
-        root = uf.find(u)
-        if root not in minima:
-            minima[root] = u
-    return {
-        x: list(iter_bits(g.by_rng[x] & h_arrows.mask)) for x in sorted(minima.values())
-    }
+    """For the subgroupoid H generated by the window arrows inside Y and the
+    units of Y, the points of its range fiber at the least unit of each
+    H-orbit in Y, by unit.
+
+    H is the set of words in those arrows and their inverses, so its fiber
+    at x is the closure of {x} under right multiplication by them, and the
+    H-orbit of x is the set of sources of that fiber.  Units of Y are taken
+    in increasing order, and a unit that no earlier fiber reaches is the
+    least of its orbit.  Only those fibers are walked, so the cost is their
+    size times the window degree, on any groupoid, principal or not.
+    """
+    inside = (k_set & arrows_within(g, y)).mask
+    steps = inside | ArrowSet(g, inside).inverse().mask
+    m = g.n_arrows
+    comp, src, by_rng = g.comp, g.src, g.by_rng
+    fibers = {}
+    reached = 0
+    for x in y:
+        if reached >> x & 1:
+            continue
+        fiber = 1 << x
+        queue = [x]
+        for h in queue:  # the queue grows while it is read
+            base = h * m
+            for s in iter_bits(by_rng[src[h]] & steps):
+                c = comp[base + s]
+                if not fiber >> c & 1:
+                    fiber |= 1 << c
+                    queue.append(c)
+        for h in queue:
+            reached |= 1 << src[h]
+        fibers[x] = list(iter_bits(fiber))
+    return fibers
 
 
 def asdim_fiber_decompositions(
@@ -562,7 +618,8 @@ def asdim_to_dad(
     window over Y, the supplied families must partition the H-fiber at x into
     window-separated blocks whose quotients stay inside the bound.  Class i
     collects the sources of the family-i arrows; the witness is re-certified
-    on ``restrict(g, y)``.  Requires a principal groupoid.
+    on ``restrict(g, y)``, or on g itself when Y is every unit, where the
+    restriction is the identity re-indexing.  Requires a principal groupoid.
 
     Once the fiber checks pass, the witness is certified.  A K-step k from u
     to v inside class i lies in H, so u and v share an H-orbit; the arrows
@@ -627,12 +684,14 @@ def asdim_to_dad(
                 for a in iter_bits(member):
                     class_units[i] |= 1 << g.src[a]
 
-    gy = restrict(g, y)
-    k_local = gy.from_parent_arrows(k_set)
-    l_local = gy.from_parent_arrows(l_set)
-    classes = tuple(
-        gy.from_parent_units(UnitSet(g, mask)) for mask in class_units
-    )
+    if y.mask == g.units_mask:  # restrict(g, y) would re-index nothing
+        gy, k_local, l_local = g, k_set, l_set
+        classes = tuple(UnitSet(g, mask) for mask in class_units)
+    else:
+        gy = restrict(g, y)
+        k_local = gy.from_parent_arrows(k_set)
+        l_local = gy.from_parent_arrows(l_set)
+        classes = tuple(gy.from_parent_units(UnitSet(g, mask)) for mask in class_units)
     witness = kl_dad_check(gy, k_local, l_local, Cover(gy, classes, gy.all_units()))
     if not witness.certified:
         raise RuntimeError("fiber decompositions passed their checks but the witness failed")

@@ -32,13 +32,18 @@ class PipelineError(GroupoidError):
     """A pipeline stage failed; the message names the stage."""
 
 
+class NoWitnessError(PipelineError):
+    """An exact search stage found no witness up to d_max: a refutation,
+    not bad input."""
+
+
 def _stage(report: dict, name: str, **data) -> None:
     report["stages"].append({"stage": name, **data})
 
 
 def _need_witness(witness, stage: str):
     if witness is None:
-        raise PipelineError(f"stage {stage!r}: search found no witness")
+        raise NoWitnessError(f"stage {stage!r}: search found no witness")
     return witness
 
 

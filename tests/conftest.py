@@ -16,15 +16,18 @@ from grpdim import (
     Gauge,
     Graphing,
     Groupoid,
+    TreeCoverResult,
     UnitSet,
     arrows_within,
     compose_sets,
+    ef_asdim_check,
+    generated,
     kl_dad_check,
     pair_groupoid,
     pair_index,
     symmetrize,
 )
-from grpdim.groupoid import iter_bits, mask_of
+from grpdim.groupoid import _UnionFind, iter_bits, mask_of
 from grpdim.dad import _generic_try_add
 
 
@@ -444,3 +447,85 @@ def first_fit_dad_blocks(g: Groupoid, witness) -> list[tuple[frozenset[int], ...
             members.extend(frozenset(b) for b in blocks)
         families.append(tuple(members))
     return families
+
+
+def pairwise_tree_bounds(g: Groupoid, graphing: Graphing, n: int) -> TreeCoverResult:
+    """``treeable_cover`` by exhaustive pairwise word lengths: every pair of
+    arrows in a class for its diameter, every pair of arrows in two classes
+    of one family and fiber for their separation, and the (E,F) check at
+    E = ball(N-1), F = ball(4N) on gauges built from the definition.  The
+    oracle for the forest-distance certificate.
+    """
+    def dist(a, b):
+        return graphing.length(g.compose(g.inv[a], b))
+
+    def past_vertex(a, t):
+        # the source of the fiber arrow t from rng(a) and |a| - t from src(a)
+        x, length = g.rng[a], graphing.length(a)
+        return next(g.src[b] for b in iter_bits(g.by_rng[x])
+                    if graphing.length(b) == t and dist(b, a) == length - t)
+
+    classes: dict[tuple, list[int]] = {}
+    for a in range(g.n_arrows):
+        length = graphing.length(a)
+        ks = {length // n}
+        if length % n == 0 and length > 0:
+            ks.add(length // n - 1)
+        for k in ks:
+            past = past_vertex(a, n * (k - 1)) if k >= 2 else -1
+            classes.setdefault((k, g.rng[a], past), []).append(a)
+    keys = sorted(classes)
+
+    diameters = {
+        key: max((dist(a, b) for a in members for b in members), default=0)
+        for key, members in classes.items()
+    }
+    separations, same_annulus = [], []
+    for i, k1 in enumerate(keys):
+        for k2 in keys[i + 1 :]:
+            if k1[0] % 2 != k2[0] % 2 or k1[1] != k2[1]:
+                continue
+            best = min(dist(a, b) for a in classes[k1] for b in classes[k2])
+            separations.append(best)
+            if k1[0] == k2[0]:
+                same_annulus.append(best)
+    families = tuple(
+        tuple(frozenset(classes[key]) for key in keys if key[0] % 2 == parity)
+        for parity in (0, 1)
+    )
+    max_diameter = max(diameters.values())
+    min_separation = min(separations, default=-1)
+    min_same_annulus = min(same_annulus, default=-1)
+    e_gauge = brute_gauge(g, graphing.ball(n - 1))
+    f_gauge = brute_gauge(g, graphing.ball(4 * n))
+    certified = (
+        max_diameter <= 4 * n
+        and min_separation not in range(n)
+        and min_same_annulus not in range(2 * n)
+        and ef_asdim_check(e_gauge, f_gauge, families)
+    )
+    rows = tuple(
+        (key[0] % 2, idx, key[0], key[1], len(classes[key]), diameters[key])
+        for idx, key in enumerate(keys)
+    )
+    return TreeCoverResult(
+        families, rows, max_diameter, min_separation, min_same_annulus, n, certified
+    )
+
+
+def closure_h_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, list[int]]:
+    """H-fibers through the whole generated subgroupoid: H = ``generated(K, Y)``
+    by closure over every arrow, its orbits by union-find, and at the least
+    unit of each orbit in Y the arrows of H with that range.  The oracle for
+    ``grpdim.coarse._h_fibers``.
+    """
+    h_arrows = generated(k_set, y)
+    uf = _UnionFind(g.n_units)
+    for a in h_arrows:
+        uf.union(g.src[a], g.rng[a])
+    minima: dict[int, int] = {}
+    for u in y:
+        minima.setdefault(uf.find(u), u)
+    return {
+        x: list(iter_bits(g.by_rng[x] & h_arrows.mask)) for x in sorted(minima.values())
+    }

@@ -161,6 +161,16 @@ def test_theorem_bridge_and_morita(instances, tmp_path):
     assert res.returncode == 0
 
 
+@pytest.mark.parametrize("which, stage", [("morita", "base-search"), ("bridge", "dad-search")])
+def test_theorem_search_stage_without_witness_is_refuted(instances, which, stage):
+    # no dad witness of the 7-point path at d=0: the pipeline is refuted, not
+    # given bad input, and stderr names the stage
+    res = run_cli("theorem", which, "--path", str(instances / "p7.json"),
+                  "--graphing", str(instances / "p7.graphing.json"), "--d-max", "0")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == f"grpdim: refuted: stage '{stage}': search found no witness\n"
+
+
 def test_theorem_union(instances, tmp_path):
     p7 = str(instances / "p7.json")
     p7g = str(instances / "p7.graphing.json")
@@ -302,6 +312,13 @@ def test_uncertifiable_search_result_exits_3(instances, monkeypatch):
           "--refute-units", "0,y"], "--refute-units"),
         (["build", "--family", "tree", "--shape", "binary:x", "--out", "{out}"], "--shape"),
         (["build", "--family", "action", "--group", "cyclic:x", "--out", "{out}"], "--group"),
+        # unit lists that name no unit
+        (["sweep", "{p7}", "--windows", "3-2", "--graphing", "{p7g}"], "--windows"),
+        (["sweep", "{p7}", "--windows", ",", "--graphing", "{p7g}"], "--windows"),
+        (["theorem", "product", "--left", "{p7}", "--right", "{p7}", "--graphing", "{p7g}",
+          "--refute-units", "5-3"], "--refute-units"),
+        (["theorem", "union", "--path", "{p7}", "--graphing", "{p7g}",
+          "--parts", "0-6;"], "--parts"),
     ],
 )
 def test_bad_numbers_are_input_errors(instances, tmp_path, args, option):
@@ -313,7 +330,7 @@ def test_bad_numbers_are_input_errors(instances, tmp_path, args, option):
              "out": tmp_path / "built.json"}
     res = CliRunner().invoke(cli.main, [a.format(**paths) for a in args])
     assert res.exit_code == cli.EXIT_INPUT == 2
-    assert f"bad {option} value" in res.stderr
+    assert res.stderr.startswith(f"Error: bad {option} value") and res.stderr.count("\n") == 1
 
 
 def readme_cli_commands():

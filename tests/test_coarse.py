@@ -5,11 +5,13 @@ import pytest
 from conftest import (
     brute_ef_exists,
     brute_gauge,
+    closure_h_fibers,
     disjoint_union,
     fiber_points,
     first_fit_dad_blocks,
     pair_blocks_groupoid,
     pairwise_ef_asdim_check,
+    pairwise_tree_bounds,
     random_arrow_set,
     random_groupoid,
     random_principal_groupoid,
@@ -19,6 +21,7 @@ from conftest import (
 from grpdim import (
     ArrowSet,
     CoarseError,
+    Cover,
     Gauge,
     Graphing,
     action_groupoid,
@@ -31,19 +34,21 @@ from grpdim import (
     fiber_gauge,
     gauge_from,
     is_principal,
+    kl_dad_check,
     kl_dad_search,
     pair_groupoid,
     pair_index,
     power,
     product,
+    restrict,
     rotation_perms,
     symmetrize,
     tree_window,
     treeable_cover,
     trivial_perms,
 )
-from grpdim.coarse import _ef_violation, _window_rows
-from grpdim.groupoid import iter_bits, mask_of
+from grpdim.coarse import _ef_violation, _forest_gap, _h_fibers, _window_rows
+from grpdim.groupoid import iter_bits, mask_of, unit_graph
 
 
 def line(n):
@@ -429,6 +434,62 @@ def test_treeable_cover_single_unit():
     assert res.max_diameter == 0
 
 
+def two_tree_forest():
+    """Pair blocks on units 0-5 and 6-9, each with a spanning tree as graphing."""
+    g = pair_blocks_groupoid([list(range(6)), list(range(6, 10))], 10)
+    edges = {frozenset(e) for e in ((0, 1), (1, 2), (1, 3), (3, 4), (0, 5), (6, 7), (7, 8), (7, 9))}
+    q = mask_of(a for a in range(g.n_units, g.n_arrows)
+                if frozenset((g.src[a], g.rng[a])) in edges)
+    return g, Graphing(g, ArrowSet(g, q))
+
+
+@pytest.mark.parametrize("n_scale", [1, 2, 3])
+def test_treeable_cover_matches_pairwise_oracle(n_scale):
+    # separations are forest distances from a BFS; the oracle takes the
+    # least word length over every pair of arrows in two classes
+    rng = random.Random(f"tree-cover-{n_scale}")
+    cases = [("path30", *line(30)), ("binary4", *tree_window("binary", 4)),
+             ("forest", *two_tree_forest())]
+    for _ in range(10):
+        n = rng.randint(2, 40)
+        cases.append((f"tree{n}", *random_tree(n, rng.randrange(99), rng.randrange(99))))
+    for name, g, graphing in cases:
+        assert treeable_cover(g, graphing, n_scale) == pairwise_tree_bounds(
+            g, graphing, n_scale
+        ), name
+
+
+def test_forest_gap_stops_below_its_limit():
+    g, graphing = line(9)
+    adj = unit_graph(g, graphing.q)
+    start, target = 1 << 2, 1 << 5 | 1 << 8  # the path 0-1-...-8: 3 edges apart
+    assert _forest_gap(adj, start, target, None) == 3
+    assert _forest_gap(adj, start, target, 4) == 3
+    assert _forest_gap(adj, start, target, 3) is None  # 3 cannot improve on 3
+    assert _forest_gap(adj, start, 0, None) is None
+    forest = two_tree_forest()
+    assert _forest_gap(unit_graph(forest[0], forest[1].q), 1 << 0, 1 << 7, None) is None
+
+
+def test_treeable_cover_rejects_a_class_wider_than_4n():
+    # a length table that lies about the pair of arrows between units 0 and
+    # 3 of path(9), 6 instead of 3: the annulus-1 classes at units 1 and 2
+    # hold both units as sources and read 6 > 4N wide, while the separations
+    # and the E check still pass, so only the diameter bound (the F check at
+    # F = ball(4N)) can fail the certificate
+    g, graphing = line(9)
+    lengths = list(graphing.lengths)
+    for a in (pair_index(9, 0, 3), pair_index(9, 3, 0)):
+        assert lengths[a] == 3
+        lengths[a] = 6
+    graphing.lengths = tuple(lengths)
+    res = treeable_cover(g, graphing, 1)
+    wide = [(annulus, fiber, diam) for _, _, annulus, fiber, _, diam in res.rows if diam > 4]
+    assert wide == [(1, 1, 6), (1, 2, 6)]
+    assert (res.min_separation, res.min_same_annulus_separation) == (1, 2)
+    assert res.max_diameter == 6 and not res.certified
+
+
 def test_treeable_cover_requires_treeable():
     g, graphing = line(6)
     chord = graphing.q | g.arrow_set([pair_index(6, 0, 2), pair_index(6, 2, 0)])
@@ -757,6 +818,43 @@ def test_treeable_rows_shape_and_diameters():
         assert 0 <= diam <= 4 * res.scale
         total += size
     assert total >= g.n_arrows  # annuli overlap at multiples of the width
+
+
+def test_h_fibers_match_closure_oracle():
+    # the fiber walk against the closure of the whole generated subgroupoid,
+    # on groupoids with and without isotropy
+    rng = random.Random(43)
+    kinds = {True: 0, False: 0}
+    for trial in range(200):
+        if trial % 2:
+            g = random_groupoid(rng, rng.randint(40, 100))
+        else:
+            g = random_principal_groupoid(rng, rng.randint(10, 50))
+        k = random_arrow_set(rng, g, rng.uniform(0.0, 0.5))  # symmetric, every unit
+        if trial % 3 == 0:  # H holds the inverses of a one-way window too
+            k = ArrowSet(g, mask_of(a for a in k if rng.random() < 0.7) | g.units_mask)
+        y = random_unit_set(rng, g, rng.uniform(0.2, 1.0))
+        assert _h_fibers(g, y, k) == closure_h_fibers(g, y, k)
+        kinds[is_principal(g)] += 1
+    assert min(kinds.values()) > 40, kinds
+
+
+def test_asdim_to_dad_on_every_unit_matches_the_restriction():
+    # with Y = every unit the witness is certified on g itself, and it reads
+    # as the one certified on restrict(g, Y)
+    cases = [(g, graphing.ball(1)) for g, graphing in (line(7), random_tree(12, 4, 1))]
+    z8 = action_groupoid(cyclic_table(8), rotation_perms(8, 8))
+    cases.append((z8, symmetrize(z8.arrow_set(range(8, 16)))))
+    for g, k in cases:
+        l_set = power(k, 2)
+        y = g.all_units()
+        w = asdim_to_dad(g, y, k, l_set, asdim_fiber_decompositions(g, y, k, l_set, 2))
+        gy = restrict(g, y)
+        classes = tuple(gy.from_parent_units(g.unit_set(c)) for c in w.cover.classes)
+        ref = kl_dad_check(gy, gy.from_parent_arrows(k), gy.from_parent_arrows(l_set),
+                           Cover(gy, classes, gy.all_units()))
+        assert w.owner is g and w.certified and ref.certified
+        assert w.to_json_obj() == ref.to_json_obj()
 
 
 def test_asdim_to_dad_missing_fiber_errors():
