@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .coarse import Graphing
-from .groupoid import ArrowSet, Groupoid, GroupoidError, validate
+from .groupoid import ArrowSet, Groupoid, GroupoidError, iter_bits, validate
 
 
 class BuilderError(GroupoidError):
@@ -48,12 +49,13 @@ def pair_groupoid(n: int) -> Groupoid:
             src[a] = j
             rng[a] = i
             inv[a] = pair_index(n, j, i)
-    comp = {}
-    for i in range(n):
-        for j in range(n):
-            a = pair_index(n, i, j)
-            for k in range(n):
-                comp[(a, pair_index(n, j, k))] = pair_index(n, i, k)
+    comp = (
+        (a, pair_index(n, j, k), pair_index(n, i, k))
+        for i in range(n)
+        for j in range(n)
+        for a in [pair_index(n, i, j)]
+        for k in range(n)
+    )
     return Groupoid(n, src, rng, inv, comp)
 
 
@@ -162,14 +164,12 @@ def action_groupoid(table: Sequence[Sequence[int]], perms: Sequence[Sequence[int
             src[a] = x
             rng[a] = perms[g_el][x]
             inv[a] = arrow(inv_el[g_el], perms[g_el][x])
-    comp = {}
-    for g_el in range(k):
-        for h_el in range(k):
-            for x in range(n):
-                # (g, h.x) after (h, x) lands at (gh, x)
-                comp[(arrow(g_el, perms[h_el][x]), arrow(h_el, x))] = arrow(
-                    table[g_el][h_el], x
-                )
+    comp = (  # (g, h.x) after (h, x) lands at (gh, x)
+        (arrow(g_el, perms[h_el][x]), arrow(h_el, x), arrow(table[g_el][h_el], x))
+        for g_el in range(k)
+        for h_el in range(k)
+        for x in range(n)
+    )
     return Groupoid(n, src, rng, inv, comp)
 
 
@@ -285,7 +285,7 @@ def partial_action_groupoid(spec: PartialActionSpec) -> Groupoid:
         src.append(back[x])
         rng.append(x)
         inv.append(index[(spec.inv[g_el], back[x])])
-    comp = {}
+    comp = []
     for a, (g_el, x) in enumerate(arrows):
         y = src[a]
         for h_el in spec.elements:
@@ -297,7 +297,7 @@ def partial_action_groupoid(spec: PartialActionSpec) -> Groupoid:
                 raise BuilderError(
                     f"extension axiom fails: product {g_el!r}*{h_el!r} missing"
                 )
-            comp[(a, b)] = index[(prod, x)]
+            comp.append((a, b, index[(prod, x)]))
     return Groupoid(n, src, rng, inv, comp)
 
 
@@ -337,16 +337,13 @@ def blowup(g: Groupoid, psi: Sequence[int]) -> Blowup:
     rng = [t[0] for t in triples]
     inv = [index[(t[2], g.inv[t[1]], t[0])] for t in triples]
     pi = [t[1] for t in triples]
-    comp = {}
     m = g.n_arrows
-    for i, (x, a, y) in enumerate(triples):
-        partners = g.by_rng[g.src[a]]
-        for b in range(g.n_arrows):
-            if not partners >> b & 1:
-                continue
-            c = g.comp[a * m + b]
-            for z in fibers[g.src[b]]:
-                comp[(i, index[(y, b, z)])] = index[(x, c, z)]
+    comp = (
+        (i, index[(y, b, z)], index[(x, g.comp[a * m + b], z)])
+        for i, (x, a, y) in enumerate(triples)
+        for b in iter_bits(g.by_rng[g.src[a]])
+        for z in fibers[g.src[b]]
+    )
     gb = Groupoid(n_x, src, rng, inv, comp)
     return Blowup(g, gb, psi, tuple(pi))
 
@@ -401,13 +398,14 @@ def product(gl: Groupoid, gr: Groupoid) -> Product:
         src[i] = gl.src[a] * nr + gr.src[b]
         rng[i] = gl.rng[a] * nr + gr.rng[b]
         inv[i] = ids[(gl.inv[a], gr.inv[b])]
-    comp = {}
     ml, mr = gl.n_arrows, gr.n_arrows
-    for kl, cl in gl.comp.items():
-        a1, a2 = divmod(kl, ml)
-        for kr, cr in gr.comp.items():
-            b1, b2 = divmod(kr, mr)
-            comp[(ids[(a1, b1)], ids[(a2, b2)])] = ids[(cl, cr)]
+    right = [(*divmod(kr, mr), cr) for kr, cr in gr.comp.items()]
+    comp = (
+        (ids[(a1, b1)], ids[(a2, b2)], ids[(cl, cr)])
+        for kl, cl in gl.comp.items()
+        for a1, a2 in [divmod(kl, ml)]
+        for b1, b2, cr in right
+    )
     gp = Groupoid(nl * nr, src, rng, inv, comp)
     return Product(gl, gr, gp, ids)
 
@@ -433,15 +431,26 @@ def instance_to_obj(g: Groupoid) -> dict:
     return {"units": n, "arrows": arrows, "inv": list(g.inv), "comp": comp}
 
 
+def _comp_triple(triple) -> tuple[int, int, int]:
+    """One ``[a, b, c]`` entry of a file's ``comp`` list, as ints."""
+    try:
+        a, b, c = triple if isinstance(triple, list) else ()
+        return int(a), int(b), int(c)
+    except (TypeError, ValueError):
+        raise LoadError(f"malformed comp triple {triple!r}") from None
+
+
 def obj_to_instance(obj) -> Groupoid:
+    """The groupoid of an instance object: the constructor reads the identity
+    products and the file's triples as one stream."""
     try:
         n = int(obj["units"])
         arrows = obj["arrows"]
+        m = n + len(arrows)
         inv = [int(v) for v in obj["inv"]]
-        comp_triples = obj["comp"]
+        comp_triples = iter(obj["comp"])
     except (KeyError, TypeError, ValueError) as exc:
         raise LoadError(f"malformed instance object: {exc}") from exc
-    m = n + len(arrows)
     if len(inv) != m:
         raise LoadError(f"inv table has {len(inv)} entries, expected {m}")
     src = list(range(n)) + [0] * len(arrows)
@@ -459,24 +468,8 @@ def obj_to_instance(obj) -> Groupoid:
         seen.add(a)
         src[a] = s
         rng[a] = r
-    if len(seen) != len(arrows):
-        raise LoadError("arrow ids are not dense")
-
-    comp = {}
-    for a in range(m):
-        if not (0 <= src[a] < n and 0 <= rng[a] < n):
-            raise LoadError(f"arrow {a} has endpoints outside the unit range")
-        comp[(rng[a], a)] = a
-        comp[(a, src[a])] = a
-    for triple in comp_triples:
-        if not (isinstance(triple, (list, tuple)) and len(triple) == 3):
-            raise LoadError(f"malformed comp triple {triple!r}")
-        a, b, c = (int(v) for v in triple)
-        if not all(0 <= v < m for v in (a, b, c)):
-            raise LoadError(f"comp triple {triple!r} out of range")
-        if (a, b) in comp and comp[(a, b)] != c:
-            raise LoadError(f"comp triple {triple!r} conflicts with identity laws")
-        comp[(a, b)] = c
+    identities = ((x, y, a) for a in range(m) for x, y in ((rng[a], a), (a, src[a])))
+    comp = chain(identities, map(_comp_triple, comp_triples))
     try:
         g = Groupoid(n, src, rng, inv, comp)
     except GroupoidError as exc:

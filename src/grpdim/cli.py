@@ -4,13 +4,14 @@ TSV rows on stdout and re-verifiable JSON artifacts under --out.
 Exit codes: 0 success/certified, 1 refuted/none (exact search only, also
 inside a theorem pipeline: one stderr line names the stage), 2 input
 error (a bad option, an unreadable or malformed instance, graphing or witness
-file, or an unwritable --out; one ``Error:`` line goes to stderr), 3 internal
-error (a broken internal invariant or any other uncaught exception: one line
-naming it goes to stderr, no traceback), 4 unknown (a greedy search found
-nothing, which refutes nothing; the row reads ``incomplete``).  Exit codes
-are decided in one place, ``_Main.invoke``.  Artifacts never contain timing,
-so repeated runs are byte-identical; wall time appears only in the stdout
-report row.
+file, a witness for another instance or one that fails its re-check, which
+reads ``rejected``, or an unwritable --out; one ``Error:`` line goes to
+stderr), 3 internal error (a broken internal invariant or any other uncaught
+exception: one line naming it goes to stderr, no traceback), 4 unknown (a
+greedy search found nothing, which refutes nothing; the row reads
+``incomplete``).  Exit codes are decided in one place, ``_Main.invoke``.
+Artifacts never contain timing, so repeated runs are byte-identical; wall
+time appears only in the stdout report row.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class InputError(click.ClickException):
     """Bad inputs exit with code 2; refutations keep code 1."""
 
     exit_code = EXIT_INPUT
+
+
+class RejectedError(Exception):
+    """A well-formed artifact failed its own check: it refutes only itself."""
 
 
 def _digest(path) -> str:
@@ -99,9 +104,9 @@ class _Main(click.Group):
 
     A pipeline stage whose exact search finds no witness is a refutation:
     it exits 1 with one stderr line naming the stage.  A library error (bad
-    input files, specs or parameters) or an OS error exits 2 with one
-    ``Error:`` line; anything else, such as a broken internal invariant,
-    exits 3, never the refuted code 1.
+    input files, specs or parameters), an OS error or a rejected artifact
+    exits 2 with one ``Error:`` line; anything else, such as a broken
+    internal invariant, exits 3, never the refuted code 1.
     """
 
     def invoke(self, ctx):
@@ -112,7 +117,7 @@ class _Main(click.Group):
         except NoWitnessError as exc:
             click.echo(f"grpdim: refuted: {exc}", err=True)
             ctx.exit(EXIT_REFUTED)
-        except (GroupoidError, OSError) as exc:
+        except (GroupoidError, OSError, RejectedError) as exc:
             raise InputError(str(exc)) from exc
         except Exception as exc:
             click.echo(f"grpdim: internal error: {type(exc).__name__}: {exc}", err=True)
@@ -219,10 +224,15 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
     g = load(path)
     gr = load_graphing(g, graphing) if graphing else None
     if recheck:
-        witness = DadWitness.from_json_obj(g, read_json(recheck))
-        result = "certified" if witness.certified else "refuted"
+        obj = read_json(recheck)
+        if isinstance(obj, dict) and obj.get("instance_digest") not in (None, _digest(path)):
+            raise InputError(f"{recheck} was made for another instance than {path}")
+        witness = DadWitness.from_json_obj(g, obj)
+        result = "certified" if witness.certified else "rejected"
         _row(path, "dad-recheck", f"{recheck}", result, recheck, started)
-        sys.exit(EXIT_OK if witness.certified else EXIT_REFUTED)
+        if not witness.certified:
+            raise RejectedError(f"{recheck} does not certify a (K,L)-dad on {path}")
+        sys.exit(EXIT_OK)
     k_set, l_set = _specs(g, k_spec, l_spec, gr)
     witness = kl_dad_search(g, k_set, l_set, d_max, mode)
     params = f"k={k_spec};l={l_spec};d_max={d_max};mode={mode}"

@@ -133,6 +133,7 @@ class ControlFunction:
     ``provider(K)`` returns a pair ``(bound, cover)`` where the ``d+1``-class
     ``cover`` of the unit space satisfies ``generated(K, U_i) <= bound`` for
     every class.  Bounds must be symmetric-with-units supersets of ``K``.
+    Each entry is checked once, when the provider first returns it.
     """
 
     def __init__(self, d: int, provider: Callable[[ArrowSet], tuple[ArrowSet, Cover]]):
@@ -156,6 +157,11 @@ class ControlFunction:
                 raise CoverError(
                     f"control cover has {len(cover.classes)} classes, expected {self.d + 1}"
                 )
+            if cover.base.mask & ~cover.union_mask():
+                raise CoverError("control cover does not cover its base")
+            for i, cls in enumerate(cover.classes):
+                if not generated(k_set, cls) <= bound:
+                    raise CoverError(f"control cover class {i} generates outside its bound")
             hit = (bound, cover)
             self._memo[key] = hit
         return hit
@@ -201,17 +207,6 @@ def _level_cover(g: Groupoid, ctrl: ControlFunction, k_set: ArrowSet, k: int) ->
     return ostrand_lift(g, ctrl, k_set, k - 1)
 
 
-def _verify_level(g: Groupoid, ctrl: ControlFunction, k_set: ArrowSet, k: int, cover: Cover) -> None:
-    if fold_number(cover) < k + 1 - ctrl.d:
-        raise CoverError(
-            f"level-{k} cover is not {k + 1 - ctrl.d}-fold (fold={fold_number(cover)})"
-        )
-    bound = control_apply(ctrl, k_set, k)
-    for i, cls in enumerate(cover.classes):
-        if not generated(k_set, cls) <= bound:
-            raise CoverError(f"level-{k} class {i} generates outside the control bound")
-
-
 def ostrand_lift(g: Groupoid, ctrl: ControlFunction, k_set: ArrowSet, k: int) -> Cover:
     """Lift a level-k cover family to level k+1, gaining one fold.
 
@@ -229,8 +224,8 @@ def ostrand_lift(g: Groupoid, ctrl: ControlFunction, k_set: ArrowSet, k: int) ->
         raise CoverError("window must be symmetric with units")
     d = ctrl.d
     cubed = power(k_set, 3)
+    # checked against control_apply(ctrl, cubed, k) by ctrl at level d, else by the lift
     level = _level_cover(g, ctrl, cubed, k)
-    _verify_level(g, ctrl, cubed, k, level)
 
     shrunk = shrink_nfold(level, k + 1 - d)
     saturated = [saturate(k_set, v) for v in shrunk.classes]

@@ -532,19 +532,19 @@ def discover_control_function(g: Groupoid, d: int) -> ControlFunction:
     def provider(k_set: ArrowSet) -> tuple[ArrowSet, Cover]:
         if not k_set.is_oc_normal():
             raise CoverError("control windows must be symmetric with units")
-        j = 1
+        bound = k_set  # K^1; K holds every unit, so K^(j+1) = K . K^j
         while True:
-            bound = power(k_set, j)
             witness = kl_dad_search(g, k_set, bound, d)
             if witness is not None:
                 # pad lower-dimensional witnesses with empty classes
                 classes = witness.cover.classes
                 classes += tuple(g.unit_set() for _ in range(d + 1 - len(classes)))
                 return bound, Cover(g, classes, witness.cover.base)
-            if bound == power(k_set, j + 1):
+            nxt = compose_sets(k_set, bound)
+            if nxt == bound:
                 raise CoverError(
                     f"no {d}-dimensional witness exists even at the stable power"
                 )
-            j += 1
+            bound = nxt
 
     return ControlFunction(d, provider)

@@ -1,8 +1,9 @@
 """Finite groupoids as dense integer tables, with bitmask arrow-set algebra.
 
 Arrows are integers ``0..m-1``; ids ``0..n_units-1`` are reserved for the
-identity arrows, so a unit and its identity arrow share an id.  Sets of
-arrows and units are bitmasks wrapped in :class:`ArrowSet` / :class:`UnitSet`.
+identity arrows, so a unit and its identity arrow share an id.  Composition
+comes in as ``(a, b, c)`` triples, as in an instance file.  Sets of arrows
+and units are bitmasks wrapped in :class:`ArrowSet` / :class:`UnitSet`.
 Groupoids and sets are immutable after construction and every operation here
 is a pure function, so values can be shared freely between threads.
 """
@@ -39,10 +40,11 @@ def mask_of(ids: Iterable[int]) -> int:
 class Groupoid:
     """Source/range/inverse/composition tables over dense arrow ids.
 
-    ``comp`` is a partial map defined exactly on pairs ``(a, b)`` with
-    ``src(a) == rng(b)``; it is stored flat under the key ``a * m + b``.
-    The constructor checks table shapes only; the groupoid axioms are
-    checked by :func:`validate`, which reports violations as data.
+    ``comp`` is read once as triples ``(a, b, c)``, meaning ``a * b = c``, and
+    stored flat as ``g.comp[a * m + b] = c``.  The constructor checks shapes
+    only: ids in range, and no pair given two products (an identical repeat
+    is allowed).  The axioms, such as ``comp`` being defined exactly on the
+    pairs with ``src(a) == rng(b)``, are checked by :func:`validate`.
     """
 
     __slots__ = (
@@ -68,7 +70,7 @@ class Groupoid:
         src: Iterable[int],
         rng: Iterable[int],
         inv: Iterable[int],
-        comp: "dict[tuple[int, int], int]",
+        comp: "Iterable[tuple[int, int, int]]",
         *,
         parent: "Groupoid | None" = None,
         parent_arrows: "tuple[int, ...] | None" = None,
@@ -94,10 +96,11 @@ class Groupoid:
                     raise GroupoidError(f"{name}[{a}]={v} out of range")
 
         flat: dict[int, int] = {}
-        for (a, b), c in comp.items():
+        for a, b, c in comp:
             if not (0 <= a < m and 0 <= b < m and 0 <= c < m):
                 raise GroupoidError(f"comp entry ({a},{b})->{c} out of range")
-            flat[a * m + b] = c
+            if flat.setdefault(a * m + b, c) != c:
+                raise GroupoidError(f"comp ({a},{b}) given two products {flat[a * m + b]}, {c}")
         self.comp = flat
 
         by_src = [0] * n_units
@@ -404,13 +407,11 @@ def restrict(g: Groupoid, units: UnitSet) -> Groupoid:
     rng = [unit_rank[g.rng[a]] for a in kept]
     inv = [arrow_rank[g.inv[a]] for a in kept]
     m = g.n_arrows
-    comp: dict[tuple[int, int], int] = {}
-    for a in kept:
-        partners = g.by_rng[g.src[a]] & keep_mask
-        base = a * m
-        ra = arrow_rank[a]
-        for b in iter_bits(partners):
-            comp[(ra, arrow_rank[b])] = arrow_rank[g.comp[base + b]]
+    comp = (
+        (arrow_rank[a], arrow_rank[b], arrow_rank[g.comp[a * m + b]])
+        for a in kept
+        for b in iter_bits(g.by_rng[g.src[a]] & keep_mask)
+    )
     return Groupoid(
         len(kept_units),
         src,

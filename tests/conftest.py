@@ -61,12 +61,12 @@ def disjoint_union(components: list[Groupoid]) -> Groupoid:
     for c, amap in zip(components, arrow_maps):
         for a in range(c.n_units, c.n_arrows):
             inv[amap[a]] = amap[c.inv[a]]
-    comp = {}
+    comp = []
     for c, amap in zip(components, arrow_maps):
         m = c.n_arrows
         for key, val in c.comp.items():
             a, b = divmod(key, m)
-            comp[(amap[a], amap[b])] = amap[val]
+            comp.append((amap[a], amap[b], amap[val]))
     return Groupoid(n, src, rng, inv, comp)
 
 
@@ -91,11 +91,11 @@ def pair_blocks_groupoid(blocks: list[list[int]], n_units: int, shuffle_rng=None
         src[a] = j
         rng[a] = i
         inv[a] = index[(j, i)]
-    comp = {}
+    comp = []
     for (i, j), a in index.items():
         for k in range(n_units):
             if (j, k) in index and (i, k) in index:
-                comp[(a, index[(j, k)])] = index[(i, k)]
+                comp.append((a, index[(j, k)], index[(i, k)]))
     return Groupoid(n_units, src, rng, inv, comp)
 
 
@@ -147,10 +147,10 @@ def relabel_units(g: Groupoid, perm: list[int]) -> tuple[Groupoid, list[int]]:
         src[amap[a]] = perm[g.src[a]]
         rng[amap[a]] = perm[g.rng[a]]
         inv[amap[a]] = amap[g.inv[a]]
-    comp = {}
+    comp = []
     for key, c in g.comp.items():
         a, b = divmod(key, m)
-        comp[(amap[a], amap[b])] = amap[c]
+        comp.append((amap[a], amap[b], amap[c]))
     return Groupoid(n, src, rng, inv, comp), amap
 
 

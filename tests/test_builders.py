@@ -195,6 +195,29 @@ def test_loader_rejects_schema_violations():
                 "comp": [],
             }
         )
+    malformed = [
+        ("comp", 5),  # not a list
+        ("comp", lambda comp: comp[:-1] + [comp[-1][:2]]),  # a two-element triple
+        ("comp", lambda comp: comp + [[3, "x", 4]]),  # an entry that is not an integer
+        ("comp", lambda comp: comp + [[3, 5, None]]),  # a null entry
+        ("arrows", 5),  # not a list
+        ("comp", lambda comp: comp + [[3, 5, 1]]),  # (3, 5) is also given 0
+        ("comp", lambda comp: comp + [[0, 3, 4]]),  # (0, 3) is the identity product 3
+    ]
+    for key, value in malformed:
+        with pytest.raises(LoadError):
+            obj_to_instance(_p3_with(key, value))
+
+
+def _p3_with(key, value):
+    obj = instance_to_obj(pair_groupoid(3))
+    obj[key] = value(obj[key]) if callable(value) else value
+    return obj
+
+
+def test_loader_accepts_an_identical_repeat():
+    obj = _p3_with("comp", lambda comp: comp + [comp[0], [0, 3, 3]])
+    assert obj_to_instance(obj).comp == pair_groupoid(3).comp
 
 
 def test_graphing_sidecar_roundtrip(tmp_path):

@@ -65,6 +65,42 @@ def test_validate_directory_sweep(instances):
     assert sum("invalid" in l for l in lines) == 2
 
 
+def test_validate_sweep_rows_every_malformed_file(instances, tmp_path):
+    obj = json.loads((instances / "p7.json").read_text())
+    (tmp_path / "good.json").write_text(json.dumps(obj))
+    obj["comp"][0] = [obj["comp"][0][0], "x", obj["comp"][0][2]]
+    (tmp_path / "malformed.json").write_text(json.dumps(obj))
+    res = run_cli("validate", str(tmp_path))
+    assert res.returncode == 1
+    rows = [line.split("\t") for line in res.stdout.splitlines()]
+    assert [(Path(r[0]).name, r[3].split(":")[0]) for r in rows] == [
+        ("good.json", "ok"),
+        ("malformed.json", "invalid"),
+    ]
+
+
+MALFORMED_INSTANCES = {
+    "comp-not-a-list": lambda obj: dict(obj, comp=5),
+    "two-element-triple": lambda obj: dict(obj, comp=[obj["comp"][0][:2], *obj["comp"][1:]]),
+    "string-entry": lambda obj: dict(obj, comp=[*obj["comp"], [7, "x", 8]]),
+    "null-entry": lambda obj: dict(obj, comp=[*obj["comp"], [7, None, 8]]),
+    "arrows-not-a-list": lambda obj: dict(obj, arrows=5),
+    "two-products": lambda obj: dict(obj, comp=[*obj["comp"], [7, 13, 1]]),  # and [7, 13, 0]
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INSTANCES))
+def test_malformed_instance_is_invalid_never_internal(instances, tmp_path, case):
+    obj = json.loads((instances / "p7.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED_INSTANCES[case](obj)))
+    res = run_cli("validate", str(bad))
+    assert res.returncode == 1 and res.stdout.split("\t")[3].startswith("invalid: ")
+    res = run_cli("dad", str(bad))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+
+
 def test_dad_exit_codes(instances, tmp_path):
     p7 = str(instances / "p7.json")
     p7g = str(instances / "p7.graphing.json")
@@ -115,6 +151,35 @@ def test_recheck_rejects_malformed_witness(instances, witness, tmp_path, case):
     res = run_cli("dad", str(instances / "p7.json"), "--recheck", str(bad))
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+
+
+def test_recheck_of_a_witness_that_fails_is_rejected(instances, witness, tmp_path):
+    # the whole line in one class generates every arrow, outside L = K^2
+    classes = witness["cover"]["classes"]
+    assert classes == [[0, 1, 2, 4, 5, 6], [3]]
+    moved = dict(witness, cover=dict(witness["cover"], classes=[list(range(7)), []]))
+    bad = tmp_path / "dad-witness.json"
+    bad.write_text(json.dumps(moved))
+    p7 = str(instances / "p7.json")
+    res = run_cli("dad", p7, "--recheck", str(bad))
+    assert res.returncode == 2
+    assert res.stdout.split("\t")[:4] == [p7, "dad-recheck", str(bad), "rejected"]
+    assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+
+
+def test_recheck_reads_the_instance_digest(instances, witness, tmp_path):
+    # the same tables in other bytes: another instance file, so another digest
+    other = tmp_path / "p7-indented.json"
+    other.write_text(json.dumps(json.loads((instances / "p7.json").read_text()), indent=1))
+    wpath = tmp_path / "dad-witness.json"
+    wpath.write_text(json.dumps(witness))
+    res = run_cli("dad", str(other), "--recheck", str(wpath))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+    # a witness without the field re-checks as it is
+    wpath.write_text(json.dumps({k: v for k, v in witness.items() if k != "instance_digest"}))
+    res = run_cli("dad", str(other), "--recheck", str(wpath))
+    assert res.returncode == 0 and "\tcertified\t" in res.stdout
 
 
 def test_out_naming_a_file_is_an_input_error(instances, tmp_path):

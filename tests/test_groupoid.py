@@ -55,8 +55,7 @@ def test_validate_names_corrupted_inv():
     g = pair_groupoid(3)
     inv = list(g.inv)
     inv[3], inv[4] = inv[4], inv[3]  # break the involution on two arrows
-    comp = {divmod(k, g.n_arrows): v for k, v in g.comp.items()}
-    broken = Groupoid(3, g.src, g.rng, inv, comp)
+    broken = Groupoid(3, g.src, g.rng, inv, _triples(g))
     report = validate(broken)
     assert not report.ok
     hit = [v for v in report if v.code in ("inv-involution", "inv-endpoints")]
@@ -69,9 +68,24 @@ def test_validate_z4_group_table():
     assert g.n_units == 1 and g.n_arrows == 4
 
 
+def _triples(g):
+    return [(*divmod(k, g.n_arrows), v) for k, v in g.comp.items()]
+
+
+def test_constructor_rejects_a_pair_given_two_products():
+    g = pair_groupoid(3)
+    comp = _triples(g)
+    a, b, c = comp[-1]
+    with pytest.raises(GroupoidError, match="two products"):
+        Groupoid(3, g.src, g.rng, g.inv, comp + [(a, b, (c + 1) % g.n_arrows)])
+    with pytest.raises(GroupoidError, match="out of range"):
+        Groupoid(3, g.src, g.rng, g.inv, comp + [(a, b, g.n_arrows)])
+    again = Groupoid(3, g.src, g.rng, g.inv, comp + [(a, b, c)] + comp[:4])
+    assert again.comp == g.comp and validate(again).ok
+
+
 def _with_comp(g, key, value):
-    comp = {divmod(k, g.n_arrows): v for k, v in g.comp.items()}
-    comp[key] = value
+    comp = [(a, b, value if (a, b) == key else c) for a, b, c in _triples(g)]
     return Groupoid(g.n_units, g.src, g.rng, g.inv, comp)
 
 
@@ -129,8 +143,8 @@ def _isotropy_larger_than_at_root():
     # isotropy at r is trivial, so the structure map sends 2 and the identity
     # 1 to the same triple: it is multiplicative, and only its injectivity
     # check rejects the table.
-    comp = {(0, 0): 0, (1, 1): 1, (2, 1): 2, (1, 2): 2, (2, 2): 1, (3, 0): 3, (1, 3): 3}
-    comp.update({(2, 3): 3, (4, 1): 4, (0, 4): 4, (4, 2): 4, (3, 4): 1, (4, 3): 0})
+    comp = [(0, 0, 0), (1, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 1), (3, 0, 3), (1, 3, 3)]
+    comp += [(2, 3, 3), (4, 1, 4), (0, 4, 4), (4, 2, 4), (3, 4, 1), (4, 3, 0)]
     return Groupoid(2, [0, 1, 1, 0, 1], [0, 1, 1, 1, 0], [0, 1, 2, 4, 3], comp)
 
 
@@ -149,7 +163,7 @@ def test_validate_large_tables_take_certificate_path(monkeypatch):
     monkeypatch.setattr(groupoid_module, "_associativity_violations", exhaustive)
     assert validate(pair_groupoid(50)).ok
     n = 1500
-    units = Groupoid(n, range(n), range(n), range(n), {(u, u): u for u in range(n)})
+    units = Groupoid(n, range(n), range(n), range(n), [(u, u, u) for u in range(n)])
     assert validate(units).ok
 
 
