@@ -53,7 +53,6 @@ from .dad import (
 from .coarse import (
     AsdimBridge,
     CoarseError,
-    Gauge,
     Graphing,
     TreeCoverResult,
     asdim_fiber_decompositions,

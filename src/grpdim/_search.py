@@ -190,7 +190,8 @@ def partition_search(
 
     Exact mode is a depth-first search on an explicit stack, so its depth is
     not bounded by the recursion limit.  It requires ``adj`` and ``ok`` to be
-    symmetric (both callers ensure it: L is oc-normal, gauges are checked).
+    symmetric (both callers ensure it: L is oc-normal, and ``ef_asdim_search``
+    checks its E and F rows).
     When every child of a node has failed, the node's key is stored; a node
     whose key is stored is not entered.  With F the unassigned items, the key
     holds the depth (one store per depth) and, per class, the components

@@ -431,11 +431,20 @@ def instance_to_obj(g: Groupoid) -> dict:
     return {"units": n, "arrows": arrows, "inv": list(g.inv), "comp": comp}
 
 
+def _id(v) -> int:
+    """An id or count read from a file: a JSON integer, never a float, a
+    string or a bool (TypeError otherwise, which the readers turn into
+    LoadError)."""
+    if type(v) is not int:
+        raise TypeError(f"{v!r} is not an integer")
+    return v
+
+
 def _comp_triple(triple) -> tuple[int, int, int]:
-    """One ``[a, b, c]`` entry of a file's ``comp`` list, as ints."""
+    """One ``[a, b, c]`` entry of a file's ``comp`` list."""
     try:
         a, b, c = triple if isinstance(triple, list) else ()
-        return int(a), int(b), int(c)
+        return _id(a), _id(b), _id(c)
     except (TypeError, ValueError):
         raise LoadError(f"malformed comp triple {triple!r}") from None
 
@@ -444,10 +453,10 @@ def obj_to_instance(obj) -> Groupoid:
     """The groupoid of an instance object: the constructor reads the identity
     products and the file's triples as one stream."""
     try:
-        n = int(obj["units"])
+        n = _id(obj["units"])
         arrows = obj["arrows"]
         m = n + len(arrows)
-        inv = [int(v) for v in obj["inv"]]
+        inv = [_id(v) for v in obj["inv"]]
         comp_triples = iter(obj["comp"])
     except (KeyError, TypeError, ValueError) as exc:
         raise LoadError(f"malformed instance object: {exc}") from exc
@@ -458,7 +467,7 @@ def obj_to_instance(obj) -> Groupoid:
     seen = set()
     for entry in arrows:
         try:
-            a, s, r = int(entry["id"]), int(entry["src"]), int(entry["rng"])
+            a, s, r = _id(entry["id"]), _id(entry["src"]), _id(entry["rng"])
         except (KeyError, TypeError, ValueError) as exc:
             raise LoadError(f"malformed arrow entry {entry!r}") from exc
         if not n <= a < m:
@@ -505,7 +514,7 @@ def save_graphing(graphing: Graphing, path) -> None:
 def load_graphing(g: Groupoid, path) -> Graphing:
     obj = read_json(path)
     try:
-        ids = [int(v) for v in obj["q"]]
+        ids = [_id(v) for v in obj["q"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise LoadError(f"malformed graphing file: {exc}") from exc
     for a in ids:

@@ -28,7 +28,7 @@ from .builders import BuilderError, canonical_dumps, load, load_graphing, read_j
 from .covers import fold_number
 from .dad import DadWitness, kl_dad_search
 from .coarse import ef_asdim_search, fiber_gauge, treeable_cover
-from .groupoid import GroupoidError
+from .groupoid import GroupoidError, iter_bits
 from .pipelines import (
     NoWitnessError,
     bridge_theorem,
@@ -222,8 +222,7 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
     """Search a (K,L)-dad witness, or re-verify one with --recheck."""
     started = time.monotonic()
     g = load(path)
-    gr = load_graphing(g, graphing) if graphing else None
-    if recheck:
+    if recheck:  # the witness lists K and L by id, so no graphing is read
         obj = read_json(recheck)
         if isinstance(obj, dict) and obj.get("instance_digest") not in (None, _digest(path)):
             raise InputError(f"{recheck} was made for another instance than {path}")
@@ -233,6 +232,7 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
         if not witness.certified:
             raise RejectedError(f"{recheck} does not certify a (K,L)-dad on {path}")
         sys.exit(EXIT_OK)
+    gr = load_graphing(g, graphing) if graphing else None
     k_set, l_set = _specs(g, k_spec, l_spec, gr)
     witness = kl_dad_search(g, k_set, l_set, d_max, mode)
     params = f"k={k_spec};l={l_spec};d_max={d_max};mode={mode}"
@@ -288,19 +288,17 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
         sys.exit(EXIT_OK if res.certified else EXIT_REFUTED)
 
     if points_spec == "arrows":
-        pts = list(range(g.n_arrows))
+        pts = g.arrows_mask
     elif points_spec.startswith("fiber:"):
         x = _parse_int(points_spec.split(":", 1)[1], "--points")
         if not 0 <= x < g.n_units:
             raise InputError(f"unit {x} out of range")
-        pts = [a for a in range(g.n_arrows) if g.rng[a] == x]
+        pts = g.by_rng[x]
     else:
         raise InputError(f"bad --points spec {points_spec!r}")
     e_set = parse_arrow_spec(g, e_spec, graphing=gr)
     f_set = parse_arrow_spec(g, f_spec, k_set=e_set, graphing=gr)
-    e_gauge = fiber_gauge(g, pts, e_set)
-    f_gauge = fiber_gauge(g, pts, f_set)
-    families = ef_asdim_search(e_gauge, f_gauge, d_max, mode)
+    families = ef_asdim_search(fiber_gauge(g, pts, e_set), fiber_gauge(g, pts, f_set), d_max, mode)
     params = f"points={points_spec};e={e_spec};f={f_spec};d_max={d_max}"
     if families is None:
         _exit_missed(path, "asdim", params, mode, started)
@@ -308,8 +306,8 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
         "format": "asdim-decomposition",
         "version": 1,
         "instance_digest": _digest(path),
-        "points": pts,
-        "families": [[sorted(pts[i] for i in m) for m in fam] for fam in families],
+        "points": list(iter_bits(pts)),
+        "families": [[sorted(m) for m in fam] for fam in families],
         "e_spec": e_spec,
         "f_spec": f_spec,
         "certified": True,

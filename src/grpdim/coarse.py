@@ -3,8 +3,9 @@ covers, and the two bridges between dad witnesses and coarse decompositions.
 
 Points of the coarse spaces here are arrows of a groupoid; a window set
 relates two arrows in the same range fiber when the quotient ``g^-1 h`` lies
-in it.  Arrows in different fibers are never related.  Certificates read the
-relation as window rows in arrow ids; gauges index it densely for the search.
+in it.  Arrows in different fibers are never related.  The relation has one
+form, window rows in arrow ids (``fiber_gauge``); the search and every
+certificate read it.
 """
 
 from __future__ import annotations
@@ -38,117 +39,45 @@ class CoarseError(GroupoidError):
     pass
 
 
-class Gauge:
-    """A symmetric reflexive relation on points 0..n-1, one bitmask per point."""
+def fiber_gauge(g: Groupoid, points: "int | Iterable[int]", window: ArrowSet) -> dict[int, int]:
+    """The window relation on ``points`` (an arrow mask or arrow ids), as rows.
 
-    __slots__ = ("n", "rel")
-
-    def __init__(self, n: int, rel: Sequence[int]):
-        if len(rel) != n:
-            raise CoarseError("gauge relation must list one mask per point")
-        self.n = n
-        self.rel = tuple(rel)
-        for p, mask in enumerate(self.rel):
-            if mask >> n:
-                raise CoarseError(f"gauge mask of point {p} out of range")
-            if not mask >> p & 1:
-                raise CoarseError(f"gauge is not reflexive at point {p}")
-        for p, mask in enumerate(self.rel):
-            for q in iter_bits(mask):
-                if not self.rel[q] >> p & 1:
-                    raise CoarseError(f"gauge is not symmetric at ({p},{q})")
-
-    @classmethod
-    def diagonal(cls, n: int) -> "Gauge":
-        return cls(n, [1 << p for p in range(n)])
-
-    def related(self, p: int, q: int) -> bool:
-        return bool(self.rel[p] >> q & 1)
-
-    def __le__(self, other: "Gauge") -> bool:
-        if self.n != other.n:
-            raise CoarseError("gauges live on different point sets")
-        return all(a & ~b == 0 for a, b in zip(self.rel, other.rel))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Gauge) and self.n == other.n and self.rel == other.rel
-
-    def __hash__(self):
-        return hash((self.n, self.rel))
-
-    def __repr__(self):
-        pairs = sum(m.bit_count() for m in self.rel)
-        return f"Gauge(n={self.n}, pairs={pairs})"
-
-
-def _window_rows(g: Groupoid, points: int, window: ArrowSet) -> dict[int, int]:
-    """For each arrow a of the mask ``points``, the mask of a and the arrows
-    ``a q`` with q in the window: a's row of ``gauge_from(g, window)``, in
-    arrow ids.  Every row lies in a's range fiber.
+    Arrow a's row is the mask of a and the arrows ``a q`` with q in the
+    window, masked to ``points``; every row lies in a's range fiber.  This
+    is the one form of the relation: the search and the certificates read
+    it, keyed and valued in arrow ids.
     """
     _same_owner(g, window.owner)
+    mask = points if isinstance(points, int) else mask_of(points)
     m = g.n_arrows
     comp, by_rng, src = g.comp, g.by_rng, g.src
     rows = {}
-    for a in iter_bits(points):
+    for a in iter_bits(mask):
         base = a * m
         acc = 1 << a
         for q in iter_bits(by_rng[src[a]] & window.mask):
             acc |= 1 << comp[base + q]
-        rows[a] = acc
+        rows[a] = acc & mask
     return rows
 
 
-def gauge_from(g: Groupoid, k_set: ArrowSet) -> Gauge:
-    """Pairs of same-fiber arrows whose quotient lies in the window, as a Gauge.
-
-    Certificates read the same relation as window rows in arrow ids and build
-    no Gauge; this dense form serves the search and the public API.
-    """
-    rows = _window_rows(g, g.arrows_mask, k_set)
-    if not k_set.is_oc_normal():
+def gauge_from(g: Groupoid, window: ArrowSet) -> dict[int, int]:
+    """``fiber_gauge`` over every arrow.  The window must be symmetric and
+    contain every unit; then so is the relation, which E and F must be."""
+    rows = fiber_gauge(g, g.arrows_mask, window)
+    if not window.is_oc_normal():
         raise CoarseError("gauge windows must be symmetric and contain every unit")
-    return Gauge(g.n_arrows, list(rows.values()))
-
-
-def fiber_gauge(g: Groupoid, points: Sequence[int], k_set: ArrowSet) -> Gauge:
-    """Gauge induced by a window on an explicit list of arrows.
-
-    Point i is related to point j when ``points[j] = points[i] q`` for an arrow
-    q of the window, so arrows in different range fibers are never related.
-    The search needs these dense indices; certificates read window rows in
-    arrow ids.
-    """
-    index = {a: i for i, a in enumerate(points)}
-    mask = mask_of(points)
-    rows = _window_rows(g, mask, k_set)
-    return Gauge(
-        len(points), [mask_of(index[b] for b in iter_bits(rows[a] & mask)) for a in points]
-    )
+    return rows
 
 
 # -- (E,F)-asdim -----------------------------------------------------------
-
-
-def _normalize_families(n: int, families) -> list[list[int]]:
-    out = []
-    for fam in families:
-        members = []
-        for member in fam:
-            mask = member if isinstance(member, int) else mask_of(member)
-            if mask >> n:
-                raise CoarseError("family member exceeds the point range")
-            if mask:
-                members.append(mask)
-        out.append(members)
-    return out
 
 
 def _ef_violation(e_rows, f_rows, families, points: int) -> "tuple | None":
     """The first (family, member, point, kind) that keeps families of member
     masks from (E,F)-decomposing the mask ``points``; None if there is none.
 
-    Rows are indexed by point (``Gauge.rel`` or ``_window_rows``).  Kind
+    Rows map each point to its row, as ``fiber_gauge`` builds them.  Kind
     "cover" (no family or member) is the least point missed or stray.  Then
     one pass per family: each point's E-row is tested against the union of
     the earlier members ("E"), which covers every pair of members because E
@@ -175,54 +104,72 @@ def _ef_violation(e_rows, f_rows, families, points: int) -> "tuple | None":
     return None
 
 
-def _decomposes_arrows(g: Groupoid, e_window: ArrowSet, f_window: ArrowSet, families) -> bool:
-    """``_ef_violation`` on all arrows, with the window rows of E and F."""
-    every = g.arrows_mask
-    e_rows, f_rows = (_window_rows(g, every, w) for w in (e_window, f_window))
-    masks = [[mask_of(m) for m in fam] for fam in families]
-    return _ef_violation(e_rows, f_rows, masks, every) is None
-
-
-def ef_asdim_check(e_gauge: Gauge, f_gauge: Gauge, families) -> bool:
-    """Cover + F-bounded members + pairwise E-separated families."""
-    if e_gauge.n != f_gauge.n:
+def _relation_points(e_rows: dict[int, int], f_rows: dict[int, int]) -> int:
+    """The mask of the points, the keys of both row dicts; CoarseError unless
+    E and F are reflexive and symmetric on that one point set."""
+    points = mask_of(e_rows)
+    if mask_of(f_rows) != points:
         raise CoarseError("E and F live on different point sets")
-    n = e_gauge.n
-    fams = _normalize_families(n, families)
-    return _ef_violation(e_gauge.rel, f_gauge.rel, fams, (1 << n) - 1) is None
+    for name, rows in (("E", e_rows), ("F", f_rows)):
+        for p, row in rows.items():
+            if row & ~points:
+                raise CoarseError(f"{name} relates point {p} to a point outside the set")
+            if not row >> p & 1:
+                raise CoarseError(f"{name} is not reflexive at point {p}")
+            for q in iter_bits(row):
+                if not rows[q] >> p & 1:
+                    raise CoarseError(f"{name} is not symmetric at ({p},{q})")
+    return points
+
+
+def ef_asdim_check(e_rows: dict[int, int], f_rows: dict[int, int], families) -> bool:
+    """Cover + F-bounded members + pairwise E-separated families.
+
+    The points are the keys of the rows; members are iterables of points.
+    """
+    points = _relation_points(e_rows, f_rows)
+    masks = [[mask_of(member) for member in fam] for fam in families]
+    return _ef_violation(e_rows, f_rows, masks, points) is None
 
 
 def ef_asdim_search(
-    e_gauge: Gauge, f_gauge: Gauge, d_max: int, mode: str = "exact"
+    e_rows: dict[int, int], f_rows: dict[int, int], d_max: int, mode: str = "exact"
 ) -> "list[list[frozenset[int]]] | None":
     """Decompose the points into up to d_max+1 E-separated families of F-bounded members.
 
+    The points are the keys of the rows, and members hold them as given.
     Members are the E-components of each family, which is the finest (hence
     easiest to bound) choice; partitions suffice because dropping a point from
-    a family never breaks separation or boundedness.  Exact mode is complete:
-    it refutes each d in ``compact_order`` of E, computed once per search,
-    and at the least feasible d returns the lexicographically least
-    partition in point order.  Greedy is first-fit in point order, and its
-    None refutes nothing.
+    a family never breaks separation or boundedness.  The search indexes the
+    points densely in increasing order.  Exact mode is complete: it refutes
+    each d in ``compact_order`` of E, computed once per search, and at the
+    least feasible d returns the lexicographically least partition in point
+    order.  Greedy is first-fit in point order, and its None refutes nothing.
     """
     if d_max < 0:
         raise CoarseError("d_max must be nonnegative")
-    n = e_gauge.n
-    if f_gauge.n != n:
-        raise CoarseError("E and F live on different point sets")
     if mode not in ("exact", "greedy"):
         raise CoarseError(f"unknown search mode: {mode!r}")
-    self_free = [e_gauge.rel[p] & ~(1 << p) for p in range(n)]
-    ok = list(f_gauge.rel)
+    points = _relation_points(e_rows, f_rows)
+    ids = list(iter_bits(points))
+    index = {a: i for i, a in enumerate(ids)}
+    n = len(ids)
+
+    def dense(row: int) -> int:
+        return mask_of(index[b] for b in iter_bits(row))
+
+    self_free = [dense(e_rows[a]) & ~(1 << i) for i, a in enumerate(ids)]
+    ok = [dense(f_rows[a]) for a in ids]
     order = compact_order(n, self_free) if mode == "exact" else None
     for d in range(d_max + 1):
         states = partition_search(n, d + 1, self_free, ok, mode, order)
         if states is not None:
             families = [
-                sorted((frozenset(iter_bits(cmask)) for cmask, _ in comps), key=min)
+                sorted((frozenset(ids[i] for i in iter_bits(c)) for c, _ in comps), key=min)
                 for _, comps in states
             ]
-            if not ef_asdim_check(e_gauge, f_gauge, families):
+            masks = [[mask_of(member) for member in fam] for fam in families]
+            if _ef_violation(e_rows, f_rows, masks, points) is not None:
                 raise RuntimeError("search produced an invalid decomposition")
             return families
     return None
@@ -378,7 +325,7 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
 
     Classes are fiberwise.  The certificate checks that every class has
     diameter <= 4N, that distinct classes in one family are at distance >= N
-    (so the families are gauge(ball(N-1))-separated), and that distinct
+    (so the families are separated at E = ball(N-1)), and that distinct
     classes inside one annulus are at distance >= 2N.  Diameters are
     pairwise word lengths inside each class; since ball(4N) is the set of
     arrows of length <= 4N, they are also the F-boundedness check at
@@ -456,7 +403,7 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
         if gap is not None:
             min_same_annulus = gap
 
-    e_rows = _window_rows(g, g.arrows_mask, graphing.ball(n - 1))
+    e_rows = gauge_from(g, graphing.ball(n - 1))
     masks = [[mask_of(member) for member in fam] for fam in family_members]
     certified = (
         max_diameter <= 4 * n
@@ -520,7 +467,7 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
         src_mask = 0
         for u in cls:
             src_mask |= g.by_src[u]
-        rows = _window_rows(g, src_mask, h_i)
+        rows = fiber_gauge(g, src_mask, h_i)
         for x in range(g.n_units):
             for a in iter_bits(g.by_rng[x] & src_mask):
                 row = rows[a]
@@ -533,11 +480,15 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
                     members.append(frozenset(iter_bits(row)))
         families.append(tuple(members))
 
+    masks = [[mask_of(member) for member in fam] for fam in families]
+    violation = _ef_violation(
+        gauge_from(g, witness.K), gauge_from(g, f_window), masks, g.arrows_mask
+    )
     return AsdimBridge(
         families=tuple(families),
         e_window=witness.K,
         f_window=f_window,
-        certified=_decomposes_arrows(g, witness.K, f_window, families),
+        certified=violation is None,
     )
 
 
@@ -589,19 +540,15 @@ def asdim_fiber_decompositions(
 ) -> dict[int, list[list[frozenset[int]]]]:
     """(E,F)-decompose each fundamental-domain fiber of the Y-confined subgroupoid.
 
-    E and F are the fiber gauges of the window and the bound; the returned
-    members carry absolute arrow ids, keyed by unit.
+    E and F are the rows of the window and the bound on each fiber, in arrow
+    ids, so the search's members are the decomposition; they are keyed by unit.
     """
     decomps = {}
     for x, points in _h_fibers(g, y, k_set).items():
-        e_gauge = fiber_gauge(g, points, k_set)
-        f_gauge = fiber_gauge(g, points, l_set)
-        fams = ef_asdim_search(e_gauge, f_gauge, d_max)
+        fams = ef_asdim_search(fiber_gauge(g, points, k_set), fiber_gauge(g, points, l_set), d_max)
         if fams is None:
             raise CoarseError(f"fiber at unit {x} admits no decomposition at d_max={d_max}")
-        decomps[x] = [
-            [frozenset(points[i] for i in member) for member in fam] for fam in fams
-        ]
+        decomps[x] = fams
     return decomps
 
 
@@ -664,7 +611,7 @@ def asdim_to_dad(
         if total != fiber_pts:
             raise CoarseError(f"fiber {x} blocks do not partition the H-fiber")
         bad = _ef_violation(
-            _window_rows(g, fiber_pts, k_set), _window_rows(g, fiber_pts, l_set), masks, fiber_pts
+            fiber_gauge(g, fiber_pts, k_set), fiber_gauge(g, fiber_pts, l_set), masks, fiber_pts
         )
         if bad is not None:
             i, j, a, kind = bad

@@ -13,7 +13,6 @@ from itertools import product as iproduct
 from grpdim import (
     ArrowSet,
     Cover,
-    Gauge,
     Graphing,
     Groupoid,
     TreeCoverResult,
@@ -32,6 +31,19 @@ from grpdim.dad import _generic_try_add
 
 
 # -- generators --------------------------------------------------------------
+
+
+class Gauge(dict):
+    """A relation on points 0..n-1 as rows, point -> mask of related points:
+    the form ``ef_asdim_search`` and ``ef_asdim_check`` read, from a list."""
+
+    def __init__(self, n: int, rel):
+        assert len(rel) == n
+        super().__init__(enumerate(rel))
+
+    @classmethod
+    def diagonal(cls, n: int) -> "Gauge":
+        return cls(n, [1 << p for p in range(n)])
 
 
 def disjoint_union(components: list[Groupoid]) -> Groupoid:
@@ -243,14 +255,14 @@ def brute_ef_exists(e_gauge, f_gauge, n_points: int, d_max: int) -> bool:
                         nxt = set()
                         for p in frontier:
                             for q in list(remaining):
-                                if e_gauge.related(p, q):
+                                if e_gauge[p] >> q & 1:
                                     nxt.add(q)
                                     remaining.discard(q)
                         comp |= nxt
                         frontier = nxt
                     for p in comp:
                         for q in comp:
-                            if not f_gauge.related(p, q):
+                            if not f_gauge[p] >> q & 1:
                                 ok = False
                 if not ok:
                     break
@@ -385,7 +397,7 @@ def recursive_generic_search(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, d: i
 def brute_gauge(g: Groupoid, k_set: ArrowSet) -> Gauge:
     """The gauge of a window by its definition: p ~ q when they share a range
     and ``inv(p) q`` lies in the window, or p == q.  The oracle for
-    ``gauge_from`` and for the window rows that certificates read.
+    ``gauge_from``, the window rows that the search and certificates read.
     """
     rel = []
     for p in range(g.n_arrows):
@@ -401,25 +413,23 @@ def pairwise_ef_asdim_check(e_gauge, f_gauge, families) -> bool:
     """(E,F)-decomposition check over every pair of members of each family.
 
     Cover of all points, F-bounded members, and E-separated members within
-    each family; empty members are dropped.  The oracle for
-    ``grpdim.coarse.ef_asdim_check``.
+    each family; empty members are dropped.  The points are the keys of the
+    rows.  The oracle for ``grpdim.coarse.ef_asdim_check``.
     """
-    n = e_gauge.n
     covered = 0
     for fam in families:
-        members = [m if isinstance(m, int) else mask_of(m) for m in fam]
-        members = [m for m in members if m]
+        members = [m for m in map(mask_of, fam) if m]
         for mask in members:
             covered |= mask
             for p in iter_bits(mask):
-                if mask & ~f_gauge.rel[p]:
+                if mask & ~f_gauge[p]:
                     return False
         for i, m1 in enumerate(members):
             for m2 in members[i + 1 :]:
                 for p in iter_bits(m1):
-                    if e_gauge.rel[p] & m2:
+                    if e_gauge[p] & m2:
                         return False
-    return covered == (1 << n) - 1
+    return covered == mask_of(e_gauge)
 
 
 def first_fit_dad_blocks(g: Groupoid, witness) -> list[tuple[frozenset[int], ...]]:

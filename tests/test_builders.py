@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -132,9 +133,9 @@ def test_product_fibers_multiply():
     for u in range(2):
         for v in range(3):
             assert (
-                fiber_gauge(gp, fiber_points(gp, prod.unit_id(u, v)), gp.all_arrows()).n
-                == fiber_gauge(gl, fiber_points(gl, u), gl.all_arrows()).n
-                * fiber_gauge(gr, fiber_points(gr, v), gr.all_arrows()).n
+                len(fiber_gauge(gp, fiber_points(gp, prod.unit_id(u, v)), gp.all_arrows()))
+                == len(fiber_gauge(gl, fiber_points(gl, u), gl.all_arrows()))
+                * len(fiber_gauge(gr, fiber_points(gr, v), gr.all_arrows()))
             )
 
 
@@ -183,7 +184,7 @@ def test_loader_rejects_corrupt_comp(tmp_path):
     assert "axiom" in str(err.value) or "conflict" in str(err.value)
 
 
-def test_loader_rejects_schema_violations():
+def test_loader_rejects_schema_violations(tmp_path):
     with pytest.raises(LoadError):
         obj_to_instance({"units": 2, "arrows": [], "inv": [0], "comp": []})
     with pytest.raises(LoadError):
@@ -203,10 +204,27 @@ def test_loader_rejects_schema_violations():
         ("arrows", 5),  # not a list
         ("comp", lambda comp: comp + [[3, 5, 1]]),  # (3, 5) is also given 0
         ("comp", lambda comp: comp + [[0, 3, 4]]),  # (0, 3) is the identity product 3
+        # ids are JSON integers: a float, a numeric string or a bool is refused,
+        # though int() would read each as a valid id
+        ("comp", lambda comp: [[float(comp[0][0]), *comp[0][1:]], *comp[1:]]),
+        ("comp", lambda comp: [[str(comp[0][0]), *comp[0][1:]], *comp[1:]]),
+        ("comp", lambda comp: [[a, b, True if c == 1 else c] for a, b, c in comp]),
+        ("units", 3.0),
+        ("units", "3"),
+        ("inv", lambda inv: [inv[0], True, *inv[2:]]),  # unit 1 is its own inverse
+        ("arrows", lambda arrows: [{**arrows[0], "id": str(arrows[0]["id"])}, *arrows[1:]]),
+        ("arrows", lambda arrows: [{**arrows[0], "src": float(arrows[0]["src"])}, *arrows[1:]]),
     ]
     for key, value in malformed:
         with pytest.raises(LoadError):
             obj_to_instance(_p3_with(key, value))
+    g, graphing = tree_window("path", 3)
+    q = sorted(graphing.q)
+    for bad in ([True], [float(q[0]), *q[1:]], [str(q[0]), *q[1:]]):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"q": bad}))
+        with pytest.raises(LoadError):
+            load_graphing(g, path)
 
 
 def _p3_with(key, value):

@@ -182,6 +182,20 @@ def test_recheck_reads_the_instance_digest(instances, witness, tmp_path):
     assert res.returncode == 0 and "\tcertified\t" in res.stdout
 
 
+def test_recheck_reads_no_graphing(instances, witness, tmp_path):
+    # the witness lists K and L by id; a broken sidecar is never opened
+    wpath = tmp_path / "dad-witness.json"
+    wpath.write_text(json.dumps(witness))
+    broken = tmp_path / "g.json"
+    broken.write_text(json.dumps({"q": [99999]}))
+    p7 = str(instances / "p7.json")
+    res = run_cli("dad", p7, "--recheck", str(wpath), "--graphing", str(broken))
+    assert res.returncode == 0 and "\tcertified\t" in res.stdout
+    # a search does read it
+    res = run_cli("dad", p7, "--graphing", str(broken))
+    assert res.returncode == 2 and "99999" in res.stderr
+
+
 def test_out_naming_a_file_is_an_input_error(instances, tmp_path):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -308,6 +322,27 @@ def test_asdim_arrow_space(instances, tmp_path):
         )
         artifact = (tmp_path / "run" / "asdim-decomposition.json").read_text()
         assert artifact == ARROW_SPACE_DECOMPOSITION
+
+
+FIBER_DECOMPOSITION = (
+    '{"certified":true,"e_spec":"ball:1","f_spec":"power:K:2","families":'
+    '[[[3,28,29],[25,26]],[[27],[30]]],"format":"asdim-decomposition",'
+    '"instance_digest":"0cd6859e7ecb7365","points":[3,25,26,27,28,29,30],"version":1}\n'
+)
+
+
+def test_asdim_fiber_artifact_holds_arrow_ids(tmp_path, instances):
+    # the fiber at unit 3: its arrow ids are not the search's dense indices
+    p7 = str(instances / "p7.json")
+    res = run_cli("asdim", p7, "--points", "fiber:3", "--e-spec", "ball:1",
+                  "--f-spec", "power:K:2", "--graphing", str(instances / "p7.graphing.json"),
+                  "--d-max", "2", "--out", "run", cwd=tmp_path)
+    assert res.returncode == 0
+    assert res.stdout.split("\t")[1:4] == [
+        "asdim", "points=fiber:3;e=ball:1;f=power:K:2;d_max=2", "d=1"
+    ]
+    artifact = (tmp_path / "run" / "asdim-decomposition.json").read_text()
+    assert artifact == FIBER_DECOMPOSITION
 
 
 def test_greedy_misses_exit_unknown(instances):

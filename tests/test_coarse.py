@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import (
+    Gauge,
     brute_ef_exists,
     brute_gauge,
     closure_h_fibers,
@@ -22,7 +23,6 @@ from grpdim import (
     ArrowSet,
     CoarseError,
     Cover,
-    Gauge,
     Graphing,
     action_groupoid,
     asdim_fiber_decompositions,
@@ -47,7 +47,7 @@ from grpdim import (
     treeable_cover,
     trivial_perms,
 )
-from grpdim.coarse import _ef_violation, _forest_gap, _h_fibers, _window_rows
+from grpdim.coarse import _ef_violation, _forest_gap, _h_fibers
 from grpdim.groupoid import iter_bits, mask_of, unit_graph
 
 
@@ -94,7 +94,7 @@ def test_gauge_from_line_window():
             expected = (
                 g.rng[p] == g.rng[q] and abs(g.src[p] - g.src[q]) <= 1
             )
-            assert gauge.related(p, q) == (expected or p == q)
+            assert bool(gauge[p] >> q & 1) == (expected or p == q)
 
 
 def test_gauge_from_full_window_is_fiberwise_complete():
@@ -102,27 +102,27 @@ def test_gauge_from_full_window_is_fiberwise_complete():
     gauge = gauge_from(g, symmetrize(g.all_arrows()))
     for p in range(g.n_arrows):
         for q in range(g.n_arrows):
-            assert gauge.related(p, q) == (g.rng[p] == g.rng[q] or p == q)
+            assert bool(gauge[p] >> q & 1) == (g.rng[p] == g.rng[q] or p == q)
 
 
 def test_gauge_monotone():
     g, graphing = line(6)
     small = gauge_from(g, graphing.ball(1))
     big = gauge_from(g, graphing.ball(2))
-    assert small <= big
+    assert all(small[p] & ~big[p] == 0 for p in range(g.n_arrows))
 
 
 def test_fiber_space():
     g, graphing = line(5)
     labels = fiber_points(g, 2)
     gauge = fiber_gauge(g, labels, graphing.ball(1))
-    assert gauge.n == 5
+    assert list(gauge) == labels and gauge == fiber_gauge(g, mask_of(labels), graphing.ball(1))
     assert all(g.rng[a] == 2 for a in labels)
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            assert gauge.related(i, j) == (abs(g.src[a] - g.src[b]) <= 1)
+    for a in labels:
+        for b in labels:
+            assert bool(gauge[a] >> b & 1) == (abs(g.src[a] - g.src[b]) <= 1)
     trivial = pair_blocks_groupoid([], 3)
-    assert fiber_gauge(trivial, fiber_points(trivial, 1), trivial.all_arrows()).n == 1
+    assert len(fiber_gauge(trivial, fiber_points(trivial, 1), trivial.all_arrows())) == 1
 
 
 def test_fiber_counts_multiply_in_products():
@@ -135,9 +135,9 @@ def test_fiber_counts_multiply_in_products():
     for u in range(3):
         for v in range(4):
             assert (
-                fiber_gauge(gp, fiber_points(gp, prod.unit_id(u, v)), gp.all_arrows()).n
-                == fiber_gauge(gl, fiber_points(gl, u), gl.all_arrows()).n
-                * fiber_gauge(gr, fiber_points(gr, v), gr.all_arrows()).n
+                len(fiber_gauge(gp, fiber_points(gp, prod.unit_id(u, v)), gp.all_arrows()))
+                == len(fiber_gauge(gl, fiber_points(gl, u), gl.all_arrows()))
+                * len(fiber_gauge(gr, fiber_points(gr, v), gr.all_arrows()))
             )
 
 
@@ -158,12 +158,32 @@ def test_ef_check_line_window_blocks():
     e = fiber_gauge(g, pts, graphing.ball(2))
     f = fiber_gauge(g, pts, graphing.ball(7))
     blocks = [
-        [set(range(b, min(b + 8, 32))) for b in range(0, 32, 16)],
-        [set(range(b, min(b + 8, 32))) for b in range(8, 32, 16)],
+        [set(pts[b : b + 8]) for b in range(0, 32, 16)],
+        [set(pts[b : b + 8]) for b in range(8, 32, 16)],
     ]
     assert ef_asdim_check(e, f, blocks)
-    single = [[set(range(b, b + 8)) for b in range(0, 32, 8)]]
+    single = [[set(pts[b : b + 8]) for b in range(0, 32, 8)]]
     assert not ef_asdim_check(e, f, single)
+
+
+def test_ef_search_and_check_refuse_bad_relations():
+    # rows keyed by the points 2 and 5; both functions check E and F alike
+    good = {2: 1 << 2 | 1 << 5, 5: 1 << 2 | 1 << 5}
+    bad_relations = {
+        "not reflexive at point 2": {2: 1 << 5, 5: 1 << 2 | 1 << 5},
+        r"not symmetric at \(2,5\)": {2: 1 << 2 | 1 << 5, 5: 1 << 5},
+        "relates point 2 to a point outside": {2: 1 << 2 | 1 << 9, 5: 1 << 5},
+        "different point sets": {2: 1 << 2, 5: 1 << 5, 7: 1 << 7},
+    }
+    families = [[{2, 5}]]
+    for match, bad in bad_relations.items():
+        for e, f in ((bad, good), (good, bad)):
+            with pytest.raises(CoarseError, match=match):
+                ef_asdim_search(e, f, 1)
+            with pytest.raises(CoarseError, match=match):
+                ef_asdim_check(e, f, families)
+    assert ef_asdim_check(good, good, families)
+    assert ef_asdim_search(good, good, 1) == [[frozenset({2, 5})]]
 
 
 def test_ef_search_diagonal_zero_dim():
@@ -222,7 +242,7 @@ def test_ef_search_agrees_with_bruteforce():
 
 
 def random_gauge(rng, n, density, base=None):
-    rel = list(base.rel) if base is not None else [1 << p for p in range(n)]
+    rel = list(base.values()) if base is not None else [1 << p for p in range(n)]
     for p in range(n):
         for q in range(p + 1, n):
             if rng.random() < density:
@@ -256,7 +276,6 @@ def test_ef_check_agrees_with_pairwise_oracle():
                 fam.append({rng.choice(sorted(rng.choice(full))), rng.randrange(n)})
             elif full:
                 rng.choice(rng.choice(fams)).add(rng.choice(sorted(rng.choice(full))))
-        fams = [[mask_of(m) if rng.random() < 0.5 else m for m in fam] for fam in fams]
         got = ef_asdim_check(e, f, fams)
         assert got == pairwise_ef_asdim_check(e, f, fams)
         outcomes[got] += 1
@@ -273,14 +292,14 @@ def _fiberwise_families(rng, g, e_set, f_set):
         found = ef_asdim_search(fiber_gauge(g, pts, e_set), fiber_gauge(g, pts, f_set), 2)
         if found is None or rng.random() < 0.2:
             found = [[] for _ in range(3)]
-            for p in range(len(pts)):
+            for p in pts:
                 fam = rng.choice(found)
                 if fam and rng.random() < 0.5:
                     fam[-1] = fam[-1] | {p}
                 else:
                     fam.append(frozenset([p]))
         for i, fam in enumerate(found):
-            fams[i].extend({pts[p] for p in member} for member in fam)
+            fams[i].extend(set(member) for member in fam)
     kind = rng.randrange(5)  # 0 keeps the families as built
     members = [(i, j) for i, fam in enumerate(fams) for j in range(len(fam))]
     i, j = rng.choice(members)
@@ -324,8 +343,8 @@ def test_window_rows_agree_with_gauge_oracle():
         assert gauge_from(g, e_set) == e_gauge and gauge_from(g, f_set) == f_gauge
         every = g.arrows_mask
         violation = _ef_violation(
-            _window_rows(g, every, e_set),
-            _window_rows(g, every, f_set),
+            fiber_gauge(g, every, e_set),
+            fiber_gauge(g, every, f_set),
             [[mask_of(m) for m in fam] for fam in fams],
             every,
         )
@@ -790,9 +809,9 @@ def test_gauge_power_contains_relational_composition():
     for p in range(g.n_arrows):
         composed = 0
         for q in range(g.n_arrows):
-            if e1.related(p, q):
-                composed |= e1.rel[q]
-        assert composed & ~e2.rel[p] == 0
+            if e1[p] >> q & 1:
+                composed |= e1[q]
+        assert composed & ~e2[p] == 0
 
 
 def test_fiber_z8_is_cyclic_metric():
@@ -800,12 +819,12 @@ def test_fiber_z8_is_cyclic_metric():
     k = symmetrize(z8.arrow_set(range(8, 16)))
     labels = fiber_points(z8, 0)
     gauge = fiber_gauge(z8, labels, k)
-    assert gauge.n == 8
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
+    assert len(gauge) == 8
+    for a in labels:
+        for b in labels:
             diff = (z8.src[a] - z8.src[b]) % 8
             expected = diff in (0, 1, 7)
-            assert gauge.related(i, j) == expected
+            assert bool(gauge[a] >> b & 1) == expected
 
 
 def test_treeable_rows_shape_and_diameters():

@@ -6,6 +6,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    Gauge,
     brute_dad_search,
     brute_ef_exists,
     first_fit_search,
@@ -20,7 +21,6 @@ from conftest import (
 from grpdim import (
     ArrowSet,
     Cover,
-    Gauge,
     Groupoid,
     action_groupoid,
     cyclic_table,
