@@ -7,7 +7,9 @@ within a class, items form components under an adjacency relation, and a
 component is feasible while it stays inside the common compatibility mask of
 its members (principal dad search: window and bound arrows; coarse
 decompositions: E and F).  ``dad._generic_search`` gives it generated
-subgroupoids, for groupoids with isotropy.
+subgroupoids, for groupoids with isotropy; ``dad.kl_dad_search`` runs it
+only at a d that ``partition_search`` on the principal shadow (units joined
+by the window, bounded by where L's arrows go) cannot refute.
 
 Exact mode first runs in ``compact_order`` of the adjacency graph, so a
 refutation costs what the instance needs and not what its item ids happen

@@ -227,10 +227,16 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
         if isinstance(obj, dict) and obj.get("instance_digest") not in (None, _digest(path)):
             raise InputError(f"{recheck} was made for another instance than {path}")
         witness = DadWitness.from_json_obj(g, obj)
-        result = "certified" if witness.certified else "rejected"
-        _row(path, "dad-recheck", f"{recheck}", result, recheck, started)
+        fresh = witness.to_json_obj()
+        misstated = [key for key in ("d", "generated_sizes", "certified")
+                     if canonical_dumps(obj.get(key)) != canonical_dumps(fresh[key])]
+        certified = witness.certified and not misstated
+        _row(path, "dad-recheck", f"{recheck}", "certified" if certified else "rejected",
+             recheck, started)
         if not witness.certified:
             raise RejectedError(f"{recheck} does not certify a (K,L)-dad on {path}")
+        if misstated:
+            raise RejectedError(f"{recheck} misstates its {', '.join(misstated)}")
         sys.exit(EXIT_OK)
     gr = load_graphing(g, graphing) if graphing else None
     k_set, l_set = _specs(g, k_spec, l_spec, gr)

@@ -75,16 +75,25 @@ class DadWitness:
     def from_json_obj(g: Groupoid, obj) -> "DadWitness":
         """Re-certify a serialized witness from scratch.
 
-        A malformed object (a missing ``k``, ``l`` or ``cover`` key, or an id
-        that is not a nonnegative int) raises WitnessError.
+        A malformed object (another ``format`` or ``version``, a missing
+        ``k``, ``l`` or ``cover`` key, or an id list that holds anything but
+        distinct nonnegative ints) raises WitnessError.  The object's own
+        claims (``d``, ``generated_sizes``, ``certified``) are not read here.
         """
         try:
+            if (obj["format"], obj["version"]) != ("dad-witness", 1):
+                raise WitnessError(
+                    f"not a dad-witness version 1: format {obj['format']!r}, "
+                    f"version {obj['version']!r}"
+                )
             id_lists = [obj["k"], obj["l"], obj["cover"]["base"], *obj["cover"]["classes"]]
         except (KeyError, TypeError) as exc:
             raise WitnessError(f"malformed witness: missing or misplaced key ({exc})") from None
         for ids in id_lists:
             if not isinstance(ids, list) or any(type(i) is not int or i < 0 for i in ids):
                 raise WitnessError(f"malformed witness: {ids!r} is not a list of nonnegative ids")
+            if len(set(ids)) != len(ids):
+                raise WitnessError(f"malformed witness: an id is listed twice in {ids!r}")
         cover = Cover.from_json_obj(g, obj["cover"])
         return kl_dad_check(g, g.arrow_set(obj["k"]), g.arrow_set(obj["l"]), cover)
 
@@ -144,7 +153,9 @@ def _generic_search(
     the arrows with source or range in it, and the subgroupoid its K-arrows
     generate, which must stay inside L.  Exact mode refutes in ``order``
     (default: ``compact_order`` of K's ``unit_graph``) and takes a solution
-    from the id-order run, as ``partition_search`` does.
+    from the id-order run, as ``partition_search`` does.  It stores no
+    failed states, so ``kl_dad_search`` calls it only at a d whose principal
+    shadow has a solution; there the obstruction, if any, is isotropy.
     """
     k_mask, l_mask = k_set.mask, l_set.mask
 
@@ -176,6 +187,23 @@ def kl_dad_search(
     in lexicographic order of unit ids with colors canonicalized by first
     use, so it is the minimum of that order.  Greedy mode is a first-fit
     pass per d in unit-id order: sound but incomplete.
+
+    Every d is first searched on the principal shadow, ``partition_search``
+    over ``_principal_tables``: items are units, adjacent when a K-arrow
+    joins them, and ``ok[x]`` holds the ranges of L's arrows from x (both
+    symmetric, since K and L are oc-normal).  A class is feasible there iff
+    each of its components in K's unit graph lies in ``ok`` of every member.
+    Every certificate of g is a shadow solution: let C be such a component
+    inside a class U.  The K-arrows along a path of C from x to y have both
+    endpoints in U, so their product lies in generated(K, U), which lies in
+    L; hence y is in ``ok[x]`` for all x, y in C.  So a shadow refutation of
+    d refutes d on g.  On a principal g the converse holds too: generated(K,
+    U) is the one arrow from x to y for each pair x, y of a component, and
+    that arrow lies in L iff y is in ``ok[x]``, so the shadow is g and its
+    solution is the witness.  On a groupoid with isotropy the shadow cannot see the
+    isotropy that generated(K, U) picks up, so a d it does not refute is
+    decided by ``_generic_search``.  Greedy mode skips the shadow there,
+    because a greedy miss proves nothing.
     """
     if d_max < 0:
         raise WitnessError("d_max must be nonnegative")
@@ -187,16 +215,16 @@ def kl_dad_search(
     _require_oc("L", l_set)
 
     principal = is_principal(g)
-    if principal:
-        adj, ok = _principal_tables(g, k_set, l_set)
-    else:
-        adj = unit_graph(g, k_set)
+    adj, ok = _principal_tables(g, k_set, l_set)
     order = compact_order(g.n_units, adj) if mode == "exact" else None
 
     for d in range(d_max + 1):
-        if principal:
+        if principal or mode == "exact":
             states = partition_search(g.n_units, d + 1, adj, ok, mode, order)
-            masks = None if states is None else [s[0] for s in states]
+            if states is None:
+                continue
+        if principal:
+            masks = [s[0] for s in states]
         else:
             masks = _generic_search(g, k_set, l_set, d, mode, order)
         if masks is not None:

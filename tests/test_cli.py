@@ -141,6 +141,12 @@ MALFORMED_WITNESSES = {
     ),
     "string-k": lambda w: json.dumps(dict(w, k="3")),
     "out-of-range-id": lambda w: json.dumps(dict(w, l=[*w["l"], 10**6])),
+    "other-format": lambda w: json.dumps(dict(w, format="tree-cover")),
+    "other-version": lambda w: json.dumps(dict(w, version=7)),
+    "no-format": lambda w: json.dumps({k: v for k, v in w.items() if k != "format"}),
+    "id-twice-in-a-class": lambda w: json.dumps(
+        dict(w, cover=dict(w["cover"], classes=[[3, 3], *w["cover"]["classes"][:1]]))
+    ),
 }
 
 
@@ -165,6 +171,31 @@ def test_recheck_of_a_witness_that_fails_is_rejected(instances, witness, tmp_pat
     assert res.returncode == 2
     assert res.stdout.split("\t")[:4] == [p7, "dad-recheck", str(bad), "rejected"]
     assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+
+
+MISSTATED_WITNESSES = {
+    "d-too-small": lambda w: dict(w, d=0),
+    "d-as-float": lambda w: dict(w, d=1.0),
+    "extra-empty-class": lambda w: dict(
+        w, cover=dict(w["cover"], classes=[*w["cover"]["classes"], []])
+    ),
+    "generated-sizes": lambda w: dict(w, generated_sizes=[1, 1]),
+    "certified-false": lambda w: dict(w, certified=False),
+    "no-claims": lambda w: {k: v for k, v in w.items() if k not in ("d", "certified")},
+}
+
+
+@pytest.mark.parametrize("case", list(MISSTATED_WITNESSES))
+def test_recheck_rejects_a_witness_that_misstates_itself(instances, witness, tmp_path, case):
+    # the cover still certifies; the artifact's own claims are wrong
+    bad = tmp_path / "dad-witness.json"
+    bad.write_text(json.dumps(MISSTATED_WITNESSES[case](witness)))
+    p7 = str(instances / "p7.json")
+    res = run_cli("dad", p7, "--recheck", str(bad))
+    assert res.returncode == 2
+    assert res.stdout.split("\t")[:4] == [p7, "dad-recheck", str(bad), "rejected"]
+    assert res.stderr.startswith("Error: ") and "misstates" in res.stderr
+    assert res.stderr.count("\n") == 1
 
 
 def test_recheck_reads_the_instance_digest(instances, witness, tmp_path):

@@ -37,7 +37,7 @@ from grpdim import (
     trivial_perms,
     UnitSet,
 )
-from grpdim import _search
+from grpdim import _search, dad
 from grpdim._search import compact_order, partition_search
 from grpdim.dad import _generic_search, _generic_try_add, _principal_tables
 from grpdim.groupoid import iter_bits, mask_of
@@ -167,6 +167,65 @@ def test_generic_search_matches_recursive_oracle():
             cover = Cover(g, tuple(UnitSet(g, m) for m in expected), g.all_units())
             assert kl_dad_check(g, k_set, l_set, cover).certified
     assert found > 200 and refuted > 60
+
+
+def test_principal_shadow_refutes_only_what_the_closure_refutes():
+    # kl_dad_search searches each d on the principal shadow first and runs
+    # the closure engine only where the shadow finds a solution: a shadow
+    # refutation must be a refutation on g, and the least d and its masks
+    # must be those of the closure engine run d by d
+    rng = random.Random(43)
+    outcomes = {"shadow refutes": 0, "both find": 0, "closure refutes": 0}
+    instances = small = 0
+    while instances < 120:
+        g = random_groupoid(rng, rng.randint(30, 60))
+        if is_principal(g):
+            continue
+        instances += 1
+        units = ArrowSet(g, g.units_mask)
+        k_set = random_arrow_set(rng, g, rng.uniform(0.1, 0.6)) | units
+        l_set = [k_set, power(k_set, 2), random_arrow_set(rng, g, 0.6) | units][instances % 3]
+        if instances % 2:
+            g, k_set, l_set = relabel_instance(rng, g, k_set, l_set)
+        adj, ok = _principal_tables(g, k_set, l_set)
+        least = None
+        for d in range(3):
+            closure = recursive_generic_search(g, k_set, l_set, d)
+            if partition_search(g.n_units, d + 1, adj, ok) is None:
+                assert closure is None
+                outcomes["shadow refutes"] += 1
+            else:
+                outcomes["both find" if closure is not None else "closure refutes"] += 1
+            if least is None and closure is not None:
+                least = d, closure
+        got = kl_dad_search(g, k_set, l_set, 2)
+        if least is None:
+            assert got is None
+        else:
+            assert got.d == least[0] and [c.mask for c in got.cover.classes] == least[1]
+        if g.n_units <= 6:
+            small += 1
+            expected = brute_dad_search(g, k_set, l_set, 1)
+            got = kl_dad_search(g, k_set, l_set, 1)
+            if expected is None:
+                assert got is None
+            else:
+                assert got.d == expected[0] and got.cover.classes == expected[1].classes
+    assert outcomes["shadow refutes"] > 20 and outcomes["both find"] > 100
+    assert outcomes["closure refutes"] > 15 and small > 20
+
+
+def test_trivial_isotropy_outside_the_bound_is_found_on_the_shadow_only():
+    # Z/2 acting trivially, K = every arrow, L = the units: the shadow has
+    # no edges and takes all units in one class, while each class generates
+    # the isotropy arrow of its units, which L lacks
+    g = action_groupoid(cyclic_table(2), trivial_perms(2, 5))
+    k_set, l_set = g.all_arrows(), ArrowSet(g, g.units_mask)
+    adj, ok = _principal_tables(g, k_set, l_set)
+    for d in range(3):
+        assert partition_search(g.n_units, d + 1, adj, ok) is not None
+        assert _generic_search(g, k_set, l_set, d, "exact") is None
+    assert kl_dad_search(g, k_set, l_set, 2) is None
 
 
 def test_searches_match_brute_force_on_small_instances():
@@ -401,6 +460,29 @@ def test_refutation_node_count(monkeypatch):
         calls = 0
         assert partition_search(n, 2, relabel(adj, perm), relabel(ok, perm)) is None
         assert calls <= 1_600
+
+
+def test_generic_node_count(monkeypatch):
+    calls = 0
+    try_add = dad._generic_try_add
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return try_add(*args)
+
+    monkeypatch.setattr(dad, "_generic_try_add", counting)
+    for a, b in ((4, 4), (5, 4)):
+        g, k_grid, _ = grid_tables(a, b)
+        z2 = action_groupoid(cyclic_table(2), trivial_perms(2, 1))
+        prod = product(g, z2)
+        k_set = symmetrize(prod.lift_sets(k_grid, z2.all_arrows()))
+        calls = 0
+        w = kl_dad_search(prod.groupoid, k_set, power(k_set, 2), 2)
+        assert w is not None and w.d == 2
+        # 3,545 and 3,555 calls when the closure engine refuted d=1 itself;
+        # the principal shadow refutes d <= 1, leaving 50 and 60 at d=2
+        assert calls <= 100
 
 
 def test_exact_search_depth_is_not_bounded_by_recursion():
