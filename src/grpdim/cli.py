@@ -37,7 +37,7 @@ from .pipelines import (
     sweep_rows,
     union_theorem,
 )
-from .setspec import parse_arrow_spec
+from .setspec import SpecError, parse_arrow_spec
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -90,6 +90,25 @@ def _specs(g, k_spec, l_spec, graphing):
     k_set = parse_arrow_spec(g, k_spec, graphing=graphing)
     l_set = parse_arrow_spec(g, l_spec, k_set=k_set, graphing=graphing)
     return k_set, l_set
+
+
+def _misstated_specs(g, obj, witness) -> list[str]:
+    """The ``k_spec``/``l_spec`` keys of a witness whose spec, recomputed,
+    is not its K or L; ``power:K:N`` is taken over the witness's own K.
+    A ``ball:R`` spec needs the graphing, which a re-check does not read, so
+    it is not compared."""
+    misstated = []
+    for key, ids, k_set in (("k_spec", witness.K, None), ("l_spec", witness.L, witness.K)):
+        spec = obj.get(key)
+        if spec is None or isinstance(spec, str) and spec.strip().split(":")[0] == "ball":
+            continue
+        try:
+            if isinstance(spec, str) and parse_arrow_spec(g, spec, k_set=k_set) == ids:
+                continue
+        except SpecError:
+            pass
+        misstated.append(key)
+    return misstated
 
 
 def _parse_int(text: str, option: str) -> int:
@@ -230,6 +249,7 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
         fresh = witness.to_json_obj()
         misstated = [key for key in ("d", "generated_sizes", "certified")
                      if canonical_dumps(obj.get(key)) != canonical_dumps(fresh[key])]
+        misstated += _misstated_specs(g, obj, witness)
         certified = witness.certified and not misstated
         _row(path, "dad-recheck", f"{recheck}", "certified" if certified else "rejected",
              recheck, started)

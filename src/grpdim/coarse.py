@@ -443,52 +443,120 @@ class AsdimBridge:
     certified: bool
 
 
+def _transversal(g: Groupoid) -> list[int]:
+    """For each unit y, the least arrow from the least unit of y's orbit to y.
+
+    Units are taken in increasing order; a unit that no earlier orbit reaches
+    is the least of its own, and its entry is itself (the unit arrow, whose id
+    is below every other arrow's).  The cost is one pass over the arrows with
+    source at those least units.
+    """
+    t = [-1] * g.n_units
+    rng = g.rng
+    for x in range(g.n_units):
+        if t[x] < 0:
+            for a in iter_bits(g.by_src[x]):
+                if t[rng[a]] < 0:
+                    t[rng[a]] = a
+    return t
+
+
 def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
     """Turn a certified witness into an (E,F)-decomposition of the arrow space.
 
-    Family i collects, fiber by fiber, the classes of the relation
-    "same range and quotient inside the generated subgroupoid H_i" on the
-    arrows with source in class i: the window rows of H_i, in arrow ids.  E
-    is the witness window, F the symmetrized union of the H_i; the result is
-    re-verified on their window rows over all arrows.
+    Family i collects, fiber by fiber in unit order, the classes of the
+    relation "same range and quotient inside the generated subgroupoid H_i"
+    on the arrows with source in class i, each fiber's members by least
+    arrow.  E is the witness window, F the symmetrized union of the H_i.
+    The members are built and certified on one range fiber per orbit, the
+    fiber G^x at the orbit's least unit x, and translated to the others.
+
+    Left translation.  For an arrow t from x to y, a -> t a maps G^x onto
+    G^y one to one (t^-1 undoes it), keeps sources, src(t a) = src(a), and
+    keeps quotients, (t a)^-1 (t b) = a^-1 b.  So for any window W the row
+    of t a (t a and the arrows t a q, q in W, with source in a class) is the
+    translate of the row of a, and the relation of H_i on G^y is the image
+    of the one on G^x: it is an equivalence there iff it is one on G^x, and
+    its classes, the members of family i on G^y, are the translates t M of
+    the members M on G^x.  So the members are built on G^x only and
+    translated by t = the least arrow from x to y, one composition per
+    arrow; only their order is sorted again.
+
+    The certificate.  ``_ef_violation`` checks on the window rows of E and F
+    over the representative fibers that their members cover them, are
+    F-bounded and are E-separated within a family.  Over all arrows, the
+    members must cover every arrow, and no arrow may lie in two members of
+    one family; this confirms that each translation maps its representative
+    fiber onto the other fiber one to one, all that the argument uses of
+    it.  Then every fiber is certified.  Two arrows of G^y in one member t M, or
+    in members t M and t M' of one family, are t a and t b with a and b in
+    M, or in M and M'.  Their quotient is a^-1 b, which the check on G^x put
+    inside F, or outside E.  Arrows of different fibers are never related.
+    E must be symmetric and contain every unit, as a gauge window; F does
+    by construction.
     """
     _same_owner(g, witness.owner)
     if not witness.certified:
         raise CoarseError("bridge requires a certified witness")
+    if not witness.K.is_oc_normal():
+        raise CoarseError("gauge windows must be symmetric and contain every unit")
 
     f_union = g.arrow_set()
     for gen in witness.generated_per_class:
         f_union = f_union | gen
     f_window = symmetrize(f_union)
 
+    t = _transversal(g)
+    rep_mask = 0
+    for x, a in enumerate(t):
+        if a == x:
+            rep_mask |= g.by_rng[x]
+    m, comp, src, rng = g.n_arrows, g.comp, g.src, g.rng
     families = []
     for cls, h_i in zip(witness.cover.classes, witness.generated_per_class):
-        members: list[frozenset[int]] = []
         src_mask = 0
         for u in cls:
             src_mask |= g.by_src[u]
-        rows = fiber_gauge(g, src_mask, h_i)
-        for x in range(g.n_units):
-            for a in iter_bits(g.by_rng[x] & src_mask):
-                row = rows[a]
-                # the relation is a genuine equivalence on these arrows
-                if any(rows.get(b) != row for b in iter_bits(row)):
-                    raise CoarseError(
-                        "relation is not transitive; generated class is not a subgroupoid"
-                    )
-                if row & -row == 1 << a:
-                    members.append(frozenset(iter_bits(row)))
-        families.append(tuple(members))
+        rows = fiber_gauge(g, src_mask & rep_mask, h_i)
+        at: dict[int, list[int]] = {}  # representative unit -> its members, by least arrow
+        for a, row in rows.items():
+            # the relation is a genuine equivalence on these arrows
+            if any(rows[b] != row for b in iter_bits(row)):
+                raise CoarseError(
+                    "relation is not transitive; generated class is not a subgroupoid"
+                )
+            if row & -row == 1 << a:
+                at.setdefault(rng[a], []).append(row)
+        members = []
+        for y, ty in enumerate(t):
+            here = at.get(src[ty], [])
+            if ty != y:
+                base = ty * m
+                here = sorted(
+                    (mask_of(comp[base + a] for a in iter_bits(mask)) for mask in here),
+                    key=lambda mask: mask & -mask,
+                )
+            members += here
+        families.append(members)
 
-    masks = [[mask_of(member) for member in fam] for fam in families]
+    covered, disjoint = 0, True
+    for members in families:
+        union = 0
+        for mask in members:
+            union |= mask
+        disjoint = disjoint and union.bit_count() == sum(mask.bit_count() for mask in members)
+        covered |= union
     violation = _ef_violation(
-        gauge_from(g, witness.K), gauge_from(g, f_window), masks, g.arrows_mask
+        fiber_gauge(g, rep_mask, witness.K),
+        fiber_gauge(g, rep_mask, f_window),
+        [[mask for mask in members if mask & rep_mask] for members in families],
+        rep_mask,
     )
     return AsdimBridge(
-        families=tuple(families),
+        families=tuple(tuple(frozenset(iter_bits(mask)) for mask in fam) for fam in families),
         e_window=witness.K,
         f_window=f_window,
-        certified=violation is None,
+        certified=violation is None and disjoint and covered == g.arrows_mask,
     )
 
 

@@ -20,12 +20,15 @@ from grpdim import (
     arrows_within,
     compose_sets,
     ef_asdim_check,
+    fiber_gauge,
+    gauge_from,
     generated,
     kl_dad_check,
     pair_groupoid,
     pair_index,
     symmetrize,
 )
+from grpdim.coarse import _ef_violation
 from grpdim.groupoid import _UnionFind, iter_bits, mask_of
 from grpdim.dad import _generic_try_add
 
@@ -457,6 +460,33 @@ def first_fit_dad_blocks(g: Groupoid, witness) -> list[tuple[frozenset[int], ...
             members.extend(frozenset(b) for b in blocks)
         families.append(tuple(members))
     return families
+
+
+def whole_arrow_bridge(g: Groupoid, witness) -> tuple[tuple, bool]:
+    """``dad_to_asdim``'s families and verdict over every arrow: the members
+    built fiber by fiber from the window rows of each H_i, and the
+    (E,F)-check on the rows of K and of F = the symmetrized union of the H_i
+    over all arrows.  The oracle for the bridge built and certified on one
+    fiber per orbit.
+    """
+    f_window = symmetrize(ArrowSet(g, mask_of(a for h in witness.generated_per_class for a in h)))
+    families = []
+    for cls, h_i in zip(witness.cover.classes, witness.generated_per_class):
+        src_mask = mask_of(a for u in cls for a in iter_bits(g.by_src[u]))
+        rows = fiber_gauge(g, src_mask, h_i)
+        members = []
+        for x in range(g.n_units):
+            for a in iter_bits(g.by_rng[x] & src_mask):
+                row = rows[a]
+                assert all(rows[b] == row for b in iter_bits(row))
+                if row & -row == 1 << a:
+                    members.append(frozenset(iter_bits(row)))
+        families.append(tuple(members))
+    masks = [[mask_of(member) for member in fam] for fam in families]
+    violation = _ef_violation(
+        gauge_from(g, witness.K), gauge_from(g, f_window), masks, g.arrows_mask
+    )
+    return tuple(families), violation is None
 
 
 def pairwise_tree_bounds(g: Groupoid, graphing: Graphing, n: int) -> TreeCoverResult:

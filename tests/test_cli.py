@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -182,6 +183,11 @@ MISSTATED_WITNESSES = {
     "generated-sizes": lambda w: dict(w, generated_sizes=[1, 1]),
     "certified-false": lambda w: dict(w, certified=False),
     "no-claims": lambda w: {k: v for k, v in w.items() if k not in ("d", "certified")},
+    "l-spec-units": lambda w: dict(w, l_spec="units"),
+    "l-spec-power": lambda w: dict(w, l_spec="power:K:3"),
+    "k-spec-all": lambda w: dict(w, k_spec="all"),
+    "l-spec-not-a-spec": lambda w: dict(w, l_spec="nonsense"),
+    "l-spec-not-a-string": lambda w: dict(w, l_spec=2),
 }
 
 
@@ -196,6 +202,27 @@ def test_recheck_rejects_a_witness_that_misstates_itself(instances, witness, tmp
     assert res.stdout.split("\t")[:4] == [p7, "dad-recheck", str(bad), "rejected"]
     assert res.stderr.startswith("Error: ") and "misstates" in res.stderr
     assert res.stderr.count("\n") == 1
+
+
+def test_recheck_recomputes_the_specs_it_can(instances, witness, tmp_path):
+    # units, all and power:K:N need no graphing; power is taken over the
+    # witness's own K.  ball:R needs one, and a re-check reads none
+    p7 = str(instances / "p7.json")
+    assert (witness["k_spec"], witness["l_spec"]) == ("ball:1", "power:K:2")
+    bad = tmp_path / "dad-witness.json"
+    bad.write_text(json.dumps(dict(witness, l_spec="units")))
+    res = run_cli("dad", p7, "--recheck", str(bad))
+    assert res.returncode == 2 and "\trejected\t" in res.stdout
+    assert res.stderr == f"Error: {bad} misstates its l_spec\n"
+    unchecked = tmp_path / "unchecked.json"
+    unchecked.write_text(json.dumps(dict(witness, k_spec="ball:7")))
+    res = run_cli("dad", p7, "--recheck", str(unchecked))
+    assert res.returncode == 0 and "\tcertified\t" in res.stdout
+    out = tmp_path / "all"
+    assert run_cli("dad", p7, "--k-spec", "all", "--l-spec", "all",
+                   "--out", str(out)).returncode == 0
+    res = run_cli("dad", p7, "--recheck", str(out / "dad-witness.json"))
+    assert res.returncode == 0 and "\tcertified\t" in res.stdout
 
 
 def test_recheck_reads_the_instance_digest(instances, witness, tmp_path):
@@ -269,6 +296,17 @@ def test_theorem_bridge_and_morita(instances, tmp_path):
                   "--l-spec", "power:K:1", "--multiplicity", "2",
                   "--out", str(tmp_path / "m"))
     assert res.returncode == 0
+
+
+def test_theorem_bridge_decomposition_bytes_are_pinned(instances, tmp_path):
+    # fibers in unit order, members by least arrow within a fiber
+    res = run_cli("theorem", "bridge", "--path", str(instances / "p7.json"),
+                  "--graphing", str(instances / "p7.graphing.json"), "--out", str(tmp_path))
+    assert res.returncode == 0
+    data = (tmp_path / "bridge-decomposition.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "1375ca43152e5532eca01f388e8f09cfaa65b66d0cad6a07e9ecb692653ab9d4"
+    )
 
 
 @pytest.mark.parametrize("which, stage", [("morita", "base-search"), ("bridge", "dad-search")])

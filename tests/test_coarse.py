@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from conftest import (
     random_principal_groupoid,
     random_tree,
     random_unit_set,
+    relabel_units,
+    whole_arrow_bridge,
 )
 from grpdim import (
     ArrowSet,
@@ -47,7 +50,7 @@ from grpdim import (
     treeable_cover,
     trivial_perms,
 )
-from grpdim.coarse import _ef_violation, _forest_gap, _h_fibers
+from grpdim.coarse import _ef_violation, _forest_gap, _h_fibers, _transversal
 from grpdim.groupoid import iter_bits, mask_of, unit_graph
 
 
@@ -589,6 +592,80 @@ def test_dad_to_asdim_requires_certified():
     assert not bad.certified
     with pytest.raises(CoarseError):
         dad_to_asdim(g, bad)
+
+
+def _bridge_groupoid(rng, kind):
+    """A principal, an isotropic or a unit-relabelled groupoid, or a restriction."""
+    if kind == 0:
+        return random_principal_groupoid(rng, rng.randint(20, 50))
+    g = random_groupoid(rng, rng.randint(40, 80))
+    if kind == 2:
+        perm = list(range(g.n_units))
+        rng.shuffle(perm)
+        g, _ = relabel_units(g, perm)
+    elif kind == 3:
+        g = restrict(g, random_unit_set(rng, g, 0.6) | g.unit_set([rng.randrange(g.n_units)]))
+    return g
+
+
+def test_dad_to_asdim_matches_whole_arrow_oracle():
+    # the bridge builds and certifies one fiber per orbit; the oracle builds
+    # every fiber and checks over every arrow.  Forged witnesses carry a
+    # cover that kl_dad_check rejects: one that leaves units uncovered fails
+    # the bridge, one whose classes generate outside L does not (F is the
+    # union of the H_i, whatever L is)
+    rng = random.Random(61)
+    counts = dict.fromkeys(["certified", "failed", "forged-certified", "non-principal",
+                            "multi-orbit", "translated"], 0)
+    for trial in range(240):
+        g = _bridge_groupoid(rng, trial % 4)
+        k_set = random_arrow_set(rng, g, rng.uniform(0.05, 0.5))
+        l_set = [power(k_set, 2), power(k_set, 3), g.all_arrows()][rng.randrange(3)]
+        classes = [random_unit_set(rng, g, 0.5) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:  # a cover, which L = K makes kl_dad_check reject often
+            covered = set().union(*classes)
+            classes[-1] |= g.unit_set([u for u in range(g.n_units) if u not in covered])
+        forged = kl_dad_check(g, k_set, k_set, Cover(g, tuple(classes), g.all_units()))
+        witnesses = [(kl_dad_search(g, k_set, l_set, 2), False)]
+        if not forged.certified:
+            witnesses.append((dataclasses.replace(forged, certified=True), True))
+        for w, is_forged in witnesses:
+            if w is None:
+                continue
+            bridge = dad_to_asdim(g, w)
+            assert (bridge.families, bridge.certified) == whole_arrow_bridge(g, w)
+            counts["certified" if bridge.certified else "failed"] += 1
+            counts["forged-certified"] += is_forged and bridge.certified
+        t = _transversal(g)
+        counts["non-principal"] += not is_principal(g)
+        counts["multi-orbit"] += sum(a == y for y, a in enumerate(t)) > 1
+        counts["translated"] += any(a != y for y, a in enumerate(t))
+    assert counts["failed"] > 40 and counts["certified"] > 200, counts
+    assert counts["forged-certified"] > 40 and counts["non-principal"] > 60, counts
+    assert counts["multi-orbit"] > 180 and counts["translated"] > 200, counts
+
+
+def test_dad_to_asdim_families_are_pinned():
+    # members in unit order of their fibers, by least arrow within a fiber
+    g = disjoint_union([pair_groupoid(3), pair_groupoid(4)])
+    k = symmetrize(g.all_arrows())
+    bridge = dad_to_asdim(g, kl_dad_search(g, k, g.all_arrows(), 0))
+    assert bridge.certified
+    assert [[sorted(m) for m in fam] for fam in bridge.families] == [[
+        [0, 7, 8], [1, 9, 10], [2, 11, 12], [3, 13, 14, 15], [4, 16, 17, 18],
+        [5, 19, 20, 21], [6, 22, 23, 24],
+    ]]
+    z8 = action_groupoid(cyclic_table(8), rotation_perms(8, 8))
+    kz = symmetrize(z8.arrow_set(range(8, 16)))
+    bz = dad_to_asdim(z8, kl_dad_search(z8, kz, power(kz, 2), 1))
+    assert bz.certified
+    assert [[sorted(m) for m in fam] for fam in bz.families] == [
+        [[0, 50, 57], [22, 29, 36], [1, 8, 58], [30, 37, 44], [2, 9, 16], [38, 45, 52],
+         [10, 17, 24], [46, 53, 60], [4, 54, 61], [18, 25, 32], [5, 12, 62], [26, 33, 40],
+         [6, 13, 20], [34, 41, 48], [14, 21, 28], [42, 49, 56]],
+        [[15], [43], [23], [51], [31], [59], [3], [39], [11], [47], [19], [55], [27], [63],
+         [7], [35]],
+    ]
 
 
 # -- asdim -> dad ---------------------------------------------------------------
