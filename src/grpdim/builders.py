@@ -292,12 +292,7 @@ def partial_action_groupoid(spec: PartialActionSpec) -> Groupoid:
             if y not in spec.domains[h_el]:
                 continue
             b = index[(h_el, y)]
-            prod = spec.mul.get((g_el, h_el))
-            if prod is None:
-                raise BuilderError(
-                    f"extension axiom fails: product {g_el!r}*{h_el!r} missing"
-                )
-            comp.append((a, b, index[(prod, x)]))
+            comp.append((a, b, index[(spec.mul[g_el, h_el], x)]))
     return Groupoid(n, src, rng, inv, comp)
 
 

@@ -21,16 +21,16 @@ from .groupoid import (
     Groupoid,
     GroupoidError,
     UnitSet,
-    _UnionFind,
     _same_owner,
-    arrows_within,
     compose_sets,
     generated,  # unused here; perfbench's tracer test finds it in this namespace
     is_principal,
     iter_bits,
     mask_of,
+    orbit_fibers,
     restrict,
     symmetrize,
+    transversal,
     unit_graph,
 )
 
@@ -222,7 +222,7 @@ class Graphing:
 
     def _check_treeable(self):
         g = self.owner
-        uf = _UnionFind(g.n_units)
+        joined = [1 << u for u in range(g.n_units)]  # unit -> its component so far
         edge_of: dict[tuple[int, int], int] = {}  # unit pair -> min(a, inv a)
         for a in iter_bits(self.q.mask):
             u, v = g.src[a], g.rng[a]
@@ -234,9 +234,11 @@ class Graphing:
                 if edge_of[pair] == rep:
                     continue
                 return False, f"parallel generators between units {pair[0]} and {pair[1]}"
-            if uf.find(u) == uf.find(v):
+            if joined[u] >> v & 1:
                 return False, f"generator {a} closes a cycle"
-            uf.union(u, v)
+            merged = joined[u] | joined[v]
+            for w in iter_bits(merged):
+                joined[w] = merged
             edge_of[pair] = rep
         return True, None
 
@@ -443,24 +445,6 @@ class AsdimBridge:
     certified: bool
 
 
-def _transversal(g: Groupoid) -> list[int]:
-    """For each unit y, the least arrow from the least unit of y's orbit to y.
-
-    Units are taken in increasing order; a unit that no earlier orbit reaches
-    is the least of its own, and its entry is itself (the unit arrow, whose id
-    is below every other arrow's).  The cost is one pass over the arrows with
-    source at those least units.
-    """
-    t = [-1] * g.n_units
-    rng = g.rng
-    for x in range(g.n_units):
-        if t[x] < 0:
-            for a in iter_bits(g.by_src[x]):
-                if t[rng[a]] < 0:
-                    t[rng[a]] = a
-    return t
-
-
 def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
     """Turn a certified witness into an (E,F)-decomposition of the arrow space.
 
@@ -506,7 +490,7 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
         f_union = f_union | gen
     f_window = symmetrize(f_union)
 
-    t = _transversal(g)
+    t = transversal(g)
     rep_mask = 0
     for x, a in enumerate(t):
         if a == x:
@@ -563,42 +547,6 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
 # -- asdim -> dad -----------------------------------------------------------
 
 
-def _h_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, list[int]]:
-    """For the subgroupoid H generated by the window arrows inside Y and the
-    units of Y, the points of its range fiber at the least unit of each
-    H-orbit in Y, by unit.
-
-    H is the set of words in those arrows and their inverses, so its fiber
-    at x is the closure of {x} under right multiplication by them, and the
-    H-orbit of x is the set of sources of that fiber.  Units of Y are taken
-    in increasing order, and a unit that no earlier fiber reaches is the
-    least of its orbit.  Only those fibers are walked, so the cost is their
-    size times the window degree, on any groupoid, principal or not.
-    """
-    inside = (k_set & arrows_within(g, y)).mask
-    steps = inside | ArrowSet(g, inside).inverse().mask
-    m = g.n_arrows
-    comp, src, by_rng = g.comp, g.src, g.by_rng
-    fibers = {}
-    reached = 0
-    for x in y:
-        if reached >> x & 1:
-            continue
-        fiber = 1 << x
-        queue = [x]
-        for h in queue:  # the queue grows while it is read
-            base = h * m
-            for s in iter_bits(by_rng[src[h]] & steps):
-                c = comp[base + s]
-                if not fiber >> c & 1:
-                    fiber |= 1 << c
-                    queue.append(c)
-        for h in queue:
-            reached |= 1 << src[h]
-        fibers[x] = list(iter_bits(fiber))
-    return fibers
-
-
 def asdim_fiber_decompositions(
     g: Groupoid,
     y: UnitSet,
@@ -612,7 +560,7 @@ def asdim_fiber_decompositions(
     ids, so the search's members are the decomposition; they are keyed by unit.
     """
     decomps = {}
-    for x, points in _h_fibers(g, y, k_set).items():
+    for x, points in orbit_fibers(g, y, k_set).items():
         fams = ef_asdim_search(fiber_gauge(g, points, k_set), fiber_gauge(g, points, l_set), d_max)
         if fams is None:
             raise CoarseError(f"fiber at unit {x} admits no decomposition at d_max={d_max}")
@@ -656,15 +604,13 @@ def asdim_to_dad(
         _same_owner(g, window.owner)
         if not window.is_oc_normal():
             raise CoarseError(f"the {name} must be symmetric and contain every unit")
-    fibers = _h_fibers(g, y, k_set)
 
     n_classes = 0
     checked: dict[int, list[list[int]]] = {}
-    for x, points in fibers.items():
+    for x, fiber_pts in orbit_fibers(g, y, k_set).items():
         fams = fiber_families.get(x)
         if fams is None:
             raise CoarseError(f"missing fiber decomposition at unit {x}")
-        fiber_pts = mask_of(points)
         masks = [[mask_of(member) for member in fam] for fam in fams]
         total = 0
         for i, fam in enumerate(masks):

@@ -252,18 +252,6 @@ class ArrowSet(_MaskSet):
         inv = self.owner.inv
         return ArrowSet(self.owner, mask_of(inv[a] for a in self))
 
-    def sources(self) -> "UnitSet":
-        src = self.owner.src
-        return UnitSet(self.owner, mask_of(src[a] for a in self))
-
-    def ranges(self) -> "UnitSet":
-        rng = self.owner.rng
-        return UnitSet(self.owner, mask_of(rng[a] for a in self))
-
-    def endpoint_units(self) -> "UnitSet":
-        s = self.sources()
-        return UnitSet(self.owner, s.mask | self.ranges().mask)
-
     def is_oc_normal(self) -> bool:
         """Symmetric, closed under endpoints and containing every unit."""
         if self.mask & self.owner.units_mask != self.owner.units_mask:
@@ -427,35 +415,66 @@ def restrict(g: Groupoid, units: UnitSet) -> Groupoid:
 # -- orbits, principality, fundamental domains ----------------------------
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def transversal(g: Groupoid) -> list[int]:
+    """For each unit y, the least arrow from the least unit of y's orbit to y.
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
+    Units are taken in increasing order; a unit that no earlier orbit reaches
+    is the least of its own, and its entry is itself (the unit arrow, whose id
+    is below every other arrow's).  The cost is one pass over the arrows with
+    source at those least units.
+    """
+    t = [-1] * g.n_units
+    rng = g.rng
+    for x in range(g.n_units):
+        if t[x] < 0:
+            for a in iter_bits(g.by_src[x]):
+                if t[rng[a]] < 0:
+                    t[rng[a]] = a
+    return t
 
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
+
+def orbit_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, int]:
+    """For the subgroupoid H generated by the window arrows inside Y and the
+    units of Y, the arrow mask of its range fiber at the least unit of each
+    H-orbit in Y, by unit.
+
+    H is the set of words in those arrows and their inverses, so its fiber
+    at x is the closure of {x} under right multiplication by them, and the
+    H-orbit of x is the set of sources of that fiber.  Units of Y are taken
+    in increasing order, and a unit that no earlier fiber reaches is the
+    least of its orbit.  Only those fibers are walked, so the cost is their
+    size times the window degree, on any groupoid, principal or not.
+    """
+    inside = (k_set & arrows_within(g, y)).mask
+    steps = inside | ArrowSet(g, inside).inverse().mask
+    m = g.n_arrows
+    comp, src, by_rng = g.comp, g.src, g.by_rng
+    fibers = {}
+    reached = 0
+    for x in y:
+        if reached >> x & 1:
+            continue
+        fiber = 1 << x
+        queue = [x]
+        for h in queue:  # the queue grows while it is read
+            base = h * m
+            for s in iter_bits(by_rng[src[h]] & steps):
+                c = comp[base + s]
+                if not fiber >> c & 1:
+                    fiber |= 1 << c
+                    queue.append(c)
+        for h in queue:
+            reached |= 1 << src[h]
+        fibers[x] = fiber
+    return fibers
 
 
 def orbits(g: Groupoid) -> list[UnitSet]:
-    """Partition of the units: u, v share a block iff some arrow joins them."""
-    uf = _UnionFind(g.n_units)
-    for a in range(g.n_units, g.n_arrows):
-        uf.union(g.src[a], g.rng[a])
-    blocks: dict[int, int] = {}
-    for u in range(g.n_units):
-        blocks.setdefault(uf.find(u), 0)
-        blocks[uf.find(u)] |= 1 << u
-    return [UnitSet(g, blocks[r]) for r in sorted(blocks)]
+    """Partition of the units: u, v share a block iff some arrow joins them.
+
+    Blocks come by least unit x, each the ranges of the arrows from x."""
+    roots = [x for x, a in enumerate(transversal(g)) if a == x]
+    return [UnitSet(g, mask_of(g.rng[a] for a in iter_bits(g.by_src[x]))) for x in roots]
 
 
 def is_principal(g: Groupoid) -> bool:
@@ -471,10 +490,7 @@ def fundamental_domain(g: Groupoid) -> UnitSet:
     """Minimum-id representative of each orbit; requires a principal groupoid."""
     if not is_principal(g):
         raise GroupoidError("fundamental domain requires a principal groupoid")
-    out = 0
-    for block in orbits(g):
-        out |= 1 << next(iter(block))
-    return UnitSet(g, out)
+    return UnitSet(g, mask_of(x for x, a in enumerate(transversal(g)) if a == x))
 
 
 # -- axiom validation ------------------------------------------------------
@@ -628,15 +644,12 @@ def _structure_certificate(g: Groupoid) -> bool:
     """
     m = g.n_arrows
     src, rng, inv, comp, by_src = g.src, g.rng, g.inv, g.comp, g.by_src
-    tree = [-1] * g.n_units
-    for r in range(g.n_units):
-        if tree[r] >= 0:
+    # Products have the right endpoints, so every unit of r's orbit gets an
+    # arrow from r: the tree has depth one, and t_r = r.
+    tree = transversal(g)
+    for r, t_r in enumerate(tree):
+        if t_r != r:
             continue
-        # Products have the right endpoints, so every unit of r's orbit gets
-        # an arrow from r: the breadth-first tree has depth one, and t_r = r.
-        for a in iter_bits(by_src[r]):
-            if tree[rng[a]] < 0:
-                tree[rng[a]] = a
         iso = list(iter_bits(by_src[r] & g.by_rng[r]))
         for x in iso:
             for y in iso:

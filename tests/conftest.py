@@ -29,7 +29,7 @@ from grpdim import (
     symmetrize,
 )
 from grpdim.coarse import _ef_violation
-from grpdim.groupoid import _UnionFind, iter_bits, mask_of
+from grpdim.groupoid import iter_bits, mask_of
 from grpdim.dad import _generic_try_add
 
 
@@ -128,12 +128,12 @@ def random_principal_groupoid(rng: random.Random, target_arrows: int = 40) -> Gr
 
 
 def random_groupoid(rng: random.Random, max_arrows: int = 200) -> Groupoid:
-    """Random mix of pair blocks and cyclic isotropy components."""
+    """Random mix of pair blocks and cyclic isotropy components, at least one."""
     from grpdim import action_groupoid, cyclic_table, rotation_perms, trivial_perms
 
     comps = []
     arrows = 0
-    while arrows < max_arrows - 30:
+    while not comps or arrows < max_arrows - 30:
         kind = rng.random()
         if kind < 0.5:
             size = rng.randint(1, 5)
@@ -553,19 +553,68 @@ def pairwise_tree_bounds(g: Groupoid, graphing: Graphing, n: int) -> TreeCoverRe
     )
 
 
-def closure_h_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, list[int]]:
+class UnionFind:
+    """Disjoint sets of 0..n-1, each named by its least member."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> None:
+        rx, ry = sorted((self.find(x), self.find(y)))
+        self.parent[ry] = rx
+
+
+def union_find_orbits(g: Groupoid) -> list[list[int]]:
+    """Orbits as the components of the graph that every arrow draws on the
+    units, by union-find, in order of least unit.  The oracle for
+    ``grpdim.groupoid.orbits`` and ``fundamental_domain``."""
+    uf = UnionFind(g.n_units)
+    for a in range(g.n_arrows):
+        uf.union(g.src[a], g.rng[a])
+    blocks: dict[int, list[int]] = {}
+    for u in range(g.n_units):
+        blocks.setdefault(uf.find(u), []).append(u)
+    return [blocks[r] for r in sorted(blocks)]
+
+
+def union_find_treeable(g: Groupoid, q_set: ArrowSet) -> tuple[bool, "str | None"]:
+    """Treeability of the unit multigraph of the generators, by union-find
+    over the generators in id order: the oracle for ``Graphing.treeable``
+    and ``Graphing.failure``, messages included."""
+    uf = UnionFind(g.n_units)
+    edge_of: dict[tuple[int, int], int] = {}
+    for a in q_set:
+        u, v = g.src[a], g.rng[a]
+        if u == v:
+            return False, f"generator {a} is a loop at unit {u}"
+        pair = (min(u, v), max(u, v))
+        if pair in edge_of:
+            if edge_of[pair] == min(a, g.inv[a]):
+                continue
+            return False, f"parallel generators between units {pair[0]} and {pair[1]}"
+        if uf.find(u) == uf.find(v):
+            return False, f"generator {a} closes a cycle"
+        uf.union(u, v)
+        edge_of[pair] = min(a, g.inv[a])
+    return True, None
+
+
+def closure_h_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, int]:
     """H-fibers through the whole generated subgroupoid: H = ``generated(K, Y)``
     by closure over every arrow, its orbits by union-find, and at the least
-    unit of each orbit in Y the arrows of H with that range.  The oracle for
-    ``grpdim.coarse._h_fibers``.
+    unit of each orbit in Y the mask of the arrows of H with that range.  The
+    oracle for ``grpdim.groupoid.orbit_fibers``.
     """
     h_arrows = generated(k_set, y)
-    uf = _UnionFind(g.n_units)
+    uf = UnionFind(g.n_units)
     for a in h_arrows:
         uf.union(g.src[a], g.rng[a])
     minima: dict[int, int] = {}
     for u in y:
         minima.setdefault(uf.find(u), u)
-    return {
-        x: list(iter_bits(g.by_rng[x] & h_arrows.mask)) for x in sorted(minima.values())
-    }
+    return {x: g.by_rng[x] & h_arrows.mask for x in sorted(minima.values())}

@@ -87,14 +87,16 @@ def test_partial_action_empty_domains():
 
 
 def test_partial_action_rejects_broken_extension():
-    spec = z_shift_partial_spec(4)
-    mul = dict(spec.mul)
-    del mul[("1", "1")]  # the product 2 is needed on overlapping domains
-    broken = type(spec)(
-        spec.n_points, spec.elements, spec.inv, mul, spec.domains, spec.theta
-    )
-    with pytest.raises(BuilderError):
-        partial_action_groupoid(broken)
+    # verify requires every product that the build composes
+    for n_points in (3, 4):
+        spec = z_shift_partial_spec(n_points)
+        mul = dict(spec.mul)
+        del mul[("1", "1")]  # the product 2 is needed on overlapping domains
+        broken = type(spec)(
+            spec.n_points, spec.elements, spec.inv, mul, spec.domains, spec.theta
+        )
+        with pytest.raises(BuilderError, match=r"product '1'\*'1' is needed at point 0"):
+            partial_action_groupoid(broken)
 
 
 def test_blowup_counts_and_projection():

@@ -20,6 +20,8 @@ from conftest import (
     random_tree,
     random_unit_set,
     relabel_units,
+    union_find_orbits,
+    union_find_treeable,
     whole_arrow_bridge,
 )
 from grpdim import (
@@ -50,8 +52,8 @@ from grpdim import (
     treeable_cover,
     trivial_perms,
 )
-from grpdim.coarse import _ef_violation, _forest_gap, _h_fibers, _transversal
-from grpdim.groupoid import iter_bits, mask_of, unit_graph
+from grpdim.coarse import _ef_violation, _forest_gap
+from grpdim.groupoid import iter_bits, mask_of, orbit_fibers, transversal, unit_graph
 
 
 def line(n):
@@ -405,6 +407,54 @@ def test_graphing_verifies_treeable():
     assert parallel.failure == "parallel generators between units 0 and 1"
 
 
+def _random_generators(rng, g):
+    """A star out of the least unit of each orbit, one random arrow to each
+    other unit, and each other arrow off the units with a small random
+    probability, closed under inverses."""
+    extra = rng.choice([0.0, 0.05, 0.15, 0.3])
+    mask = 0
+    for block in union_find_orbits(g):
+        for y in block[1:]:
+            mask |= 1 << rng.choice(list(iter_bits(g.by_src[block[0]] & g.by_rng[y])))
+    for a in range(g.n_units, g.n_arrows):
+        if rng.random() < extra:
+            mask |= 1 << a
+    return ArrowSet(g, mask | ArrowSet(g, mask).inverse().mask)
+
+
+def test_graphing_treeability_matches_union_find_oracle():
+    # component masks against union-find over the generators in id order, on
+    # unions of pair blocks, of pair(n) × Z/2 (parallel pairs) and of Z/k
+    # acting trivially (loops), with units relabelled
+    rng = random.Random(71)
+    z2 = action_groupoid(cyclic_table(2), trivial_perms(2, 1))
+    kinds = dict.fromkeys(["treeable", "loop", "parallel", "cycle"], 0)
+    for _ in range(400):
+        comps = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.random()
+            if kind < 0.5:
+                comps.append(pair_groupoid(rng.randint(1, 6)))
+            elif kind < 0.9:
+                comps.append(product(pair_groupoid(rng.randint(2, 4)), z2).groupoid)
+            else:
+                k = rng.randint(2, 4)
+                comps.append(action_groupoid(cyclic_table(k), trivial_perms(k, 1)))
+        g = disjoint_union(comps)
+        perm = list(range(g.n_units))
+        rng.shuffle(perm)
+        g, _ = relabel_units(g, perm)
+        q = _random_generators(rng, g)
+        try:
+            graphing = Graphing(g, q)
+        except CoarseError:  # the generators miss some isotropy
+            continue
+        assert (graphing.treeable, graphing.failure) == union_find_treeable(g, q)
+        failure = graphing.failure or "treeable"
+        kinds[next(kind for kind in kinds if kind in failure)] += 1
+    assert min(kinds.values()) > 15, kinds
+
+
 def test_graphing_requires_generation():
     g, graphing = line(5)
     partial = g.arrow_set([pair_index(5, 0, 1), pair_index(5, 1, 0)])
@@ -636,7 +686,7 @@ def test_dad_to_asdim_matches_whole_arrow_oracle():
             assert (bridge.families, bridge.certified) == whole_arrow_bridge(g, w)
             counts["certified" if bridge.certified else "failed"] += 1
             counts["forged-certified"] += is_forged and bridge.certified
-        t = _transversal(g)
+        t = transversal(g)
         counts["non-principal"] += not is_principal(g)
         counts["multi-orbit"] += sum(a == y for y, a in enumerate(t)) > 1
         counts["translated"] += any(a != y for y, a in enumerate(t))
@@ -930,7 +980,7 @@ def test_h_fibers_match_closure_oracle():
         if trial % 3 == 0:  # H holds the inverses of a one-way window too
             k = ArrowSet(g, mask_of(a for a in k if rng.random() < 0.7) | g.units_mask)
         y = random_unit_set(rng, g, rng.uniform(0.2, 1.0))
-        assert _h_fibers(g, y, k) == closure_h_fibers(g, y, k)
+        assert orbit_fibers(g, y, k) == closure_h_fibers(g, y, k)
         kinds[is_principal(g)] += 1
     assert min(kinds.values()) > 40, kinds
 

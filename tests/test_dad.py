@@ -72,6 +72,11 @@ def test_check_base_mismatch():
     small_base = Cover(g, (g.unit_set([0, 1]),), g.unit_set([0, 1]))
     with pytest.raises(WitnessError):
         kl_dad_check(g, k, g.all_arrows(), small_base)
+    # K holds every unit, so s(K) | r(K) is every unit, even when K is the units
+    missing_one = Cover(g, (g.all_units(),), g.unit_set([0, 1, 3, 4]))
+    for window in (k, g.arrow_set(range(5))):
+        with pytest.raises(WitnessError, match=r"cover base does not contain s\(K\) \| r\(K\)"):
+            kl_dad_check(g, window, g.all_arrows(), missing_one)
 
 
 def test_check_requires_normal_sets():

@@ -9,7 +9,10 @@ from conftest import (
     pair_blocks_groupoid,
     random_arrow_set,
     random_groupoid,
+    random_principal_groupoid,
     random_unit_set,
+    relabel_units,
+    union_find_orbits,
 )
 import grpdim.groupoid as groupoid_module
 from grpdim import (
@@ -311,6 +314,42 @@ def test_fundamental_domain():
     z2 = action_groupoid(cyclic_table(2), trivial_perms(2, 1))
     with pytest.raises(GroupoidError):
         fundamental_domain(z2)
+
+
+def test_orbits_and_fundamental_domain_match_union_find_oracle():
+    # least units from the transversal against union-find over every arrow,
+    # on mixes with isotropy and several orbits, half with units relabelled
+    rng = random.Random(17)
+    counts = dict.fromkeys(["principal", "isotropy", "multi-orbit", "interleaved"], 0)
+    for trial in range(200):
+        if trial % 4 == 1:
+            g = random_principal_groupoid(rng, rng.randint(5, 60))
+        else:
+            g = random_groupoid(rng, rng.randint(1, 120))
+        if trial % 4 == 0:
+            g = disjoint_union([random_principal_groupoid(rng, rng.randint(5, 40)), g])
+        if trial % 2:
+            perm = list(range(g.n_units))
+            rng.shuffle(perm)
+            g, _ = relabel_units(g, perm)
+        want = union_find_orbits(g)
+        assert [list(block) for block in orbits(g)] == want
+        if is_principal(g):
+            assert list(fundamental_domain(g)) == [block[0] for block in want]
+        else:
+            with pytest.raises(GroupoidError):
+                fundamental_domain(g)
+        counts["principal" if is_principal(g) else "isotropy"] += 1
+        counts["multi-orbit"] += len(want) > 1
+        counts["interleaved"] += any(b[-1] > c[0] for b, c in zip(want, want[1:]))
+    assert min(counts.values()) > 40, counts
+
+
+def test_random_groupoid_has_a_unit_at_every_size():
+    rng = random.Random(5)
+    for max_arrows in (1, 30):
+        for _ in range(20):
+            assert random_groupoid(rng, max_arrows).n_units >= 1
 
 
 @settings(max_examples=40, deadline=None)
