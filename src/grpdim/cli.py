@@ -16,17 +16,16 @@ time appears only in the stdout report row.
 
 from __future__ import annotations
 
-import hashlib
 import sys
 import time
 from pathlib import Path
 
 import click
 
-from . import builders
-from .builders import BuilderError, canonical_dumps, load, load_graphing, read_json
+from . import artifacts, builders
+from .builders import BuilderError, load, load_graphing, read_json
 from .covers import fold_number
-from .dad import DadWitness, kl_dad_search
+from .dad import kl_dad_search
 from .coarse import ef_asdim_search, fiber_gauge, treeable_cover
 from .groupoid import GroupoidError, iter_bits
 from .pipelines import (
@@ -37,7 +36,7 @@ from .pipelines import (
     sweep_rows,
     union_theorem,
 )
-from .setspec import SpecError, parse_arrow_spec
+from .setspec import parse_arrow_spec
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -50,14 +49,6 @@ class InputError(click.ClickException):
     """Bad inputs exit with code 2; refutations keep code 1."""
 
     exit_code = EXIT_INPUT
-
-
-class RejectedError(Exception):
-    """A well-formed artifact failed its own check: it refutes only itself."""
-
-
-def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
 def _row(instance, operation, params, result, witness_path, started) -> None:
@@ -76,39 +67,10 @@ def _exit_missed(instance, operation, params, mode, started) -> None:
     sys.exit(EXIT_UNKNOWN if greedy else EXIT_REFUTED)
 
 
-def _write_artifact(out_dir, name, obj) -> str:
-    if out_dir is None:
-        return ""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    path.write_text(canonical_dumps(obj), encoding="utf-8")
-    return str(path)
-
-
 def _specs(g, k_spec, l_spec, graphing):
     k_set = parse_arrow_spec(g, k_spec, graphing=graphing)
     l_set = parse_arrow_spec(g, l_spec, k_set=k_set, graphing=graphing)
     return k_set, l_set
-
-
-def _misstated_specs(g, obj, witness) -> list[str]:
-    """The ``k_spec``/``l_spec`` keys of a witness whose spec, recomputed,
-    is not its K or L; ``power:K:N`` is taken over the witness's own K.
-    A ``ball:R`` spec needs the graphing, which a re-check does not read, so
-    it is not compared."""
-    misstated = []
-    for key, ids, k_set in (("k_spec", witness.K, None), ("l_spec", witness.L, witness.K)):
-        spec = obj.get(key)
-        if spec is None or isinstance(spec, str) and spec.strip().split(":")[0] == "ball":
-            continue
-        try:
-            if isinstance(spec, str) and parse_arrow_spec(g, spec, k_set=k_set) == ids:
-                continue
-        except SpecError:
-            pass
-        misstated.append(key)
-    return misstated
 
 
 def _parse_int(text: str, option: str) -> int:
@@ -136,7 +98,7 @@ class _Main(click.Group):
         except NoWitnessError as exc:
             click.echo(f"grpdim: refuted: {exc}", err=True)
             ctx.exit(EXIT_REFUTED)
-        except (GroupoidError, OSError, RejectedError) as exc:
+        except (GroupoidError, OSError) as exc:
             raise InputError(str(exc)) from exc
         except Exception as exc:
             click.echo(f"grpdim: internal error: {type(exc).__name__}: {exc}", err=True)
@@ -243,20 +205,17 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
     g = load(path)
     if recheck:  # the witness lists K and L by id, so no graphing is read
         obj = read_json(recheck)
-        if isinstance(obj, dict) and obj.get("instance_digest") not in (None, _digest(path)):
+        if artifacts.other_instance(obj, path):
             raise InputError(f"{recheck} was made for another instance than {path}")
-        witness = DadWitness.from_json_obj(g, obj)
-        fresh = witness.to_json_obj()
-        misstated = [key for key in ("d", "generated_sizes", "certified")
-                     if canonical_dumps(obj.get(key)) != canonical_dumps(fresh[key])]
-        misstated += _misstated_specs(g, obj, witness)
+        witness = artifacts.read_witness(g, obj)
+        misstated = artifacts.misstated(g, obj, witness)
         certified = witness.certified and not misstated
         _row(path, "dad-recheck", f"{recheck}", "certified" if certified else "rejected",
              recheck, started)
         if not witness.certified:
-            raise RejectedError(f"{recheck} does not certify a (K,L)-dad on {path}")
+            raise InputError(f"{recheck} does not certify a (K,L)-dad on {path}")
         if misstated:
-            raise RejectedError(f"{recheck} misstates its {', '.join(misstated)}")
+            raise InputError(f"{recheck} misstates its {', '.join(misstated)}")
         sys.exit(EXIT_OK)
     gr = load_graphing(g, graphing) if graphing else None
     k_set, l_set = _specs(g, k_spec, l_spec, gr)
@@ -264,12 +223,10 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
     params = f"k={k_spec};l={l_spec};d_max={d_max};mode={mode}"
     if witness is None:
         _exit_missed(path, "dad", params, mode, started)
-    obj = witness.to_json_obj()
-    obj["instance_digest"] = _digest(path)
-    obj["k_spec"] = k_spec
-    obj["l_spec"] = l_spec
-    wpath = _write_artifact(out, "dad-witness.json", obj)
-    gens = ",".join(str(n) for n in obj["generated_sizes"])
+    obj = artifacts.witness(witness, instance_digest=artifacts.digest(path),
+                            k_spec=k_spec, l_spec=l_spec)
+    wpath = artifacts.write(out, "dad-witness.json", obj)
+    gens = ",".join(str(len(s)) for s in witness.generated_per_class)
     result = f"d={witness.d};fold={fold_number(witness.cover)};gens={gens}"
     _row(path, "dad", params, result, wpath, started)
     sys.exit(EXIT_OK)
@@ -297,16 +254,7 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
         n_scale = _parse_int(mode.split(":", 1)[1], "--mode")
         res = treeable_cover(g, gr, n_scale)
         params = f"mode={mode}"
-        obj = {
-            "format": "tree-cover",
-            "version": 1,
-            "scale": n_scale,
-            "families": [[sorted(m) for m in fam] for fam in res.families],
-            "max_diameter": res.max_diameter,
-            "min_separation": res.min_separation,
-            "certified": res.certified,
-        }
-        wpath = _write_artifact(out, "tree-cover.json", obj)
+        wpath = artifacts.write(out, "tree-cover.json", artifacts.tree_cover(res))
         for fam_i, cls_i, annulus, fib, size, diam in res.rows:
             click.echo(f"{fam_i}\t{cls_i}\t{annulus}\t{fib}\t{size}\t{diam}")
         result = "certified" if res.certified else "failed"
@@ -328,17 +276,9 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
     params = f"points={points_spec};e={e_spec};f={f_spec};d_max={d_max}"
     if families is None:
         _exit_missed(path, "asdim", params, mode, started)
-    obj = {
-        "format": "asdim-decomposition",
-        "version": 1,
-        "instance_digest": _digest(path),
-        "points": list(iter_bits(pts)),
-        "families": [[sorted(m) for m in fam] for fam in families],
-        "e_spec": e_spec,
-        "f_spec": f_spec,
-        "certified": True,
-    }
-    wpath = _write_artifact(out, "asdim-decomposition.json", obj)
+    obj = artifacts.decomposition(families, certified=True, instance_digest=artifacts.digest(path),
+                                  points=list(iter_bits(pts)), e_spec=e_spec, f_spec=f_spec)
+    wpath = artifacts.write(out, "asdim-decomposition.json", obj)
     _row(path, "asdim", params, f"d={len(families) - 1}", wpath, started)
     sys.exit(EXIT_OK)
 
@@ -403,11 +343,10 @@ def cmd_theorem(which, base_path, left, right, graphing, left_graphing,
         report = bridge_theorem(g, k_set, l_set, d_max)
         instance = base_path
 
-    paths = {}
     for name, obj in report["artifacts"].items():
-        paths[name] = _write_artifact(out, f"{which}-{name}.json", obj)
+        artifacts.write(out, f"{which}-{name}.json", obj)
     summary = {k: v for k, v in report.items() if k != "artifacts"}
-    spath = _write_artifact(out, f"{which}-report.json", summary)
+    spath = artifacts.write(out, f"{which}-report.json", summary)
     certified = report.get("certified", False)
     result = f"d={report.get('d')};certified={certified}"
     if "refuted_below" in report:
@@ -456,12 +395,7 @@ def cmd_sweep(path, windows, what, k_spec, l_spec, d_max, n_scale, graphing, out
     for row in rows:
         lines.append(f"{row['window']}\t{row['result']}")
         click.echo(lines[-1])
-    _write_artifact(
-        out,
-        f"sweep-{what}.json",
-        {"format": "sweep", "what": what, "k_spec": k_spec, "l_spec": l_spec,
-         "rows": rows},
-    )
+    artifacts.write(out, f"sweep-{what}.json", artifacts.sweep(what, k_spec, l_spec, rows))
     _row(path, f"sweep-{what}", f"windows={windows}", f"rows={len(rows)}", None, started)
     sys.exit(EXIT_OK)
 

@@ -55,17 +55,6 @@ class Cover:
             out |= c.mask
         return out
 
-    def to_json_obj(self) -> dict:
-        return {
-            "base": sorted(self.base),
-            "classes": [sorted(c) for c in self.classes],
-        }
-
-    @staticmethod
-    def from_json_obj(g: Groupoid, obj: dict) -> "Cover":
-        classes = tuple(g.unit_set(ids) for ids in obj["classes"])
-        return Cover(g, classes, g.unit_set(obj["base"]))
-
 
 def fold_number(cover: Cover) -> int:
     """Minimum multiplicity of the classes over base points; 0 if uncovered.
@@ -201,7 +190,9 @@ def saturate(k_set: ArrowSet, units: UnitSet) -> UnitSet:
     return UnitSet(g, mask_of(g.rng[a] for a in iter_bits(reach)))
 
 
-def _level_cover(g: Groupoid, ctrl: ControlFunction, k_set: ArrowSet, k: int) -> Cover:
+def level_cover(g: Groupoid, ctrl: ControlFunction, k_set: ArrowSet, k: int) -> Cover:
+    """The ``k+1``-class cover of ``k_set``: the control function's own at
+    its dimension, above it the lift of the level below."""
     if k == ctrl.d:
         return ctrl.cover_for(k_set)
     return ostrand_lift(g, ctrl, k_set, k - 1)
@@ -225,7 +216,7 @@ def ostrand_lift(g: Groupoid, ctrl: ControlFunction, k_set: ArrowSet, k: int) ->
     d = ctrl.d
     cubed = power(k_set, 3)
     # checked against control_apply(ctrl, cubed, k) by ctrl at level d, else by the lift
-    level = _level_cover(g, ctrl, cubed, k)
+    level = level_cover(g, ctrl, cubed, k)
 
     shrunk = shrink_nfold(level, k + 1 - d)
     saturated = [saturate(k_set, v) for v in shrunk.classes]

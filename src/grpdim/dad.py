@@ -60,42 +60,9 @@ class DadWitness:
         return self.cover.owner
 
     def to_json_obj(self) -> dict:
-        return {
-            "format": "dad-witness",
-            "version": 1,
-            "d": self.d,
-            "k": sorted(self.K),
-            "l": sorted(self.L),
-            "cover": self.cover.to_json_obj(),
-            "generated_sizes": [len(s) for s in self.generated_per_class],
-            "certified": self.certified,
-        }
+        from .artifacts import witness  # artifacts imports this module
 
-    @staticmethod
-    def from_json_obj(g: Groupoid, obj) -> "DadWitness":
-        """Re-certify a serialized witness from scratch.
-
-        A malformed object (another ``format`` or ``version``, a missing
-        ``k``, ``l`` or ``cover`` key, or an id list that holds anything but
-        distinct nonnegative ints) raises WitnessError.  The object's own
-        claims (``d``, ``generated_sizes``, ``certified``) are not read here.
-        """
-        try:
-            if (obj["format"], obj["version"]) != ("dad-witness", 1):
-                raise WitnessError(
-                    f"not a dad-witness version 1: format {obj['format']!r}, "
-                    f"version {obj['version']!r}"
-                )
-            id_lists = [obj["k"], obj["l"], obj["cover"]["base"], *obj["cover"]["classes"]]
-        except (KeyError, TypeError) as exc:
-            raise WitnessError(f"malformed witness: missing or misplaced key ({exc})") from None
-        for ids in id_lists:
-            if not isinstance(ids, list) or any(type(i) is not int or i < 0 for i in ids):
-                raise WitnessError(f"malformed witness: {ids!r} is not a list of nonnegative ids")
-            if len(set(ids)) != len(ids):
-                raise WitnessError(f"malformed witness: an id is listed twice in {ids!r}")
-        cover = Cover.from_json_obj(g, obj["cover"])
-        return kl_dad_check(g, g.arrow_set(obj["k"]), g.arrow_set(obj["l"]), cover)
+        return witness(self)
 
 
 def _require_oc(name: str, aset: ArrowSet) -> None:
@@ -240,13 +207,11 @@ def kl_dad_search(
 
 @dataclass(frozen=True)
 class GluingCertificate:
-    """Outcome of a gluing containment check, with proof-shaped diagnostics."""
+    """Outcome of a gluing containment check: the generated set and its bound."""
 
     holds: bool
     generated_set: ArrowSet
     bound: ArrowSet
-    escape: ArrowSet
-    cases: "dict[str, ArrowSet] | None" = None
 
     def __bool__(self):
         return self.holds
@@ -263,32 +228,20 @@ def glue_two(
     """Two-set gluing: confine the window's subgroupoid over V0 | V1 in K2^5.
 
     Hypotheses (re-verified): K0 <= K1 <= K2 symmetric with units,
-    generated(K0, V0) <= K1 and generated(K1^3, V1) <= K2.  The certificate
-    also carries the three case sets of the underlying factorization argument
-    for diagnostics.
+    generated(K0, V0) <= K1 and generated(K1^3, V1) <= K2.
     """
     for name, s in (("K0", k0), ("K1", k1), ("K2", k2)):
         _require_oc(name, s)
     if not (k0 <= k1 and k1 <= k2):
         raise HypothesisError("window chain K0 <= K1 <= K2 violated")
-    gh0 = generated(k0, v0)
-    if not gh0 <= k1:
+    if not generated(k0, v0) <= k1:
         raise HypothesisError("generated(K0, V0) escapes K1")
-    gh1 = generated(power(k1, 3), v1)
-    if not gh1 <= k2:
+    if not generated(power(k1, 3), v1) <= k2:
         raise HypothesisError("generated(K1^3, V1) escapes K2")
 
     gen = generated(k0, v0 | v1)
     bound = power(k2, 5)
-    h0k0 = compose_sets(gh0, k0)
-    k0h0 = compose_sets(k0, gh0)
-    middle = compose_sets(h0k0, compose_sets(gh1, k0h0))
-    cases = {
-        "prefix": gen & h0k0,
-        "suffix": gen & k0h0,
-        "split": gen & middle,
-    }
-    return GluingCertificate(gen <= bound, gen, bound, gen - bound, cases)
+    return GluingCertificate(gen <= bound, gen, bound)
 
 
 def glue_chain(
@@ -318,7 +271,7 @@ def glue_chain(
         union = union | v
     gen = generated(k_list[0], union)
     bound = power(k_list[-1], 5)
-    return GluingCertificate(gen <= bound, gen, bound, gen - bound)
+    return GluingCertificate(gen <= bound, gen, bound)
 
 
 def union_combine(
@@ -459,10 +412,6 @@ def check_functor(g: Groupoid, h: Groupoid, pi: Sequence[int]) -> None:
             raise HypothesisError(f"functor does not preserve composition at ({a},{b})")
 
 
-def map_arrows_forward(h: Groupoid, pi: Sequence[int], aset: ArrowSet) -> ArrowSet:
-    return ArrowSet(h, mask_of(pi[a] for a in aset))
-
-
 def map_arrows_back(g: Groupoid, pi: Sequence[int], aset: ArrowSet) -> ArrowSet:
     return ArrowSet(g, mask_of(a for a in range(g.n_arrows) if pi[a] in aset))
 
@@ -482,7 +431,7 @@ def pullback_witness(
     """
     check_functor(g, h, pi)
     _same_owner(g, k_g.owner)
-    if not map_arrows_forward(h, pi, k_g) <= witness_h.K:
+    if not ArrowSet(h, mask_of(pi[a] for a in k_g)) <= witness_h.K:
         raise HypothesisError("functor image of the window escapes the target window")
     recheck = kl_dad_check(h, witness_h.K, witness_h.L, witness_h.cover)
     if not recheck.certified:

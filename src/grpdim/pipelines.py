@@ -7,6 +7,7 @@ that every "certified" result can be re-verified from the artifact alone.
 
 from __future__ import annotations
 
+from . import artifacts
 from .builders import blowup, product, replicate_psi
 from .coarse import (
     Graphing,
@@ -15,7 +16,7 @@ from .coarse import (
     dad_to_asdim,
     treeable_cover,
 )
-from .covers import _level_cover, control_apply
+from .covers import control_apply, level_cover
 from .dad import (
     blowup_lift,
     blowup_transfer,
@@ -26,6 +27,7 @@ from .dad import (
     union_combine,
 )
 from .groupoid import ArrowSet, Groupoid, GroupoidError, UnitSet, power, restrict, symmetrize
+from .setspec import parse_arrow_spec
 
 
 class PipelineError(GroupoidError):
@@ -72,14 +74,14 @@ def product_theorem(
         kl_dad_search(gr, k_right, power(k_right, l_power), d_max), "right-search"
     )
     _stage(report, "factor-search", d_left=w_left.d, d_right=w_right.d)
-    report["artifacts"]["left-witness"] = w_left.to_json_obj()
-    report["artifacts"]["right-witness"] = w_right.to_json_obj()
+    report["artifacts"]["left-witness"] = artifacts.witness(w_left)
+    report["artifacts"]["right-witness"] = artifacts.witness(w_right)
 
     ctrl_left = discover_control_function(gl, w_left.d)
     ctrl_right = discover_control_function(gr, w_right.d)
     level = w_left.d + w_right.d
-    cover_left = _level_cover(gl, ctrl_left, k_left, level)
-    cover_right = _level_cover(gr, ctrl_right, k_right, level)
+    cover_left = level_cover(gl, ctrl_left, k_left, level)
+    cover_right = level_cover(gr, ctrl_right, k_right, level)
     bound_left = control_apply(ctrl_left, k_left, level)
     bound_right = control_apply(ctrl_right, k_right, level)
     _stage(
@@ -103,7 +105,7 @@ def product_theorem(
         bound_right,
     )
     _stage(report, "product-combine", d=witness.d, certified=witness.certified)
-    report["artifacts"]["product-witness"] = witness.to_json_obj()
+    report["artifacts"]["product-witness"] = artifacts.witness(witness)
     report["d"] = witness.d
     report["certified"] = witness.certified
 
@@ -147,11 +149,11 @@ def union_theorem(
             reach = reach | gen
         k_list.append(symmetrize(cubed15 | sub.to_parent_arrows(reach)))
         _stage(report, f"part-{i}", units=len(part), d=w.d)
-        report["artifacts"][f"part-{i}-witness"] = w.to_json_obj()
+        report["artifacts"][f"part-{i}-witness"] = artifacts.witness(w)
 
     merged = union_combine(g, parts, witnesses, k_list)
     _stage(report, "union-combine", d=merged.d, certified=merged.certified)
-    report["artifacts"]["union-witness"] = merged.to_json_obj()
+    report["artifacts"]["union-witness"] = artifacts.witness(merged)
     report["d"] = merged.d
     report["certified"] = merged.certified
     return report
@@ -168,12 +170,12 @@ def morita_theorem(
     report = {"operation": "theorem-morita", "stages": [], "artifacts": {}}
     w_base = _need_witness(kl_dad_search(g, k_set, l_set, d_max), "base-search")
     _stage(report, "base-search", d=w_base.d)
-    report["artifacts"]["base-witness"] = w_base.to_json_obj()
+    report["artifacts"]["base-witness"] = artifacts.witness(w_base)
 
     bl = blowup(g, replicate_psi(g, multiplicity))
     lifted = blowup_lift(bl, w_base)
     _stage(report, "lift", d=lifted.d, certified=lifted.certified)
-    report["artifacts"]["lifted-witness"] = lifted.to_json_obj()
+    report["artifacts"]["lifted-witness"] = artifacts.witness(lifted)
 
     k_up = map_arrows_back(bl.groupoid, bl.pi, k_set)
     l_up = map_arrows_back(bl.groupoid, bl.pi, l_set)
@@ -183,7 +185,7 @@ def morita_theorem(
     _stage(report, "blowup-search", d=w_up.d)
     transferred = blowup_transfer(bl, w_up, k_set, l_set)
     _stage(report, "transfer", d=transferred.d, certified=transferred.certified)
-    report["artifacts"]["transferred-witness"] = transferred.to_json_obj()
+    report["artifacts"]["transferred-witness"] = artifacts.witness(transferred)
 
     equal = w_base.d == lifted.d == w_up.d == transferred.d
     report["d"] = w_base.d
@@ -204,7 +206,7 @@ def bridge_theorem(
     report = {"operation": "theorem-bridge", "stages": [], "artifacts": {}}
     w = _need_witness(kl_dad_search(g, k_set, l_set, d_max), "dad-search")
     _stage(report, "dad-search", d=w.d)
-    report["artifacts"]["dad-witness"] = w.to_json_obj()
+    report["artifacts"]["dad-witness"] = artifacts.witness(w)
 
     bridge = dad_to_asdim(g, w)
     _stage(
@@ -213,12 +215,9 @@ def bridge_theorem(
         certified=bridge.certified,
         families=[len(f) for f in bridge.families],
     )
-    report["artifacts"]["decomposition"] = {
-        "format": "asdim-decomposition",
-        "version": 1,
-        "families": [[sorted(m) for m in fam] for fam in bridge.families],
-        "certified": bridge.certified,
-    }
+    report["artifacts"]["decomposition"] = artifacts.decomposition(
+        bridge.families, certified=bridge.certified
+    )
     if not bridge.certified:
         raise PipelineError("stage 'dad-to-asdim': decomposition failed certification")
 
@@ -226,7 +225,7 @@ def bridge_theorem(
     _stage(report, "fiber-decompositions", fibers=sorted(decomps))
     back = asdim_to_dad(g, g.all_units(), k_set, l_set, decomps)
     _stage(report, "asdim-to-dad", d=back.d, certified=back.certified)
-    report["artifacts"]["reconstructed-witness"] = back.to_json_obj()
+    report["artifacts"]["reconstructed-witness"] = artifacts.witness(back)
 
     report["d"] = w.d
     report["certified"] = back.certified and back.d <= w.d
@@ -245,8 +244,6 @@ def sweep_rows(
     n_scale: int = 1,
 ) -> list[dict]:
     """Run dad searches or treeable certificates over prefix windows of the units."""
-    from .setspec import parse_arrow_spec
-
     rows = []
     for w_size in windows:
         if not 1 <= w_size <= g.n_units:

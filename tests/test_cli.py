@@ -516,3 +516,115 @@ def test_readme_cli_block_runs(tmp_path):
     for argv in commands:
         res = run_cli(*argv[1:], cwd=tmp_path)
         assert res.returncode == 0, (argv, res.stdout, res.stderr)
+
+
+# Every artifact kind a command writes, on built instances: pair(7) ("p7"),
+# pair(4) ("p4") and the binary tree of depth 2 ("b2"), each with its graphing
+# ("<name>g").  Determinism tests compare two runs of the same code; these
+# digests pin the bytes across changes to it, so a changed byte fails here.
+PINNED_COMMANDS = {
+    "dad": ["dad", "{p7}", "--graphing", "{p7g}"],
+    "asdim-fiber": ["asdim", "{p7}", "--points", "fiber:0", "--d-max", "1",
+                    "--graphing", "{p7g}"],
+    "asdim-tree": ["asdim", "{b2}", "--mode", "tree:1", "--graphing", "{b2g}"],
+    "theorem-product": ["theorem", "product", "--left", "{p4}", "--right", "{p4}",
+                        "--graphing", "{p4g}", "--refute-units", "0-3"],
+    "theorem-union": ["theorem", "union", "--path", "{p7}", "--graphing", "{p7g}",
+                      "--parts", "0-3;4-6"],
+    "theorem-morita": ["theorem", "morita", "--path", "{p7}", "--graphing", "{p7g}",
+                       "--l-spec", "power:K:1"],
+    "theorem-bridge": ["theorem", "bridge", "--path", "{p7}", "--graphing", "{p7g}"],
+    "sweep-dad": ["sweep", "{p7}", "--windows", "4-7", "--graphing", "{p7g}"],
+    "sweep-asdim": ["sweep", "{b2}", "--what", "asdim", "--windows", "3-7",
+                    "--graphing", "{b2g}"],
+}
+
+PINNED_ARTIFACTS = {
+    "dad": {
+        "dad-witness.json":
+            "dbe1de55e03dbb154cfac327e9097cdc725fe231d2146fc75dceea6c0fff0771",
+    },
+    "asdim-fiber": {
+        "asdim-decomposition.json":
+            "1297179eeab8f1d623b42a318293027a9368309529fd26eff7ad8214fcf617f2",
+    },
+    "asdim-tree": {
+        "tree-cover.json":
+            "6c2aa3b2d7cc0d72cc44cf495f9cf254190db15108d9eb82a5b7a5dc37c361c9",
+    },
+    "theorem-product": {
+        "product-left-witness.json":
+            "9c6536d4208b6951242d7fc5b9b8b966702978fa7776a72dd1c7a6ab685eee3c",
+        "product-product-witness.json":
+            "51517cb7d87bf8abd93caa12d3dbf6e0a9bcebf049d623110b97d7e7b22def6f",
+        "product-report.json":
+            "6749c3de00bc35881638fd4ce102d447fd858cef93fbd07db61737180a21a428",
+        "product-right-witness.json":
+            "9c6536d4208b6951242d7fc5b9b8b966702978fa7776a72dd1c7a6ab685eee3c",
+    },
+    "theorem-union": {
+        "union-part-0-witness.json":
+            "f7b1cb06786ccc0438fa38891a5f594a1717867c837d56ad79b59881fb172b0f",
+        "union-part-1-witness.json":
+            "b4ec448b74f09d3ed52f277d96a09aea888ab25b3cfebf50e3e8f7991afd7f7d",
+        "union-report.json":
+            "d2787db9880aef326cda5ae320b749d1dacd6aa8da124db6b319a1324e7165cd",
+        "union-union-witness.json":
+            "3412471784224e01126445c9d7b8abcb245b40b4b5e9df918eb663e8d05a48e0",
+    },
+    "theorem-morita": {
+        "morita-base-witness.json":
+            "644c3bbf3b96d1cb1ec94e756a6ba3167d7a1c97b064107c9404aa8d57b3083d",
+        "morita-lifted-witness.json":
+            "dd0485d6d3be3309466bcb5e8af5dbd74c6122f78f30e1e703b1edc4e21bac2b",
+        "morita-report.json":
+            "996658db1dd9a2af0168487ebe8131c23206e6e70fc69cd884cb4973840115b1",
+        "morita-transferred-witness.json":
+            "644c3bbf3b96d1cb1ec94e756a6ba3167d7a1c97b064107c9404aa8d57b3083d",
+    },
+    "theorem-bridge": {
+        "bridge-dad-witness.json":
+            "a2d1351903204795cdda68ef55a44d2c7273430ca1ee03c5f884ae037b6b4031",
+        "bridge-decomposition.json":
+            "1375ca43152e5532eca01f388e8f09cfaa65b66d0cad6a07e9ecb692653ab9d4",
+        "bridge-reconstructed-witness.json":
+            "a2d1351903204795cdda68ef55a44d2c7273430ca1ee03c5f884ae037b6b4031",
+        "bridge-report.json":
+            "7380a6b1301913ef96ce1873115b23bac1a3cfed3e27bd3898ecf694ede0207c",
+    },
+    "sweep-dad": {
+        "sweep-dad.json":
+            "542f8f6df971472812e5e0c251f2d0b27d7208e3ce516732068a1d1141761881",
+    },
+    "sweep-asdim": {
+        "sweep-asdim.json":
+            "519ea288c5984c48229b2f09c997578edb04c5038a29fe119058449e1496fc04",
+    },
+}
+
+
+def pinned_artifact_digests(root: Path) -> dict:
+    """Build the instances under ``root``, run every pinned command with its
+    own --out, and return ``{command: {file: sha256}}``."""
+    paths = {}
+    for name, build in (("p7", ["--family", "pair", "--n", "7"]),
+                        ("p4", ["--family", "pair", "--n", "4"]),
+                        ("b2", ["--family", "tree", "--shape", "binary:2"])):
+        paths[name], paths[name + "g"] = root / f"{name}.json", root / f"{name}.g.json"
+        res = run_cli("build", *build, "--out", str(paths[name]),
+                      "--graphing-out", str(paths[name + "g"]))
+        assert res.returncode == 0, res.stderr
+    digests = {}
+    for command, args in PINNED_COMMANDS.items():
+        out = root / command
+        res = run_cli(*[a.format(**paths) for a in args], "--out", str(out))
+        assert res.returncode == 0, (command, res.stderr)
+        digests[command] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                            for p in sorted(out.iterdir())}
+    return digests
+
+
+def test_every_artifact_kind_has_pinned_bytes(tmp_path):
+    digests = pinned_artifact_digests(tmp_path)
+    assert sum(map(len, digests.values())) == 21
+    assert digests == PINNED_ARTIFACTS

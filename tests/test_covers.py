@@ -203,13 +203,6 @@ def test_ostrand_lift_rejects_bad_producer():
         ostrand_lift(g, ControlFunction(1, cheat), k, 1)
 
 
-def test_cover_json_roundtrip():
-    g = pair_groupoid(5)
-    cover = cover_of(g, [0, 1], [2, 3, 4])
-    again = Cover.from_json_obj(g, cover.to_json_obj())
-    assert again.classes == cover.classes and again.base == cover.base
-
-
 def test_saturation_contains_the_set():
     from grpdim.covers import saturate
 

@@ -10,7 +10,6 @@ from conftest import (
 )
 from grpdim import (
     Cover,
-    DadWitness,
     HypothesisError,
     WitnessError,
     action_groupoid,
@@ -35,6 +34,7 @@ from grpdim import (
     tree_window,
     union_combine,
 )
+from grpdim.artifacts import read_witness
 from grpdim.covers import control_apply, ostrand_lift
 from grpdim.dad import discover_control_function, map_arrows_back
 
@@ -162,8 +162,9 @@ def test_search_monotone_in_scales():
 def test_witness_json_roundtrip():
     g, k = line(7)
     w = kl_dad_search(g, k, power(k, 2), 1)
-    again = DadWitness.from_json_obj(g, w.to_json_obj())
+    again = read_witness(g, w.to_json_obj())
     assert again.certified and again.cover.classes == w.cover.classes
+    assert again.cover.base == w.cover.base
 
 
 # -- gluing -------------------------------------------------------------------
@@ -187,9 +188,6 @@ def test_glue_two_line13():
     k2 = power(k1, 21)
     cert = glue_two(g, v0, v1, k0, k1, k2)
     assert cert.holds
-    # the case sets all live inside the bound
-    for case in cert.cases.values():
-        assert case <= cert.bound
 
 
 def test_glue_two_rejects_bad_hypotheses():
