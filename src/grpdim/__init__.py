@@ -15,10 +15,8 @@ from .groupoid import (
     Violation,
     arrows_within,
     compose_sets,
-    fundamental_domain,
     generated,
     is_principal,
-    orbits,
     power,
     restrict,
     symmetrize,

@@ -40,7 +40,10 @@ def witness(w: DadWitness, **fields) -> dict:
         "d": w.d,
         "k": sorted(w.K),
         "l": sorted(w.L),
-        "cover": {"base": sorted(w.cover.base), "classes": [sorted(c) for c in w.cover.classes]},
+        "cover": {
+            "base": list(range(w.owner.n_units)),
+            "classes": [sorted(c) for c in w.cover.classes],
+        },
         "generated_sizes": [len(s) for s in w.generated_per_class],
         "certified": w.certified,
         **fields,
@@ -52,9 +55,11 @@ def read_witness(g, obj) -> DadWitness:
 
     A malformed object (another ``format`` or ``version``, a missing
     ``k``, ``l`` or ``cover`` key, or an id list that holds anything but
-    distinct nonnegative ints) raises WitnessError.  The object's own
-    claims (``d``, ``generated_sizes``, ``certified``) are not read here:
-    :func:`misstated` compares them.
+    distinct nonnegative ints) raises WitnessError, and so does a cover
+    ``base`` other than every unit, checked after ``kl_dad_check``'s owner
+    and normality checks.  The object's own claims (``d``,
+    ``generated_sizes``, ``certified``) are not read here: :func:`misstated`
+    compares them.
     """
     try:
         if (obj["format"], obj["version"]) != ("dad-witness", 1):
@@ -68,9 +73,12 @@ def read_witness(g, obj) -> DadWitness:
             raise WitnessError(f"malformed witness: {ids!r} is not a list of nonnegative ids")
         if len(set(ids)) != len(ids):
             raise WitnessError(f"malformed witness: an id is listed twice in {ids!r}")
-    classes = tuple(g.unit_set(ids) for ids in obj["cover"]["classes"])
-    cover = Cover(g, classes, g.unit_set(obj["cover"]["base"]))
-    return kl_dad_check(g, g.arrow_set(obj["k"]), g.arrow_set(obj["l"]), cover)
+    cover = Cover(g, tuple(g.unit_set(ids) for ids in obj["cover"]["classes"]))
+    base = g.unit_set(obj["cover"]["base"])
+    w = kl_dad_check(g, g.arrow_set(obj["k"]), g.arrow_set(obj["l"]), cover)
+    if base.mask != g.units_mask:  # s(K) | r(K): K holds every unit
+        raise WitnessError("cover base does not contain s(K) | r(K)")
+    return w
 
 
 def other_instance(obj, path) -> bool:

@@ -391,10 +391,8 @@ def cmd_sweep(path, windows, what, k_spec, l_spec, d_max, n_scale, graphing, out
     rows = sweep_rows(
         g, gr, _parse_units(windows, "--windows"), what, k_spec, l_spec, d_max, n_scale
     )
-    lines = []
     for row in rows:
-        lines.append(f"{row['window']}\t{row['result']}")
-        click.echo(lines[-1])
+        click.echo(f"{row['window']}\t{row['result']}")
     artifacts.write(out, f"sweep-{what}.json", artifacts.sweep(what, k_spec, l_spec, rows))
     _row(path, f"sweep-{what}", f"windows={windows}", f"rows={len(rows)}", None, started)
     sys.exit(EXIT_OK)

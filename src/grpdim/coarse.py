@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from ._search import compact_order, partition_search
 from .covers import Cover
-from .dad import DadWitness, kl_dad_check
+from .dad import DadWitness, certify
 from .groupoid import (
     ArrowSet,
     Groupoid,
@@ -485,10 +485,7 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
     if not witness.K.is_oc_normal():
         raise CoarseError("gauge windows must be symmetric and contain every unit")
 
-    f_union = g.arrow_set()
-    for gen in witness.generated_per_class:
-        f_union = f_union | gen
-    f_window = symmetrize(f_union)
+    f_window = symmetrize(witness.reach)
 
     t = transversal(g)
     rep_mask = 0
@@ -653,7 +650,5 @@ def asdim_to_dad(
         k_local = gy.from_parent_arrows(k_set)
         l_local = gy.from_parent_arrows(l_set)
         classes = tuple(gy.from_parent_units(UnitSet(g, mask)) for mask in class_units)
-    witness = kl_dad_check(gy, k_local, l_local, Cover(gy, classes, gy.all_units()))
-    if not witness.certified:
-        raise RuntimeError("fiber decompositions passed their checks but the witness failed")
-    return witness
+    return certify(gy, k_local, l_local, Cover(gy, classes), RuntimeError(
+        "fiber decompositions passed their checks but the witness failed"))

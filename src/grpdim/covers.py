@@ -1,7 +1,7 @@
 """n-fold covers of the unit space and the control-function calculus.
 
-A cover is an ordered family of unit sets together with the base set it is
-required to cover.  Control functions map windows to containment bounds and
+A cover is an ordered family of unit sets of one groupoid, read as a cover of
+all of its units.  Control functions map windows to containment bounds and
 are the driver for the fold-increasing lift in :func:`ostrand_lift`.
 """
 
@@ -34,14 +34,12 @@ MAX_LIFT_LEVEL = 12  # residual-class subset enumeration is binomial in the leve
 
 @dataclass(frozen=True)
 class Cover:
-    """Ordered classes ``U_0..U_k`` over ``base``, all owned by one groupoid."""
+    """Ordered classes ``U_0..U_k`` over every unit of ``owner``."""
 
     owner: Groupoid
     classes: tuple[UnitSet, ...]
-    base: UnitSet
 
     def __post_init__(self):
-        _same_owner(self.owner, self.base.owner)
         for c in self.classes:
             _same_owner(self.owner, c.owner)
 
@@ -57,42 +55,40 @@ class Cover:
 
 
 def fold_number(cover: Cover) -> int:
-    """Minimum multiplicity of the classes over base points; 0 if uncovered.
+    """Minimum multiplicity of the classes over the units; 0 if uncovered.
 
-    An empty base is vacuously covered with the maximal fold, the number of
-    classes.
+    A groupoid with no units is vacuously covered with the maximal fold, the
+    number of classes.
     """
-    if not cover.base:
-        return len(cover.classes)
-    best = None
-    for x in cover.base:
+    best = len(cover.classes)
+    for x in range(cover.owner.n_units):
         count = sum(1 for c in cover.classes if x in c)
         if count == 0:
             return 0
-        if best is None or count < best:
+        if count < best:
             best = count
     return best
 
 
 def check_nfold_subfamilies(cover: Cover, n: int) -> bool:
-    """Subfamily criterion: every (k+2-n)-subset of the classes covers base."""
+    """Subfamily criterion: every (k+2-n)-subset of the classes covers every unit."""
     k = cover.k
     if n > k + 1:
         raise CoverError(f"n={n} exceeds the number of classes {k + 1}")
     size = k + 2 - n
     masks = [c.mask for c in cover.classes]
-    base = cover.base.mask
+    units = cover.owner.units_mask
     for sub in combinations(masks, size):
         u = 0
         for m in sub:
             u |= m
-        if base & ~u:
+        if units & ~u:
             return False
     return True
 
 
 def shrink_nfold(cover: Cover, n: int) -> Cover:
-    """Greedy pruning: drop points while every base point stays in >= n classes.
+    """Greedy pruning: drop points while every unit stays in >= n classes.
 
     Units are scanned in increasing id; memberships are dropped from the
     highest class index first, so each point keeps its lowest classes.
@@ -100,7 +96,7 @@ def shrink_nfold(cover: Cover, n: int) -> Cover:
     if fold_number(cover) < n:
         raise CoverError(f"cover is not {n}-fold")
     masks = [c.mask for c in cover.classes]
-    for x in cover.base:
+    for x in range(cover.owner.n_units):
         bit = 1 << x
         count = sum(1 for m in masks if m & bit)
         for i in range(len(masks) - 1, -1, -1):
@@ -109,11 +105,8 @@ def shrink_nfold(cover: Cover, n: int) -> Cover:
             if masks[i] & bit:
                 masks[i] &= ~bit
                 count -= 1
-    # points outside the base contribute nothing to the fold number
-    keep = cover.base.mask
-    masks = [m & keep for m in masks]
     g = cover.owner
-    return Cover(g, tuple(UnitSet(g, m) for m in masks), cover.base)
+    return Cover(g, tuple(UnitSet(g, m) for m in masks))
 
 
 class ControlFunction:
@@ -146,8 +139,8 @@ class ControlFunction:
                 raise CoverError(
                     f"control cover has {len(cover.classes)} classes, expected {self.d + 1}"
                 )
-            if cover.base.mask & ~cover.union_mask():
-                raise CoverError("control cover does not cover its base")
+            if cover.owner.units_mask & ~cover.union_mask():
+                raise CoverError("control cover does not cover every unit")
             for i, cls in enumerate(cover.classes):
                 if not generated(k_set, cls) <= bound:
                     raise CoverError(f"control cover class {i} generates outside its bound")
@@ -238,7 +231,7 @@ def ostrand_lift(g: Groupoid, ctrl: ControlFunction, k_set: ArrowSet, k: int) ->
         residual |= inside
 
     classes = tuple(saturated) + (UnitSet(g, residual),)
-    lifted = Cover(g, classes, g.all_units())
+    lifted = Cover(g, classes)
 
     new_fold = fold_number(lifted)
     if new_fold < k + 2 - d:

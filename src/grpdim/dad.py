@@ -33,8 +33,7 @@ from .groupoid import (
 
 
 class WitnessError(GroupoidError):
-    """Ill-posed witness request (owners, normality, base mismatch) or
-    malformed serialized witness."""
+    """Ill-posed witness request (owners, normality) or malformed serialized witness."""
 
 
 class HypothesisError(GroupoidError):
@@ -59,6 +58,14 @@ class DadWitness:
     def owner(self) -> Groupoid:
         return self.cover.owner
 
+    @property
+    def reach(self) -> ArrowSet:
+        """The union of the classes' generated subgroupoids."""
+        out = self.owner.arrow_set()
+        for gen in self.generated_per_class:
+            out = out | gen
+        return out
+
     def to_json_obj(self) -> dict:
         from .artifacts import witness  # artifacts imports this module
 
@@ -73,7 +80,7 @@ def _require_oc(name: str, aset: ArrowSet) -> None:
 def kl_dad_check(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, cover: Cover) -> DadWitness:
     """Certify a cover: every class must generate inside the bound.
 
-    The witness is certified iff the classes cover the base and each
+    The witness is certified iff the classes cover every unit and each
     ``generated(K, U_i)`` lies inside ``L``.
     """
     _same_owner(g, k_set.owner)
@@ -81,12 +88,18 @@ def kl_dad_check(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, cover: Cover) ->
     _same_owner(g, cover.owner)
     _require_oc("K", k_set)
     _require_oc("L", l_set)
-    if cover.base.mask != g.units_mask:  # s(K) | r(K): K holds every unit
-        raise WitnessError("cover base does not contain s(K) | r(K)")
     gens = tuple(generated(k_set, cls) for cls in cover.classes)
-    covered = cover.base.mask & ~cover.union_mask() == 0
+    covered = g.units_mask & ~cover.union_mask() == 0
     certified = covered and all(gen <= l_set for gen in gens)
     return DadWitness(cover, k_set, l_set, gens, certified)
+
+
+def certify(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, cover: Cover, error) -> DadWitness:
+    """``kl_dad_check``'s witness, or raise the exception ``error`` if it is not certified."""
+    witness = kl_dad_check(g, k_set, l_set, cover)
+    if not witness.certified:
+        raise error
+    return witness
 
 
 # -- search ---------------------------------------------------------------
@@ -194,11 +207,9 @@ def kl_dad_search(
         else:
             masks = _generic_search(g, k_set, l_set, d, mode, order)
         if masks is not None:
-            cover = Cover(g, tuple(UnitSet(g, m) for m in masks), g.all_units())
-            witness = kl_dad_check(g, k_set, l_set, cover)
-            if not witness.certified:
-                raise RuntimeError("search produced an uncertifiable cover")
-            return witness
+            cover = Cover(g, tuple(UnitSet(g, m) for m in masks))
+            return certify(g, k_set, l_set, cover,
+                           RuntimeError("search produced an uncertifiable cover"))
     return None
 
 
@@ -244,6 +255,14 @@ def glue_two(
     return GluingCertificate(gen <= bound, gen, bound)
 
 
+def _window_chain(k_list: Sequence[ArrowSet]) -> None:
+    """Windows must be symmetric with units, each inside the next."""
+    for i, s in enumerate(k_list):
+        _require_oc(f"K{i}", s)
+        if i and not k_list[i - 1] <= s:
+            raise HypothesisError(f"window chain not increasing at index {i}")
+
+
 def glue_chain(
     g: Groupoid,
     v_list: Sequence[UnitSet],
@@ -258,10 +277,7 @@ def glue_chain(
     """
     if len(k_list) != len(v_list) + 1:
         raise HypothesisError("need exactly one more window than unit sets")
-    for i, s in enumerate(k_list):
-        _require_oc(f"K{i}", s)
-        if i and not k_list[i - 1] <= s:
-            raise HypothesisError(f"window chain not increasing at index {i}")
+    _window_chain(k_list)
     for i, v in enumerate(v_list):
         if not generated(power(k_list[i], 15), v) <= k_list[i + 1]:
             raise HypothesisError(f"generated(K{i}^15, V{i}) escapes K{i + 1}")
@@ -299,10 +315,7 @@ def union_combine(
         seen |= p.mask
     if seen != g.units_mask:
         raise HypothesisError("parts do not cover the unit space")
-    for i, s in enumerate(k_list):
-        _require_oc(f"K{i}", s)
-        if i and not k_list[i - 1] <= s:
-            raise HypothesisError(f"window chain not increasing at index {i}")
+    _window_chain(k_list)
 
     d = max(w.d for w in witnesses)
     merged = [0] * (d + 1)
@@ -313,13 +326,12 @@ def union_combine(
         expected_k = sub.from_parent_arrows(power(k_list[i], 15))
         if w.K != expected_k:
             raise HypothesisError(f"witness {i} window is not K{i}^15 restricted to its part")
-        recheck = kl_dad_check(sub, expected_k, sub.from_parent_arrows(k_list[i + 1]), w.cover)
-        if not recheck.certified:
-            raise HypothesisError(f"witness {i} fails re-certification against K{i + 1}")
+        certify(sub, expected_k, sub.from_parent_arrows(k_list[i + 1]), w.cover,
+                HypothesisError(f"witness {i} fails re-certification against K{i + 1}"))
         for j, cls in enumerate(w.cover.classes):
             merged[j] |= sub.to_parent_units(cls).mask
 
-    cover = Cover(g, tuple(UnitSet(g, m) for m in merged), g.all_units())
+    cover = Cover(g, tuple(UnitSet(g, m) for m in merged))
     out = kl_dad_check(g, k_list[0], power(k_list[-1], 5), cover)
     if not out.certified:
         offender = next(
@@ -351,9 +363,16 @@ def product_combine(
     Both covers must sit at level ``k = d_left + d_right``: ``k+1`` classes,
     ``(k+1-d)``-fold for their own ``d``, with every class generating inside
     the factor bound.  The product witness has classes ``U_i x V_i`` and bound
-    ``L_left x L_right``; the pigeonhole cover property is re-verified
-    pointwise by the final certification.
+    ``L_left x L_right``.  Once the hypotheses hold it certifies, so a failure
+    there is a broken invariant (RuntimeError): ``u`` lies in at least
+    ``k+1-d_left`` classes ``U_i`` and ``v`` in at least ``k+1-d_right``
+    classes ``V_i``, ``k+2`` memberships among ``k+1`` indices, so some
+    ``U_i x V_i`` holds ``(u, v)``; and products in the window are factorwise,
+    so ``generated(K, U_i x V_i)`` lies in ``generated(K_left, U_i) x
+    generated(K_right, V_i)``, inside ``L_left x L_right``.
     """
+    _same_owner(prod.left, cover_left.owner)
+    _same_owner(prod.right, cover_right.owner)
     k = d_left + d_right
     for side, cov, dd in (("left", cover_left, d_left), ("right", cover_right, d_right)):
         if len(cov.classes) != k + 1:
@@ -379,11 +398,8 @@ def product_combine(
             for v in ur:
                 mask |= 1 << prod.unit_id(u, v)
         classes.append(UnitSet(gp, mask))
-    cover = Cover(gp, tuple(classes), gp.all_units())
-    out = kl_dad_check(gp, k_prod, l_prod, cover)
-    if not out.certified:
-        raise HypothesisError("product witness failed re-certification")
-    return out
+    return certify(gp, k_prod, l_prod, Cover(gp, tuple(classes)),
+                   RuntimeError("product witness failed re-certification"))
 
 
 # -- functor transfer ------------------------------------------------------
@@ -425,30 +441,28 @@ def pullback_witness(
 ) -> DadWitness:
     """Pull a witness back along a homomorphism into the domain groupoid.
 
-    Classes become unit preimages; the bound is the preimage of the union of
-    the target's generated subgroupoids.  The result is re-certified
-    directly.
+    Classes become unit preimages; the bound is the symmetrized preimage of
+    the re-checked target witness's ``reach``.  Once the hypotheses hold the
+    result certifies, so a failure there is a broken invariant (RuntimeError):
+    each unit maps to a unit, which some ``U_i`` holds; and ``pi`` maps K_g's
+    arrows within ``pi^-1 U_i`` to K_h's within ``U_i`` and preserves products
+    and inverses, so it maps ``generated(K_g, pi^-1 U_i)`` into
+    ``generated(K_h, U_i)``, inside the reach.
     """
     check_functor(g, h, pi)
     _same_owner(g, k_g.owner)
     if not ArrowSet(h, mask_of(pi[a] for a in k_g)) <= witness_h.K:
         raise HypothesisError("functor image of the window escapes the target window")
-    recheck = kl_dad_check(h, witness_h.K, witness_h.L, witness_h.cover)
-    if not recheck.certified:
-        raise HypothesisError("target witness fails re-certification")
+    recheck = certify(h, witness_h.K, witness_h.L, witness_h.cover,
+                      HypothesisError("target witness fails re-certification"))
 
-    union = h.arrow_set()
-    for gen in witness_h.generated_per_class:
-        union = union | gen
-    l_g = symmetrize(map_arrows_back(g, pi, union))
+    l_g = symmetrize(map_arrows_back(g, pi, recheck.reach))
     classes = tuple(
         UnitSet(g, mask_of(u for u in range(g.n_units) if pi[u] in cls))
         for cls in witness_h.cover.classes
     )
-    out = kl_dad_check(g, k_g, l_g, Cover(g, classes, g.all_units()))
-    if not out.certified:
-        raise HypothesisError("pulled-back witness failed re-certification")
-    return out
+    return certify(g, k_g, l_g, Cover(g, classes),
+                   RuntimeError("pulled-back witness failed re-certification"))
 
 
 # -- blow-up transfer ------------------------------------------------------
@@ -480,18 +494,15 @@ def blowup_transfer(
     lifted = map_arrows_back(gb, bl.pi, k_set)
     if not lifted <= witness_psi.K:
         raise HypothesisError("blow-up witness window does not contain the lifted window")
-    recheck = kl_dad_check(gb, witness_psi.K, witness_psi.L, witness_psi.cover)
-    if not recheck.certified:
-        raise HypothesisError("blow-up witness fails re-certification")
+    certify(gb, witness_psi.K, witness_psi.L, witness_psi.cover,
+            HypothesisError("blow-up witness fails re-certification"))
 
     classes = tuple(
         UnitSet(g, mask_of(bl.psi[x] for x in cls))
         for cls in witness_psi.cover.classes
     )
-    out = kl_dad_check(g, k_set, l_g, Cover(g, classes, g.all_units()))
-    if not out.certified:
-        raise HypothesisError("transferred witness failed re-certification")
-    return out
+    return certify(g, k_set, l_g, Cover(g, classes),
+                   HypothesisError("transferred witness failed re-certification"))
 
 
 # -- control-function discovery -------------------------------------------
@@ -515,7 +526,7 @@ def discover_control_function(g: Groupoid, d: int) -> ControlFunction:
                 # pad lower-dimensional witnesses with empty classes
                 classes = witness.cover.classes
                 classes += tuple(g.unit_set() for _ in range(d + 1 - len(classes)))
-                return bound, Cover(g, classes, witness.cover.base)
+                return bound, Cover(g, classes)
             nxt = compose_sets(k_set, bound)
             if nxt == bound:
                 raise CoverError(

@@ -412,7 +412,7 @@ def restrict(g: Groupoid, units: UnitSet) -> Groupoid:
     )
 
 
-# -- orbits, principality, fundamental domains ----------------------------
+# -- orbits and principality ----------------------------------------------
 
 
 def transversal(g: Groupoid) -> list[int]:
@@ -469,14 +469,6 @@ def orbit_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, int]:
     return fibers
 
 
-def orbits(g: Groupoid) -> list[UnitSet]:
-    """Partition of the units: u, v share a block iff some arrow joins them.
-
-    Blocks come by least unit x, each the ranges of the arrows from x."""
-    roots = [x for x, a in enumerate(transversal(g)) if a == x]
-    return [UnitSet(g, mask_of(g.rng[a] for a in iter_bits(g.by_src[x]))) for x in roots]
-
-
 def is_principal(g: Groupoid) -> bool:
     """True iff the only arrows with equal endpoints are the identities."""
     if g._principal is None:
@@ -484,13 +476,6 @@ def is_principal(g: Groupoid) -> bool:
             g.src[a] != g.rng[a] for a in range(g.n_units, g.n_arrows)
         )
     return g._principal
-
-
-def fundamental_domain(g: Groupoid) -> UnitSet:
-    """Minimum-id representative of each orbit; requires a principal groupoid."""
-    if not is_principal(g):
-        raise GroupoidError("fundamental domain requires a principal groupoid")
-    return UnitSet(g, mask_of(x for x, a in enumerate(transversal(g)) if a == x))
 
 
 # -- axiom validation ------------------------------------------------------

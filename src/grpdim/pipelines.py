@@ -144,10 +144,7 @@ def union_theorem(
             f"part-{i}-search",
         )
         witnesses.append(w)
-        reach = sub.arrow_set()
-        for gen in w.generated_per_class:
-            reach = reach | gen
-        k_list.append(symmetrize(cubed15 | sub.to_parent_arrows(reach)))
+        k_list.append(symmetrize(cubed15 | sub.to_parent_arrows(w.reach)))
         _stage(report, f"part-{i}", units=len(part), d=w.d)
         report["artifacts"][f"part-{i}-witness"] = artifacts.witness(w)
 

@@ -236,7 +236,7 @@ def brute_dad_search(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, d_max: int):
                 for c in range(d + 1):
                     if chosen >> c & 1:
                         masks[c] |= 1 << u
-            cover = Cover(g, tuple(UnitSet(g, m) for m in masks), g.all_units())
+            cover = Cover(g, tuple(UnitSet(g, m) for m in masks))
             witness = kl_dad_check(g, k_set, l_set, cover)
             if witness.certified:
                 return d, cover
@@ -572,7 +572,7 @@ class UnionFind:
 def union_find_orbits(g: Groupoid) -> list[list[int]]:
     """Orbits as the components of the graph that every arrow draws on the
     units, by union-find, in order of least unit.  The oracle for
-    ``grpdim.groupoid.orbits`` and ``fundamental_domain``."""
+    ``grpdim.groupoid.transversal``."""
     uf = UnionFind(g.n_units)
     for a in range(g.n_arrows):
         uf.union(g.src[a], g.rng[a])

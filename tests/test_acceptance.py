@@ -237,11 +237,12 @@ def test_criterion_08_treeable():
 
 def test_criterion_09_nfold_equivalence():
     started = time.monotonic()
-    g = pair_groupoid(6)
+    # a cover covers every unit of its groupoid: pair(n) has n units
+    pairs = {n: pair_groupoid(n) for n in range(1, 7)}
     # exhaustive over <= 4 units and <= 4 classes
     mismatches = 0
     for n_units in (1, 2, 3, 4):
-        base = g.unit_set(range(n_units))
+        g = pairs[n_units]
         subsets = list(range(1 << n_units))
         for k_classes in (1, 2, 3, 4):
             for classes in iproduct(subsets, repeat=k_classes):
@@ -251,7 +252,6 @@ def test_criterion_09_nfold_equivalence():
                         g.unit_set([u for u in range(n_units) if m >> u & 1])
                         for m in classes
                     ),
-                    base,
                 )
                 fold = fold_number(cover)
                 for n in range(k_classes + 1):
@@ -264,14 +264,13 @@ def test_criterion_09_nfold_equivalence():
     for _ in range(1_000_000):
         n_units = rng.randint(5, 6)
         k_classes = rng.randint(1, 5)
-        base = g.unit_set(range(n_units))
+        g = pairs[n_units]
         cover = Cover(
             g,
             tuple(
                 g.unit_set([u for u in range(n_units) if rng.getrandbits(1)])
                 for _ in range(k_classes)
             ),
-            base,
         )
         n = rng.randint(0, k_classes)
         if check_nfold_subfamilies(cover, n) != (fold_number(cover) >= n):

@@ -148,6 +148,10 @@ MALFORMED_WITNESSES = {
     "id-twice-in-a-class": lambda w: json.dumps(
         dict(w, cover=dict(w["cover"], classes=[[3, 3], *w["cover"]["classes"][:1]]))
     ),
+    "base-missing-a-unit": lambda w: json.dumps(
+        dict(w, cover=dict(w["cover"], base=w["cover"]["base"][1:]))
+    ),
+    "empty-base": lambda w: json.dumps(dict(w, cover=dict(w["cover"], base=[]))),
 }
 
 

@@ -638,7 +638,7 @@ def test_dad_to_asdim_requires_certified():
     k = graphing.ball(1)
     from grpdim import Cover, kl_dad_check
 
-    bad = kl_dad_check(g, k, power(k, 2), Cover(g, (g.all_units(),), g.all_units()))
+    bad = kl_dad_check(g, k, power(k, 2), Cover(g, (g.all_units(),)))
     assert not bad.certified
     with pytest.raises(CoarseError):
         dad_to_asdim(g, bad)
@@ -675,7 +675,7 @@ def test_dad_to_asdim_matches_whole_arrow_oracle():
         if rng.random() < 0.5:  # a cover, which L = K makes kl_dad_check reject often
             covered = set().union(*classes)
             classes[-1] |= g.unit_set([u for u in range(g.n_units) if u not in covered])
-        forged = kl_dad_check(g, k_set, k_set, Cover(g, tuple(classes), g.all_units()))
+        forged = kl_dad_check(g, k_set, k_set, Cover(g, tuple(classes)))
         witnesses = [(kl_dad_search(g, k_set, l_set, 2), False)]
         if not forged.certified:
             witnesses.append((dataclasses.replace(forged, certified=True), True))
@@ -998,7 +998,7 @@ def test_asdim_to_dad_on_every_unit_matches_the_restriction():
         gy = restrict(g, y)
         classes = tuple(gy.from_parent_units(g.unit_set(c)) for c in w.cover.classes)
         ref = kl_dad_check(gy, gy.from_parent_arrows(k), gy.from_parent_arrows(l_set),
-                           Cover(gy, classes, gy.all_units()))
+                           Cover(gy, classes))
         assert w.owner is g and w.certified and ref.certified
         assert w.to_json_obj() == ref.to_json_obj()
 

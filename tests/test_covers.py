@@ -8,6 +8,7 @@ from grpdim import (
     ControlFunction,
     Cover,
     CoverError,
+    Groupoid,
     check_nfold_subfamilies,
     control_apply,
     discover_control_function,
@@ -27,12 +28,8 @@ def line(n):
     return g, graphing.ball(1)
 
 
-def cover_of(g, *classes, base=None):
-    return Cover(
-        g,
-        tuple(g.unit_set(c) for c in classes),
-        g.all_units() if base is None else g.unit_set(base),
-    )
+def cover_of(g, *classes):
+    return Cover(g, tuple(g.unit_set(c) for c in classes))
 
 
 def test_fold_number_basic():
@@ -43,8 +40,9 @@ def test_fold_number_basic():
     assert fold_number(halves) == 1
     uncovered = cover_of(g, range(3))
     assert fold_number(uncovered) == 0
-    empty_base = cover_of(g, range(3), range(3), base=[])
-    assert fold_number(empty_base) == 2
+    # no units: vacuously covered with the maximal fold
+    no_units = cover_of(Groupoid(0, (), (), (), ()), [], [])
+    assert fold_number(no_units) == 2
 
 
 def test_check_nfold_subfamilies_examples():
@@ -66,7 +64,6 @@ def test_nfold_criterion_equals_fold_number_exhaustive_small():
             cover = Cover(
                 g,
                 tuple(g.unit_set([u for u in range(n_units) if m >> u & 1]) for m in classes),
-                g.all_units(),
             )
             fold = fold_number(cover)
             for n in range(0, k_classes + 1):
@@ -139,7 +136,7 @@ def test_control_apply_fixed_rule_line():
         assert witness is not None
         classes = witness.cover.classes
         classes += tuple(g.unit_set() for _ in range(2 - len(classes)))
-        return bound, Cover(g, classes, witness.cover.base)
+        return bound, Cover(g, classes)
 
     ctrl = ControlFunction(1, provider)
     # K . (K^3)^4 . K = K^14
@@ -197,10 +194,21 @@ def test_ostrand_lift_rejects_bad_producer():
 
     def cheat(k_set):
         # claims a one-class cover bounded by the window itself: false for lines
-        return k_set, Cover(g, (g.all_units(), g.unit_set()), g.all_units())
+        return k_set, Cover(g, (g.all_units(), g.unit_set()))
 
     with pytest.raises(CoverError):
         ostrand_lift(g, ControlFunction(1, cheat), k, 1)
+
+
+def test_control_cover_must_cover_every_unit():
+    # the provider's classes miss unit 6; its bound is honest
+    g, k = line(7)
+
+    def provider(k_set):
+        return g.all_arrows(), Cover(g, (g.unit_set(range(6)), g.unit_set()))
+
+    with pytest.raises(CoverError, match="control cover does not cover"):
+        ControlFunction(1, provider).bound(k)
 
 
 def test_saturation_contains_the_set():
@@ -218,7 +226,7 @@ def test_ostrand_lift_duplicate_class_producer():
     full = g.all_arrows()
 
     def provider(k_set):
-        return full, Cover(g, (g.all_units(), g.all_units()), g.all_units())
+        return full, Cover(g, (g.all_units(), g.all_units()))
 
     lifted = ostrand_lift(g, ControlFunction(1, provider), k, 1)
     assert fold_number(lifted) >= 2

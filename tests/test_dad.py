@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,8 +9,10 @@ from conftest import (
     pair_blocks_groupoid,
     random_principal_groupoid,
 )
+import grpdim.dad as dad_module
 from grpdim import (
     Cover,
+    GroupoidError,
     HypothesisError,
     WitnessError,
     action_groupoid,
@@ -45,7 +48,7 @@ def line(n):
 
 
 def cover_of(g, *classes):
-    return Cover(g, tuple(g.unit_set(c) for c in classes), g.all_units())
+    return Cover(g, tuple(g.unit_set(c) for c in classes))
 
 
 # -- kl_dad_check -------------------------------------------------------------
@@ -68,15 +71,17 @@ def test_check_line_split():
 
 
 def test_check_base_mismatch():
+    # a witness file states its cover's base; a re-check accepts only every unit
     g, k = line(5)
-    small_base = Cover(g, (g.unit_set([0, 1]),), g.unit_set([0, 1]))
+    obj = kl_dad_check(g, k, g.all_arrows(), cover_of(g, range(5))).to_json_obj()
+    small_base = dict(obj, cover={"base": [0, 1], "classes": [[0, 1]]})
     with pytest.raises(WitnessError):
-        kl_dad_check(g, k, g.all_arrows(), small_base)
+        read_witness(g, small_base)
     # K holds every unit, so s(K) | r(K) is every unit, even when K is the units
-    missing_one = Cover(g, (g.all_units(),), g.unit_set([0, 1, 3, 4]))
+    missing_one = dict(obj, cover=dict(obj["cover"], base=[0, 1, 3, 4]))
     for window in (k, g.arrow_set(range(5))):
         with pytest.raises(WitnessError, match=r"cover base does not contain s\(K\) \| r\(K\)"):
-            kl_dad_check(g, window, g.all_arrows(), missing_one)
+            read_witness(g, dict(missing_one, k=sorted(window)))
 
 
 def test_check_requires_normal_sets():
@@ -164,7 +169,7 @@ def test_witness_json_roundtrip():
     w = kl_dad_search(g, k, power(k, 2), 1)
     again = read_witness(g, w.to_json_obj())
     assert again.certified and again.cover.classes == w.cover.classes
-    assert again.cover.base == w.cover.base
+    assert w.to_json_obj()["cover"]["base"] == list(range(g.n_units))
 
 
 # -- gluing -------------------------------------------------------------------
@@ -248,6 +253,16 @@ def test_glue_chain_three_intervals_line19():
     assert cert.holds
 
 
+def test_window_chain_must_increase():
+    g, k = line(8)
+    k2 = power(k, 2)
+    parts = [g.unit_set(range(4)), g.unit_set(range(4, 8))]
+    with pytest.raises(HypothesisError, match="window chain not increasing at index 1"):
+        glue_chain(g, parts, [k2, k, k2])
+    with pytest.raises(HypothesisError, match="window chain not increasing at index 1"):
+        union_combine(g, parts, [None, None], [k2, k, k2])
+
+
 # -- union --------------------------------------------------------------------
 
 
@@ -261,10 +276,7 @@ def _part_witnesses(g, parts, k0, l_power=2, d_max=2):
         w = kl_dad_search(sub, k_local, power(k_local, l_power), d_max)
         assert w is not None
         witnesses.append(w)
-        reach = sub.arrow_set()
-        for gen in w.generated_per_class:
-            reach = reach | gen
-        k_list.append(symmetrize(cubed15 | sub.to_parent_arrows(reach)))
+        k_list.append(symmetrize(cubed15 | sub.to_parent_arrows(w.reach)))
     return witnesses, k_list
 
 
@@ -315,6 +327,28 @@ def test_union_rejects_bad_partition():
         union_combine(g, parts, [None, None], [k, k, k])
 
 
+def test_union_rechecks_each_part_witness():
+    g, k = line(8)
+    parts = [g.unit_set(range(4)), g.unit_set(range(4, 8))]
+    witnesses, k_list = _part_witnesses(g, parts, k)
+    w = witnesses[0]
+    emptied = Cover(w.owner, (w.owner.unit_set(),) + w.cover.classes[1:])
+    witnesses[0] = dataclasses.replace(w, cover=emptied)
+    with pytest.raises(HypothesisError, match="witness 0 fails re-certification against K1"):
+        union_combine(g, parts, witnesses, k_list)
+
+
+def _uncertified_on(target, monkeypatch):
+    """Make ``kl_dad_check`` report every witness on ``target`` uncertified."""
+    real = dad_module.kl_dad_check
+
+    def check(g, k_set, l_set, cover):
+        w = real(g, k_set, l_set, cover)
+        return dataclasses.replace(w, certified=False) if g is target else w
+
+    monkeypatch.setattr(dad_module, "kl_dad_check", check)
+
+
 # -- product ------------------------------------------------------------------
 
 
@@ -324,7 +358,7 @@ def test_product_with_trivial_factor():
     trivial = pair_blocks_groupoid([], 1)
     kt = trivial.all_arrows()
     prod = product(g, trivial)
-    cover_t = Cover(trivial, tuple([trivial.all_units()] * (w.d + 1)), trivial.all_units())
+    cover_t = Cover(trivial, tuple([trivial.all_units()] * (w.d + 1)))
     out = product_combine(prod, w.d, w.cover, k, w.L, 0, cover_t, kt, kt)
     assert out.certified and out.d == w.d
 
@@ -357,6 +391,25 @@ def test_product_zero_dim_factors():
     assert out.certified and out.d == 0
 
 
+def test_product_covers_must_belong_to_the_factors():
+    g, k = line(4)
+    twin, k_twin = line(4)
+    w = kl_dad_search(twin, k_twin, twin.all_arrows(), 0)
+    l_full = twin.all_arrows()
+    with pytest.raises(GroupoidError):
+        product_combine(product(g, g), 0, w.cover, k_twin, l_full, 0, w.cover, k_twin, l_full)
+
+
+def test_product_output_failure_is_a_broken_invariant(monkeypatch):
+    g, k = line(4)
+    l_full = g.all_arrows()
+    w = kl_dad_search(g, k, l_full, 0)
+    prod = product(g, g)
+    _uncertified_on(prod.groupoid, monkeypatch)
+    with pytest.raises(RuntimeError, match="product witness failed re-certification"):
+        product_combine(prod, 0, w.cover, k, l_full, 0, w.cover, k, l_full)
+
+
 # -- pullback -----------------------------------------------------------------
 
 
@@ -373,7 +426,7 @@ def test_pullback_action_to_group():
     grp = action_groupoid(cyclic_table(4), [tuple([0])] * 4)
     pi = [0] * 4 + [1 + (a - 4) // 4 for a in range(4, 16)]
     k_h = grp.all_arrows()
-    w_h = kl_dad_check(grp, k_h, k_h, Cover(grp, (grp.all_units(),), grp.all_units()))
+    w_h = kl_dad_check(grp, k_h, k_h, Cover(grp, (grp.all_units(),)))
     assert w_h.certified
     k_g = symmetrize(act.arrow_set(range(4, 8)))
     out = pullback_witness(act, grp, pi, k_g, w_h)
@@ -390,6 +443,38 @@ def test_pullback_restriction_inclusion():
     assert out.certified
     expected = [sorted(u for u in c if u < 5) for c in w.cover.classes]
     assert [sorted(c) for c in out.cover.classes] == expected
+
+
+def test_pullback_rechecks_the_target_witness():
+    g, k = line(7)
+    w = kl_dad_search(g, k, power(k, 2), 1)
+    forged = dataclasses.replace(w, L=k)
+    with pytest.raises(HypothesisError, match="target witness fails re-certification"):
+        pullback_witness(g, g, list(range(g.n_arrows)), k, forged)
+
+
+def test_pullback_bound_comes_from_the_rechecked_witness():
+    # a claimed generated_per_class of every arrow does not widen the bound
+    g, k = line(7)
+    w = kl_dad_search(g, k, power(k, 2), 1)
+    identity = list(range(g.n_arrows))
+    honest = pullback_witness(g, g, identity, k, w)
+    assert len(honest.L) == 19
+    forged = dataclasses.replace(w, generated_per_class=(g.all_arrows(),) * (w.d + 1))
+    out = pullback_witness(g, g, identity, k, forged)
+    assert out.certified and out.L == honest.L
+
+
+def test_pullback_output_failure_is_a_broken_invariant(monkeypatch):
+    act = action_groupoid(cyclic_table(4), rotation_perms(4, 4))
+    grp = action_groupoid(cyclic_table(4), [tuple([0])] * 4)
+    pi = [0] * 4 + [1 + (a - 4) // 4 for a in range(4, 16)]
+    k_h = grp.all_arrows()
+    w_h = kl_dad_check(grp, k_h, k_h, Cover(grp, (grp.all_units(),)))
+    k_g = symmetrize(act.arrow_set(range(4, 8)))
+    _uncertified_on(act, monkeypatch)
+    with pytest.raises(RuntimeError, match="pulled-back witness failed re-certification"):
+        pullback_witness(act, grp, pi, k_g, w_h)
 
 
 def test_pullback_rejects_non_functor():
@@ -447,6 +532,19 @@ def test_blowup_search_both_directions_tripled_p4():
     assert w_up is not None and w_up.d == w.d
     back = blowup_transfer(bl, w_up, k, l_set)
     assert back.certified and back.d == w.d
+
+
+def test_blowup_transfer_rechecks_input_and_output():
+    g, k = line(7)
+    w = kl_dad_search(g, k, power(k, 2), 1)
+    bl = blowup(g, replicate_psi(g, 2))
+    lifted = blowup_lift(bl, w)
+    forged = dataclasses.replace(lifted, L=lifted.K)
+    with pytest.raises(HypothesisError, match="blow-up witness fails re-certification"):
+        blowup_transfer(bl, forged, k, power(k, 2))
+    units = g.arrow_set(range(g.n_units))
+    with pytest.raises(HypothesisError, match="transferred witness failed re-certification"):
+        blowup_transfer(bl, lifted, k, units)
 
 
 def test_blowup_transfer_rejects_non_surjective():

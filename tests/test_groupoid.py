@@ -15,6 +15,7 @@ from conftest import (
     union_find_orbits,
 )
 import grpdim.groupoid as groupoid_module
+from grpdim.groupoid import transversal
 from grpdim import (
     ArrowSet,
     Groupoid,
@@ -23,10 +24,8 @@ from grpdim import (
     action_groupoid,
     compose_sets,
     cyclic_table,
-    fundamental_domain,
     generated,
     is_principal,
-    orbits,
     pair_groupoid,
     pair_index,
     power,
@@ -282,11 +281,21 @@ def test_generated_monotone_in_units():
         assert generated(k, u) <= generated(k, bigger)
 
 
+def roots(g):
+    """The units y with ``transversal(g)[y] == y``: the least unit of each orbit."""
+    return [y for y, a in enumerate(transversal(g)) if a == y]
+
+
 def test_orbits():
-    assert len(orbits(pair_groupoid(4))) == 1
+    # every unit of pair(4) is reached from unit 0 by the arrow 0 -> y
+    p4 = pair_groupoid(4)
+    t = transversal(p4)
+    assert roots(p4) == [0]
+    assert all(p4.src[t[y]] == 0 and p4.rng[t[y]] == y for y in range(4))
     two = disjoint_union([pair_groupoid(3), pair_groupoid(2)])
-    blocks = orbits(two)
-    assert [sorted(b) for b in blocks] == [[0, 1, 2], [3, 4]]
+    t = transversal(two)
+    assert [two.src[a] for a in t] == [0, 0, 0, 3, 3]
+    assert [two.rng[a] for a in t] == [0, 1, 2, 3, 4]
     # Z/3 on six points in two 3-cycles
     perm = [(x + 1) % 3 if x < 3 else 3 + (x - 2) % 3 for x in range(6)]
     perms = [tuple(range(6))]
@@ -294,7 +303,7 @@ def test_orbits():
         perms.append(tuple(perm[x] for x in perms[-1]))
     z3 = action_groupoid(cyclic_table(3), perms)
     assert validate(z3).ok
-    assert [sorted(b) for b in orbits(z3)] == [[0, 1, 2], [3, 4, 5]]
+    assert [z3.src[a] for a in transversal(z3)] == [0, 0, 0, 3, 3, 3]
 
 
 def test_is_principal():
@@ -306,18 +315,17 @@ def test_is_principal():
 
 
 def test_fundamental_domain():
-    assert sorted(fundamental_domain(pair_groupoid(5))) == [0]
+    # the least unit of each orbit is its own entry: the unit arrow
+    assert roots(pair_groupoid(5)) == [0]
     trivial = pair_blocks_groupoid([], 4)
-    assert sorted(fundamental_domain(trivial)) == [0, 1, 2, 3]
+    assert roots(trivial) == [0, 1, 2, 3]
+    assert transversal(trivial) == [0, 1, 2, 3]
     two = disjoint_union([pair_groupoid(3), pair_groupoid(2)])
-    assert sorted(fundamental_domain(two)) == [0, 3]
-    z2 = action_groupoid(cyclic_table(2), trivial_perms(2, 1))
-    with pytest.raises(GroupoidError):
-        fundamental_domain(z2)
+    assert roots(two) == [0, 3]
 
 
 def test_orbits_and_fundamental_domain_match_union_find_oracle():
-    # least units from the transversal against union-find over every arrow,
+    # the transversal's roots and arrows against union-find over every arrow,
     # on mixes with isotropy and several orbits, half with units relabelled
     rng = random.Random(17)
     counts = dict.fromkeys(["principal", "isotropy", "multi-orbit", "interleaved"], 0)
@@ -333,12 +341,12 @@ def test_orbits_and_fundamental_domain_match_union_find_oracle():
             rng.shuffle(perm)
             g, _ = relabel_units(g, perm)
         want = union_find_orbits(g)
-        assert [list(block) for block in orbits(g)] == want
-        if is_principal(g):
-            assert list(fundamental_domain(g)) == [block[0] for block in want]
-        else:
-            with pytest.raises(GroupoidError):
-                fundamental_domain(g)
+        t = transversal(g)
+        assert roots(g) == [block[0] for block in want]
+        least = {}
+        for a in range(g.n_arrows):
+            least.setdefault((g.src[a], g.rng[a]), a)
+        assert all(t[y] == least[block[0], y] for block in want for y in block)
         counts["principal" if is_principal(g) else "isotropy"] += 1
         counts["multi-orbit"] += len(want) > 1
         counts["interleaved"] += any(b[-1] > c[0] for b, c in zip(want, want[1:]))
@@ -413,4 +421,4 @@ def test_cover_owner_mismatch():
 
     g, h = pair_groupoid(3), pair_groupoid(3)
     with pytest.raises(GroupoidError):
-        Cover(g, (h.all_units(),), g.all_units())
+        Cover(g, (h.all_units(),))

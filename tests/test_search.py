@@ -164,7 +164,7 @@ def test_generic_search_matches_recursive_oracle():
                 refuted += 1
                 continue
             found += 1
-            cover = Cover(g, tuple(UnitSet(g, m) for m in expected), g.all_units())
+            cover = Cover(g, tuple(UnitSet(g, m) for m in expected))
             assert kl_dad_check(g, k_set, l_set, cover).certified
     assert found > 200 and refuted > 60
 
