@@ -16,11 +16,11 @@ time appears only in the stdout report row.
 
 from __future__ import annotations
 
-import sys
 import time
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import artifacts, builders
 from .builders import BuilderError, load, load_graphing, read_json
@@ -60,11 +60,17 @@ def _row(instance, operation, params, result, witness_path, started) -> None:
     )
 
 
-def _exit_missed(instance, operation, params, mode, started) -> None:
+def _missed(instance, operation, params, mode, started) -> int:
     """Exact search found nothing: refuted.  Greedy found nothing: unknown."""
     greedy = mode == "greedy"
     _row(instance, operation, params, "incomplete" if greedy else "none", None, started)
-    sys.exit(EXIT_UNKNOWN if greedy else EXIT_REFUTED)
+    return EXIT_UNKNOWN if greedy else EXIT_REFUTED
+
+
+def _load(path, graphing):
+    """An instance and its graphing sidecar, or None without one."""
+    g = load(path)
+    return g, load_graphing(g, graphing) if graphing else None
 
 
 def _specs(g, k_spec, l_spec, graphing):
@@ -92,17 +98,18 @@ class _Main(click.Group):
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            code = super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
         except NoWitnessError as exc:
             click.echo(f"grpdim: refuted: {exc}", err=True)
-            ctx.exit(EXIT_REFUTED)
+            code = EXIT_REFUTED
         except (GroupoidError, OSError) as exc:
             raise InputError(str(exc)) from exc
         except Exception as exc:
             click.echo(f"grpdim: internal error: {type(exc).__name__}: {exc}", err=True)
-            ctx.exit(EXIT_INTERNAL)
+            code = EXIT_INTERNAL
+        ctx.exit(code)
 
 
 @click.group(cls=_Main)
@@ -128,7 +135,7 @@ def cmd_validate(paths):
             first = str(exc).splitlines()[0]
             _row(f, "validate", "-", f"invalid: {first}", None, started)
             worst = EXIT_REFUTED
-    sys.exit(worst)
+    return worst
 
 
 @main.command("build")
@@ -187,6 +194,7 @@ def cmd_build(family, n, group, points, trivial_action, shape, left, right,
     if graphing is not None and graphing_out:
         builders.save_graphing(graphing, graphing_out)
     click.echo(f"{out}\tbuild\t{family}\tok\t-\t0")
+    return EXIT_OK
 
 
 @main.command("dad")
@@ -216,20 +224,20 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
             raise InputError(f"{recheck} does not certify a (K,L)-dad on {path}")
         if misstated:
             raise InputError(f"{recheck} misstates its {', '.join(misstated)}")
-        sys.exit(EXIT_OK)
+        return EXIT_OK
     gr = load_graphing(g, graphing) if graphing else None
     k_set, l_set = _specs(g, k_spec, l_spec, gr)
     witness = kl_dad_search(g, k_set, l_set, d_max, mode)
     params = f"k={k_spec};l={l_spec};d_max={d_max};mode={mode}"
     if witness is None:
-        _exit_missed(path, "dad", params, mode, started)
+        return _missed(path, "dad", params, mode, started)
     obj = artifacts.witness(witness, instance_digest=artifacts.digest(path),
                             k_spec=k_spec, l_spec=l_spec)
     wpath = artifacts.write(out, "dad-witness.json", obj)
     gens = ",".join(str(len(s)) for s in witness.generated_per_class)
     result = f"d={witness.d};fold={fold_number(witness.cover)};gens={gens}"
     _row(path, "dad", params, result, wpath, started)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 @main.command("asdim")
@@ -246,8 +254,7 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
 def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
     """Decompose a coarse space, or certify a treeable annuli cover."""
     started = time.monotonic()
-    g = load(path)
-    gr = load_graphing(g, graphing) if graphing else None
+    g, gr = _load(path, graphing)
     if mode.startswith("tree:"):
         if gr is None:
             raise InputError("tree mode needs --graphing")
@@ -259,7 +266,7 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
             click.echo(f"{fam_i}\t{cls_i}\t{annulus}\t{fib}\t{size}\t{diam}")
         result = "certified" if res.certified else "failed"
         _row(path, "asdim-tree", params, result, wpath, started)
-        sys.exit(EXIT_OK if res.certified else EXIT_REFUTED)
+        return EXIT_OK if res.certified else EXIT_REFUTED
 
     if points_spec == "arrows":
         pts = g.arrows_mask
@@ -270,17 +277,39 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
         pts = g.by_rng[x]
     else:
         raise InputError(f"bad --points spec {points_spec!r}")
-    e_set = parse_arrow_spec(g, e_spec, graphing=gr)
-    f_set = parse_arrow_spec(g, f_spec, k_set=e_set, graphing=gr)
+    e_set, f_set = _specs(g, e_spec, f_spec, gr)
     families = ef_asdim_search(fiber_gauge(g, pts, e_set), fiber_gauge(g, pts, f_set), d_max, mode)
     params = f"points={points_spec};e={e_spec};f={f_spec};d_max={d_max}"
     if families is None:
-        _exit_missed(path, "asdim", params, mode, started)
+        return _missed(path, "asdim", params, mode, started)
     obj = artifacts.decomposition(families, certified=True, instance_digest=artifacts.digest(path),
                                   points=list(iter_bits(pts)), e_spec=e_spec, f_spec=f_spec)
     wpath = artifacts.write(out, "asdim-decomposition.json", obj)
     _row(path, "asdim", params, f"d={len(families) - 1}", wpath, started)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
+
+
+# Per theorem: the options it needs, then the others it reads.  All read --out.
+_THEOREM_OPTIONS = {
+    "product": (("left", "right"), ("graphing", "left_graphing", "right_graphing",
+                                    "k_spec", "l_power", "d_max", "refute_units")),
+    "union": (("base_path", "parts"), ("graphing", "k_spec", "l_power", "d_max")),
+    "morita": (("base_path",), ("graphing", "k_spec", "l_spec", "d_max", "multiplicity")),
+    "bridge": (("base_path",), ("graphing", "k_spec", "l_spec", "d_max")),
+}
+
+
+def _check_theorem_options(which: str) -> None:
+    """Missing an option the theorem needs, or given one it does not read: exit 2."""
+    ctx = click.get_current_context()
+    flags = {p.name: p.opts[0] for p in ctx.command.params}
+    needs, reads = _THEOREM_OPTIONS[which]
+    if not all(ctx.params[name] for name in needs):
+        raise InputError(f"{which} needs {' and '.join(flags[name] for name in needs)}")
+    unread = [flags[name] for name in flags if name not in (*needs, *reads, "which", "out")
+              and ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+    if unread:
+        raise InputError(f"{which} does not read {', '.join(unread)}")
 
 
 @main.command("theorem")
@@ -304,43 +333,27 @@ def cmd_theorem(which, base_path, left, right, graphing, left_graphing,
                 multiplicity, refute_units, out):
     """Run a permanence pipeline end to end and certify the inequality."""
     started = time.monotonic()
+    _check_theorem_options(which)
     if which == "product":
-        if not left or not right:
-            raise InputError("product needs --left and --right")
-        gl = load(left)
-        gr_ = load(right)
-        gl_path, gr_path = left_graphing or graphing, right_graphing or graphing
-        gl_graph = load_graphing(gl, gl_path) if gl_path else None
-        gr_graph = load_graphing(gr_, gr_path) if gr_path else None
+        gl, gl_graph = _load(left, left_graphing or graphing)
+        gr_, gr_graph = _load(right, right_graphing or graphing)
         k_l = parse_arrow_spec(gl, k_spec, graphing=gl_graph)
         k_r = parse_arrow_spec(gr_, k_spec, graphing=gr_graph)
         units = _parse_units(refute_units, "--refute-units") if refute_units else None
         report = product_theorem(gl, k_l, gr_, k_r, l_power, d_max, units)
         instance = f"{left}|{right}"
-    elif which == "union":
-        if not base_path or not parts:
-            raise InputError("union needs --path and --parts")
-        g = load(base_path)
-        gr0 = load_graphing(g, graphing) if graphing else None
-        part_sets = [g.unit_set(_parse_units(p, "--parts")) for p in parts.split(";")]
-        k_set = parse_arrow_spec(g, k_spec, graphing=gr0)
-        report = union_theorem(g, part_sets, k_set, l_power, d_max)
-        instance = base_path
-    elif which == "morita":
-        if not base_path:
-            raise InputError("morita needs --path")
-        g = load(base_path)
-        gr0 = load_graphing(g, graphing) if graphing else None
-        k_set, l_set = _specs(g, k_spec, l_spec, gr0)
-        report = morita_theorem(g, multiplicity, k_set, l_set, d_max)
-        instance = base_path
     else:
-        if not base_path:
-            raise InputError("bridge needs --path")
-        g = load(base_path)
-        gr0 = load_graphing(g, graphing) if graphing else None
-        k_set, l_set = _specs(g, k_spec, l_spec, gr0)
-        report = bridge_theorem(g, k_set, l_set, d_max)
+        g, gr0 = _load(base_path, graphing)
+        if which == "union":
+            part_sets = [g.unit_set(_parse_units(p, "--parts")) for p in parts.split(";")]
+            k_set = parse_arrow_spec(g, k_spec, graphing=gr0)
+            report = union_theorem(g, part_sets, k_set, l_power, d_max)
+        else:
+            k_set, l_set = _specs(g, k_spec, l_spec, gr0)
+            if which == "morita":
+                report = morita_theorem(g, multiplicity, k_set, l_set, d_max)
+            else:
+                report = bridge_theorem(g, k_set, l_set, d_max)
         instance = base_path
 
     for name, obj in report["artifacts"].items():
@@ -352,7 +365,7 @@ def cmd_theorem(which, base_path, left, right, graphing, left_graphing,
     if "refuted_below" in report:
         result += f";refuted_below={report['refuted_below']}"
     _row(instance, f"theorem-{which}", f"k={k_spec}", result, spath, started)
-    sys.exit(EXIT_OK if certified else EXIT_REFUTED)
+    return EXIT_OK if certified else EXIT_REFUTED
 
 
 def _parse_units(text: str, option: str) -> list[int]:
@@ -362,7 +375,10 @@ def _parse_units(text: str, option: str) -> list[int]:
     for chunk in text.split(","):
         chunk = chunk.strip()
         if "-" in chunk:
-            lo, hi = (_parse_int(end, option) for end in chunk.split("-", 1))
+            try:
+                lo, hi = (int(end) for end in chunk.split("-", 1))
+            except ValueError:  # "-3" too: a unit id is never negative
+                raise InputError(f"bad {option} value {chunk!r}: not a range lo-hi") from None
             if hi < lo:
                 raise InputError(f"bad {option} value {chunk!r}: reversed range")
             out.extend(range(lo, hi + 1))
@@ -386,8 +402,7 @@ def _parse_units(text: str, option: str) -> list[int]:
 def cmd_sweep(path, windows, what, k_spec, l_spec, d_max, n_scale, graphing, out):
     """Window sweep over unit-prefix restrictions; TSV rows per window."""
     started = time.monotonic()
-    g = load(path)
-    gr = load_graphing(g, graphing) if graphing else None
+    g, gr = _load(path, graphing)
     rows = sweep_rows(
         g, gr, _parse_units(windows, "--windows"), what, k_spec, l_spec, d_max, n_scale
     )
@@ -395,7 +410,7 @@ def cmd_sweep(path, windows, what, k_spec, l_spec, d_max, n_scale, graphing, out
         click.echo(f"{row['window']}\t{row['result']}")
     artifacts.write(out, f"sweep-{what}.json", artifacts.sweep(what, k_spec, l_spec, rows))
     _row(path, f"sweep-{what}", f"windows={windows}", f"rows={len(rows)}", None, started)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

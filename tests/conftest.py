@@ -12,6 +12,7 @@ from itertools import product as iproduct
 
 from grpdim import (
     ArrowSet,
+    BuilderError,
     Cover,
     Graphing,
     Groupoid,
@@ -618,3 +619,40 @@ def closure_h_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, int]
     for u in y:
         minima.setdefault(uf.find(u), u)
     return {x: g.by_rng[x] & h_arrows.mask for x in sorted(minima.values())}
+
+
+def hand_checked_action(table, perms) -> None:
+    """The group and action axioms checked by hand, raising BuilderError at
+    the first that fails: the oracle for ``action_groupoid``, which leaves
+    these axioms to ``validate``."""
+    k = len(table)
+    if len(perms) != k:
+        raise BuilderError("one permutation per group element required")
+    n = len(perms[0]) if perms else 0
+    for row in table:
+        if len(row) != k or any(not 0 <= v < k for v in row):
+            raise BuilderError("multiplication table is not square over the elements")
+    for a in range(k):
+        if table[0][a] != a or table[a][0] != a:
+            raise BuilderError("element 0 is not an identity")
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    raise BuilderError("multiplication table is not associative")
+    inv_el = [None] * k
+    for a in range(k):
+        for b in range(k):
+            if table[a][b] == 0 and table[b][a] == 0:
+                inv_el[a] = b
+    if any(v is None for v in inv_el):
+        raise BuilderError("some element has no inverse")
+    for p in perms:
+        if sorted(p) != list(range(n)):
+            raise BuilderError("action values are not permutations")
+    if tuple(perms[0]) != tuple(range(n)):
+        raise BuilderError("identity element must act trivially")
+    for a in range(k):
+        for b in range(k):
+            if any(perms[table[a][b]][x] != perms[a][perms[b][x]] for x in range(n)):
+                raise BuilderError("action is not a homomorphism")

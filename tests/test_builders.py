@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import fiber_points
+from conftest import fiber_points, hand_checked_action
 from grpdim import (
     BuilderError,
     LoadError,
@@ -55,6 +55,65 @@ def test_action_groupoid_rejects_non_action():
     bad_table = [[0, 1], [1, 1]]  # not a group table
     with pytest.raises(BuilderError):
         action_groupoid(bad_table, swap)
+
+
+KLEIN_TABLE = [[a ^ b for b in range(4)] for a in range(4)]
+
+
+def random_action(rng: random.Random):
+    """A cyclic or Klein table (order <= 4) with a rotation, trivial,
+    relabelled or random action on at most 4 points, then 0-2 table or
+    permutation entries overwritten with a value from -1 to the bound."""
+    table = KLEIN_TABLE if rng.random() < 0.25 else cyclic_table(rng.randint(1, 4))
+    k = len(table)
+    kind = rng.choice(["rotation", "trivial", "relabelled", "random"])
+    if kind in ("rotation", "relabelled"):
+        n = k * rng.randint(1, 4 // k)
+        perms = rotation_perms(k, n)
+        if kind == "relabelled":  # the same action on renamed points
+            names = rng.sample(range(n), n)
+            perms = [tuple(names[p[names.index(x)]] for x in range(n)) for p in perms]
+    elif kind == "trivial":
+        perms = trivial_perms(k, rng.randint(1, 4))
+    else:
+        n = rng.randint(1, 4)
+        perms = [tuple(rng.sample(range(n), n)) for _ in range(k)]
+    table = [list(row) for row in table]
+    perms = [list(p) for p in perms]
+    for _ in range(rng.randint(0, 2)):
+        rows, bound = (table, k) if rng.random() < 0.5 else (perms, len(perms[0]))
+        row = rng.choice(rows)
+        row[rng.randrange(len(row))] = rng.randint(-1, bound)
+    return table, perms
+
+
+def test_action_groupoid_rejects_exactly_what_hand_checks_reject():
+    # the hand checks are the oracle: validate must reject exactly what they reject
+    rng = random.Random(18)
+    accepted = rejected = 0
+    for _ in range(10_000):
+        table, perms = random_action(rng)
+        try:
+            hand_checked_action(table, perms)
+            expect_ok = True
+        except BuilderError:
+            expect_ok = False
+        try:
+            g = action_groupoid(table, perms)
+        except BuilderError:
+            assert not expect_ok, (table, perms)
+            rejected += 1
+            continue
+        assert expect_ok, (table, perms)
+        assert g.n_arrows == len(table) * len(perms[0]) and validate(g).ok
+        accepted += 1
+    assert accepted >= 2_000 and rejected >= 4_000, (accepted, rejected)
+
+
+@pytest.mark.parametrize("table, perms", [([], []), (cyclic_table(2), [(), ()])])
+def test_action_groupoid_without_points_is_a_builder_error(table, perms):
+    with pytest.raises(BuilderError):
+        action_groupoid(table, perms)
 
 
 def test_partial_action_full_domains_equals_global():

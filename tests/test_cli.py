@@ -492,6 +492,8 @@ def test_uncertifiable_search_result_exits_3(instances, monkeypatch):
           "--refute-units", "5-3"], "--refute-units"),
         (["theorem", "union", "--path", "{p7}", "--graphing", "{p7g}",
           "--parts", "0-6;"], "--parts"),
+        # a negative id
+        (["sweep", "{p7}", "--windows", "-3", "--graphing", "{p7g}"], "--windows"),
     ],
 )
 def test_bad_numbers_are_input_errors(instances, tmp_path, args, option):
@@ -504,6 +506,46 @@ def test_bad_numbers_are_input_errors(instances, tmp_path, args, option):
     res = CliRunner().invoke(cli.main, [a.format(**paths) for a in args])
     assert res.exit_code == cli.EXIT_INPUT == 2
     assert res.stderr.startswith(f"Error: bad {option} value") and res.stderr.count("\n") == 1
+
+
+def test_bad_unit_list_names_its_chunk(instances):
+    # "-3" reads as a range with no lower end: the message quotes the chunk
+    from click.testing import CliRunner
+
+    import grpdim.cli as cli
+
+    res = CliRunner().invoke(cli.main, ["sweep", str(instances / "p7.json"), "--windows", "-3"])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == "Error: bad --windows value '-3': not a range lo-hi\n"
+
+
+# Per theorem, options it reads, then options it does not read and the error's
+# list of them: an unread option is an input error that names it.
+UNREAD_OPTIONS = {
+    "product": (["--left", "{p7}", "--right", "{p7}", "--graphing", "{p7g}"],
+                ["--l-spec", "all"], "--l-spec"),
+    "union": (["--path", "{p7}", "--graphing", "{p7g}", "--parts", "0-3;4-6"],
+              ["--multiplicity", "3"], "--multiplicity"),
+    "morita": (["--path", "{p7}", "--graphing", "{p7g}"], ["--l-power", "7"], "--l-power"),
+    "bridge": (["--path", "{p7}", "--graphing", "{p7g}"], ["--l-power", "7", "--parts", "junk"],
+               "--l-power, --parts"),
+}
+
+
+@pytest.mark.parametrize("which", list(UNREAD_OPTIONS))
+def test_theorem_rejects_options_it_does_not_read(instances, which):
+    paths = {"p7": instances / "p7.json", "p7g": instances / "p7.graphing.json"}
+    reads, unread, named = UNREAD_OPTIONS[which]
+    args = ["theorem", which, *[a.format(**paths) for a in reads], "--d-max", "0"]
+    res = run_cli(*args, *unread)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == f"Error: {which} does not read {named}\n"
+    # given its default value, the option still counts as given
+    default = {"--l-spec": "power:K:2", "--multiplicity": "2", "--l-power": "2"}[unread[0]]
+    res = run_cli(*args, unread[0], default)
+    assert res.returncode == 2 and res.stderr.startswith(f"Error: {which} does not read ")
+    # without it, the theorem runs: refuted at d_max 0, or certified
+    assert run_cli(*args).returncode in (0, 1)
 
 
 def readme_cli_commands():
