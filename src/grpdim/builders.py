@@ -2,6 +2,9 @@
 
 Every builder output passes :func:`grpdim.groupoid.validate`, and action
 builds are judged by it: no builder checks the group or action axioms itself.
+There is one action builder, :func:`partial_action_groupoid`, in which arrow
+(g, x) runs x -> θ_g(x); a global action is the partial action whose domains
+are all full.
 The loader rejects files whose tables violate the axioms and embeds the
 validation report in the error.
 """
@@ -12,7 +15,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .coarse import Graphing
 from .groupoid import ArrowSet, Groupoid, GroupoidError, iter_bits, validate
@@ -119,39 +122,20 @@ def trivial_perms(k: int, n_points: int) -> list[tuple[int, ...]]:
 
 
 def action_groupoid(table: Sequence[Sequence[int]], perms: Sequence[Sequence[int]]) -> Groupoid:
-    """Transformation groupoid of a finite group action; arrow (g, x) has id
-    g·n + x and runs x -> g.x.  Inputs are checked as far as indexing needs;
-    ``validate`` judges the group and action axioms."""
+    """Transformation groupoid of a finite group action: the partial action
+    with every domain full, on elements 0..k-1 (0 the identity) acting by
+    ``perms``.  Arrow (g, x) has id g·n + x and runs x -> g.x; each inverse
+    is looked up in ``table``, and ``validate`` judges every axiom."""
     k = len(table)
-    if len(perms) != k:
-        raise BuilderError("one permutation per group element required")
     n = len(perms[0]) if perms else 0
-    for row in table:
-        if len(row) != k or any(not 0 <= v < k for v in row):
-            raise BuilderError("multiplication table is not square over the elements")
-    inv_el = [None] * k
-    for a in range(k):
-        for b in range(k):
-            if table[a][b] == 0 and table[b][a] == 0:
-                inv_el[a] = b
-    if any(v is None for v in inv_el):
-        raise BuilderError("some element has no inverse")
-    if n < 1 or any(len(p) != n or any(not 0 <= v < n for v in p) for p in perms):
-        raise BuilderError("action values are not maps of one nonempty point set")
-    src = [x for _ in perms for x in range(n)]
-    rng = [y for p in perms for y in p]
-    inv = [inv_el[g_el] * n + y for g_el, p in enumerate(perms) for y in p]
-    comp = (  # (g, h.x) after (h, x) lands at (gh, x)
-        (g_el * n + perms[h_el][x], h_el * n + x, table[g_el][h_el] * n + x)
-        for g_el in range(k)
-        for h_el in range(k)
-        for x in range(n)
-    )
-    g = Groupoid(n, src, rng, inv, comp)
-    report = validate(g)
-    if not report.ok:
-        raise BuilderError(f"action violates the groupoid axioms:\n{report}")
-    return g
+    if len(perms) != k or any(len(p) != n for p in perms):
+        raise BuilderError("one permutation of one point set per group element required")
+    if any(len(row) != k for row in table):
+        raise BuilderError("multiplication table is not square over the elements")
+    inv = {a: b for a in range(k) for b in range(k) if table[a][b] == 0 == table[b][a]}
+    mul = {(a, b): table[a][b] for a in range(k) for b in range(k)}
+    theta = {a: dict(enumerate(p)) for a, p in enumerate(perms)}
+    return partial_action_groupoid(PartialActionSpec(n, tuple(range(k)), inv, mul, theta))
 
 
 # -- partial actions ----------------------------------------------------------
@@ -159,71 +143,23 @@ def action_groupoid(table: Sequence[Sequence[int]], perms: Sequence[Sequence[int
 
 @dataclass(frozen=True)
 class PartialActionSpec:
-    """A partial group action on a finite window.
+    """A partial group action on the points 0..n_points-1.
 
-    ``elements`` lists the group elements with nonempty domains (identity
-    first); ``mul`` is partial and may omit products, but never one that a
-    composable pair of arrows needs.  ``theta[g]`` maps the domain of the
-    inverse onto the domain of ``g``.
+    ``elements`` lists the group elements (identity first); ``theta[g]`` is
+    the partial bijection θ_g, whose keys are its domain D_{g⁻¹} and whose
+    values are its image D_g.  ``mul`` is partial and may omit products,
+    but never one that a composable pair of arrows needs.
     """
 
     n_points: int
-    elements: tuple[str, ...]
-    inv: Mapping[str, str]
-    mul: Mapping[tuple[str, str], str]
-    domains: Mapping[str, frozenset[int]]
-    theta: Mapping[str, Mapping[int, int]]
+    elements: tuple[Hashable, ...]
+    inv: Mapping[Hashable, Hashable]
+    mul: Mapping[tuple[Hashable, Hashable], Hashable]
+    theta: Mapping[Hashable, Mapping[int, int]]
 
     @property
-    def identity(self) -> str:
+    def identity(self) -> Hashable:
         return self.elements[0]
-
-    def verify(self) -> None:
-        e = self.identity
-        pts = frozenset(range(self.n_points))
-        if self.domains.get(e) != pts:
-            raise BuilderError("identity domain must be the full window")
-        if dict(self.theta.get(e, {})) != {x: x for x in range(self.n_points)}:
-            raise BuilderError("identity must act as the identity map")
-        for g_el in self.elements:
-            gi = self.inv.get(g_el)
-            if gi not in self.elements:
-                raise BuilderError(f"inverse of {g_el!r} is not listed")
-            dom = self.domains.get(g_el)
-            th = dict(self.theta.get(g_el, {}))
-            if dom is None:
-                raise BuilderError(f"no domain for element {g_el!r}")
-            if set(th.keys()) != set(self.domains[gi]):
-                raise BuilderError(f"theta_{g_el} is not defined on the inverse domain")
-            if sorted(th.values()) != sorted(dom):
-                raise BuilderError(f"theta_{g_el} is not onto its domain")
-            if len(set(th.values())) != len(th):
-                raise BuilderError(f"theta_{g_el} is not injective")
-            back = dict(self.theta.get(gi, {}))
-            if any(back.get(v) != k for k, v in th.items()):
-                raise BuilderError(f"theta_{gi} is not inverse to theta_{g_el}")
-        for g_el in self.elements:
-            for h_el in self.elements:
-                th_h = self.theta[h_el]
-                dom_gi = self.domains[self.inv[g_el]]
-                for x, hx in th_h.items():
-                    if hx not in dom_gi:
-                        continue
-                    prod = self.mul.get((g_el, h_el))
-                    if prod is None or prod not in self.elements:
-                        raise BuilderError(
-                            f"extension axiom fails: product {g_el!r}*{h_el!r} "
-                            f"is needed at point {x} but not listed"
-                        )
-                    if x not in self.theta[prod]:
-                        raise BuilderError(
-                            f"extension axiom fails: theta_{prod} undefined at {x}"
-                        )
-                    if self.theta[prod][x] != self.theta[g_el][hx]:
-                        raise BuilderError(
-                            f"extension axiom fails: theta_{prod}({x}) != "
-                            f"theta_{g_el}(theta_{h_el}({x}))"
-                        )
 
 
 def z_shift_partial_spec(n_points: int) -> PartialActionSpec:
@@ -240,41 +176,57 @@ def z_shift_partial_spec(n_points: int) -> PartialActionSpec:
         for b in shifts:
             if abs(a + b) < n_points:
                 mul[(str(a), str(b))] = str(a + b)
-    domains = {}
-    theta = {}
-    for t in shifts:
-        lo, hi = max(0, t), n_points - 1 + min(0, t)
-        domains[str(t)] = frozenset(range(lo, hi + 1))
-        theta[str(t)] = {x: x + t for x in range(lo - t, hi - t + 1)}
-    return PartialActionSpec(n_points, elements, inv, mul, domains, theta)
+    theta = {
+        str(t): {x: x + t for x in range(max(0, -t), n_points - max(0, t))}
+        for t in shifts
+    }
+    return PartialActionSpec(n_points, elements, inv, mul, theta)
 
 
 def partial_action_groupoid(spec: PartialActionSpec) -> Groupoid:
-    """Arrows (g, x) with x in the domain of g; multiplication via the action."""
-    spec.verify()
-    n = spec.n_points
-    arrows: list[tuple[str, int]] = [(spec.identity, x) for x in range(n)]
-    for g_el in spec.elements[1:]:
-        arrows.extend((g_el, x) for x in sorted(spec.domains[g_el]))
-    index = {ax: i for i, ax in enumerate(arrows)}
+    """Transformation groupoid of a partial action (Exel's convention).
 
-    src = []
-    rng = []
-    inv = []
-    for g_el, x in arrows:
-        back = spec.theta[spec.inv[g_el]]
-        src.append(back[x])
-        rng.append(x)
-        inv.append(index[(spec.inv[g_el], back[x])])
+    Arrow (g, x) exists for each x in the domain of θ_g and runs
+    x -> θ_g(x); ids go by element order, then by point order.  Its inverse
+    is (g⁻¹, θ_g(x)), and (g, θ_h(x)) after (h, x) is (gh, x).  The spec is
+    checked only as far as indexing needs, and ``validate`` judges the
+    partial-action axioms of the result.
+    """
+    n, e = spec.n_points, spec.elements[0] if spec.elements else None
+    if n < 1 or set(spec.theta.get(e, ())) != set(range(n)):
+        raise BuilderError(f"theta of the identity {e!r} must be defined on 0..{n - 1}")
+    arrows: list[tuple[Hashable, int, int]] = []
+    for g_el in spec.elements:
+        th = spec.theta.get(g_el)
+        if th is None:
+            raise BuilderError(f"no theta for element {g_el!r}")
+        for x in sorted(th):
+            if not (0 <= x < n and 0 <= th[x] < n):
+                raise BuilderError(f"theta_{g_el}({x}) = {th[x]} is not a point")
+            arrows.append((g_el, x, th[x]))
+    index = {(g_el, x): a for a, (g_el, x, _) in enumerate(arrows)}
+
+    def arrow(g_el, x: int, need: str) -> int:
+        a = index.get((g_el, x))
+        if a is None:
+            raise BuilderError(f"{need}: theta_{g_el} is undefined at {x}")
+        return a
+
+    inv = [arrow(spec.inv.get(g_el), y, f"inverse of {g_el!r}") for g_el, _, y in arrows]
     comp = []
-    for a, (g_el, x) in enumerate(arrows):
-        y = src[a]
-        for h_el in spec.elements:
-            if y not in spec.domains[h_el]:
-                continue
-            b = index[(h_el, y)]
-            comp.append((a, b, index[(spec.mul[g_el, h_el], x)]))
-    return Groupoid(n, src, rng, inv, comp)
+    for b, (h_el, x, y) in enumerate(arrows):
+        for g_el in spec.elements:
+            if y in spec.theta[g_el]:
+                need = f"product {g_el!r}*{h_el!r}"
+                gh = spec.mul.get((g_el, h_el))
+                if gh is None:
+                    raise BuilderError(f"{need} is needed at point {x} but not listed")
+                comp.append((index[g_el, y], b, arrow(gh, x, need)))
+    g = Groupoid(n, [x for _, x, _ in arrows], [y for *_, y in arrows], inv, comp)
+    report = validate(g)
+    if not report.ok:
+        raise BuilderError(f"partial action violates the groupoid axioms:\n{report}")
+    return g
 
 
 # -- blow-ups and products -----------------------------------------------------

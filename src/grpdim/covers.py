@@ -124,7 +124,6 @@ class ControlFunction:
         self.d = d
         self._provider = provider
         self._memo: dict[int, tuple[ArrowSet, Cover]] = {}
-        self._apply_memo: dict[tuple[int, int], ArrowSet] = {}
 
     def _entry(self, k_set: ArrowSet) -> tuple[ArrowSet, Cover]:
         key = k_set.mask
@@ -164,13 +163,8 @@ def control_apply(ctrl: ControlFunction, k_set: ArrowSet, k: int) -> ArrowSet:
         raise CoverError(f"level {k} below base dimension {ctrl.d}")
     if k == ctrl.d:
         return ctrl.bound(k_set)
-    key = (k_set.mask, k)
-    hit = ctrl._apply_memo.get(key)
-    if hit is None:
-        inner = control_apply(ctrl, power(k_set, 3), k - 1)
-        hit = compose_sets(k_set, compose_sets(inner, k_set))
-        ctrl._apply_memo[key] = hit
-    return hit
+    inner = control_apply(ctrl, power(k_set, 3), k - 1)
+    return compose_sets(k_set, compose_sets(inner, k_set))
 
 
 def saturate(k_set: ArrowSet, units: UnitSet) -> UnitSet:

@@ -656,3 +656,80 @@ def hand_checked_action(table, perms) -> None:
         for b in range(k):
             if any(perms[table[a][b]][x] != perms[a][perms[b][x]] for x in range(n)):
                 raise BuilderError("action is not a homomorphism")
+
+
+def hand_checked_partial_action(spec) -> None:
+    """The partial-action axioms checked by hand, raising BuilderError at the
+    first that fails: the oracle for ``partial_action_groupoid``, which leaves
+    these axioms to ``validate``.  The domain D_g is read as the image of
+    θ_g.
+
+    On a free action θ fixes the label of every arrow.  Where θ_g and θ_h
+    agree at a point, the arrows (g, x) and (h, x) still differ, so the
+    inverse and product entries that arrows read must also obey the group
+    laws, which the last checks cover.
+    """
+    e = spec.identity
+    pts = frozenset(range(spec.n_points))
+    domains = {g_el: frozenset(th.values()) for g_el, th in spec.theta.items()}
+    if domains.get(e) != pts:
+        raise BuilderError("identity domain must be the full window")
+    if dict(spec.theta.get(e, {})) != {x: x for x in range(spec.n_points)}:
+        raise BuilderError("identity must act as the identity map")
+    for g_el in spec.elements:
+        gi = spec.inv.get(g_el)
+        if gi not in spec.elements:
+            raise BuilderError(f"inverse of {g_el!r} is not listed")
+        dom = domains.get(g_el)
+        th = dict(spec.theta.get(g_el, {}))
+        if dom is None or gi not in domains:
+            raise BuilderError(f"no domain for element {g_el!r}")
+        if set(th.keys()) != set(domains[gi]):
+            raise BuilderError(f"theta_{g_el} is not defined on the inverse domain")
+        if sorted(th.values()) != sorted(dom):
+            raise BuilderError(f"theta_{g_el} is not onto its domain")
+        if len(set(th.values())) != len(th):
+            raise BuilderError(f"theta_{g_el} is not injective")
+        back = dict(spec.theta.get(gi, {}))
+        if any(back.get(v) != k for k, v in th.items()):
+            raise BuilderError(f"theta_{gi} is not inverse to theta_{g_el}")
+    needed = []  # (g, h, x): the product g*h is read at the point x
+    for g_el in spec.elements:
+        for h_el in spec.elements:
+            th_h = spec.theta[h_el]
+            dom_gi = domains[spec.inv[g_el]]
+            for x, hx in th_h.items():
+                if hx not in dom_gi:
+                    continue
+                prod = spec.mul.get((g_el, h_el))
+                if prod is None or prod not in spec.elements:
+                    raise BuilderError(
+                        f"extension axiom fails: product {g_el!r}*{h_el!r} "
+                        f"is needed at point {x} but not listed"
+                    )
+                if x not in spec.theta[prod]:
+                    raise BuilderError(
+                        f"extension axiom fails: theta_{prod} undefined at {x}"
+                    )
+                if spec.theta[prod][x] != spec.theta[g_el][hx]:
+                    raise BuilderError(
+                        f"extension axiom fails: theta_{prod}({x}) != "
+                        f"theta_{g_el}(theta_{h_el}({x}))"
+                    )
+                needed.append((g_el, h_el, x))
+    mul, theta = spec.mul, spec.theta
+    for g_el in spec.elements:
+        if theta[g_el] and spec.inv[spec.inv[g_el]] != g_el:
+            raise BuilderError(f"the inverse of the inverse of {g_el!r} is not {g_el!r}")
+    for h_el, k_el, z in needed:
+        hk = mul[h_el, k_el]
+        if e in (h_el, k_el) and hk != (k_el if h_el == e else h_el):
+            raise BuilderError(f"identity law fails: {h_el!r}*{k_el!r} = {hk!r}")
+        if h_el == spec.inv[k_el] and hk != e:
+            raise BuilderError(f"inverse law fails: {h_el!r}*{k_el!r} = {hk!r}")
+        hy = theta[h_el][theta[k_el][z]]
+        for g_el in spec.elements:
+            if hy in theta[g_el] and mul[mul[g_el, h_el], k_el] != mul[g_el, hk]:
+                raise BuilderError(
+                    f"associative law fails: ({g_el!r}*{h_el!r})*{k_el!r} at point {z}"
+                )

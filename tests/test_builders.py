@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from conftest import fiber_points, hand_checked_action
+from conftest import fiber_points, hand_checked_action, hand_checked_partial_action
 from grpdim import (
     BuilderError,
     LoadError,
+    PartialActionSpec,
     action_groupoid,
     blowup,
     cyclic_table,
@@ -116,21 +117,141 @@ def test_action_groupoid_without_points_is_a_builder_error(table, perms):
         action_groupoid(table, perms)
 
 
+def cyclic_spec(k: int, perms) -> PartialActionSpec:
+    """Z/k acting by ``perms``, as a partial action with full domains."""
+    return PartialActionSpec(
+        len(perms[0]),
+        tuple(range(k)),
+        {a: -a % k for a in range(k)},
+        {(a, b): (a + b) % k for a in range(k) for b in range(k)},
+        {a: dict(enumerate(p)) for a, p in enumerate(perms)},
+    )
+
+
 def test_partial_action_full_domains_equals_global():
     z4 = action_groupoid(cyclic_table(4), rotation_perms(4, 4))
-    # build the same action as a partial action with full domains
-    pts = frozenset(range(4))
+    # the same action as a partial action with full domains, on named elements
     elements = tuple(str(t) for t in range(4))
     inv = {str(t): str((-t) % 4) for t in range(4)}
     mul = {(str(a), str(b)): str((a + b) % 4) for a in range(4) for b in range(4)}
-    domains = {str(t): pts for t in range(4)}
     theta = {str(t): {x: (x + t) % 4 for x in range(4)} for t in range(4)}
-    from grpdim import PartialActionSpec
-
-    spec = PartialActionSpec(4, elements, inv, mul, domains, theta)
+    spec = PartialActionSpec(4, elements, inv, mul, theta)
     g = partial_action_groupoid(spec)
     assert validate(g).ok
-    assert g.n_arrows == z4.n_arrows and g.n_units == z4.n_units
+    assert (g.n_units, g.src, g.rng, g.inv, g.comp) == (
+        z4.n_units, z4.src, z4.rng, z4.inv, z4.comp
+    )
+
+
+def test_partial_action_element_without_theta_is_a_builder_error():
+    spec = cyclic_spec(2, rotation_perms(2, 2))
+    theta = {0: spec.theta[0]}  # element 1 is listed but has no theta
+    broken = PartialActionSpec(2, spec.elements, spec.inv, spec.mul, theta)
+    with pytest.raises(BuilderError, match="no theta for element 1"):
+        partial_action_groupoid(broken)
+
+
+def corrupt_spec(rng: random.Random, spec: PartialActionSpec) -> PartialActionSpec:
+    """A copy of ``spec`` with 0-3 θ values, θ entries, products or inverses
+    changed to a value from -1 to the bound, added or deleted."""
+    n, elements = spec.n_points, spec.elements
+    inv, mul = dict(spec.inv), dict(spec.mul)
+    theta = {g_el: dict(th) for g_el, th in spec.theta.items()}
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(["theta", "theta", "mul", "inv"])
+        if kind == "theta":
+            th = theta[rng.choice(elements)]
+            x = rng.randrange(n)
+            if x in th and rng.random() < 0.4:
+                del th[x]
+            else:
+                th[x] = rng.randint(-1, n)
+        else:
+            table = mul if kind == "mul" else inv
+            key = rng.choice(sorted(table, key=repr) or ["stray"])
+            if key in table and rng.random() < 0.3:
+                del table[key]
+            else:
+                table[key] = rng.choice(elements + ("stray",))
+    return PartialActionSpec(n, elements, inv, mul, theta)
+
+
+def without_arrowless_elements(spec: PartialActionSpec) -> PartialActionSpec:
+    """``spec`` with every element that has no arrow, and every inverse or
+    product entry naming one, left out."""
+    keep = tuple(g_el for g_el in spec.elements if spec.theta.get(g_el) != {})
+    return PartialActionSpec(
+        spec.n_points,
+        keep,
+        {a: b for a, b in spec.inv.items() if a in keep and b in keep},
+        {ab: c for ab, c in spec.mul.items() if set(ab) <= set(keep)},
+        {g_el: spec.theta[g_el] for g_el in keep if g_el in spec.theta},
+    )
+
+
+def test_partial_action_rejects_exactly_what_hand_checks_reject():
+    # the hand checks are the oracle: validate must reject exactly what they
+    # reject, on free actions (Z-shift, rotation) and a non-free one (trivial)
+    rng = random.Random(19)
+    accepted = rejected = arrowless = 0
+    for _ in range(4_000):
+        k = rng.randint(1, 4)
+        kind = rng.choice(["shift", "rotation", "trivial"])
+        if kind == "shift":
+            valid = z_shift_partial_spec(rng.randint(1, 5))
+        elif kind == "rotation":
+            valid = cyclic_spec(k, rotation_perms(k, k * rng.randint(1, 6 // k)))
+        else:
+            valid = cyclic_spec(k, trivial_perms(k, rng.randint(1, 3)))
+        spec = corrupt_spec(rng, valid)
+        try:
+            hand_checked_partial_action(spec)
+            expect_ok = True
+        except BuilderError:
+            expect_ok = False
+        try:
+            g = partial_action_groupoid(spec)
+        except BuilderError:
+            assert not expect_ok, spec
+            rejected += 1
+            continue
+        if not expect_ok:  # only entries that no arrow reads may differ
+            hand_checked_partial_action(without_arrowless_elements(spec))
+            arrowless += 1
+            continue
+        assert g.n_arrows == sum(map(len, spec.theta.values())) and validate(g).ok
+        accepted += 1
+    assert accepted >= 1_000 and rejected >= 1_500, (accepted, rejected, arrowless)
+
+
+def test_partial_action_rejects_a_wrong_product_on_isotropy():
+    # θ_1 fixes 0, so the arrows (0, 0) and (1, 0) share their endpoints and
+    # only the product entry tells them apart: 0*1 = 0 breaks the identity law
+    spec = PartialActionSpec(
+        2,
+        (0, 1),
+        {0: 0, 1: 1},
+        {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0},
+        {0: {0: 0, 1: 1}, 1: {0: 0}},
+    )
+    with pytest.raises(BuilderError, match="identity-law"):
+        partial_action_groupoid(spec)
+
+
+def test_partial_action_ignores_entries_of_an_element_without_arrows():
+    # no arrow reads the inverse or products of an element with empty theta:
+    # the hand checks reject a wrong inverse there, the builder does not
+    spec = z_shift_partial_spec(3)
+    elements = spec.elements + ("far",)  # listed, but with an empty domain
+    theta = {**spec.theta, "far": {}}
+    inv = {**spec.inv, "far": "0"}
+    mul = {**spec.mul, ("far", "1"): "stray"}
+    odd = PartialActionSpec(3, elements, inv, mul, theta)
+    with pytest.raises(BuilderError, match="theta_far is not defined on the inverse domain"):
+        hand_checked_partial_action(odd)
+    g = partial_action_groupoid(odd)
+    assert validate(g).ok and g.n_arrows == 9
+    hand_checked_partial_action(without_arrowless_elements(odd))
 
 
 def test_partial_shift_window():
@@ -146,14 +267,12 @@ def test_partial_action_empty_domains():
 
 
 def test_partial_action_rejects_broken_extension():
-    # verify requires every product that the build composes
+    # the builder requires every product that it composes
     for n_points in (3, 4):
         spec = z_shift_partial_spec(n_points)
         mul = dict(spec.mul)
         del mul[("1", "1")]  # the product 2 is needed on overlapping domains
-        broken = type(spec)(
-            spec.n_points, spec.elements, spec.inv, mul, spec.domains, spec.theta
-        )
+        broken = type(spec)(spec.n_points, spec.elements, spec.inv, mul, spec.theta)
         with pytest.raises(BuilderError, match=r"product '1'\*'1' is needed at point 0"):
             partial_action_groupoid(broken)
 
@@ -322,15 +441,11 @@ def test_every_builder_output_validates():
 
 
 def test_partial_action_listed_empty_domain_gives_unit_groupoid():
-    from grpdim import PartialActionSpec
-
-    pts = frozenset(range(3))
     spec = PartialActionSpec(
         3,
         ("e", "g"),
         {"e": "e", "g": "g"},
         {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g"},
-        {"e": pts, "g": frozenset()},
         {"e": {x: x for x in range(3)}, "g": {}},
     )
     g = partial_action_groupoid(spec)
