@@ -40,31 +40,29 @@ def pair_index(n: int, i: int, j: int) -> int:
 
 
 def pair_groupoid(n: int) -> Groupoid:
-    """The full equivalence relation on n points; arrow (i, j) runs j -> i."""
+    """The full equivalence relation on n points; arrow (i, j) runs j -> i.
+
+    ``ids[i][j]`` is ``pair_index(n, i, j)``, built once, and (i, j)(j, k) =
+    (i, k) reads it: row j zipped with row i gives every product of (i, j).
+    """
     if n < 1:
         raise BuilderError("pair groupoid needs at least one unit")
+    ids = [[pair_index(n, i, j) for j in range(n)] for i in range(n)]
     m = n * n
     src = [0] * m
     rng = [0] * m
     inv = [0] * m
-    for i in range(n):
-        for j in range(n):
-            a = pair_index(n, i, j)
+    for i, row in enumerate(ids):
+        for j, a in enumerate(row):
             src[a] = j
             rng[a] = i
-            inv[a] = pair_index(n, j, i)
-    comp = (
-        (a, pair_index(n, j, k), pair_index(n, i, k))
-        for i in range(n)
-        for j in range(n)
-        for a in [pair_index(n, i, j)]
-        for k in range(n)
-    )
+            inv[a] = ids[j][i]
+    comp = ((a, b, c) for row in ids for j, a in enumerate(row) for b, c in zip(ids[j], row))
     return Groupoid(n, src, rng, inv, comp)
 
 
-def tree_window(shape: str, size: int) -> tuple[Groupoid, Graphing]:
-    """Pair groupoid of a tree with its edge graphing.
+def tree_edges(shape: str, size: int) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and edges of a tree.
 
     ``shape`` is ``"path"`` (size = number of vertices) or ``"binary"``
     (size = depth; vertices are numbered breadth-first so id prefixes are
@@ -73,21 +71,30 @@ def tree_window(shape: str, size: int) -> tuple[Groupoid, Graphing]:
     if shape == "path":
         if size < 1:
             raise BuilderError("path needs at least one vertex")
-        n = size
-        edges = [(i, i + 1) for i in range(n - 1)]
-    elif shape == "binary":
+        return size, [(i, i + 1) for i in range(size - 1)]
+    if shape == "binary":
         if size < 0:
             raise BuilderError("binary tree depth must be nonnegative")
         n = 2 ** (size + 1) - 1
-        edges = [(v, c) for v in range(n) for c in (2 * v + 1, 2 * v + 2) if c < n]
-    else:
-        raise BuilderError(f"unknown tree shape: {shape!r}")
-    g = pair_groupoid(n)
+        return n, [(v, c) for v in range(n) for c in (2 * v + 1, 2 * v + 2) if c < n]
+    raise BuilderError(f"unknown tree shape: {shape!r}")
+
+
+def edge_graphing(g: Groupoid, edges) -> Graphing:
+    """The graphing of a tree's edges on the pair groupoid g of its vertices:
+    both arrows (u, v) and (v, u) of each edge."""
+    n = g.n_units
     q = 0
     for u, v in edges:
-        q |= 1 << pair_index(n, u, v)
-        q |= 1 << pair_index(n, v, u)
-    return g, Graphing(g, ArrowSet(g, q))
+        q |= 1 << pair_index(n, u, v) | 1 << pair_index(n, v, u)
+    return Graphing(g, ArrowSet(g, q))
+
+
+def tree_window(shape: str, size: int) -> tuple[Groupoid, Graphing]:
+    """Pair groupoid of a tree (``tree_edges``) with its edge graphing."""
+    n, edges = tree_edges(shape, size)
+    g = pair_groupoid(n)
+    return g, edge_graphing(g, edges)
 
 
 # -- group actions -----------------------------------------------------------
@@ -285,12 +292,13 @@ def replicate_psi(g: Groupoid, multiplicity: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Product:
-    """Componentwise product groupoid with the arrow pairing."""
+    """Componentwise product groupoid with the arrow pairing: arrow (a, b) is
+    ``arrow_ids[a][b]``."""
 
     left: Groupoid
     right: Groupoid
     groupoid: Groupoid
-    arrow_ids: Mapping[tuple[int, int], int]
+    arrow_ids: tuple[tuple[int, ...], ...]
 
     def unit_id(self, u: int, v: int) -> int:
         return u * self.right.n_units + v
@@ -299,43 +307,49 @@ class Product:
         """The product window {(a, b) : a in left, b in right}."""
         mask = 0
         for a in left_set:
+            row = self.arrow_ids[a]
             for b in right_set:
-                mask |= 1 << self.arrow_ids[(a, b)]
+                mask |= 1 << row[b]
         return ArrowSet(self.groupoid, mask)
 
 
 def product(gl: Groupoid, gr: Groupoid) -> Product:
-    """Componentwise structure; arrows are pairs, units are unit pairs."""
+    """Componentwise structure; arrows are pairs, units are unit pairs.
+
+    Unit (u, v) has id u·nr + v; the other pairs follow in (a, b) order.  The
+    id table ``ids[a][b]`` is built once, and each composition entry reads
+    its three ids from it: (a1, b1)(a2, b2) = (cl, cr) for a1·a2 = cl on the
+    left and b1·b2 = cr on the right, in left-major comp order.
+    """
     nl, nr = gl.n_units, gr.n_units
-    ids: dict[tuple[int, int], int] = {}
-    for u in range(nl):
-        for v in range(nr):
-            ids[(u, v)] = u * nr + v
-    nxt = nl * nr
-    for a in range(gl.n_arrows):
-        for b in range(gr.n_arrows):
-            if a < nl and b < nr:
-                continue
-            ids[(a, b)] = nxt
-            nxt += 1
-    m = nxt
-    src = [0] * m
-    rng = [0] * m
-    inv = [0] * m
-    for (a, b), i in ids.items():
-        src[i] = gl.src[a] * nr + gr.src[b]
-        rng[i] = gl.rng[a] * nr + gr.rng[b]
-        inv[i] = ids[(gl.inv[a], gr.inv[b])]
     ml, mr = gl.n_arrows, gr.n_arrows
+    ids = [[0] * mr for _ in range(ml)]
+    nxt = nl * nr
+    for a in range(ml):
+        for b in range(mr):
+            if a < nl and b < nr:
+                ids[a][b] = a * nr + b
+            else:
+                ids[a][b] = nxt
+                nxt += 1
+    src = [0] * nxt
+    rng = [0] * nxt
+    inv = [0] * nxt
+    for a, row in enumerate(ids):
+        s, r, inv_row = gl.src[a] * nr, gl.rng[a] * nr, ids[gl.inv[a]]
+        for b, i in enumerate(row):
+            src[i] = s + gr.src[b]
+            rng[i] = r + gr.rng[b]
+            inv[i] = inv_row[gr.inv[b]]
     right = [(*divmod(kr, mr), cr) for kr, cr in gr.comp.items()]
     comp = (
-        (ids[(a1, b1)], ids[(a2, b2)], ids[(cl, cr)])
+        (r1[b1], r2[b2], rc[cr])
         for kl, cl in gl.comp.items()
-        for a1, a2 in [divmod(kl, ml)]
+        for r1, r2, rc in [(ids[kl // ml], ids[kl % ml], ids[cl])]
         for b1, b2, cr in right
     )
     gp = Groupoid(nl * nr, src, rng, inv, comp)
-    return Product(gl, gr, gp, ids)
+    return Product(gl, gr, gp, tuple(map(tuple, ids)))
 
 
 # -- instance files ------------------------------------------------------------

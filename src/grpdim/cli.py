@@ -159,7 +159,9 @@ def cmd_build(family, n, group, points, trivial_action, shape, left, right,
     if family == "pair":
         if n is None:
             raise InputError("--family pair needs --n")
-        g, graphing = builders.tree_window("path", n)
+        g = builders.pair_groupoid(n)
+        if graphing_out:  # the path on the n units
+            graphing = builders.edge_graphing(g, builders.tree_edges("path", n)[1])
     elif family == "tree":
         if not shape or ":" not in shape:
             raise InputError("--family tree needs --shape path:<n>|binary:<d>")

@@ -181,6 +181,13 @@ def ef_asdim_search(
 class Graphing:
     """A symmetric generating arrow set off the units, with word-length data.
 
+    Balls grow from their frontier.  With step = symmetrize(q), ball(0) the
+    units and F(r) = ball(r) − ball(r−1) (ball(−1) empty), ball(r+1) =
+    step·ball(r−1) ∪ step·F(r) = ball(r) ∪ step·F(r): for r ≥ 1 by the
+    definition of ball(r), and for r = 0 because step holds the units.  So
+    each level composes step with its frontier only, and each arrow is
+    composed once.
+
     Treeability (unique reduced factorizations) holds exactly when the unit
     multigraph induced by the generator pairs is a forest; the check records
     the offending arrow otherwise.
@@ -202,21 +209,19 @@ class Graphing:
     def _compute_lengths(self) -> tuple[int, ...]:
         g = self.owner
         lengths = [-1] * g.n_arrows
-        level = 0
-        current = self._balls[0]
-        for a in iter_bits(current.mask):
-            lengths[a] = 0
         step = symmetrize(self.q)
+        ball = frontier = g.units_mask
+        level = 0
         while True:
-            nxt = compose_sets(step, current)
-            if nxt.mask == current.mask:
+            for a in iter_bits(frontier):
+                lengths[a] = level
+            frontier = compose_sets(step, ArrowSet(g, frontier)).mask & ~ball
+            if not frontier:
                 break
             level += 1
-            for a in iter_bits(nxt.mask & ~current.mask):
-                lengths[a] = level
-            current = nxt
-            self._balls.append(current)
-        if current.mask != g.arrows_mask:
+            ball |= frontier
+            self._balls.append(ArrowSet(g, ball))
+        if ball != g.arrows_mask:
             raise CoarseError("graphing does not generate the groupoid")
         return tuple(lengths)
 

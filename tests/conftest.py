@@ -13,6 +13,7 @@ from itertools import product as iproduct
 from grpdim import (
     ArrowSet,
     BuilderError,
+    CoarseError,
     Cover,
     Graphing,
     Groupoid,
@@ -733,3 +734,92 @@ def hand_checked_partial_action(spec) -> None:
                 raise BuilderError(
                     f"associative law fails: ({g_el!r}*{h_el!r})*{k_el!r} at point {z}"
                 )
+
+
+# -- set-up oracles: the builders and the ball growth they replaced -----------
+
+
+def pair_index_groupoid(n: int) -> Groupoid:
+    """``pair_groupoid`` with a ``pair_index`` call per table and comp entry:
+    the oracle for its id rows, comp order included."""
+    if n < 1:
+        raise BuilderError("pair groupoid needs at least one unit")
+    m = n * n
+    src = [0] * m
+    rng = [0] * m
+    inv = [0] * m
+    for i in range(n):
+        for j in range(n):
+            a = pair_index(n, i, j)
+            src[a] = j
+            rng[a] = i
+            inv[a] = pair_index(n, j, i)
+    comp = (
+        (a, pair_index(n, j, k), pair_index(n, i, k))
+        for i in range(n)
+        for j in range(n)
+        for a in [pair_index(n, i, j)]
+        for k in range(n)
+    )
+    return Groupoid(n, src, rng, inv, comp)
+
+
+def tuple_keyed_product(gl: Groupoid, gr: Groupoid) -> tuple[Groupoid, dict]:
+    """``product``'s groupoid and arrow pairing, with the pairing a dict keyed
+    by ``(a, b)`` and three dict reads per comp entry: the oracle for its id
+    table, comp order included."""
+    nl, nr = gl.n_units, gr.n_units
+    ids: dict[tuple[int, int], int] = {}
+    for u in range(nl):
+        for v in range(nr):
+            ids[(u, v)] = u * nr + v
+    nxt = nl * nr
+    for a in range(gl.n_arrows):
+        for b in range(gr.n_arrows):
+            if a < nl and b < nr:
+                continue
+            ids[(a, b)] = nxt
+            nxt += 1
+    m = nxt
+    src = [0] * m
+    rng = [0] * m
+    inv = [0] * m
+    for (a, b), i in ids.items():
+        src[i] = gl.src[a] * nr + gr.src[b]
+        rng[i] = gl.rng[a] * nr + gr.rng[b]
+        inv[i] = ids[(gl.inv[a], gr.inv[b])]
+    ml, mr = gl.n_arrows, gr.n_arrows
+    right = [(*divmod(kr, mr), cr) for kr, cr in gr.comp.items()]
+    comp = (
+        (ids[(a1, b1)], ids[(a2, b2)], ids[(cl, cr)])
+        for kl, cl in gl.comp.items()
+        for a1, a2 in [divmod(kl, ml)]
+        for b1, b2, cr in right
+    )
+    return Groupoid(nl * nr, src, rng, inv, comp), ids
+
+
+class WholeBallGraphing(Graphing):
+    """``Graphing`` that recomposes the whole ball at every level: the oracle
+    for growing the balls from their frontier."""
+
+    def _compute_lengths(self) -> tuple[int, ...]:
+        g = self.owner
+        lengths = [-1] * g.n_arrows
+        level = 0
+        current = self._balls[0]
+        for a in iter_bits(current.mask):
+            lengths[a] = 0
+        step = symmetrize(self.q)
+        while True:
+            nxt = compose_sets(step, current)
+            if nxt.mask == current.mask:
+                break
+            level += 1
+            for a in iter_bits(nxt.mask & ~current.mask):
+                lengths[a] = level
+            current = nxt
+            self._balls.append(current)
+        if current.mask != g.arrows_mask:
+            raise CoarseError("graphing does not generate the groupoid")
+        return tuple(lengths)

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from conftest import fiber_points, hand_checked_action, hand_checked_partial_action
+from conftest import (
+    fiber_points,
+    hand_checked_action,
+    hand_checked_partial_action,
+    pair_index_groupoid,
+    tuple_keyed_product,
+)
 from grpdim import (
     BuilderError,
     LoadError,
@@ -317,6 +323,41 @@ def test_product_fibers_multiply():
                 == len(fiber_gauge(gl, fiber_points(gl, u), gl.all_arrows()))
                 * len(fiber_gauge(gr, fiber_points(gr, v), gr.all_arrows()))
             )
+
+
+def tables(g):
+    """Everything a builder fixes: unit count, src, rng, inv, and the comp
+    entries in insertion order."""
+    return g.n_units, g.src, g.rng, g.inv, list(g.comp.items())
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_pair_groupoid_agrees_with_the_pair_index_oracle(n):
+    assert tables(pair_groupoid(n)) == tables(pair_index_groupoid(n))
+
+
+def random_factor(rng: random.Random):
+    """A small factor: a pair groupoid, a rotation or a trivial action."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return pair_groupoid(rng.randint(1, 4))
+    k = rng.randint(1, 3)
+    if kind == 1:
+        return action_groupoid(cyclic_table(k), rotation_perms(k, k * rng.randint(1, 2)))
+    return action_groupoid(cyclic_table(k), trivial_perms(k, rng.randint(1, 2)))
+
+
+def test_product_agrees_with_the_tuple_keyed_oracle():
+    rng = random.Random(20)
+    for trial in range(60):
+        gl, gr = random_factor(rng), random_factor(rng)
+        if trial % 3 == 0:  # a product of a product, isotropic factors included
+            gl = product(gl, random_factor(rng)).groupoid
+        prod = product(gl, gr)
+        oracle, ids = tuple_keyed_product(gl, gr)
+        assert tables(prod.groupoid) == tables(oracle), trial
+        assert {(a, b): i for a, row in enumerate(prod.arrow_ids)
+                for b, i in enumerate(row)} == ids, trial
 
 
 def test_tree_window_shapes():

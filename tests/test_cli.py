@@ -44,6 +44,20 @@ def instances(tmp_path_factory):
     return root
 
 
+def test_build_pair_writes_a_sidecar_only_when_asked(tmp_path):
+    # the pair family builds its path graphing for --graphing-out alone; the
+    # instance bytes do not depend on it, and both match the path:5 tree's
+    assert run_cli("build", "--family", "pair", "--n", "5", "--out", "a.json",
+                   cwd=tmp_path).returncode == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+    assert run_cli("build", "--family", "pair", "--n", "5", "--out", "b.json",
+                   "--graphing-out", "b.g.json", cwd=tmp_path).returncode == 0
+    assert run_cli("build", "--family", "tree", "--shape", "path:5", "--out", "c.json",
+                   "--graphing-out", "c.g.json", cwd=tmp_path).returncode == 0
+    for a, b in (("a.json", "b.json"), ("b.json", "c.json"), ("b.g.json", "c.g.json")):
+        assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
+
+
 def test_validate_ok_and_corrupt(instances, tmp_path):
     res = run_cli("validate", str(instances / "p7.json"))
     assert res.returncode == 0 and "ok" in res.stdout

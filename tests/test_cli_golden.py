@@ -28,6 +28,7 @@ GOLDEN_CASES = {
     "build-ok": ["build", "--family", "action", "--group", "cyclic:4", "--points", "8",
                  "--out", "z4.json"],
     "build-input": ["build", "--family", "pair", "--out", "x.json"],
+    "build-pair-empty": ["build", "--family", "pair", "--n", "0", "--out", "x.json"],
     "dad-certified": ["dad", "p7.json", "--graphing", "p7.g.json", "--out", "w"],
     "dad-none": ["dad", "p7.json", "--graphing", "p7.g.json", "--d-max", "0"],
     "dad-incomplete": ["dad", "p7.json", "--graphing", "p7.g.json", "--d-max", "0",
@@ -96,6 +97,11 @@ GOLDEN = {
     "build-input": (
         [],
         "Error: --family pair needs --n\n",
+        2,
+    ),
+    "build-pair-empty": (
+        [],
+        "Error: pair groupoid needs at least one unit\n",
         2,
     ),
     "dad-certified": (

@@ -1,8 +1,9 @@
-"""sha256 pins of the canonical instance bytes of the action builds.
+"""sha256 pins of the canonical instance bytes of the builders.
 
 Instance files are compared byte for byte (``instance_digest``, golden
-outputs), so a builder change that renumbers arrows of a global action or of
-the Z-shift must show here.
+outputs), so a builder change that renumbers arrows of a global action, of
+the Z-shift, of a pair groupoid, tree window, product or blow-up, or that
+changes a tree window's graphing sidecar, must show here.
 """
 
 import hashlib
@@ -11,9 +12,15 @@ import pytest
 
 from grpdim import (
     action_groupoid,
+    blowup,
     cyclic_table,
+    pair_groupoid,
     partial_action_groupoid,
+    product,
+    replicate_psi,
     rotation_perms,
+    save_graphing,
+    tree_window,
     trivial_perms,
     z_shift_partial_spec,
 )
@@ -68,6 +75,68 @@ ZSHIFT = {  # window size -> digest
     12: "92e909e0574e55a59387c47c58d14ab6b4daab6e59d5edc51f1f0447ce429849",
 }
 
+PAIR = {  # unit count -> digest
+    1: "cba8970717d7d9cff0a15a734ed6fb0743cfe05ca4254588e7a5e1eb31fff5be",
+    2: "e716b50517981ebc43f0a2462efed94b8f330b2a76779e7dd6159a61ae996192",
+    3: "e35a20d846850fc54e89b7118aa2a664adabc88c2425228e215f77464b20affa",
+    4: "ea7b14f97bd4e541bd8dd87ba204ce57740495dc43a9cfc28ad75303198c11ee",
+    5: "dce913bdd516a65bd89c8abec6922810ad1130c1169d0d7ff7cc89b10f492d7c",
+    6: "4cf3d56e4e527a6a67eb8148d87398f91a01c0d86eb9b082a9d5fce24c6a7e9d",
+}
+TREE = {  # (shape, size) -> (instance digest, graphing sidecar digest)
+    ("binary", 0): (
+        "cba8970717d7d9cff0a15a734ed6fb0743cfe05ca4254588e7a5e1eb31fff5be",
+        "0ac9f00de6e9a0ea897fe87df102a2f91d16d79234ae0b5ef6f16da3a835e05c",
+    ),
+    ("binary", 1): (
+        "e35a20d846850fc54e89b7118aa2a664adabc88c2425228e215f77464b20affa",
+        "d7c67afa8f0c31f953890c75a072eff7f093f5e24c660c9905205dc315000503",
+    ),
+    ("binary", 2): (
+        "0cd6859e7ecb736549542752eaea7a36abd5a82ca492518ee91d0ddd3489e223",
+        "9a2269296032e5608d2ccebfda0b8788f8e2358354f7fca7a3f9290b03f10d83",
+    ),
+    ("binary", 3): (
+        "cb5ad9553d8496ccd12e23e59caa62e6c3f1ff90088263d38397d6f2c0b4d76f",
+        "2454acf9356b23f0b8ebf7a70333284ae97a4bdb64a8006cb5f541bc429ffb75",
+    ),
+    ("path", 1): (
+        "cba8970717d7d9cff0a15a734ed6fb0743cfe05ca4254588e7a5e1eb31fff5be",
+        "0ac9f00de6e9a0ea897fe87df102a2f91d16d79234ae0b5ef6f16da3a835e05c",
+    ),
+    ("path", 2): (
+        "e716b50517981ebc43f0a2462efed94b8f330b2a76779e7dd6159a61ae996192",
+        "e3e4202b1d996cc1afa5f4289cc7b9e282ac6622570ab3c9f48ec21333f721b4",
+    ),
+    ("path", 3): (
+        "e35a20d846850fc54e89b7118aa2a664adabc88c2425228e215f77464b20affa",
+        "0092e0b4242dd21e3bcfb8f686e7ea7d12c42223f761395551ea55202642f7a4",
+    ),
+    ("path", 4): (
+        "ea7b14f97bd4e541bd8dd87ba204ce57740495dc43a9cfc28ad75303198c11ee",
+        "12d0ee04f1914f79e25f87e6c9979f688038ca3c1615d7fabe2362cf29fcf944",
+    ),
+    ("path", 5): (
+        "dce913bdd516a65bd89c8abec6922810ad1130c1169d0d7ff7cc89b10f492d7c",
+        "1c156b003d55d294dde79550d26620ce3e666a6897802e80e1ab577104d62d85",
+    ),
+    ("path", 6): (
+        "4cf3d56e4e527a6a67eb8148d87398f91a01c0d86eb9b082a9d5fce24c6a7e9d",
+        "55cf5da668539188259dc7cb92a09b819326fa716148273dd4feb7bf44545a62",
+    ),
+    ("path", 7): (
+        "0cd6859e7ecb736549542752eaea7a36abd5a82ca492518ee91d0ddd3489e223",
+        "ad1098bef6321b44862e63b94e4acdc1f025a2334386e55f044531c635824989",
+    ),
+    ("path", 8): (
+        "58fec205e83a1435354168f11dc60276ed5a7edc23b9d014905175e812987643",
+        "be7d64fefbd0e812f44e155f55be6b52841d2b4bf8f7859c693dee3fd598779c",
+    ),
+}
+PATH5_SQUARED = "e0bfe9fba5f545a7ad64a7dc83b3a8de146e258e3c273780965a516db08b2663"
+PAIR3_TIMES_Z3 = "d5e791f9751c8819e07861668f6803c41f385815d6664a807d4a8c7a2e8179eb"  # Z/3 rotating 3 points
+BLOWUP_PATH10_TWICE = "9058cee2b6f26b7dcf5d629285d59a1c5f8f5d42d9a66f8011b38c3e23a0111d"
+
 
 def digest(g) -> str:
     return hashlib.sha256(canonical_dumps(instance_to_obj(g)).encode()).hexdigest()
@@ -82,3 +151,28 @@ def test_action_groupoid_bytes_are_pinned(k, kind, n):
 @pytest.mark.parametrize("n", sorted(ZSHIFT))
 def test_z_shift_bytes_are_pinned(n):
     assert digest(partial_action_groupoid(z_shift_partial_spec(n))) == ZSHIFT[n]
+
+
+@pytest.mark.parametrize("n", sorted(PAIR))
+def test_pair_groupoid_bytes_are_pinned(n):
+    assert digest(pair_groupoid(n)) == PAIR[n]
+
+
+@pytest.mark.parametrize("shape, size", sorted(TREE))
+def test_tree_window_and_sidecar_bytes_are_pinned(shape, size, tmp_path):
+    g, graphing = tree_window(shape, size)
+    save_graphing(graphing, tmp_path / "q.json")
+    sidecar = hashlib.sha256((tmp_path / "q.json").read_bytes()).hexdigest()
+    assert (digest(g), sidecar) == TREE[shape, size]
+
+
+def test_product_bytes_are_pinned():
+    p5 = tree_window("path", 5)[0]
+    z3 = action_groupoid(cyclic_table(3), rotation_perms(3, 3))
+    assert digest(product(p5, p5).groupoid) == PATH5_SQUARED
+    assert digest(product(pair_groupoid(3), z3).groupoid) == PAIR3_TIMES_Z3
+
+
+def test_blowup_bytes_are_pinned():
+    p10 = tree_window("path", 10)[0]
+    assert digest(blowup(p10, replicate_psi(p10, 2)).groupoid) == BLOWUP_PATH10_TWICE
