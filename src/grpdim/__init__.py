@@ -7,26 +7,29 @@ and the constructive transfers between them.
 
 from .groupoid import (
     ArrowSet,
+    AxiomError,
     Groupoid,
     GroupoidError,
     OwnerMismatchError,
+    Tables,
     UnitSet,
     ValidationReport,
     Violation,
     arrows_within,
     compose_sets,
+    from_triples,
     generated,
     is_principal,
     power,
     restrict,
     symmetrize,
+    triples,
     validate,
 )
 from .covers import (
     ControlFunction,
     Cover,
     CoverError,
-    check_nfold_subfamilies,
     control_apply,
     fold_number,
     ostrand_lift,

@@ -1,12 +1,14 @@
 """Instance generators for the example families, plus JSON (de)serialization.
 
-Every builder output passes :func:`grpdim.groupoid.validate`, and action
-builds are judged by it: no builder checks the group or action axioms itself.
-There is one action builder, :func:`partial_action_groupoid`, in which arrow
-(g, x) runs x -> θ_g(x); a global action is the partial action whose domains
-are all full.
-The loader rejects files whose tables violate the axioms and embeds the
-validation report in the error.
+Pair groupoids, products and blow-ups are built in orbit normal form
+directly (see :class:`grpdim.groupoid.Groupoid`), and the triples each one
+induces pass :func:`grpdim.groupoid.validate`.  Action builds and instance
+files go through :func:`grpdim.groupoid.from_triples`, so ``validate``
+judges them: no builder checks the group or action axioms itself.  There is
+one action builder, :func:`partial_action_groupoid`, in which arrow (g, x)
+runs x -> θ_g(x); a global action is the partial action whose domains are
+all full.  The loader rejects files whose tables violate the axioms and
+embeds the validation report in the error.
 """
 
 from __future__ import annotations
@@ -18,7 +20,15 @@ from pathlib import Path
 from typing import Hashable, Mapping, Sequence
 
 from .coarse import Graphing
-from .groupoid import ArrowSet, Groupoid, GroupoidError, iter_bits, validate
+from .groupoid import (
+    TRIVIAL,
+    ArrowSet,
+    AxiomError,
+    Groupoid,
+    GroupoidError,
+    from_triples,
+    triples,
+)
 
 
 class BuilderError(GroupoidError):
@@ -42,8 +52,8 @@ def pair_index(n: int, i: int, j: int) -> int:
 def pair_groupoid(n: int) -> Groupoid:
     """The full equivalence relation on n points; arrow (i, j) runs j -> i.
 
-    ``ids[i][j]`` is ``pair_index(n, i, j)``, built once, and (i, j)(j, k) =
-    (i, k) reads it: row j zipped with row i gives every product of (i, j).
+    One orbit with trivial isotropy: every label is 0, and the normal form's
+    row at unit i is ``ids[i]``, with ``ids[i][j] = pair_index(n, i, j)``.
     """
     if n < 1:
         raise BuilderError("pair groupoid needs at least one unit")
@@ -57,8 +67,7 @@ def pair_groupoid(n: int) -> Groupoid:
             src[a] = j
             rng[a] = i
             inv[a] = ids[j][i]
-    comp = ((a, b, c) for row in ids for j, a in enumerate(row) for b, c in zip(ids[j], row))
-    return Groupoid(n, src, rng, inv, comp)
+    return Groupoid(n, src, rng, inv, [0] * m, [TRIVIAL] * n)
 
 
 def tree_edges(shape: str, size: int) -> tuple[int, list[tuple[int, int]]]:
@@ -229,11 +238,10 @@ def partial_action_groupoid(spec: PartialActionSpec) -> Groupoid:
                 if gh is None:
                     raise BuilderError(f"{need} is needed at point {x} but not listed")
                 comp.append((index[g_el, y], b, arrow(gh, x, need)))
-    g = Groupoid(n, [x for _, x, _ in arrows], [y for *_, y in arrows], inv, comp)
-    report = validate(g)
-    if not report.ok:
-        raise BuilderError(f"partial action violates the groupoid axioms:\n{report}")
-    return g
+    try:
+        return from_triples(n, [x for _, x, _ in arrows], [y for *_, y in arrows], inv, comp)
+    except AxiomError as exc:
+        raise BuilderError(f"partial action violates the groupoid axioms:\n{exc.report}") from None
 
 
 # -- blow-ups and products -----------------------------------------------------
@@ -250,7 +258,11 @@ class Blowup:
 
 
 def blowup(g: Groupoid, psi: Sequence[int]) -> Blowup:
-    """Triples (x, a, y) with psi(x) = rng(a), psi(y) = src(a)."""
+    """Triples (x, a, y) with psi(x) = rng(a), psi(y) = src(a).
+
+    An orbit X×H×X of ``g`` blows up to the orbit psi⁻¹(X)×H×psi⁻¹(X), so
+    (x, a, y) keeps a's label and unit x the table of psi(x).
+    """
     psi = tuple(psi)
     if set(psi) != set(range(g.n_units)):
         raise BuilderError("unit map must be surjective onto the base units")
@@ -272,14 +284,8 @@ def blowup(g: Groupoid, psi: Sequence[int]) -> Blowup:
     rng = [t[0] for t in triples]
     inv = [index[(t[2], g.inv[t[1]], t[0])] for t in triples]
     pi = [t[1] for t in triples]
-    m = g.n_arrows
-    comp = (
-        (i, index[(y, b, z)], index[(x, g.comp[a * m + b], z)])
-        for i, (x, a, y) in enumerate(triples)
-        for b in iter_bits(g.by_rng[g.src[a]])
-        for z in fibers[g.src[b]]
-    )
-    gb = Groupoid(n_x, src, rng, inv, comp)
+    label = [g.label[a] for a in pi]
+    gb = Groupoid(n_x, src, rng, inv, label, [g.table[u] for u in psi])
     return Blowup(g, gb, psi, tuple(pi))
 
 
@@ -316,10 +322,10 @@ class Product:
 def product(gl: Groupoid, gr: Groupoid) -> Product:
     """Componentwise structure; arrows are pairs, units are unit pairs.
 
-    Unit (u, v) has id u·nr + v; the other pairs follow in (a, b) order.  The
-    id table ``ids[a][b]`` is built once, and each composition entry reads
-    its three ids from it: (a1, b1)(a2, b2) = (cl, cr) for a1·a2 = cl on the
-    left and b1·b2 = cr on the right, in left-major comp order.
+    Unit (u, v) has id u·nr + v; the other pairs follow in (a, b) order, in
+    the id table ``ids[a][b]``.  Orbits X×H×X and Y×K×Y give the orbit
+    (X×Y)×(H×K)×(X×Y), so (a, b) has label h_a·|K| + h_b, and the table of
+    H×K is made once for each pair of factor tables.
     """
     nl, nr = gl.n_units, gr.n_units
     ml, mr = gl.n_arrows, gr.n_arrows
@@ -335,20 +341,30 @@ def product(gl: Groupoid, gr: Groupoid) -> Product:
     src = [0] * nxt
     rng = [0] * nxt
     inv = [0] * nxt
+    label = [0] * nxt
+    # |K| and h_b of each right arrow b, as the pair (|K|, h_b)
+    right = [(len(gr.table[gr.rng[b]]), gr.label[b]) for b in range(mr)]
     for a, row in enumerate(ids):
-        s, r, inv_row = gl.src[a] * nr, gl.rng[a] * nr, ids[gl.inv[a]]
+        s, r, h, inv_row = gl.src[a] * nr, gl.rng[a] * nr, gl.label[a], ids[gl.inv[a]]
         for b, i in enumerate(row):
             src[i] = s + gr.src[b]
             rng[i] = r + gr.rng[b]
             inv[i] = inv_row[gr.inv[b]]
-    right = [(*divmod(kr, mr), cr) for kr, cr in gr.comp.items()]
-    comp = (
-        (r1[b1], r2[b2], rc[cr])
-        for kl, cl in gl.comp.items()
-        for r1, r2, rc in [(ids[kl // ml], ids[kl % ml], ids[cl])]
-        for b1, b2, cr in right
-    )
-    gp = Groupoid(nl * nr, src, rng, inv, comp)
+            k, hb = right[b]
+            label[i] = h * k + hb
+    tables: dict[tuple[int, int], tuple] = {}
+    table = []
+    for u in range(nl):
+        for v in range(nr):
+            tl, tr = gl.table[u], gr.table[v]
+            key = (id(tl), id(tr))
+            if key not in tables:  # (h1, k1)(h2, k2) = (h1 h2, k1 k2)
+                k = len(tr)
+                tables[key] = tuple(
+                    tuple(h * k + hk for h in row_l for hk in row_r) for row_l in tl for row_r in tr
+                )
+            table.append(tables[key])
+    gp = Groupoid(nl * nr, src, rng, inv, label, table)
     return Product(gl, gr, gp, tuple(map(tuple, ids)))
 
 
@@ -364,12 +380,7 @@ def instance_to_obj(g: Groupoid) -> dict:
     arrows = [
         {"id": a, "src": g.src[a], "rng": g.rng[a]} for a in range(n, m)
     ]
-    comp = sorted(
-        [a, b, c]
-        for key, c in g.comp.items()
-        for a, b in [divmod(key, m)]
-        if a >= n and b >= n
-    )
+    comp = [[a, b, c] for a, b, c in triples(g) if a >= n and b >= n]
     return {"units": n, "arrows": arrows, "inv": list(g.inv), "comp": comp}
 
 
@@ -392,8 +403,8 @@ def _comp_triple(triple) -> tuple[int, int, int]:
 
 
 def obj_to_instance(obj) -> Groupoid:
-    """The groupoid of an instance object: the constructor reads the identity
-    products and the file's triples as one stream."""
+    """The groupoid of an instance object: the triples path reads the
+    identity products and the file's triples as one stream."""
     try:
         n = _id(obj["units"])
         arrows = obj["arrows"]
@@ -422,13 +433,11 @@ def obj_to_instance(obj) -> Groupoid:
     identities = ((x, y, a) for a in range(m) for x, y in ((rng[a], a), (a, src[a])))
     comp = chain(identities, map(_comp_triple, comp_triples))
     try:
-        g = Groupoid(n, src, rng, inv, comp)
+        return from_triples(n, src, rng, inv, comp)
+    except AxiomError as exc:
+        raise LoadError(f"instance violates the groupoid axioms:\n{exc.report}") from None
     except GroupoidError as exc:
         raise LoadError(str(exc)) from exc
-    report = validate(g)
-    if not report.ok:
-        raise LoadError(f"instance violates the groupoid axioms:\n{report}")
-    return g
 
 
 def save(g: Groupoid, path) -> None:

@@ -155,6 +155,8 @@ def cmd_validate(paths):
 def cmd_build(family, n, group, points, trivial_action, shape, left, right,
               base_path, multiplicity, out, graphing_out):
     """Build an instance file (and optionally a graphing sidecar)."""
+    if graphing_out and family not in ("pair", "tree"):
+        raise InputError(f"--family {family} defines no graphing for --graphing-out")
     graphing = None
     if family == "pair":
         if n is None:
@@ -193,7 +195,7 @@ def cmd_build(family, n, group, points, trivial_action, shape, left, right,
         base = load(base_path)
         g = builders.blowup(base, builders.replicate_psi(base, multiplicity)).groupoid
     builders.save(g, out)
-    if graphing is not None and graphing_out:
+    if graphing_out:
         builders.save_graphing(graphing, graphing_out)
     click.echo(f"{out}\tbuild\t{family}\tok\t-\t0")
     return EXIT_OK

@@ -49,14 +49,14 @@ def fiber_gauge(g: Groupoid, points: "int | Iterable[int]", window: ArrowSet) ->
     """
     _same_owner(g, window.owner)
     mask = points if isinstance(points, int) else mask_of(points)
-    m = g.n_arrows
-    comp, by_rng, src = g.comp, g.by_rng, g.src
+    src, rng, label, pos, at, table, by_rng = g.src, g.rng, g.label, g.pos, g.at, g.table, g.by_rng
     rows = {}
     for a in iter_bits(mask):
-        base = a * m
+        x = rng[a]
+        row, ha = at[x], table[x][label[a]]
         acc = 1 << a
         for q in iter_bits(by_rng[src[a]] & window.mask):
-            acc |= 1 << comp[base + q]
+            acc |= 1 << row[ha[label[q]]][pos[src[q]]]
         rows[a] = acc & mask
     return rows
 
@@ -384,11 +384,20 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
     for key in keys:
         family_members[key[0] % 2].append(frozenset(classes[key]))
 
-    lengths, comp, inv, m = graphing.lengths, g.comp, g.inv, g.n_arrows
-    diameters = {
-        key: max(lengths[comp[inv[a] * m + b]] for i, a in enumerate(members) for b in members[i:])
-        for key, members in classes.items()
-    }
+    lengths, src, inv, label, pos, at, table = (
+        graphing.lengths, g.src, g.inv, g.label, g.pos, g.at, g.table
+    )
+    diameters = {}
+    for key, members in classes.items():
+        diameter = 0
+        for i, a in enumerate(members):
+            x = src[a]  # inv(a) b runs src b -> src a
+            row, ha = at[x], table[x][label[inv[a]]]
+            for b in members[i:]:
+                d = lengths[row[ha[label[b]]][pos[src[b]]]]
+                if d > diameter:
+                    diameter = d
+        diameters[key] = diameter
     max_diameter = max(diameters.values())
 
     sources = {key: mask_of(g.src[a] for a in members) for key, members in classes.items()}
@@ -497,7 +506,7 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
     for x, a in enumerate(t):
         if a == x:
             rep_mask |= g.by_rng[x]
-    m, comp, src, rng = g.n_arrows, g.comp, g.src, g.rng
+    src, rng, label, pos = g.src, g.rng, g.label, g.pos
     families = []
     for cls, h_i in zip(witness.cover.classes, witness.generated_per_class):
         src_mask = 0
@@ -517,9 +526,10 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
         for y, ty in enumerate(t):
             here = at.get(src[ty], [])
             if ty != y:
-                base = ty * m
+                row, ht = g.at[y], g.table[y][label[ty]]
                 here = sorted(
-                    (mask_of(comp[base + a] for a in iter_bits(mask)) for mask in here),
+                    (mask_of(row[ht[label[a]]][pos[src[a]]] for a in iter_bits(mask))
+                     for mask in here),
                     key=lambda mask: mask & -mask,
                 )
             members += here

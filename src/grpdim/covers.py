@@ -70,23 +70,6 @@ def fold_number(cover: Cover) -> int:
     return best
 
 
-def check_nfold_subfamilies(cover: Cover, n: int) -> bool:
-    """Subfamily criterion: every (k+2-n)-subset of the classes covers every unit."""
-    k = cover.k
-    if n > k + 1:
-        raise CoverError(f"n={n} exceeds the number of classes {k + 1}")
-    size = k + 2 - n
-    masks = [c.mask for c in cover.classes]
-    units = cover.owner.units_mask
-    for sub in combinations(masks, size):
-        u = 0
-        for m in sub:
-            u |= m
-        if units & ~u:
-            return False
-    return True
-
-
 def shrink_nfold(cover: Cover, n: int) -> Cover:
     """Greedy pruning: drop points while every unit stays in >= n classes.
 

@@ -28,6 +28,7 @@ from .groupoid import (
     mask_of,
     power,
     symmetrize,
+    triples,
     unit_graph,
 )
 
@@ -420,11 +421,8 @@ def check_functor(g: Groupoid, h: Groupoid, pi: Sequence[int]) -> None:
             raise HypothesisError(f"functor does not preserve inverse at arrow {a}")
         if h.src[pi[a]] != pi[g.src[a]] or h.rng[pi[a]] != pi[g.rng[a]]:
             raise HypothesisError(f"functor does not preserve endpoints at arrow {a}")
-    m = g.n_arrows
-    for key, c in g.comp.items():
-        a, b = divmod(key, m)
-        img = h.compose_or_none(pi[a], pi[b])
-        if img != pi[c]:
+    for a, b, c in triples(g):
+        if h.compose_or_none(pi[a], pi[b]) != pi[c]:
             raise HypothesisError(f"functor does not preserve composition at ({a},{b})")
 
 

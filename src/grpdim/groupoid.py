@@ -2,8 +2,13 @@
 
 Arrows are integers ``0..m-1``; ids ``0..n_units-1`` are reserved for the
 identity arrows, so a unit and its identity arrow share an id.  Composition
-comes in as ``(a, b, c)`` triples, as in an instance file.  Sets of arrows
-and units are bitmasks wrapped in :class:`ArrowSet` / :class:`UnitSet`.
+is stored in orbit normal form: every orbit of a finite groupoid is X×H×X
+(Brandt), so an arrow is a triple (x, h, y) and a product is one read of a
+per-unit row (:class:`Groupoid`).  Composition read as ``(a, b, c)``
+triples, as in an instance file, goes through one path, :func:`from_triples`:
+shape checks, :func:`validate` on the raw :class:`Tables`, then the normal
+form from the certificate that proved them a groupoid.  Sets of arrows and
+units are bitmasks wrapped in :class:`ArrowSet` / :class:`UnitSet`.
 Groupoids and sets are immutable after construction and every operation here
 is a pure function, so values can be shared freely between threads.
 """
@@ -37,45 +42,13 @@ def mask_of(ids: Iterable[int]) -> int:
     return out
 
 
-class Groupoid:
-    """Source/range/inverse/composition tables over dense arrow ids.
+class _Arrows:
+    """Source, range and inverse tables over dense arrow ids, range-checked,
+    with the arrow mask of each unit's source and range fibers."""
 
-    ``comp`` is read once as triples ``(a, b, c)``, meaning ``a * b = c``, and
-    stored flat as ``g.comp[a * m + b] = c``.  The constructor checks shapes
-    only: ids in range, and no pair given two products (an identical repeat
-    is allowed).  The axioms, such as ``comp`` being defined exactly on the
-    pairs with ``src(a) == rng(b)``, are checked by :func:`validate`.
-    """
+    __slots__ = ("n_units", "n_arrows", "src", "rng", "inv", "by_src", "by_rng")
 
-    __slots__ = (
-        "n_units",
-        "n_arrows",
-        "src",
-        "rng",
-        "inv",
-        "comp",
-        "by_src",
-        "by_rng",
-        "units_mask",
-        "arrows_mask",
-        "parent",
-        "parent_arrows",
-        "parent_units",
-        "_principal",
-    )
-
-    def __init__(
-        self,
-        n_units: int,
-        src: Iterable[int],
-        rng: Iterable[int],
-        inv: Iterable[int],
-        comp: "Iterable[tuple[int, int, int]]",
-        *,
-        parent: "Groupoid | None" = None,
-        parent_arrows: "tuple[int, ...] | None" = None,
-        parent_units: "tuple[int, ...] | None" = None,
-    ):
+    def __init__(self, n_units: int, src: Iterable[int], rng: Iterable[int], inv: Iterable[int]):
         self.src = tuple(int(x) for x in src)
         self.rng = tuple(int(x) for x in rng)
         self.inv = tuple(int(x) for x in inv)
@@ -94,7 +67,36 @@ class Groupoid:
             for a, v in enumerate(table):
                 if not 0 <= v < bound:
                     raise GroupoidError(f"{name}[{a}]={v} out of range")
+        by_src = [0] * n_units
+        by_rng = [0] * n_units
+        for a in range(m):
+            by_src[self.src[a]] |= 1 << a
+            by_rng[self.rng[a]] |= 1 << a
+        self.by_src = tuple(by_src)
+        self.by_rng = tuple(by_rng)
 
+
+class Tables(_Arrows):
+    """Composition read as triples ``(a, b, c)``, meaning ``a * b = c``, and
+    stored flat as ``comp[a * m + b] = c``: the raw form :func:`validate`
+    judges, before anything is known to be a groupoid.
+
+    The constructor checks shapes only: ids in range, and no pair given two
+    products (an identical repeat is allowed).
+    """
+
+    __slots__ = ("comp",)
+
+    def __init__(
+        self,
+        n_units: int,
+        src: Iterable[int],
+        rng: Iterable[int],
+        inv: Iterable[int],
+        comp: "Iterable[tuple[int, int, int]]",
+    ):
+        super().__init__(n_units, src, rng, inv)
+        m = self.n_arrows
         flat: dict[int, int] = {}
         for a, b, c in comp:
             if not (0 <= a < m and 0 <= b < m and 0 <= c < m):
@@ -103,19 +105,93 @@ class Groupoid:
                 raise GroupoidError(f"comp ({a},{b}) given two products {flat[a * m + b]}, {c}")
         self.comp = flat
 
-        by_src = [0] * n_units
-        by_rng = [0] * n_units
+
+TRIVIAL = ((0,),)  # the multiplication table of the trivial group
+
+
+class Groupoid(_Arrows):
+    """A finite groupoid with composition in orbit normal form.
+
+    Each orbit is X×H×X: arrow a is the triple (rng a, h_a, src a), and
+    (x, h, y)(y, k, z) = (x, hk, z).  ``label[a]`` is h_a, an index into the
+    isotropy group H of a's orbit, and ``table[u]`` is H's multiplication
+    table (label 0 the identity), one object shared by the units of an
+    orbit.  X is the orbit's units in increasing order, ``pos[y]`` is y's
+    index in it, and ``at[x][h][pos[y]]`` is the arrow (x, h, y).  So
+
+        a * b = at[rng a][table[rng a][label a][label b]][pos[src b]]
+
+    for ``src a == rng b``: on a principal orbit, ``at[rng a][0][pos[src b]]``.
+    The tables hold m + Σ|H|² + n entries, against one per composable pair.
+
+    The constructor reads ``label`` and ``table`` and checks shapes only:
+    ids and labels in range, and each arrow alone in its cell of ``at``.
+    The builders make these directly; tables read as triples are judged by
+    :func:`validate` first (:func:`from_triples`).
+    """
+
+    __slots__ = (
+        "label",
+        "table",
+        "pos",
+        "at",
+        "units_mask",
+        "arrows_mask",
+        "parent",
+        "parent_arrows",
+        "parent_units",
+    )
+
+    def __init__(
+        self,
+        n_units: int,
+        src: Iterable[int],
+        rng: Iterable[int],
+        inv: Iterable[int],
+        label: Iterable[int],
+        table: "Iterable[tuple[tuple[int, ...], ...]]",
+        *,
+        parent: "Groupoid | None" = None,
+        parent_arrows: "tuple[int, ...] | None" = None,
+        parent_units: "tuple[int, ...] | None" = None,
+    ):
+        super().__init__(n_units, src, rng, inv)
+        self.label = tuple(label)
+        self.table = tuple(table)
+        m = self.n_arrows
+        if len(self.label) != m or len(self.table) != n_units:
+            raise GroupoidError("one label per arrow and one table per unit required")
+        src, rng, label = self.src, self.rng, self.label
+        # An orbit is the ranges of the arrows from its least unit, which is
+        # the first unit in increasing order that no earlier orbit holds.
+        root = [-1] * n_units
+        pos = [0] * n_units
+        at: list = [None] * n_units
+        for r in range(n_units):
+            if root[r] >= 0:
+                continue
+            xs = sorted({rng[a] for a in iter_bits(self.by_src[r])})
+            k = len(self.table[r])
+            for i, x in enumerate(xs):
+                if root[x] >= 0:
+                    raise GroupoidError(f"unit {x} lies in two orbits")
+                root[x] = r
+                pos[x] = i
+                at[x] = [[-1] * len(xs) for _ in range(k)]
         for a in range(m):
-            by_src[self.src[a]] |= 1 << a
-            by_rng[self.rng[a]] |= 1 << a
-        self.by_src = tuple(by_src)
-        self.by_rng = tuple(by_rng)
+            x, y, h = rng[a], src[a], label[a]
+            if root[x] != root[y] or not 0 <= h < len(at[x]) or at[x][h][pos[y]] >= 0:
+                raise GroupoidError(f"arrow {a} has no cell of its own in its orbit")
+            at[x][h][pos[y]] = a
+        if any(-1 in row for rows in at for row in rows):
+            raise GroupoidError("some cell of an orbit holds no arrow")
+        self.pos = tuple(pos)
+        self.at = tuple(at)
         self.units_mask = (1 << n_units) - 1
         self.arrows_mask = (1 << m) - 1
         self.parent = parent
         self.parent_arrows = parent_arrows
         self.parent_units = parent_units
-        self._principal = None
 
     # -- basic queries -------------------------------------------------
 
@@ -123,13 +199,16 @@ class Groupoid:
         return a < self.n_units
 
     def compose(self, a: int, b: int) -> int:
-        c = self.comp.get(a * self.n_arrows + b)
+        c = self.compose_or_none(a, b)
         if c is None:
             raise GroupoidError(f"arrows {a} and {b} are not composable")
         return c
 
     def compose_or_none(self, a: int, b: int) -> "int | None":
-        return self.comp.get(a * self.n_arrows + b)
+        if self.src[a] != self.rng[b]:
+            return None
+        x = self.rng[a]
+        return self.at[x][self.table[x][self.label[a]][self.label[b]]][self.pos[self.src[b]]]
 
     # -- set constructors ----------------------------------------------
 
@@ -274,16 +353,13 @@ def compose_sets(a: ArrowSet, b: ArrowSet) -> ArrowSet:
     """All defined products x*y with x in ``a`` and y in ``b``."""
     _same_owner(a.owner, b.owner)
     g = a.owner
-    m = g.n_arrows
-    comp = g.comp
-    by_rng = g.by_rng
-    src = g.src
+    src, rng, label, pos, at, table, by_rng = g.src, g.rng, g.label, g.pos, g.at, g.table, g.by_rng
     out = 0
     for x in iter_bits(a.mask):
-        partners = by_rng[src[x]] & b.mask
-        base = x * m
-        for y in iter_bits(partners):
-            out |= 1 << comp[base + y]
+        u = rng[x]
+        rows, hx = at[u], table[u][label[x]]
+        for y in iter_bits(by_rng[src[x]] & b.mask):
+            out |= 1 << rows[hx[label[y]]][pos[src[y]]]
     return ArrowSet(g, out)
 
 
@@ -351,8 +427,8 @@ def _close(g: Groupoid, seeds: int, els: int, limit: int) -> "int | None":
     els |= seeds
     if els & ~limit:
         return None
-    m = g.n_arrows
-    comp, src, rng, inv, by_src, by_rng = g.comp, g.src, g.rng, g.inv, g.by_src, g.by_rng
+    src, rng, inv, by_src, by_rng = g.src, g.rng, g.inv, g.by_src, g.by_rng
+    label, pos, at, table = g.label, g.pos, g.at, g.table
     queue = list(iter_bits(seeds))
     for x in queue:  # the queue grows while it is read
         y = inv[x]
@@ -361,16 +437,19 @@ def _close(g: Groupoid, seeds: int, els: int, limit: int) -> "int | None":
                 return None
             els |= 1 << y
             queue.append(y)
-        base = x * m
+        u = rng[x]
+        rows, tab = at[u], table[u]
+        hx = tab[label[x]]
         for y in iter_bits(by_rng[src[x]] & els):
-            c = comp[base + y]
+            c = rows[hx[label[y]]][pos[src[y]]]
             if not els >> c & 1:
                 if not limit >> c & 1:
                     return None
                 els |= 1 << c
                 queue.append(c)
-        for y in iter_bits(by_src[rng[x]] & els):
-            c = comp[y * m + x]
+        lx, px = label[x], pos[src[x]]
+        for y in iter_bits(by_src[u] & els):
+            c = at[rng[y]][tab[label[y]][lx]][px]
             if not els >> c & 1:
                 if not limit >> c & 1:
                     return None
@@ -383,29 +462,22 @@ def restrict(g: Groupoid, units: UnitSet) -> Groupoid:
     """The restriction of ``g`` to ``units``: all arrows with both endpoints inside.
 
     Arrow and unit ids are re-indexed densely; the result keeps back-maps to
-    the parent ids (``parent_arrows`` / ``parent_units``).
+    the parent ids (``parent_arrows`` / ``parent_units``).  An orbit X×H×X
+    of ``g`` meets ``units`` in one orbit (X∩U)×H×(X∩U) of the result, so
+    every arrow keeps its label and every unit its orbit's table.
     """
     _same_owner(g, units.owner)
     kept_units = list(units)
     unit_rank = {u: i for i, u in enumerate(kept_units)}
-    keep_mask = arrows_within(g, units).mask
-    kept = list(iter_bits(keep_mask))
+    kept = [a for a in range(g.n_arrows) if g.src[a] in unit_rank and g.rng[a] in unit_rank]
     arrow_rank = {a: i for i, a in enumerate(kept)}
-    src = [unit_rank[g.src[a]] for a in kept]
-    rng = [unit_rank[g.rng[a]] for a in kept]
-    inv = [arrow_rank[g.inv[a]] for a in kept]
-    m = g.n_arrows
-    comp = (
-        (arrow_rank[a], arrow_rank[b], arrow_rank[g.comp[a * m + b]])
-        for a in kept
-        for b in iter_bits(g.by_rng[g.src[a]] & keep_mask)
-    )
     return Groupoid(
         len(kept_units),
-        src,
-        rng,
-        inv,
-        comp,
+        [unit_rank[g.src[a]] for a in kept],
+        [unit_rank[g.rng[a]] for a in kept],
+        [arrow_rank[g.inv[a]] for a in kept],
+        [g.label[a] for a in kept],
+        [g.table[u] for u in kept_units],
         parent=g,
         parent_arrows=tuple(kept),
         parent_units=tuple(kept_units),
@@ -415,7 +487,7 @@ def restrict(g: Groupoid, units: UnitSet) -> Groupoid:
 # -- orbits and principality ----------------------------------------------
 
 
-def transversal(g: Groupoid) -> list[int]:
+def transversal(g: _Arrows) -> list[int]:
     """For each unit y, the least arrow from the least unit of y's orbit to y.
 
     Units are taken in increasing order; a unit that no earlier orbit reaches
@@ -447,8 +519,7 @@ def orbit_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, int]:
     """
     inside = (k_set & arrows_within(g, y)).mask
     steps = inside | ArrowSet(g, inside).inverse().mask
-    m = g.n_arrows
-    comp, src, by_rng = g.comp, g.src, g.by_rng
+    src, label, pos, by_rng = g.src, g.label, g.pos, g.by_rng
     fibers = {}
     reached = 0
     for x in y:
@@ -456,10 +527,11 @@ def orbit_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, int]:
             continue
         fiber = 1 << x
         queue = [x]
+        rows, tab = g.at[x], g.table[x]  # every arrow of the fiber has range x
         for h in queue:  # the queue grows while it is read
-            base = h * m
+            hh = tab[label[h]]
             for s in iter_bits(by_rng[src[h]] & steps):
-                c = comp[base + s]
+                c = rows[hh[label[s]]][pos[src[s]]]
                 if not fiber >> c & 1:
                     fiber |= 1 << c
                     queue.append(c)
@@ -470,12 +542,9 @@ def orbit_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, int]:
 
 
 def is_principal(g: Groupoid) -> bool:
-    """True iff the only arrows with equal endpoints are the identities."""
-    if g._principal is None:
-        g._principal = all(
-            g.src[a] != g.rng[a] for a in range(g.n_units, g.n_arrows)
-        )
-    return g._principal
+    """True iff the only arrows with equal endpoints are the identities: every
+    orbit's isotropy group is trivial."""
+    return all(len(tab) == 1 for tab in g.table)
 
 
 # -- axiom validation ------------------------------------------------------
@@ -513,8 +582,9 @@ class ValidationReport:
         return "\n".join(f"{v.code}: {v.message}" for v in self.violations)
 
 
-def validate(g: Groupoid) -> ValidationReport:
-    """Check every groupoid axiom; violations are returned, never raised."""
+def validate(g: Tables) -> ValidationReport:
+    """Check every groupoid axiom of raw tables; violations are returned,
+    never raised."""
     out: list[Violation] = []
     m = g.n_arrows
     n = g.n_units
@@ -612,7 +682,7 @@ def validate(g: Groupoid) -> ValidationReport:
     return ValidationReport(out)
 
 
-def _structure_certificate(g: Groupoid) -> bool:
+def _structure_certificate(g: Tables) -> bool:
     """Prove associativity from the structure of connected groupoids.
 
     Every connected groupoid is isomorphic to X×H×X, with H the isotropy
@@ -628,7 +698,7 @@ def _structure_certificate(g: Groupoid) -> bool:
     endpoints.  False means some product is not associative.
     """
     m = g.n_arrows
-    src, rng, inv, comp, by_src = g.src, g.rng, g.inv, g.comp, g.by_src
+    src, rng, comp, by_src = g.src, g.rng, g.comp, g.by_src
     # Products have the right endpoints, so every unit of r's orbit gets an
     # arrow from r: the tree has depth one, and t_r = r.
     tree = transversal(g)
@@ -643,7 +713,7 @@ def _structure_certificate(g: Groupoid) -> bool:
                     if comp[xy * m + z] != comp[x * m + comp[y * m + z]]:
                         return False
 
-    h = [comp[inv[tree[rng[a]]] * m + comp[a * m + tree[src[a]]]] for a in range(m)]
+    h = _isotropy_images(g, tree)
     if len({(rng[a], h[a], src[a]) for a in range(m)}) != m:
         return False
     for key, c in comp.items():
@@ -653,7 +723,15 @@ def _structure_certificate(g: Groupoid) -> bool:
     return True
 
 
-def _associativity_violations(g: Groupoid) -> list[Violation]:
+def _isotropy_images(g: Tables, tree: list[int]) -> list[int]:
+    """For each arrow a, h_a = t_{rng a}⁻¹·a·t_{src a} over the tree arrows
+    ``tree``: an isotropy arrow at the root of a's orbit."""
+    m = g.n_arrows
+    src, rng, inv, comp = g.src, g.rng, g.inv, g.comp
+    return [comp[inv[tree[rng[a]]] * m + comp[a * m + tree[src[a]]]] for a in range(m)]
+
+
+def _associativity_violations(g: Tables) -> list[Violation]:
     """Every triple (a, b, d) on which associativity fails: O(|comp|·|fiber|)."""
     out: list[Violation] = []
     m = g.n_arrows
@@ -675,3 +753,71 @@ def _associativity_violations(g: Groupoid) -> list[Violation]:
                     )
                 )
     return out
+
+
+# -- the triples path --------------------------------------------------------
+
+
+class AxiomError(GroupoidError):
+    """Tables that are not a groupoid; ``report`` names every violation."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__(str(report))
+        self.report = report
+
+
+def from_triples(
+    n_units: int,
+    src: Iterable[int],
+    rng: Iterable[int],
+    inv: Iterable[int],
+    comp: "Iterable[tuple[int, int, int]]",
+) -> Groupoid:
+    """The groupoid of tables whose composition is read as triples.
+
+    The one path from triples to a groupoid: the shape checks of
+    :class:`Tables` (GroupoidError), :func:`validate` (AxiomError with the
+    report), then the orbit normal form from the structure certificate's
+    labels, after which the composition dict is dropped.
+    """
+    tables = Tables(n_units, src, rng, inv, comp)
+    report = validate(tables)
+    if not report.ok:
+        raise AxiomError(report)
+    return _normal_form(tables)
+
+
+def _normal_form(g: Tables) -> Groupoid:
+    """The orbit normal form of tables that :func:`validate` passed.
+
+    Arrow a's label is its certificate image h_a, numbered by arrow id within
+    the isotropy group at its orbit's root (the root's unit first, as label
+    0), and that group's table is read from the composition dict.
+    """
+    m, comp = g.n_arrows, g.comp
+    tree = transversal(g)
+    rank: dict[int, int] = {}
+    tables = {}
+    for r, t_r in enumerate(tree):
+        if t_r == r:
+            iso = list(iter_bits(g.by_src[r] & g.by_rng[r]))
+            rank.update((x, i) for i, x in enumerate(iso))
+            tables[r] = tuple(tuple(rank[comp[x * m + y]] for y in iso) for x in iso)
+    return Groupoid(
+        g.n_units,
+        g.src,
+        g.rng,
+        g.inv,
+        [rank[h] for h in _isotropy_images(g, tree)],
+        [tables[g.src[t_u]] for t_u in tree],
+    )
+
+
+def triples(g: Groupoid) -> Iterator[tuple[int, int, int]]:
+    """Every product ``(a, b, a * b)`` of ``g``, in increasing (a, b) order."""
+    src, rng, label, pos, at, table = g.src, g.rng, g.label, g.pos, g.at, g.table
+    fibers = [list(iter_bits(mask)) for mask in g.by_rng]
+    for a in range(g.n_arrows):
+        x = rng[a]
+        rows, ha = at[x], table[x][label[a]]
+        yield from [(a, b, rows[ha[label[b]]][pos[src[b]]]) for b in fibers[src[a]]]

@@ -8,27 +8,31 @@ reference against which the engine's closures and searches are judged.
 from __future__ import annotations
 
 import random
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 from grpdim import (
     ArrowSet,
     BuilderError,
     CoarseError,
     Cover,
+    CoverError,
     Graphing,
     Groupoid,
+    Tables,
     TreeCoverResult,
     UnitSet,
     arrows_within,
     compose_sets,
     ef_asdim_check,
     fiber_gauge,
+    from_triples,
     gauge_from,
     generated,
     kl_dad_check,
     pair_groupoid,
     pair_index,
     symmetrize,
+    triples,
 )
 from grpdim.coarse import _ef_violation
 from grpdim.groupoid import iter_bits, mask_of
@@ -80,11 +84,9 @@ def disjoint_union(components: list[Groupoid]) -> Groupoid:
             inv[amap[a]] = amap[c.inv[a]]
     comp = []
     for c, amap in zip(components, arrow_maps):
-        m = c.n_arrows
-        for key, val in c.comp.items():
-            a, b = divmod(key, m)
+        for a, b, val in triples(c):
             comp.append((amap[a], amap[b], amap[val]))
-    return Groupoid(n, src, rng, inv, comp)
+    return from_triples(n, src, rng, inv, comp)
 
 
 def pair_blocks_groupoid(blocks: list[list[int]], n_units: int, shuffle_rng=None) -> Groupoid:
@@ -113,7 +115,7 @@ def pair_blocks_groupoid(blocks: list[list[int]], n_units: int, shuffle_rng=None
         for k in range(n_units):
             if (j, k) in index and (i, k) in index:
                 comp.append((a, index[(j, k)], index[(i, k)]))
-    return Groupoid(n_units, src, rng, inv, comp)
+    return from_triples(n_units, src, rng, inv, comp)
 
 
 def random_principal_groupoid(rng: random.Random, target_arrows: int = 40) -> Groupoid:
@@ -164,11 +166,8 @@ def relabel_units(g: Groupoid, perm: list[int]) -> tuple[Groupoid, list[int]]:
         src[amap[a]] = perm[g.src[a]]
         rng[amap[a]] = perm[g.rng[a]]
         inv[amap[a]] = amap[g.inv[a]]
-    comp = []
-    for key, c in g.comp.items():
-        a, b = divmod(key, m)
-        comp.append((amap[a], amap[b], amap[c]))
-    return Groupoid(n, src, rng, inv, comp), amap
+    comp = [(amap[a], amap[b], amap[c]) for a, b, c in triples(g)]
+    return from_triples(n, src, rng, inv, comp), amap
 
 
 def random_tree(n: int, shape: int, labelling: int) -> tuple[Groupoid, Graphing]:
@@ -736,12 +735,131 @@ def hand_checked_partial_action(spec) -> None:
                 )
 
 
+# -- the composition dict: the table layer the orbit normal form replaced ------
+
+
+class DictGroupoid(Tables):
+    """A groupoid stored as its composition dict, one entry per composable
+    pair: the oracle for the orbit normal form's ``compose``.  The dict
+    oracles below build it from triples written out by definition."""
+
+    __slots__ = ()
+
+    def compose_or_none(self, a: int, b: int) -> "int | None":
+        return self.comp.get(a * self.n_arrows + b)
+
+    def compose(self, a: int, b: int) -> int:
+        return self.comp[a * self.n_arrows + b]
+
+
+def tables_of(g: Groupoid) -> DictGroupoid:
+    """The raw tables that ``g`` induces: every product ``triples`` reads
+    through the normal form, as ``validate`` judges them."""
+    return DictGroupoid(g.n_units, g.src, g.rng, g.inv, triples(g))
+
+
+def products(g) -> list[tuple[int, int, int]]:
+    """Every product (a, b, a*b) of a groupoid or a dict oracle, by ``compose``."""
+    return [(a, b, g.compose(a, b))
+            for a in range(g.n_arrows) for b in iter_bits(g.by_rng[g.src[a]])]
+
+
+def same_groupoid(g: Groupoid, oracle: DictGroupoid) -> bool:
+    """``g`` has the oracle's src, rng and inv, and ``compose`` agrees with
+    the oracle's dict on every composable pair (the dict has no other)."""
+    pairs = sum(s.bit_count() * r.bit_count() for s, r in zip(g.by_src, g.by_rng))
+    m = g.n_arrows
+    return (
+        (g.n_units, g.src, g.rng, g.inv) == (oracle.n_units, oracle.src, oracle.rng, oracle.inv)
+        and len(oracle.comp) == pairs
+        and all(g.compose(*divmod(key, m)) == c for key, c in oracle.comp.items())
+    )
+
+
+def dict_restrict(g, units: list[int]) -> DictGroupoid:
+    """``restrict`` with every product of the kept arrows written out."""
+    unit_rank = {u: i for i, u in enumerate(units)}
+    kept = [a for a in range(g.n_arrows) if g.src[a] in unit_rank and g.rng[a] in unit_rank]
+    arrow_rank = {a: i for i, a in enumerate(kept)}
+    comp = [(arrow_rank[a], arrow_rank[b], arrow_rank[c])
+            for a, b, c in products(g) if a in arrow_rank and b in arrow_rank]
+    return DictGroupoid(
+        len(units),
+        [unit_rank[g.src[a]] for a in kept],
+        [unit_rank[g.rng[a]] for a in kept],
+        [arrow_rank[g.inv[a]] for a in kept],
+        comp,
+    )
+
+
+def dict_blowup(g, psi) -> DictGroupoid:
+    """``blowup``'s groupoid with every product (x, a, y)(y, b, z) =
+    (x, ab, z) written out."""
+    fibers: list[list[int]] = [[] for _ in range(g.n_units)]
+    for x, u in enumerate(psi):
+        fibers[u].append(x)
+    arrows = [(x, psi[x], x) for x in range(len(psi))]
+    arrows += [(x, a, y) for a in range(g.n_arrows)
+               for x in fibers[g.rng[a]] for y in fibers[g.src[a]]
+               if not (a < g.n_units and x == y)]
+    index = {t: i for i, t in enumerate(arrows)}
+    right_of: list[list[tuple[int, int]]] = [[] for _ in range(g.n_arrows)]
+    for a, b, c in products(g):
+        right_of[a].append((b, c))
+    comp = [(i, index[(y, b, z)], index[(x, c, z)])
+            for i, (x, a, y) in enumerate(arrows)
+            for b, c in right_of[a]
+            for z in fibers[g.src[b]]]
+    return DictGroupoid(
+        len(psi),
+        [y for _, _, y in arrows],
+        [x for x, _, _ in arrows],
+        [index[(y, g.inv[a], x)] for x, a, y in arrows],
+        comp,
+    )
+
+
+def dict_partial_action(spec) -> DictGroupoid:
+    """``partial_action_groupoid``'s groupoid with every product
+    (g, θ_h(x))(h, x) = (gh, x) written out."""
+    theta = spec.theta
+    arrows = [(g_el, x) for g_el in spec.elements for x in sorted(theta[g_el])]
+    index = {t: i for i, t in enumerate(arrows)}
+    comp = [(index[g_el, theta[h_el][x]], b, index[spec.mul[g_el, h_el], x])
+            for b, (h_el, x) in enumerate(arrows)
+            for g_el in spec.elements if theta[h_el][x] in theta[g_el]]
+    return DictGroupoid(
+        spec.n_points,
+        [x for _, x in arrows],
+        [theta[g_el][x] for g_el, x in arrows],
+        [index[spec.inv[g_el], theta[g_el][x]] for g_el, x in arrows],
+        comp,
+    )
+
+
+def check_nfold_subfamilies(cover: Cover, n: int) -> bool:
+    """Subfamily criterion: every (k+2-n)-subset of the classes covers every
+    unit.  The oracle for the fold number: it is at least n exactly when
+    this holds."""
+    k = cover.k
+    if n > k + 1:
+        raise CoverError(f"n={n} exceeds the number of classes {k + 1}")
+    units = cover.owner.units_mask
+    for sub in combinations([c.mask for c in cover.classes], k + 2 - n):
+        u = 0
+        for m in sub:
+            u |= m
+        if units & ~u:
+            return False
+    return True
+
+
 # -- set-up oracles: the builders and the ball growth they replaced -----------
 
 
-def pair_index_groupoid(n: int) -> Groupoid:
+def pair_index_groupoid(n: int) -> DictGroupoid:
     """``pair_groupoid`` with a ``pair_index`` call per table and comp entry:
-    the oracle for its id rows, comp order included."""
+    the dict oracle for its normal form."""
     if n < 1:
         raise BuilderError("pair groupoid needs at least one unit")
     m = n * n
@@ -761,13 +879,13 @@ def pair_index_groupoid(n: int) -> Groupoid:
         for a in [pair_index(n, i, j)]
         for k in range(n)
     )
-    return Groupoid(n, src, rng, inv, comp)
+    return DictGroupoid(n, src, rng, inv, comp)
 
 
-def tuple_keyed_product(gl: Groupoid, gr: Groupoid) -> tuple[Groupoid, dict]:
+def tuple_keyed_product(gl, gr) -> tuple[DictGroupoid, dict]:
     """``product``'s groupoid and arrow pairing, with the pairing a dict keyed
-    by ``(a, b)`` and three dict reads per comp entry: the oracle for its id
-    table, comp order included."""
+    by ``(a, b)`` and every product (a1, b1)(a2, b2) = (a1 a2, b1 b2) written
+    out: the dict oracle for its id table and normal form."""
     nl, nr = gl.n_units, gr.n_units
     ids: dict[tuple[int, int], int] = {}
     for u in range(nl):
@@ -788,15 +906,13 @@ def tuple_keyed_product(gl: Groupoid, gr: Groupoid) -> tuple[Groupoid, dict]:
         src[i] = gl.src[a] * nr + gr.src[b]
         rng[i] = gl.rng[a] * nr + gr.rng[b]
         inv[i] = ids[(gl.inv[a], gr.inv[b])]
-    ml, mr = gl.n_arrows, gr.n_arrows
-    right = [(*divmod(kr, mr), cr) for kr, cr in gr.comp.items()]
+    right = products(gr)
     comp = (
         (ids[(a1, b1)], ids[(a2, b2)], ids[(cl, cr)])
-        for kl, cl in gl.comp.items()
-        for a1, a2 in [divmod(kl, ml)]
+        for a1, a2, cl in products(gl)
         for b1, b2, cr in right
     )
-    return Groupoid(nl * nr, src, rng, inv, comp), ids
+    return DictGroupoid(nl * nr, src, rng, inv, comp), ids
 
 
 class WholeBallGraphing(Graphing):

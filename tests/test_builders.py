@@ -4,16 +4,22 @@ import random
 import pytest
 
 from conftest import (
+    dict_blowup,
+    dict_partial_action,
+    dict_restrict,
     fiber_points,
     hand_checked_action,
     hand_checked_partial_action,
     pair_index_groupoid,
+    same_groupoid,
+    tables_of,
     tuple_keyed_product,
 )
 from grpdim import (
     BuilderError,
     LoadError,
     PartialActionSpec,
+    UnitSet,
     action_groupoid,
     blowup,
     cyclic_table,
@@ -25,6 +31,7 @@ from grpdim import (
     partial_action_groupoid,
     product,
     replicate_psi,
+    restrict,
     rotation_perms,
     save,
     save_graphing,
@@ -38,20 +45,20 @@ from grpdim.builders import canonical_dumps, instance_to_obj, obj_to_instance
 
 def test_pair_groupoid_shapes():
     g1 = pair_groupoid(1)
-    assert g1.n_arrows == 1 and validate(g1).ok
+    assert g1.n_arrows == 1 and validate(tables_of(g1)).ok
     g3 = pair_groupoid(3)
     assert g3.n_arrows == 9 and is_principal(g3)
     for n in (2, 5, 12):
-        assert validate(pair_groupoid(n)).ok
+        assert validate(tables_of(pair_groupoid(n))).ok
 
 
 def test_action_groupoid_families():
     trivial = action_groupoid(cyclic_table(1), trivial_perms(1, 4))
     assert trivial.n_arrows == 4  # unit groupoid
     z8 = action_groupoid(cyclic_table(8), rotation_perms(8, 8))
-    assert z8.n_arrows == 64 and is_principal(z8) and validate(z8).ok
+    assert z8.n_arrows == 64 and is_principal(z8) and validate(tables_of(z8)).ok
     z2_iso = action_groupoid(cyclic_table(2), trivial_perms(2, 2))
-    assert validate(z2_iso).ok and not is_principal(z2_iso)
+    assert validate(tables_of(z2_iso)).ok and not is_principal(z2_iso)
 
 
 def test_action_groupoid_rejects_non_action():
@@ -112,7 +119,7 @@ def test_action_groupoid_rejects_exactly_what_hand_checks_reject():
             rejected += 1
             continue
         assert expect_ok, (table, perms)
-        assert g.n_arrows == len(table) * len(perms[0]) and validate(g).ok
+        assert g.n_arrows == len(table) * len(perms[0]) and validate(tables_of(g)).ok
         accepted += 1
     assert accepted >= 2_000 and rejected >= 4_000, (accepted, rejected)
 
@@ -143,10 +150,8 @@ def test_partial_action_full_domains_equals_global():
     theta = {str(t): {x: (x + t) % 4 for x in range(4)} for t in range(4)}
     spec = PartialActionSpec(4, elements, inv, mul, theta)
     g = partial_action_groupoid(spec)
-    assert validate(g).ok
-    assert (g.n_units, g.src, g.rng, g.inv, g.comp) == (
-        z4.n_units, z4.src, z4.rng, z4.inv, z4.comp
-    )
+    assert validate(tables_of(g)).ok
+    assert same_groupoid(g, tables_of(z4))
 
 
 def test_partial_action_element_without_theta_is_a_builder_error():
@@ -225,7 +230,7 @@ def test_partial_action_rejects_exactly_what_hand_checks_reject():
             hand_checked_partial_action(without_arrowless_elements(spec))
             arrowless += 1
             continue
-        assert g.n_arrows == sum(map(len, spec.theta.values())) and validate(g).ok
+        assert g.n_arrows == sum(map(len, spec.theta.values())) and validate(tables_of(g)).ok
         accepted += 1
     assert accepted >= 1_000 and rejected >= 1_500, (accepted, rejected, arrowless)
 
@@ -256,13 +261,13 @@ def test_partial_action_ignores_entries_of_an_element_without_arrows():
     with pytest.raises(BuilderError, match="theta_far is not defined on the inverse domain"):
         hand_checked_partial_action(odd)
     g = partial_action_groupoid(odd)
-    assert validate(g).ok and g.n_arrows == 9
+    assert validate(tables_of(g)).ok and g.n_arrows == 9
     hand_checked_partial_action(without_arrowless_elements(odd))
 
 
 def test_partial_shift_window():
     g = partial_action_groupoid(z_shift_partial_spec(10))
-    assert validate(g).ok and is_principal(g)
+    assert validate(tables_of(g)).ok and is_principal(g)
     assert g.n_units == 10 and g.n_arrows == 100  # full pair relation on a line
 
 
@@ -287,7 +292,7 @@ def test_blowup_counts_and_projection():
     g = pair_groupoid(3)
     bl = blowup(g, replicate_psi(g, 2))
     assert bl.groupoid.n_units == 6
-    assert validate(bl.groupoid).ok and is_principal(bl.groupoid)
+    assert validate(tables_of(bl.groupoid)).ok and is_principal(bl.groupoid)
     expected = sum(
         bl.psi.count(g.rng[a]) * bl.psi.count(g.src[a]) for a in range(g.n_arrows)
     )
@@ -304,7 +309,7 @@ def test_product_shapes():
     prod = product(g2, g2)
     assert prod.groupoid.n_units == 4
     assert prod.groupoid.n_arrows == 16  # the pair groupoid on four points
-    assert validate(prod.groupoid).ok and is_principal(prod.groupoid)
+    assert validate(tables_of(prod.groupoid)).ok and is_principal(prod.groupoid)
     unit = pair_groupoid(1)
     same = product(pair_groupoid(3), unit)
     assert same.groupoid.n_arrows == 9
@@ -325,15 +330,9 @@ def test_product_fibers_multiply():
             )
 
 
-def tables(g):
-    """Everything a builder fixes: unit count, src, rng, inv, and the comp
-    entries in insertion order."""
-    return g.n_units, g.src, g.rng, g.inv, list(g.comp.items())
-
-
 @pytest.mark.parametrize("n", range(1, 13))
 def test_pair_groupoid_agrees_with_the_pair_index_oracle(n):
-    assert tables(pair_groupoid(n)) == tables(pair_index_groupoid(n))
+    assert same_groupoid(pair_groupoid(n), pair_index_groupoid(n))
 
 
 def random_factor(rng: random.Random):
@@ -355,7 +354,7 @@ def test_product_agrees_with_the_tuple_keyed_oracle():
             gl = product(gl, random_factor(rng)).groupoid
         prod = product(gl, gr)
         oracle, ids = tuple_keyed_product(gl, gr)
-        assert tables(prod.groupoid) == tables(oracle), trial
+        assert same_groupoid(prod.groupoid, oracle), trial
         assert {(a, b): i for a, row in enumerate(prod.arrow_ids)
                 for b, i in enumerate(row)} == ids, trial
 
@@ -365,7 +364,7 @@ def test_tree_window_shapes():
     assert len(graphing.q) == 2 and graphing.treeable
     gb, graphing_b = tree_window("binary", 3)
     assert gb.n_units == 15 and graphing_b.treeable
-    assert validate(gb).ok
+    assert validate(tables_of(gb)).ok
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -375,7 +374,7 @@ def test_save_load_roundtrip(tmp_path):
     loaded = load(path)
     assert loaded.n_units == 7 and loaded.n_arrows == 49
     assert loaded.src == g.src and loaded.rng == g.rng and loaded.inv == g.inv
-    assert loaded.comp == g.comp
+    assert same_groupoid(loaded, tables_of(g))
     # canonical writer is byte-stable across a round trip
     second = tmp_path / "again.json"
     save(loaded, second)
@@ -456,7 +455,7 @@ def _p3_with(key, value):
 
 def test_loader_accepts_an_identical_repeat():
     obj = _p3_with("comp", lambda comp: comp + [comp[0], [0, 3, 3]])
-    assert obj_to_instance(obj).comp == pair_groupoid(3).comp
+    assert same_groupoid(obj_to_instance(obj), pair_index_groupoid(3))
 
 
 def test_graphing_sidecar_roundtrip(tmp_path):
@@ -478,7 +477,7 @@ def test_every_builder_output_validates():
         tree_window("binary", 3)[0],
     ]
     for g in outputs:
-        assert validate(g).ok
+        assert validate(tables_of(g)).ok
 
 
 def test_partial_action_listed_empty_domain_gives_unit_groupoid():
@@ -503,4 +502,48 @@ def test_save_load_fuzz_roundtrip(tmp_path):
         save(g, path)
         back = load(path)
         assert back.src == g.src and back.rng == g.rng
-        assert back.inv == g.inv and back.comp == g.comp
+        assert back.inv == g.inv and same_groupoid(back, tables_of(g))
+
+
+def random_built(rng: random.Random, depth: int = 1):
+    """A random builder output and its dict oracle, written out by definition:
+    a pair groupoid, a full action (free or trivial, so principal or not), a
+    truncated Z-shift, or at ``depth`` 1 a product or blow-up of those."""
+    kind = rng.choice(["pair", "rotation", "trivial", "trivial", "shift"]
+                      + ["product", "blowup"] * depth)
+    if kind == "pair":
+        n = rng.randint(1, 4)
+        return pair_groupoid(n), pair_index_groupoid(n)
+    if kind in ("rotation", "trivial"):
+        k = rng.randint(1 if kind == "rotation" else 2, 3)
+        perms = (rotation_perms(k, k * rng.randint(1, 2)) if kind == "rotation"
+                 else trivial_perms(k, rng.randint(1, 3)))
+        return action_groupoid(cyclic_table(k), perms), dict_partial_action(cyclic_spec(k, perms))
+    if kind == "shift":
+        spec = z_shift_partial_spec(rng.randint(1, 4))
+        return partial_action_groupoid(spec), dict_partial_action(spec)
+    g, oracle = random_built(rng, 0)
+    if kind == "product":
+        h, h_oracle = random_built(rng, 0)
+        return product(g, h).groupoid, tuple_keyed_product(oracle, h_oracle)[0]
+    psi = list(range(g.n_units)) + [rng.randrange(g.n_units) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(psi)
+    return blowup(g, psi).groupoid, dict_blowup(oracle, psi)
+
+
+def test_normal_form_agrees_with_the_dict_oracle():
+    # compose on every composable pair against the dict of products written
+    # out by definition, for each builder and a restriction of each output;
+    # the triples every output induces pass validate
+    rng = random.Random(21)
+    seen = {"principal": 0, "isotropic": 0, "restricted": 0}
+    for trial in range(200):
+        g, oracle = random_built(rng)
+        units = [u for u in range(g.n_units) if rng.random() < 0.6]
+        sub = restrict(g, UnitSet(g, sum(1 << u for u in units)))
+        for built, expected in ((g, oracle), (sub, dict_restrict(oracle, units))):
+            assert same_groupoid(built, expected), trial
+            assert validate(tables_of(built)).ok, trial
+        seen["principal" if is_principal(g) else "isotropic"] += 1
+        seen["restricted"] += 0 < len(units) < g.n_units
+    assert min(seen.values()) >= 40, seen

@@ -58,6 +58,24 @@ def test_build_pair_writes_a_sidecar_only_when_asked(tmp_path):
         assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
 
 
+@pytest.mark.parametrize("family, options", [
+    ("action", ["--group", "cyclic:2"]),
+    ("partial", ["--n", "3"]),
+    ("product", ["--left", "p.json", "--right", "p.json"]),
+    ("blowup", ["--path", "p.json"]),
+])
+def test_build_graphing_out_on_a_family_without_one_is_an_input_error(tmp_path, family, options):
+    # only pair and tree define a graphing: any other family refuses
+    # --graphing-out before it writes anything
+    assert run_cli("build", "--family", "pair", "--n", "2", "--out", "p.json",
+                   cwd=tmp_path).returncode == 0
+    res = run_cli("build", "--family", family, *options, "--out", "x.json",
+                  "--graphing-out", "x.g.json", cwd=tmp_path)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == f"Error: --family {family} defines no graphing for --graphing-out\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+
+
 def test_validate_ok_and_corrupt(instances, tmp_path):
     res = run_cli("validate", str(instances / "p7.json"))
     assert res.returncode == 0 and "ok" in res.stdout

@@ -29,6 +29,8 @@ GOLDEN_CASES = {
                  "--out", "z4.json"],
     "build-input": ["build", "--family", "pair", "--out", "x.json"],
     "build-pair-empty": ["build", "--family", "pair", "--n", "0", "--out", "x.json"],
+    "build-graphing-none": ["build", "--family", "action", "--group", "cyclic:4",
+                            "--out", "x.json", "--graphing-out", "x.g.json"],
     "dad-certified": ["dad", "p7.json", "--graphing", "p7.g.json", "--out", "w"],
     "dad-none": ["dad", "p7.json", "--graphing", "p7.g.json", "--d-max", "0"],
     "dad-incomplete": ["dad", "p7.json", "--graphing", "p7.g.json", "--d-max", "0",
@@ -102,6 +104,11 @@ GOLDEN = {
     "build-pair-empty": (
         [],
         "Error: pair groupoid needs at least one unit\n",
+        2,
+    ),
+    "build-graphing-none": (
+        [],
+        "Error: --family action defines no graphing for --graphing-out\n",
         2,
     ),
     "dad-certified": (

@@ -3,13 +3,13 @@ from itertools import product as iproduct
 
 import pytest
 
+from conftest import check_nfold_subfamilies
 from grpdim import (
     ArrowSet,
     ControlFunction,
     Cover,
     CoverError,
     Groupoid,
-    check_nfold_subfamilies,
     control_apply,
     discover_control_function,
     fold_number,
@@ -41,7 +41,7 @@ def test_fold_number_basic():
     uncovered = cover_of(g, range(3))
     assert fold_number(uncovered) == 0
     # no units: vacuously covered with the maximal fold
-    no_units = cover_of(Groupoid(0, (), (), (), ()), [], [])
+    no_units = cover_of(Groupoid(0, (), (), (), (), ()), [], [])
     assert fold_number(no_units) == 2
 
 

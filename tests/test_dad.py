@@ -8,6 +8,7 @@ from conftest import (
     disjoint_union,
     pair_blocks_groupoid,
     random_principal_groupoid,
+    tables_of,
 )
 import grpdim.dad as dad_module
 from grpdim import (
@@ -494,7 +495,7 @@ def test_blowup_basic_counts():
     bl = blowup(g, replicate_psi(g, 2))
     from grpdim import validate
 
-    assert validate(bl.groupoid).ok
+    assert validate(tables_of(bl.groupoid)).ok
     expected = sum(
         bl.psi.count(g.rng[a]) * bl.psi.count(g.src[a]) for a in range(g.n_arrows)
     )

@@ -12,14 +12,15 @@ from conftest import (
     random_principal_groupoid,
     random_unit_set,
     relabel_units,
+    tables_of,
     union_find_orbits,
 )
 import grpdim.groupoid as groupoid_module
 from grpdim.groupoid import transversal
 from grpdim import (
     ArrowSet,
-    Groupoid,
     GroupoidError,
+    Tables,
     UnitSet,
     action_groupoid,
     compose_sets,
@@ -33,6 +34,8 @@ from grpdim import (
     restrict,
     rotation_perms,
     symmetrize,
+    tree_window,
+    triples,
     trivial_perms,
     validate,
 )
@@ -49,7 +52,7 @@ def ball(g, n, r):
 
 
 def test_validate_pair_groupoid_clean():
-    report = validate(pair_groupoid(3))
+    report = validate(tables_of(pair_groupoid(3)))
     assert report.ok
 
 
@@ -57,7 +60,7 @@ def test_validate_names_corrupted_inv():
     g = pair_groupoid(3)
     inv = list(g.inv)
     inv[3], inv[4] = inv[4], inv[3]  # break the involution on two arrows
-    broken = Groupoid(3, g.src, g.rng, inv, _triples(g))
+    broken = Tables(3, g.src, g.rng, inv, triples(g))
     report = validate(broken)
     assert not report.ok
     hit = [v for v in report if v.code in ("inv-involution", "inv-endpoints")]
@@ -66,29 +69,27 @@ def test_validate_names_corrupted_inv():
 
 def test_validate_z4_group_table():
     g = action_groupoid(cyclic_table(4), trivial_perms(4, 1))
-    assert validate(g).ok
+    assert validate(tables_of(g)).ok
     assert g.n_units == 1 and g.n_arrows == 4
-
-
-def _triples(g):
-    return [(*divmod(k, g.n_arrows), v) for k, v in g.comp.items()]
 
 
 def test_constructor_rejects_a_pair_given_two_products():
     g = pair_groupoid(3)
-    comp = _triples(g)
+    comp = list(triples(g))
     a, b, c = comp[-1]
     with pytest.raises(GroupoidError, match="two products"):
-        Groupoid(3, g.src, g.rng, g.inv, comp + [(a, b, (c + 1) % g.n_arrows)])
+        Tables(3, g.src, g.rng, g.inv, comp + [(a, b, (c + 1) % g.n_arrows)])
     with pytest.raises(GroupoidError, match="out of range"):
-        Groupoid(3, g.src, g.rng, g.inv, comp + [(a, b, g.n_arrows)])
-    again = Groupoid(3, g.src, g.rng, g.inv, comp + [(a, b, c)] + comp[:4])
-    assert again.comp == g.comp and validate(again).ok
+        Tables(3, g.src, g.rng, g.inv, comp + [(a, b, g.n_arrows)])
+    again = Tables(3, g.src, g.rng, g.inv, comp + [(a, b, c)] + comp[:4])
+    assert again.comp == tables_of(g).comp and validate(again).ok
 
 
-def _with_comp(g, key, value):
-    comp = [(a, b, value if (a, b) == key else c) for a, b, c in _triples(g)]
-    return Groupoid(g.n_units, g.src, g.rng, g.inv, comp)
+def _with_comp(t, key, value):
+    """Raw tables with the product of the pair ``key`` replaced by ``value``."""
+    m = t.n_arrows
+    comp = [(*divmod(k, m), value if divmod(k, m) == key else c) for k, c in t.comp.items()]
+    return Tables(t.n_units, t.src, t.rng, t.inv, comp)
 
 
 def _exhaustive_report(monkeypatch, g):
@@ -108,24 +109,25 @@ def test_validate_agrees_with_exhaustive_checker(monkeypatch):
             # orbits of several units with isotropy: pair(k) × a random table
             tail = random_groupoid(rng, max_arrows=40)
             g = product(pair_groupoid(rng.randint(2, 3)), tail).groupoid
+        t = tables_of(g)
         if trial % 2:
             ends = {}
-            for a in range(g.n_arrows):
-                ends.setdefault((g.src[a], g.rng[a]), []).append(a)
-            keys = sorted(g.comp)
+            for a in range(t.n_arrows):
+                ends.setdefault((t.src[a], t.rng[a]), []).append(a)
+            keys = sorted(t.comp)
             # half the time keep the endpoints right, which only the unit,
             # inverse and associativity laws can catch
-            twins = [k for k in keys if len(ends[g.src[g.comp[k]], g.rng[g.comp[k]]]) > 1]
+            twins = [k for k in keys if len(ends[t.src[t.comp[k]], t.rng[t.comp[k]]]) > 1]
             if twins and rng.random() < 0.5:
                 key = rng.choice(twins)
-                old = g.comp[key]
-                new = rng.choice([c for c in ends[g.src[old], g.rng[old]] if c != old])
+                old = t.comp[key]
+                new = rng.choice([c for c in ends[t.src[old], t.rng[old]] if c != old])
             else:
                 key = rng.choice(keys)
-                new = rng.choice([c for c in range(g.n_arrows) if c != g.comp[key]])
-            g = _with_comp(g, divmod(key, g.n_arrows), new)
-        got = validate(g)
-        want = _exhaustive_report(monkeypatch, g)
+                new = rng.choice([c for c in range(t.n_arrows) if c != t.comp[key]])
+            t = _with_comp(t, divmod(key, t.n_arrows), new)
+        got = validate(t)
+        want = _exhaustive_report(monkeypatch, t)
         assert got.ok == want.ok
         assert got.violations == want.violations
         invalid += not want.ok
@@ -137,7 +139,7 @@ def test_validate_agrees_with_exhaustive_checker(monkeypatch):
 
 def _z4_with_bad_square():
     g = action_groupoid(cyclic_table(4), trivial_perms(4, 1))
-    return _with_comp(g, (1, 1), 3)
+    return _with_comp(tables_of(g), (1, 1), 3)
 
 
 def _isotropy_larger_than_at_root():
@@ -147,7 +149,7 @@ def _isotropy_larger_than_at_root():
     # check rejects the table.
     comp = [(0, 0, 0), (1, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 1), (3, 0, 3), (1, 3, 3)]
     comp += [(2, 3, 3), (4, 1, 4), (0, 4, 4), (4, 2, 4), (3, 4, 1), (4, 3, 0)]
-    return Groupoid(2, [0, 1, 1, 0, 1], [0, 1, 1, 1, 0], [0, 1, 2, 4, 3], comp)
+    return Tables(2, [0, 1, 1, 0, 1], [0, 1, 1, 1, 0], [0, 1, 2, 4, 3], comp)
 
 
 @pytest.mark.parametrize("make", [_z4_with_bad_square, _isotropy_larger_than_at_root])
@@ -163,9 +165,9 @@ def test_validate_large_tables_take_certificate_path(monkeypatch):
         raise AssertionError("exhaustive associativity loop ran on a valid table")
 
     monkeypatch.setattr(groupoid_module, "_associativity_violations", exhaustive)
-    assert validate(pair_groupoid(50)).ok
+    assert validate(tables_of(pair_groupoid(50))).ok
     n = 1500
-    units = Groupoid(n, range(n), range(n), range(n), [(u, u, u) for u in range(n)])
+    units = Tables(n, range(n), range(n), range(n), [(u, u, u) for u in range(n)])
     assert validate(units).ok
 
 
@@ -217,7 +219,7 @@ def test_power():
 def test_restrict_full_and_empty():
     g = pair_groupoid(5)
     full = restrict(g, g.all_units())
-    assert full.n_arrows == g.n_arrows and validate(full).ok
+    assert full.n_arrows == g.n_arrows and validate(tables_of(full)).ok
     empty = restrict(g, g.unit_set())
     assert empty.n_units == 0 and empty.n_arrows == 0
 
@@ -226,7 +228,7 @@ def test_restrict_pair_block():
     g = pair_groupoid(7)
     sub = restrict(g, g.unit_set([0, 1, 2]))
     assert sub.n_units == 3 and sub.n_arrows == 9
-    assert validate(sub).ok and is_principal(sub)
+    assert validate(tables_of(sub)).ok and is_principal(sub)
 
 
 def test_restrict_nested_equals_inner():
@@ -302,7 +304,7 @@ def test_orbits():
     for _ in range(2):
         perms.append(tuple(perm[x] for x in perms[-1]))
     z3 = action_groupoid(cyclic_table(3), perms)
-    assert validate(z3).ok
+    assert validate(tables_of(z3)).ok
     assert [z3.src[a] for a in transversal(z3)] == [0, 0, 0, 3, 3, 3]
 
 
@@ -422,3 +424,51 @@ def test_cover_owner_mismatch():
     g, h = pair_groupoid(3), pair_groupoid(3)
     with pytest.raises(GroupoidError):
         Cover(g, (h.all_units(),))
+
+
+# -- the orbit normal form ----------------------------------------------------
+
+
+def _small_groupoids():
+    """Principal and isotropic groupoids of a few orbits each."""
+    z3 = action_groupoid(cyclic_table(3), trivial_perms(3, 2))
+    small = [
+        pair_groupoid(4),
+        action_groupoid(cyclic_table(4), rotation_perms(4, 8)),
+        z3,
+        product(pair_groupoid(2), z3).groupoid,
+        disjoint_union([pair_groupoid(3), z3, pair_groupoid(1)]),
+    ]
+    return small + [restrict(g, UnitSet(g, 0b101101 & g.units_mask)) for g in small[-2:]]
+
+
+@pytest.mark.parametrize("g", _small_groupoids(), ids=repr)
+def test_non_composable_pairs_are_refused(g):
+    # the normal form's formula reads some cell for any pair; only the
+    # endpoint test keeps src(a) != rng(b) from composing
+    refused = 0
+    for a in range(g.n_arrows):
+        for b in range(g.n_arrows):
+            if g.src[a] == g.rng[b]:
+                assert g.compose_or_none(a, b) == g.compose(a, b) is not None
+                continue
+            refused += 1
+            assert g.compose_or_none(a, b) is None
+            with pytest.raises(GroupoidError, match=f"^arrows {a} and {b} are not composable$"):
+                g.compose(a, b)
+    assert refused > 0
+
+
+def test_normal_form_of_p12xp12_holds_no_pair_table():
+    ga, _ = tree_window("path", 12)
+    g = product(ga, ga).groupoid
+    n, m = g.n_units, g.n_arrows
+    assert (n, m) == (144, 20_736) and not hasattr(g, "comp")
+    # the composition dict held one entry per composable pair
+    assert sum(s.bit_count() * r.bit_count() for s, r in zip(g.by_src, g.by_rng)) == 2_985_984
+    roots = [u for u in range(n) if g.pos[u] == 0]  # the least unit of each orbit
+    iso_squares = sum(len(g.table[r]) ** 2 for r in roots)
+    cells = sum(len(row) for rows in g.at for row in rows)
+    tables = sum(len(row) for tab in {id(t): t for t in g.table}.values() for row in tab)
+    assert cells + tables + len(g.pos) <= m + iso_squares + n
+    assert (roots, iso_squares, cells) == ([0], 1, m)

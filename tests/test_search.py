@@ -21,10 +21,10 @@ from conftest import (
 from grpdim import (
     ArrowSet,
     Cover,
-    Groupoid,
     action_groupoid,
     cyclic_table,
     ef_asdim_search,
+    from_triples,
     is_principal,
     kl_dad_check,
     kl_dad_search,
@@ -487,7 +487,7 @@ def test_generic_node_count(monkeypatch):
 
 def test_exact_search_depth_is_not_bounded_by_recursion():
     n = 1500
-    units = Groupoid(n, range(n), range(n), range(n), [(u, u, u) for u in range(n)])
+    units = from_triples(n, range(n), range(n), range(n), [(u, u, u) for u in range(n)])
     w = kl_dad_search(units, units.all_arrows(), units.all_arrows(), 0, mode="exact")
     assert w is not None and w.d == 0 and w.certified
     z2 = action_groupoid(cyclic_table(2), trivial_perms(2, n))
