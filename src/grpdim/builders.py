@@ -19,7 +19,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Hashable, Mapping, Sequence
 
-from .coarse import Graphing
+from .graphing import Graphing
 from .groupoid import (
     TRIVIAL,
     ArrowSet,

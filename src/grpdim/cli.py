@@ -12,31 +12,24 @@ greedy search found nothing, which refutes nothing; the row reads
 ``incomplete``).  Exit codes are decided in one place, ``_Main.invoke``.
 Artifacts never contain timing, so repeated runs are byte-identical; wall
 time appears only in the stdout report row.
+
+At module level this imports only the table layer (``groupoid`` and
+``builders``); each command imports the layers it runs, so ``validate`` and
+``build`` never load the search, the coarse layer or the pipelines.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from pathlib import Path
 
 import click
 from click.core import ParameterSource
 
-from . import artifacts, builders
+from . import builders
 from .builders import BuilderError, load, load_graphing, read_json
-from .covers import fold_number
-from .dad import kl_dad_search
-from .coarse import ef_asdim_search, fiber_gauge, treeable_cover
 from .groupoid import GroupoidError, iter_bits
-from .pipelines import (
-    NoWitnessError,
-    bridge_theorem,
-    morita_theorem,
-    product_theorem,
-    sweep_rows,
-    union_theorem,
-)
-from .setspec import parse_arrow_spec
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -74,9 +67,18 @@ def _load(path, graphing):
 
 
 def _specs(g, k_spec, l_spec, graphing):
+    from .setspec import parse_arrow_spec
+
     k_set = parse_arrow_spec(g, k_spec, graphing=graphing)
     l_set = parse_arrow_spec(g, l_spec, k_set=k_set, graphing=graphing)
     return k_set, l_set
+
+
+def _refutation(exc: GroupoidError) -> bool:
+    """A pipeline stage's NoWitnessError.  Only a command that runs a
+    pipeline imports ``pipelines``, and none other can raise one."""
+    pipelines = sys.modules.get(f"{__package__}.pipelines")
+    return pipelines is not None and isinstance(exc, pipelines.NoWitnessError)
 
 
 def _parse_int(text: str, option: str) -> int:
@@ -101,10 +103,12 @@ class _Main(click.Group):
             code = super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
-        except NoWitnessError as exc:
+        except GroupoidError as exc:
+            if not _refutation(exc):
+                raise InputError(str(exc)) from exc
             click.echo(f"grpdim: refuted: {exc}", err=True)
             code = EXIT_REFUTED
-        except (GroupoidError, OSError) as exc:
+        except OSError as exc:
             raise InputError(str(exc)) from exc
         except Exception as exc:
             click.echo(f"grpdim: internal error: {type(exc).__name__}: {exc}", err=True)
@@ -131,8 +135,8 @@ def cmd_validate(paths):
         try:
             load(f)
             _row(f, "validate", "-", "ok", None, started)
-        except BuilderError as exc:
-            first = str(exc).splitlines()[0]
+        except BuilderError as exc:  # the error's headline and its first violation
+            first = " ".join(str(exc).splitlines()[:2])
             _row(f, "validate", "-", f"invalid: {first}", None, started)
             worst = EXIT_REFUTED
     return worst
@@ -213,6 +217,8 @@ def cmd_build(family, n, group, points, trivial_action, shape, left, right,
               help="re-verify a serialized witness instead of searching")
 def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
     """Search a (K,L)-dad witness, or re-verify one with --recheck."""
+    from . import artifacts
+
     started = time.monotonic()
     g = load(path)
     if recheck:  # the witness lists K and L by id, so no graphing is read
@@ -229,6 +235,9 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
         if misstated:
             raise InputError(f"{recheck} misstates its {', '.join(misstated)}")
         return EXIT_OK
+    from .covers import fold_number
+    from .dad import kl_dad_search
+
     gr = load_graphing(g, graphing) if graphing else None
     k_set, l_set = _specs(g, k_spec, l_spec, gr)
     witness = kl_dad_search(g, k_set, l_set, d_max, mode)
@@ -257,6 +266,9 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
     """Decompose a coarse space, or certify a treeable annuli cover."""
+    from . import artifacts
+    from .coarse import ef_asdim_search, fiber_gauge, treeable_cover
+
     started = time.monotonic()
     g, gr = _load(path, graphing)
     if mode.startswith("tree:"):
@@ -336,6 +348,10 @@ def cmd_theorem(which, base_path, left, right, graphing, left_graphing,
                 right_graphing, k_spec, l_spec, l_power, d_max, parts,
                 multiplicity, refute_units, out):
     """Run a permanence pipeline end to end and certify the inequality."""
+    from . import artifacts
+    from .pipelines import bridge_theorem, morita_theorem, product_theorem, union_theorem
+    from .setspec import parse_arrow_spec
+
     started = time.monotonic()
     _check_theorem_options(which)
     if which == "product":
@@ -405,6 +421,9 @@ def _parse_units(text: str, option: str) -> list[int]:
 @click.option("--out", type=click.Path(), default=None)
 def cmd_sweep(path, windows, what, k_spec, l_spec, d_max, n_scale, graphing, out):
     """Window sweep over unit-prefix restrictions; TSV rows per window."""
+    from . import artifacts
+    from .pipelines import sweep_rows
+
     started = time.monotonic()
     g, gr = _load(path, graphing)
     rows = sweep_rows(

@@ -6,7 +6,7 @@ Forms: ``units``, ``all``, ``ball:R`` (R-ball of a declared graphing), and
 
 from __future__ import annotations
 
-from .coarse import Graphing
+from .graphing import Graphing
 from .groupoid import ArrowSet, Groupoid, GroupoidError, power
 
 

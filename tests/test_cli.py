@@ -468,18 +468,19 @@ def test_internal_error_exits_3(instances, monkeypatch):
     from click.testing import CliRunner
 
     import grpdim.cli as cli
+    import grpdim.dad as dad
 
     def broken(*args, **kwargs):
         raise RuntimeError("search blew up")
 
-    monkeypatch.setattr(cli, "kl_dad_search", broken)
+    monkeypatch.setattr(dad, "kl_dad_search", broken)
     p7 = str(instances / "p7.json")
     res = CliRunner().invoke(cli.main, ["dad", p7, "--k-spec", "units"])
     assert res.exit_code == cli.EXIT_INTERNAL == 3
     assert res.stdout == ""
     assert res.stderr == "grpdim: internal error: RuntimeError: search blew up\n"
     # refutations and input errors keep their codes
-    monkeypatch.setattr(cli, "kl_dad_search", lambda *args: None)
+    monkeypatch.setattr(dad, "kl_dad_search", lambda *args: None)
     assert CliRunner().invoke(cli.main, ["dad", p7, "--k-spec", "units"]).exit_code == 1
     assert CliRunner().invoke(cli.main, ["dad", p7, "--k-spec", "nonsense"]).exit_code == 2
 

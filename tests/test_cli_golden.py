@@ -84,7 +84,8 @@ GOLDEN = {
     "validate-invalid": (
         [
             "p7.json\tvalidate\t-\tok\t-",
-            "bad.json\tvalidate\t-\tinvalid: instance violates the groupoid axioms:\t-",
+            "bad.json\tvalidate\t-\tinvalid: instance violates the groupoid axioms: "
+            "comp-endpoints: comp(7,13)=1 has wrong endpoints\t-",
         ],
         "",
         1,
