@@ -4,7 +4,8 @@ Pair groupoids, products and blow-ups are built in orbit normal form
 directly (see :class:`grpdim.groupoid.Groupoid`), and the triples each one
 induces pass :func:`grpdim.groupoid.validate`.  Action builds and instance
 files go through :func:`grpdim.groupoid.from_triples`, so ``validate``
-judges them: no builder checks the group or action axioms itself.  There is
+judges them and its certificate is the normal form they get: no builder
+checks the group or action axioms itself.  There is
 one action builder, :func:`partial_action_groupoid`, in which arrow (g, x)
 runs x -> θ_g(x); a global action is the partial action whose domains are
 all full.  The loader rejects files whose tables violate the axioms and

@@ -359,13 +359,14 @@ def cmd_theorem(which, base_path, left, right, graphing, left_graphing,
         gr_, gr_graph = _load(right, right_graphing or graphing)
         k_l = parse_arrow_spec(gl, k_spec, graphing=gl_graph)
         k_r = parse_arrow_spec(gr_, k_spec, graphing=gr_graph)
-        units = _parse_units(refute_units, "--refute-units") if refute_units else None
+        n = gl.n_units * gr_.n_units  # the product's units
+        units = _parse_units(refute_units, "--refute-units", n) if refute_units else None
         report = product_theorem(gl, k_l, gr_, k_r, l_power, d_max, units)
         instance = f"{left}|{right}"
     else:
         g, gr0 = _load(base_path, graphing)
         if which == "union":
-            part_sets = [g.unit_set(_parse_units(p, "--parts")) for p in parts.split(";")]
+            part_sets = [g.unit_set(_parse_units(p, "--parts", g.n_units)) for p in parts.split(";")]
             k_set = parse_arrow_spec(g, k_spec, graphing=gr0)
             report = union_theorem(g, part_sets, k_set, l_power, d_max)
         else:
@@ -388,9 +389,10 @@ def cmd_theorem(which, base_path, left, right, graphing, left_graphing,
     return EXIT_OK if certified else EXIT_REFUTED
 
 
-def _parse_units(text: str, option: str) -> list[int]:
-    """Units listed as ids and ranges ``lo-hi``; a reversed range or a list
-    with no unit in it is an input error."""
+def _parse_units(text: str, option: str, n: "int | None" = None) -> list[int]:
+    """Units listed as ids and ranges ``lo-hi``; a reversed range, a list
+    with no unit in it or, given ``n``, a unit outside ``0..n-1`` is an
+    input error."""
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -401,9 +403,13 @@ def _parse_units(text: str, option: str) -> list[int]:
                 raise InputError(f"bad {option} value {chunk!r}: not a range lo-hi") from None
             if hi < lo:
                 raise InputError(f"bad {option} value {chunk!r}: reversed range")
-            out.extend(range(lo, hi + 1))
         elif chunk:
-            out.append(_parse_int(chunk, option))
+            lo = hi = _parse_int(chunk, option)
+        else:
+            continue
+        if n is not None and hi >= n:
+            raise InputError(f"bad {option} value {chunk!r}: unit {hi} out of range 0..{n - 1}")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise InputError(f"bad {option} value {text!r}: lists no unit")
     return out

@@ -29,6 +29,7 @@ from .groupoid import (
     orbit_fibers,
     restrict,
     symmetrize,
+    translate,
     transversal,
     unit_graph,
 )
@@ -44,16 +45,7 @@ def fiber_gauge(g: Groupoid, points: "int | Iterable[int]", window: ArrowSet) ->
     """
     _same_owner(g, window.owner)
     mask = points if isinstance(points, int) else mask_of(points)
-    src, rng, label, pos, at, table, by_rng = g.src, g.rng, g.label, g.pos, g.at, g.table, g.by_rng
-    rows = {}
-    for a in iter_bits(mask):
-        x = rng[a]
-        row, ha = at[x], table[x][label[a]]
-        acc = 1 << a
-        for q in iter_bits(by_rng[src[a]] & window.mask):
-            acc |= 1 << row[ha[label[q]]][pos[src[q]]]
-        rows[a] = acc & mask
-    return rows
+    return {a: (1 << a | translate(g, a, window.mask)) & mask for a in iter_bits(mask)}
 
 
 def gauge_from(g: Groupoid, window: ArrowSet) -> dict[int, int]:
@@ -388,14 +380,14 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
     for x, a in enumerate(t):
         if a == x:
             rep_mask |= g.by_rng[x]
-    src, rng, label, pos = g.src, g.rng, g.label, g.pos
+    src, rng = g.src, g.rng
     families = []
     for cls, h_i in zip(witness.cover.classes, witness.generated_per_class):
         src_mask = 0
         for u in cls:
             src_mask |= g.by_src[u]
         rows = fiber_gauge(g, src_mask & rep_mask, h_i)
-        at: dict[int, list[int]] = {}  # representative unit -> its members, by least arrow
+        reps: dict[int, list[int]] = {}  # representative unit -> its members, by least arrow
         for a, row in rows.items():
             # the relation is a genuine equivalence on these arrows
             if any(rows[b] != row for b in iter_bits(row)):
@@ -403,17 +395,12 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
                     "relation is not transitive; generated class is not a subgroupoid"
                 )
             if row & -row == 1 << a:
-                at.setdefault(rng[a], []).append(row)
+                reps.setdefault(rng[a], []).append(row)
         members = []
         for y, ty in enumerate(t):
-            here = at.get(src[ty], [])
+            here = reps.get(src[ty], [])
             if ty != y:
-                row, ht = g.at[y], g.table[y][label[ty]]
-                here = sorted(
-                    (mask_of(row[ht[label[a]]][pos[src[a]]] for a in iter_bits(mask))
-                     for mask in here),
-                    key=lambda mask: mask & -mask,
-                )
+                here = sorted((translate(g, ty, mask) for mask in here), key=lambda mask: mask & -mask)
             members += here
         families.append(members)
 

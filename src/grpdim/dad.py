@@ -322,7 +322,7 @@ def union_combine(
     merged = [0] * (d + 1)
     for i, (part, w) in enumerate(zip(parts, witnesses)):
         sub = w.owner
-        if sub.parent is not g or set(sub.parent_units) != set(part):
+        if sub.parent is not g or set(sub.parent_arrows[:sub.n_units]) != set(part):
             raise HypothesisError(f"witness {i} is not a witness on restrict(g, parts[{i}])")
         expected_k = sub.from_parent_arrows(power(k_list[i], 15))
         if w.K != expected_k:

@@ -6,9 +6,10 @@ is stored in orbit normal form: every orbit of a finite groupoid is X×H×X
 (Brandt), so an arrow is a triple (x, h, y) and a product is one read of a
 per-unit row (:class:`Groupoid`).  Composition read as ``(a, b, c)``
 triples, as in an instance file, goes through one path, :func:`from_triples`:
-shape checks, :func:`validate` on the raw :class:`Tables`, then the normal
-form from the certificate that proved them a groupoid.  Sets of arrows and
-units are bitmasks wrapped in :class:`ArrowSet` / :class:`UnitSet`.
+shape checks, then :func:`validate` on the raw :class:`Tables`, whose
+certificate is the normal form.  Sets of arrows and units are bitmasks
+wrapped in :class:`ArrowSet` / :class:`UnitSet`; :func:`translate` reads
+the products of one arrow with a mask.
 Groupoids and sets are immutable after construction and every operation here
 is a pure function, so values can be shared freely between threads.
 """
@@ -139,7 +140,6 @@ class Groupoid(_Arrows):
         "arrows_mask",
         "parent",
         "parent_arrows",
-        "parent_units",
     )
 
     def __init__(
@@ -153,7 +153,6 @@ class Groupoid(_Arrows):
         *,
         parent: "Groupoid | None" = None,
         parent_arrows: "tuple[int, ...] | None" = None,
-        parent_units: "tuple[int, ...] | None" = None,
     ):
         super().__init__(n_units, src, rng, inv)
         self.label = tuple(label)
@@ -191,7 +190,6 @@ class Groupoid(_Arrows):
         self.arrows_mask = (1 << m) - 1
         self.parent = parent
         self.parent_arrows = parent_arrows
-        self.parent_units = parent_units
 
     # -- basic queries -------------------------------------------------
 
@@ -225,31 +223,34 @@ class Groupoid(_Arrows):
         return UnitSet(self, self.units_mask)
 
     # -- restriction back-maps -----------------------------------------
+    # Units have the least ids in both groupoids, so a unit's parent id is
+    # its identity arrow's, and the kept units are ``parent_arrows[:n_units]``.
 
     def to_parent_arrows(self, aset: "ArrowSet") -> "ArrowSet":
-        return self._to_parent(ArrowSet, aset, self.parent_arrows)
+        return self._to_parent(ArrowSet, aset)
 
     def from_parent_arrows(self, aset: "ArrowSet") -> "ArrowSet":
-        return self._from_parent(ArrowSet, aset, self.parent_arrows)
+        return self._from_parent(ArrowSet, aset, self.n_arrows)
 
     def to_parent_units(self, uset: "UnitSet") -> "UnitSet":
-        return self._to_parent(UnitSet, uset, self.parent_units)
+        return self._to_parent(UnitSet, uset)
 
     def from_parent_units(self, uset: "UnitSet") -> "UnitSet":
-        return self._from_parent(UnitSet, uset, self.parent_units)
+        return self._from_parent(UnitSet, uset, self.n_units)
 
-    def _to_parent(self, cls, local_set, parent_ids):
+    def _to_parent(self, cls, local_set):
         if self.parent is None:
             raise GroupoidError("groupoid has no parent")
         _same_owner(self, local_set.owner)
-        return cls(self.parent, mask_of(parent_ids[i] for i in local_set))
+        return cls(self.parent, mask_of(self.parent_arrows[i] for i in local_set))
 
-    def _from_parent(self, cls, parent_set, parent_ids):
+    def _from_parent(self, cls, parent_set, count):
         if self.parent is None:
             raise GroupoidError("groupoid has no parent")
         _same_owner(self.parent, parent_set.owner)
         mask = parent_set.mask
-        return cls(self, mask_of(i for i, orig in enumerate(parent_ids) if mask >> orig & 1))
+        kept = self.parent_arrows[:count]
+        return cls(self, mask_of(i for i, orig in enumerate(kept) if mask >> orig & 1))
 
     def __repr__(self):
         return f"Groupoid(units={self.n_units}, arrows={self.n_arrows})"
@@ -461,10 +462,10 @@ def _close(g: Groupoid, seeds: int, els: int, limit: int) -> "int | None":
 def restrict(g: Groupoid, units: UnitSet) -> Groupoid:
     """The restriction of ``g`` to ``units``: all arrows with both endpoints inside.
 
-    Arrow and unit ids are re-indexed densely; the result keeps back-maps to
-    the parent ids (``parent_arrows`` / ``parent_units``).  An orbit X×H×X
-    of ``g`` meets ``units`` in one orbit (X∩U)×H×(X∩U) of the result, so
-    every arrow keeps its label and every unit its orbit's table.
+    Arrow and unit ids are re-indexed densely; the result keeps the parent
+    id of each arrow (``parent_arrows``, the kept units first).  An orbit
+    X×H×X of ``g`` meets ``units`` in one orbit (X∩U)×H×(X∩U) of the result,
+    so every arrow keeps its label and every unit its orbit's table.
     """
     _same_owner(g, units.owner)
     kept_units = list(units)
@@ -480,8 +481,20 @@ def restrict(g: Groupoid, units: UnitSet) -> Groupoid:
         [g.table[u] for u in kept_units],
         parent=g,
         parent_arrows=tuple(kept),
-        parent_units=tuple(kept_units),
     )
+
+
+def translate(g: Groupoid, a: int, mask: int) -> int:
+    """The arrow mask of a·y for y in the arrow mask ``mask`` with
+    rng y = src a: the part of ``mask`` in the range fiber at src a, moved
+    into the fiber at rng a by left multiplication, one row read per arrow."""
+    src, label, pos = g.src, g.label, g.pos
+    x = g.rng[a]
+    row, ha = g.at[x], g.table[x][label[a]]
+    out = 0
+    for y in iter_bits(g.by_rng[src[a]] & mask):
+        out |= 1 << row[ha[label[y]]][pos[src[y]]]
+    return out
 
 
 # -- orbits and principality ----------------------------------------------
@@ -519,7 +532,6 @@ def orbit_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, int]:
     """
     inside = (k_set & arrows_within(g, y)).mask
     steps = inside | ArrowSet(g, inside).inverse().mask
-    src, label, pos, by_rng = g.src, g.label, g.pos, g.by_rng
     fibers = {}
     reached = 0
     for x in y:
@@ -527,16 +539,12 @@ def orbit_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, int]:
             continue
         fiber = 1 << x
         queue = [x]
-        rows, tab = g.at[x], g.table[x]  # every arrow of the fiber has range x
         for h in queue:  # the queue grows while it is read
-            hh = tab[label[h]]
-            for s in iter_bits(by_rng[src[h]] & steps):
-                c = rows[hh[label[s]]][pos[src[s]]]
-                if not fiber >> c & 1:
-                    fiber |= 1 << c
-                    queue.append(c)
+            new = translate(g, h, steps) & ~fiber
+            fiber |= new
+            queue.extend(iter_bits(new))
         for h in queue:
-            reached |= 1 << src[h]
+            reached |= 1 << g.src[h]
         fibers[x] = fiber
     return fibers
 
@@ -558,10 +566,15 @@ class Violation:
 
 
 class ValidationReport:
-    """Axiom violations as data; empty iff the tables form a groupoid."""
+    """Axiom violations as data; empty iff the tables form a groupoid.
 
-    def __init__(self, violations: list[Violation]):
+    ``groupoid`` is the orbit normal form that the structure certificate
+    proved, or None unless the report is ok.
+    """
+
+    def __init__(self, violations: list[Violation], groupoid: "Groupoid | None" = None):
         self.violations = tuple(violations)
+        self.groupoid = groupoid
 
     @property
     def ok(self) -> bool:
@@ -676,59 +689,60 @@ def validate(g: Tables) -> ValidationReport:
                 )
             )
 
-    if not out and _structure_certificate(g):
-        return ValidationReport(out)
+    if not out and (normal := _structure_certificate(g)):
+        return ValidationReport(out, normal)
     out.extend(_associativity_violations(g))
     return ValidationReport(out)
 
 
-def _structure_certificate(g: Tables) -> bool:
-    """Prove associativity from the structure of connected groupoids.
+def _structure_certificate(g: Tables) -> "Groupoid | None":
+    """Prove associativity from the structure of connected groupoids, and
+    return what it proves: the orbit normal form of ``g``.
 
     Every connected groupoid is isomorphic to X×H×X, with H the isotropy
     group at a root r and (x, h, y)(y, k, z) = (x, hk, z).  For each orbit,
-    pick r and tree arrows t_u : r → u, and map each arrow a to
-    (rng a, h_a, src a) with h_a = t_{rng a}⁻¹·a·t_{src a}.  If that map is
-    injective and multiplicative, and H is associative, then X×H×X is
-    associative and so is ``g``: both sides of (a·b)·d = a·(b·d) map to the
-    same triple.  Cost O(m + |comp| + Σ|H|³).
+    take r its least unit and t_u : r → u the arrows of :func:`transversal`,
+    and map each arrow a to (rng a, h_a, src a) with
+    h_a = t_{rng a}⁻¹·a·t_{src a}.  If H is associative and that map is
+    multiplicative and injective, then X×H×X is associative and so is ``g``:
+    both sides of (a·b)·d = a·(b·d) map to the same triple.  The triples are
+    the normal form's cells: a's label is h_a numbered by arrow id within H
+    (r first, as label 0), H's table is read from ``comp``, and the
+    :class:`Groupoid` constructor refuses two arrows in one cell.
+    Cost O(m + |comp| + Σ|H|³).
 
     Requires every other check of :func:`validate` to have passed: ``comp``
     is then defined on exactly the composable pairs, with the right
-    endpoints.  False means some product is not associative.
+    endpoints.  None means some product is not associative.
     """
     m = g.n_arrows
-    src, rng, comp, by_src = g.src, g.rng, g.comp, g.by_src
+    src, rng, inv, comp = g.src, g.rng, g.inv, g.comp
     # Products have the right endpoints, so every unit of r's orbit gets an
     # arrow from r: the tree has depth one, and t_r = r.
     tree = transversal(g)
+    rank: dict[int, int] = {}
+    tables = {}
     for r, t_r in enumerate(tree):
         if t_r != r:
             continue
-        iso = list(iter_bits(by_src[r] & g.by_rng[r]))
-        for x in iso:
-            for y in iso:
-                xy = comp[x * m + y]
-                for z in iso:
-                    if comp[xy * m + z] != comp[x * m + comp[y * m + z]]:
-                        return False
+        iso = list(iter_bits(g.by_src[r] & g.by_rng[r]))
+        rank.update((x, i) for i, x in enumerate(iso))
+        tab = tuple(tuple(rank[comp[x * m + y]] for y in iso) for x in iso)
+        hs = range(len(iso))
+        if any(tab[tab[x][y]][z] != tab[x][tab[y][z]] for x in hs for y in hs for z in hs):
+            return None
+        tables[r] = tab
 
-    h = _isotropy_images(g, tree)
-    if len({(rng[a], h[a], src[a]) for a in range(m)}) != m:
-        return False
+    label = [rank[comp[inv[tree[rng[a]]] * m + comp[a * m + tree[src[a]]]]] for a in range(m)]
+    table = [tables[src[t_u]] for t_u in tree]
     for key, c in comp.items():
         a, b = divmod(key, m)
-        if comp[h[a] * m + h[b]] != h[c]:
-            return False
-    return True
-
-
-def _isotropy_images(g: Tables, tree: list[int]) -> list[int]:
-    """For each arrow a, h_a = t_{rng a}⁻¹·a·t_{src a} over the tree arrows
-    ``tree``: an isotropy arrow at the root of a's orbit."""
-    m = g.n_arrows
-    src, rng, inv, comp = g.src, g.rng, g.inv, g.comp
-    return [comp[inv[tree[rng[a]]] * m + comp[a * m + tree[src[a]]]] for a in range(m)]
+        if table[rng[a]][label[a]][label[b]] != label[c]:
+            return None
+    try:
+        return Groupoid(g.n_units, src, rng, inv, label, table)
+    except GroupoidError:  # two arrows share a cell: the map is not injective
+        return None
 
 
 def _associativity_violations(g: Tables) -> list[Violation]:
@@ -776,41 +790,14 @@ def from_triples(
     """The groupoid of tables whose composition is read as triples.
 
     The one path from triples to a groupoid: the shape checks of
-    :class:`Tables` (GroupoidError), :func:`validate` (AxiomError with the
-    report), then the orbit normal form from the structure certificate's
-    labels, after which the composition dict is dropped.
+    :class:`Tables` (GroupoidError), then :func:`validate` (AxiomError with
+    the report).  The groupoid is the report's: the orbit normal form its
+    certificate proved, after which the composition dict is dropped.
     """
-    tables = Tables(n_units, src, rng, inv, comp)
-    report = validate(tables)
+    report = validate(Tables(n_units, src, rng, inv, comp))
     if not report.ok:
         raise AxiomError(report)
-    return _normal_form(tables)
-
-
-def _normal_form(g: Tables) -> Groupoid:
-    """The orbit normal form of tables that :func:`validate` passed.
-
-    Arrow a's label is its certificate image h_a, numbered by arrow id within
-    the isotropy group at its orbit's root (the root's unit first, as label
-    0), and that group's table is read from the composition dict.
-    """
-    m, comp = g.n_arrows, g.comp
-    tree = transversal(g)
-    rank: dict[int, int] = {}
-    tables = {}
-    for r, t_r in enumerate(tree):
-        if t_r == r:
-            iso = list(iter_bits(g.by_src[r] & g.by_rng[r]))
-            rank.update((x, i) for i, x in enumerate(iso))
-            tables[r] = tuple(tuple(rank[comp[x * m + y]] for y in iso) for x in iso)
-    return Groupoid(
-        g.n_units,
-        g.src,
-        g.rng,
-        g.inv,
-        [rank[h] for h in _isotropy_images(g, tree)],
-        [tables[g.src[t_u]] for t_u in tree],
-    )
+    return report.groupoid
 
 
 def triples(g: Groupoid) -> Iterator[tuple[int, int, int]]:

@@ -527,6 +527,11 @@ def test_uncertifiable_search_result_exits_3(instances, monkeypatch):
           "--parts", "0-6;"], "--parts"),
         # a negative id
         (["sweep", "{p7}", "--windows", "-3", "--graphing", "{p7g}"], "--windows"),
+        # a unit outside the instance: p7 has 7 units, p7 × p7 has 49
+        (["theorem", "union", "--path", "{p7}", "--graphing", "{p7g}",
+          "--parts", "0-3;4-9"], "--parts"),
+        (["theorem", "product", "--left", "{p7}", "--right", "{p7}", "--graphing", "{p7g}",
+          "--refute-units", "0,49"], "--refute-units"),
     ],
 )
 def test_bad_numbers_are_input_errors(instances, tmp_path, args, option):
@@ -550,6 +555,25 @@ def test_bad_unit_list_names_its_chunk(instances):
     res = CliRunner().invoke(cli.main, ["sweep", str(instances / "p7.json"), "--windows", "-3"])
     assert res.exit_code == 2 and res.stdout == ""
     assert res.stderr == "Error: bad --windows value '-3': not a range lo-hi\n"
+
+
+@pytest.mark.parametrize("args, stderr", [
+    # p7 has 7 units, p7 × p7 has 49: the message quotes the chunk and the range
+    (["union", "--path", "{p7}", "--parts", "0-3;3-9"],
+     "bad --parts value '3-9': unit 9 out of range 0..6"),
+    (["product", "--left", "{p7}", "--right", "{p7}", "--refute-units", "1,60,2"],
+     "bad --refute-units value '60': unit 60 out of range 0..48"),
+])
+def test_unit_out_of_range_names_its_chunk(instances, args, stderr):
+    from click.testing import CliRunner
+
+    import grpdim.cli as cli
+
+    paths = {"p7": instances / "p7.json", "p7g": instances / "p7.graphing.json"}
+    args = ["theorem", *args, "--graphing", "{p7g}"]
+    res = CliRunner().invoke(cli.main, [a.format(**paths) for a in args])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == f"Error: {stderr}\n"
 
 
 # Per theorem, options it reads, then options it does not read and the error's

@@ -12,11 +12,12 @@ from conftest import (
     random_principal_groupoid,
     random_unit_set,
     relabel_units,
+    same_groupoid,
     tables_of,
     union_find_orbits,
 )
 import grpdim.groupoid as groupoid_module
-from grpdim.groupoid import transversal
+from grpdim.groupoid import mask_of, translate, transversal
 from grpdim import (
     ArrowSet,
     GroupoidError,
@@ -130,6 +131,8 @@ def test_validate_agrees_with_exhaustive_checker(monkeypatch):
         want = _exhaustive_report(monkeypatch, t)
         assert got.ok == want.ok
         assert got.violations == want.violations
+        # an ok report carries the normal form its certificate proved
+        assert same_groupoid(got.groupoid, t) if got.ok else got.groupoid is None
         invalid += not want.ok
         only_associativity += want.codes() == {"associativity"}
     assert invalid >= 400
@@ -158,6 +161,22 @@ def test_validate_associativity_only(monkeypatch, make):
     report = validate(broken)
     assert report.codes() == {"associativity"}
     assert report.violations == _exhaustive_report(monkeypatch, broken).violations
+
+
+def test_from_triples_picks_the_transversal_once(monkeypatch):
+    # the certificate's transversal and labels are the normal form's: one
+    # load computes them once
+    g = product(pair_groupoid(2), action_groupoid(cyclic_table(3), trivial_perms(3, 2))).groupoid
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return transversal(t)
+
+    monkeypatch.setattr(groupoid_module, "transversal", counted)
+    loaded = groupoid_module.from_triples(g.n_units, g.src, g.rng, g.inv, triples(g))
+    assert len(calls) == 1
+    assert (loaded.label, loaded.table) == (g.label, g.table)
 
 
 def test_validate_large_tables_take_certificate_path(monkeypatch):
@@ -457,6 +476,26 @@ def test_non_composable_pairs_are_refused(g):
             with pytest.raises(GroupoidError, match=f"^arrows {a} and {b} are not composable$"):
                 g.compose(a, b)
     assert refused > 0
+
+
+@pytest.mark.parametrize("g", _small_groupoids(), ids=repr)
+def test_translate_is_left_multiplication(g):
+    rng = random.Random(g.n_arrows)
+    for a in range(g.n_arrows):
+        mask = rng.getrandbits(g.n_arrows)
+        want = mask_of(g.compose(a, y) for y in range(g.n_arrows)
+                       if mask >> y & 1 and g.rng[y] == g.src[a])
+        assert translate(g, a, mask) == want
+
+
+def test_restricted_units_are_the_first_parent_arrows():
+    for g in _small_groupoids()[:5]:
+        units = UnitSet(g, 0b1011 & g.units_mask)
+        sub = restrict(g, units)
+        assert sub.parent_arrows[:sub.n_units] == tuple(units)
+        assert sub.to_parent_units(sub.all_units()) == units
+        assert sub.from_parent_units(g.all_units()) == sub.all_units()
+        assert sub.from_parent_units(g.unit_set()) == sub.unit_set()
 
 
 def test_normal_form_of_p12xp12_holds_no_pair_table():
