@@ -15,10 +15,9 @@ embeds the validation report in the error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 from .graphing import Graphing
 from .groupoid import (
@@ -158,8 +157,7 @@ def action_groupoid(table: Sequence[Sequence[int]], perms: Sequence[Sequence[int
 # -- partial actions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartialActionSpec:
+class PartialActionSpec(NamedTuple):
     """A partial group action on the points 0..n_points-1.
 
     ``elements`` lists the group elements (identity first); ``theta[g]`` is
@@ -248,8 +246,7 @@ def partial_action_groupoid(spec: PartialActionSpec) -> Groupoid:
 # -- blow-ups and products -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Blowup:
+class Blowup(NamedTuple):
     """Blow-up along a unit surjection, with the projection functor."""
 
     base: Groupoid
@@ -297,8 +294,7 @@ def replicate_psi(g: Groupoid, multiplicity: int) -> tuple[int, ...]:
     return tuple(u for u in range(g.n_units) for _ in range(multiplicity))
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     """Componentwise product groupoid with the arrow pairing: arrow (a, b) is
     ``arrow_ids[a][b]``."""
 

@@ -10,22 +10,23 @@ stderr), 3 internal error (a broken internal invariant or any other uncaught
 exception: one line naming it goes to stderr, no traceback), 4 unknown (a
 greedy search found nothing, which refutes nothing; the row reads
 ``incomplete``).  Exit codes are decided in one place, ``_Main.invoke``.
-Artifacts never contain timing, so repeated runs are byte-identical; wall
-time appears only in the stdout report row.
+The parser finds a bad option (an unknown one or a prefix of one, a missing
+one, a value of the wrong kind, a path that does not exist) before the
+command runs.  Artifacts never contain timing, so repeated runs are
+byte-identical; wall time appears only in the stdout report row.
 
-At module level this imports only the table layer (``groupoid`` and
-``builders``); each command imports the layers it runs, so ``validate`` and
-``build`` never load the search, the coarse layer or the pipelines.
+At module level this imports only the standard library's ``argparse`` and the
+table layer (``groupoid`` and ``builders``); each command imports the layers
+it runs, so ``validate`` and ``build`` never load the search, the coarse
+layer or the pipelines.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 from pathlib import Path
-
-import click
-from click.core import ParameterSource
 
 from . import builders
 from .builders import BuilderError, load, load_graphing, read_json
@@ -38,19 +39,13 @@ EXIT_INTERNAL = 3
 EXIT_UNKNOWN = 4
 
 
-class InputError(click.ClickException):
+class InputError(Exception):
     """Bad inputs exit with code 2; refutations keep code 1."""
-
-    exit_code = EXIT_INPUT
 
 
 def _row(instance, operation, params, result, witness_path, started) -> None:
     wall_ms = int((time.monotonic() - started) * 1000)
-    click.echo(
-        "\t".join(
-            [str(instance), operation, params, result, witness_path or "-", str(wall_ms)]
-        )
-    )
+    print("\t".join([str(instance), operation, params, result, witness_path or "-", str(wall_ms)]))
 
 
 def _missed(instance, operation, params, mode, started) -> int:
@@ -88,41 +83,121 @@ def _parse_int(text: str, option: str) -> int:
         raise InputError(f"bad {option} value {text!r}: not an integer") from None
 
 
-class _Main(click.Group):
-    """The one place that turns an exception into an exit code.
+def _existing(text: str, label: str) -> str:
+    if not Path(text).exists():
+        raise InputError(f"bad {label} value {text!r}: no such file or directory")
+    return text
+
+
+def _chosen(text: str, label: str, choices) -> str:
+    if text not in choices:
+        raise InputError(f"bad {label} value {text!r}: not one of {', '.join(choices)}")
+    return text
+
+
+def _arg(*names, check=None, **kwargs):
+    """One argument of a command, as ``add_argument`` takes it.
+
+    ``check(text, label)``, or for ``choices`` a check that the value is one
+    of them, converts the value while parsing, so a bad value is an input
+    error that names the argument and the command never starts.
+    """
+    label = kwargs.get("metavar", names[0])
+    choices = kwargs.get("choices")
+    if choices:
+        kwargs["type"] = lambda text: _chosen(text, label, choices)
+    elif check:
+        kwargs["type"] = lambda text: check(text, label)
+    return names, kwargs
+
+
+_DEFAULT = "default: %(default)s"
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parse error is an input error: one ``Error:`` line, no usage."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+class _Command:
+    """A command's parser arguments and ``callback``, the function that runs
+    it; ``_Main`` reads ``callback`` at every call, so a wrapper put in its
+    place (the benchmark's tracer does this) runs instead."""
+
+    def __init__(self, callback, arguments):
+        self.callback = callback
+        self.arguments = arguments
+        self.help = callback.__doc__.splitlines()[0]
+
+
+class _Main:
+    """The command table, and the one place that turns an exception into an
+    exit code.
 
     A pipeline stage whose exact search finds no witness is a refutation:
-    it exits 1 with one stderr line naming the stage.  A library error (bad
-    input files, specs or parameters), an OS error or a rejected artifact
-    exits 2 with one ``Error:`` line; anything else, such as a broken
-    internal invariant, exits 3, never the refuted code 1.
+    it exits 1 with one stderr line naming the stage.  A parse error, a
+    library error (bad input files, specs or parameters), an OS error or a
+    rejected artifact exits 2 with one ``Error:`` line; anything else, such
+    as a broken internal invariant, exits 3, never the refuted code 1.
     """
 
-    def invoke(self, ctx):
+    def __init__(self, description: str):
+        self.description = description
+        self.commands: dict[str, _Command] = {}
+
+    def command(self, name: str, *arguments):
+        """Register the decorated function as the command ``name``."""
+
+        def register(callback):
+            self.commands[name] = _Command(callback, arguments)
+            return callback
+
+        return register
+
+    def parser(self, prog: str) -> argparse.ArgumentParser:
+        # allow_abbrev=False: an option's prefix is an unknown option
+        parser = _Parser(prog=prog, description=self.description, allow_abbrev=False)
+        sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+        for name, command in self.commands.items():
+            cmd = sub.add_parser(name, help=command.help, description=command.help,
+                                 allow_abbrev=False)
+            for names, kwargs in command.arguments:
+                cmd.add_argument(*names, **kwargs)
+        return parser
+
+    def invoke(self, args, prog: str) -> int:
         try:
-            code = super().invoke(ctx)
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise
+            options = vars(self.parser(prog).parse_args(args))
+            return self.commands[options.pop("command")].callback(**options)
         except GroupoidError as exc:
-            if not _refutation(exc):
-                raise InputError(str(exc)) from exc
-            click.echo(f"grpdim: refuted: {exc}", err=True)
-            code = EXIT_REFUTED
-        except OSError as exc:
-            raise InputError(str(exc)) from exc
+            if _refutation(exc):
+                print(f"grpdim: refuted: {exc}", file=sys.stderr)
+                return EXIT_REFUTED
+            message = str(exc)
+        except (InputError, OSError) as exc:
+            message = str(exc)
         except Exception as exc:
-            click.echo(f"grpdim: internal error: {type(exc).__name__}: {exc}", err=True)
-            code = EXIT_INTERNAL
-        ctx.exit(code)
+            print(f"grpdim: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        print(f"Error: {message}", file=sys.stderr)
+        return EXIT_INPUT
+
+    def main(self, args=None, prog_name=None, standalone_mode=True):
+        """Run one command, ``args`` or else ``sys.argv[1:]``, and exit with
+        its code.  The call always ends in ``SystemExit``, which is what
+        ``standalone_mode=True`` asks for; there is no other mode."""
+        sys.exit(self.invoke(args, prog_name or "grpdim"))
+
+    def __call__(self):
+        self.main()
 
 
-@click.group(cls=_Main)
-def main():
-    """Dimension witnesses for finite groupoid windows."""
+main = _Main("Dimension witnesses for finite groupoid windows.")
 
 
-@main.command("validate")
-@click.argument("paths", nargs=-1, required=True, type=click.Path(exists=True))
+@main.command("validate", _arg("paths", nargs="+", metavar="PATH", check=_existing))
 def cmd_validate(paths):
     """Validate instance files; directories are swept recursively."""
     files = []
@@ -142,22 +217,24 @@ def cmd_validate(paths):
     return worst
 
 
-@main.command("build")
-@click.option("--family", required=True,
-              type=click.Choice(["pair", "action", "partial", "tree", "product", "blowup"]))
-@click.option("--n", type=int, default=None, help="units / points / window size")
-@click.option("--group", default=None, help="finite group, e.g. cyclic:8")
-@click.option("--points", type=int, default=None, help="points acted on")
-@click.option("--trivial-action", is_flag=True, help="let the group act trivially")
-@click.option("--shape", default=None, help="tree shape, path:<n> or binary:<depth>")
-@click.option("--left", type=click.Path(exists=True), default=None)
-@click.option("--right", type=click.Path(exists=True), default=None)
-@click.option("--path", "base_path", type=click.Path(exists=True), default=None)
-@click.option("--multiplicity", type=int, default=2)
-@click.option("--out", required=True, type=click.Path())
-@click.option("--graphing-out", type=click.Path(), default=None)
+@main.command(
+    "build",
+    _arg("--family", required=True,
+         choices=("pair", "action", "partial", "tree", "product", "blowup")),
+    _arg("--n", check=_parse_int, help="units / points / window size"),
+    _arg("--group", help="finite group, e.g. cyclic:8"),
+    _arg("--points", check=_parse_int, help="points acted on"),
+    _arg("--trivial-action", action="store_true", help="let the group act trivially"),
+    _arg("--shape", help="tree shape, path:<n> or binary:<depth>"),
+    _arg("--left", check=_existing),
+    _arg("--right", check=_existing),
+    _arg("--path", check=_existing),
+    _arg("--multiplicity", check=_parse_int, default=2, help=_DEFAULT),
+    _arg("--out", required=True),
+    _arg("--graphing-out"),
+)
 def cmd_build(family, n, group, points, trivial_action, shape, left, right,
-              base_path, multiplicity, out, graphing_out):
+              path, multiplicity, out, graphing_out):
     """Build an instance file (and optionally a graphing sidecar)."""
     if graphing_out and family not in ("pair", "tree"):
         raise InputError(f"--family {family} defines no graphing for --graphing-out")
@@ -194,27 +271,28 @@ def cmd_build(family, n, group, points, trivial_action, shape, left, right,
             raise InputError("--family product needs --left and --right")
         g = builders.product(load(left), load(right)).groupoid
     else:  # blowup
-        if not base_path:
+        if not path:
             raise InputError("--family blowup needs --path")
-        base = load(base_path)
+        base = load(path)
         g = builders.blowup(base, builders.replicate_psi(base, multiplicity)).groupoid
     builders.save(g, out)
     if graphing_out:
         builders.save_graphing(graphing, graphing_out)
-    click.echo(f"{out}\tbuild\t{family}\tok\t-\t0")
+    print(f"{out}\tbuild\t{family}\tok\t-\t0")
     return EXIT_OK
 
 
-@main.command("dad")
-@click.argument("path", type=click.Path(exists=True))
-@click.option("--k-spec", default="ball:1", show_default=True)
-@click.option("--l-spec", default="power:K:2", show_default=True)
-@click.option("--d-max", type=int, default=2, show_default=True)
-@click.option("--mode", type=click.Choice(["exact", "greedy"]), default="exact")
-@click.option("--graphing", type=click.Path(exists=True), default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--recheck", type=click.Path(exists=True), default=None,
-              help="re-verify a serialized witness instead of searching")
+@main.command(
+    "dad",
+    _arg("path", metavar="PATH", check=_existing),
+    _arg("--k-spec", default="ball:1", help=_DEFAULT),
+    _arg("--l-spec", default="power:K:2", help=_DEFAULT),
+    _arg("--d-max", check=_parse_int, default=2, help=_DEFAULT),
+    _arg("--mode", choices=("exact", "greedy"), default="exact", help=_DEFAULT),
+    _arg("--graphing", check=_existing),
+    _arg("--out"),
+    _arg("--recheck", check=_existing, help="re-verify a serialized witness instead of searching"),
+)
 def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
     """Search a (K,L)-dad witness, or re-verify one with --recheck."""
     from . import artifacts
@@ -253,17 +331,19 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
     return EXIT_OK
 
 
-@main.command("asdim")
-@click.argument("path", type=click.Path(exists=True))
-@click.option("--points", "points_spec", default="fiber:0", show_default=True,
-              help="fiber:<unit> or arrows")
-@click.option("--e-spec", default="ball:1", show_default=True)
-@click.option("--f-spec", default="ball:4", show_default=True)
-@click.option("--d-max", type=int, default=2, show_default=True)
-@click.option("--mode", default="exact", show_default=True,
-              help="exact, greedy, or tree:<N> for the annuli certificate")
-@click.option("--graphing", type=click.Path(exists=True), default=None)
-@click.option("--out", type=click.Path(), default=None)
+@main.command(
+    "asdim",
+    _arg("path", metavar="PATH", check=_existing),
+    _arg("--points", dest="points_spec", default="fiber:0",
+         help="fiber:<unit> or arrows; " + _DEFAULT),
+    _arg("--e-spec", default="ball:1", help=_DEFAULT),
+    _arg("--f-spec", default="ball:4", help=_DEFAULT),
+    _arg("--d-max", check=_parse_int, default=2, help=_DEFAULT),
+    _arg("--mode", default="exact",
+         help="exact, greedy, or tree:<N> for the annuli certificate; " + _DEFAULT),
+    _arg("--graphing", check=_existing),
+    _arg("--out"),
+)
 def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
     """Decompose a coarse space, or certify a treeable annuli cover."""
     from . import artifacts
@@ -279,7 +359,7 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
         params = f"mode={mode}"
         wpath = artifacts.write(out, "tree-cover.json", artifacts.tree_cover(res))
         for fam_i, cls_i, annulus, fib, size, diam in res.rows:
-            click.echo(f"{fam_i}\t{cls_i}\t{annulus}\t{fib}\t{size}\t{diam}")
+            print(f"{fam_i}\t{cls_i}\t{annulus}\t{fib}\t{size}\t{diam}")
         result = "certified" if res.certified else "failed"
         _row(path, "asdim-tree", params, result, wpath, started)
         return EXIT_OK if res.certified else EXIT_REFUTED
@@ -309,73 +389,84 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
 _THEOREM_OPTIONS = {
     "product": (("left", "right"), ("graphing", "left_graphing", "right_graphing",
                                     "k_spec", "l_power", "d_max", "refute_units")),
-    "union": (("base_path", "parts"), ("graphing", "k_spec", "l_power", "d_max")),
-    "morita": (("base_path",), ("graphing", "k_spec", "l_spec", "d_max", "multiplicity")),
-    "bridge": (("base_path",), ("graphing", "k_spec", "l_spec", "d_max")),
+    "union": (("path", "parts"), ("graphing", "k_spec", "l_power", "d_max")),
+    "morita": (("path",), ("graphing", "k_spec", "l_spec", "d_max", "multiplicity")),
+    "bridge": (("path",), ("graphing", "k_spec", "l_spec", "d_max")),
 }
+# The parser leaves a theorem option None until it is given, so one given
+# at its default value still counts as given.
+_THEOREM_DEFAULTS = {"k_spec": "ball:1", "l_spec": "power:K:2", "l_power": 2, "d_max": 2,
+                     "multiplicity": 2}
 
 
-def _check_theorem_options(which: str) -> None:
-    """Missing an option the theorem needs, or given one it does not read: exit 2."""
-    ctx = click.get_current_context()
-    flags = {p.name: p.opts[0] for p in ctx.command.params}
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _theorem_options(which: str, options: dict) -> argparse.Namespace:
+    """The options with their defaults.  Missing an option the theorem
+    needs, or given one it does not read: exit 2."""
     needs, reads = _THEOREM_OPTIONS[which]
-    if not all(ctx.params[name] for name in needs):
-        raise InputError(f"{which} needs {' and '.join(flags[name] for name in needs)}")
-    unread = [flags[name] for name in flags if name not in (*needs, *reads, "which", "out")
-              and ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+    if not all(options[name] for name in needs):
+        raise InputError(f"{which} needs {' and '.join(map(_flag, needs))}")
+    unread = [_flag(name) for name, value in options.items()
+              if value is not None and name not in (*needs, *reads)]
     if unread:
         raise InputError(f"{which} does not read {', '.join(unread)}")
+    return argparse.Namespace(**{name: _THEOREM_DEFAULTS.get(name) if value is None else value
+                                 for name, value in options.items()})
 
 
-@main.command("theorem")
-@click.argument("which", type=click.Choice(["product", "union", "morita", "bridge"]))
-@click.option("--path", "base_path", type=click.Path(exists=True), default=None)
-@click.option("--left", type=click.Path(exists=True), default=None)
-@click.option("--right", type=click.Path(exists=True), default=None)
-@click.option("--graphing", type=click.Path(exists=True), default=None)
-@click.option("--left-graphing", type=click.Path(exists=True), default=None)
-@click.option("--right-graphing", type=click.Path(exists=True), default=None)
-@click.option("--k-spec", default="ball:1", show_default=True)
-@click.option("--l-spec", default="power:K:2", show_default=True)
-@click.option("--l-power", type=int, default=2, show_default=True)
-@click.option("--d-max", type=int, default=2, show_default=True)
-@click.option("--parts", default=None, help="unit ranges, e.g. 0-6;7-12")
-@click.option("--multiplicity", type=int, default=2, show_default=True)
-@click.option("--refute-units", default=None, help="unit list/range for the refutation stage")
-@click.option("--out", type=click.Path(), default=None)
-def cmd_theorem(which, base_path, left, right, graphing, left_graphing,
-                right_graphing, k_spec, l_spec, l_power, d_max, parts,
-                multiplicity, refute_units, out):
+@main.command(
+    "theorem",
+    _arg("which", metavar="THEOREM", choices=tuple(_THEOREM_OPTIONS), help="%(choices)s"),
+    _arg("--path", check=_existing),
+    _arg("--left", check=_existing),
+    _arg("--right", check=_existing),
+    _arg("--graphing", check=_existing),
+    _arg("--left-graphing", check=_existing),
+    _arg("--right-graphing", check=_existing),
+    _arg("--k-spec", help=f"default: {_THEOREM_DEFAULTS['k_spec']}"),
+    _arg("--l-spec", help=f"default: {_THEOREM_DEFAULTS['l_spec']}"),
+    _arg("--l-power", check=_parse_int, help=f"default: {_THEOREM_DEFAULTS['l_power']}"),
+    _arg("--d-max", check=_parse_int, help=f"default: {_THEOREM_DEFAULTS['d_max']}"),
+    _arg("--parts", help="unit ranges, e.g. 0-6;7-12"),
+    _arg("--multiplicity", check=_parse_int,
+         help=f"default: {_THEOREM_DEFAULTS['multiplicity']}"),
+    _arg("--refute-units", help="unit list/range for the refutation stage"),
+    _arg("--out"),
+)
+def cmd_theorem(which, out, **options):
     """Run a permanence pipeline end to end and certify the inequality."""
     from . import artifacts
     from .pipelines import bridge_theorem, morita_theorem, product_theorem, union_theorem
     from .setspec import parse_arrow_spec
 
     started = time.monotonic()
-    _check_theorem_options(which)
+    o = _theorem_options(which, options)
     if which == "product":
-        gl, gl_graph = _load(left, left_graphing or graphing)
-        gr_, gr_graph = _load(right, right_graphing or graphing)
-        k_l = parse_arrow_spec(gl, k_spec, graphing=gl_graph)
-        k_r = parse_arrow_spec(gr_, k_spec, graphing=gr_graph)
+        gl, gl_graph = _load(o.left, o.left_graphing or o.graphing)
+        gr_, gr_graph = _load(o.right, o.right_graphing or o.graphing)
+        k_l = parse_arrow_spec(gl, o.k_spec, graphing=gl_graph)
+        k_r = parse_arrow_spec(gr_, o.k_spec, graphing=gr_graph)
         n = gl.n_units * gr_.n_units  # the product's units
-        units = _parse_units(refute_units, "--refute-units", n) if refute_units else None
-        report = product_theorem(gl, k_l, gr_, k_r, l_power, d_max, units)
-        instance = f"{left}|{right}"
+        units = _parse_units(o.refute_units, "--refute-units", n) if o.refute_units else None
+        report = product_theorem(gl, k_l, gr_, k_r, o.l_power, o.d_max, units)
+        instance = f"{o.left}|{o.right}"
     else:
-        g, gr0 = _load(base_path, graphing)
+        g, gr0 = _load(o.path, o.graphing)
         if which == "union":
-            part_sets = [g.unit_set(_parse_units(p, "--parts", g.n_units)) for p in parts.split(";")]
-            k_set = parse_arrow_spec(g, k_spec, graphing=gr0)
-            report = union_theorem(g, part_sets, k_set, l_power, d_max)
+            part_sets = [g.unit_set(_parse_units(p, "--parts", g.n_units))
+                         for p in o.parts.split(";")]
+            k_set = parse_arrow_spec(g, o.k_spec, graphing=gr0)
+            report = union_theorem(g, part_sets, k_set, o.l_power, o.d_max)
         else:
-            k_set, l_set = _specs(g, k_spec, l_spec, gr0)
+            k_set, l_set = _specs(g, o.k_spec, o.l_spec, gr0)
             if which == "morita":
-                report = morita_theorem(g, multiplicity, k_set, l_set, d_max)
+                report = morita_theorem(g, o.multiplicity, k_set, l_set, o.d_max)
             else:
-                report = bridge_theorem(g, k_set, l_set, d_max)
-        instance = base_path
+                report = bridge_theorem(g, k_set, l_set, o.d_max)
+        instance = o.path
 
     for name, obj in report["artifacts"].items():
         artifacts.write(out, f"{which}-{name}.json", obj)
@@ -385,7 +476,7 @@ def cmd_theorem(which, base_path, left, right, graphing, left_graphing,
     result = f"d={report.get('d')};certified={certified}"
     if "refuted_below" in report:
         result += f";refuted_below={report['refuted_below']}"
-    _row(instance, f"theorem-{which}", f"k={k_spec}", result, spath, started)
+    _row(instance, f"theorem-{which}", f"k={o.k_spec}", result, spath, started)
     return EXIT_OK if certified else EXIT_REFUTED
 
 
@@ -415,16 +506,18 @@ def _parse_units(text: str, option: str, n: "int | None" = None) -> list[int]:
     return out
 
 
-@main.command("sweep")
-@click.argument("path", type=click.Path(exists=True))
-@click.option("--windows", required=True, help="sizes, e.g. 4-16 or 4,8,12")
-@click.option("--what", type=click.Choice(["dad", "asdim"]), default="dad")
-@click.option("--k-spec", default="ball:1", show_default=True)
-@click.option("--l-spec", default="power:K:2", show_default=True)
-@click.option("--d-max", type=int, default=3, show_default=True)
-@click.option("--n-scale", type=int, default=1, show_default=True)
-@click.option("--graphing", type=click.Path(exists=True), default=None)
-@click.option("--out", type=click.Path(), default=None)
+@main.command(
+    "sweep",
+    _arg("path", metavar="PATH", check=_existing),
+    _arg("--windows", required=True, help="sizes, e.g. 4-16 or 4,8,12"),
+    _arg("--what", choices=("dad", "asdim"), default="dad", help=_DEFAULT),
+    _arg("--k-spec", default="ball:1", help=_DEFAULT),
+    _arg("--l-spec", default="power:K:2", help=_DEFAULT),
+    _arg("--d-max", check=_parse_int, default=3, help=_DEFAULT),
+    _arg("--n-scale", check=_parse_int, default=1, help=_DEFAULT),
+    _arg("--graphing", check=_existing),
+    _arg("--out"),
+)
 def cmd_sweep(path, windows, what, k_spec, l_spec, d_max, n_scale, graphing, out):
     """Window sweep over unit-prefix restrictions; TSV rows per window."""
     from . import artifacts
@@ -436,7 +529,7 @@ def cmd_sweep(path, windows, what, k_spec, l_spec, d_max, n_scale, graphing, out
         g, gr, _parse_units(windows, "--windows"), what, k_spec, l_spec, d_max, n_scale
     )
     for row in rows:
-        click.echo(f"{row['window']}\t{row['result']}")
+        print(f"{row['window']}\t{row['result']}")
     artifacts.write(out, f"sweep-{what}.json", artifacts.sweep(what, k_spec, l_spec, rows))
     _row(path, f"sweep-{what}", f"windows={windows}", f"rows={len(rows)}", None, started)
     return EXIT_OK

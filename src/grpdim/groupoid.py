@@ -16,8 +16,7 @@ is a pure function, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GroupoidError(Exception):
@@ -558,8 +557,7 @@ def is_principal(g: Groupoid) -> bool:
 # -- axiom validation ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     message: str
     arrows: tuple[int, ...] = ()

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -28,6 +29,23 @@ def run_cli(*args, cwd=None):
     # every call keeps the exit-code contract: a documented code, no traceback
     assert res.returncode in range(5) and "Traceback" not in res.stderr, (args, res.stderr)
     return res
+
+
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def invoke(capsys, args):
+    """Run ``grpdim ARGS`` in this process through ``main.main``, the entry
+    point an in-process caller uses: its exit code, stdout and stderr."""
+    import grpdim.cli as cli
+
+    with pytest.raises(SystemExit) as exited:
+        cli.main.main(args=list(args), prog_name="grpdim", standalone_mode=True)
+    out, err = capsys.readouterr()
+    return Result(exited.value.code, out, err)
 
 
 @pytest.fixture(scope="module")
@@ -464,9 +482,7 @@ def test_greedy_misses_exit_unknown(instances):
         assert refuted.returncode == 1 and refuted.stdout.split("\t")[3] == "none"
 
 
-def test_internal_error_exits_3(instances, monkeypatch):
-    from click.testing import CliRunner
-
+def test_internal_error_exits_3(instances, monkeypatch, capsys):
     import grpdim.cli as cli
     import grpdim.dad as dad
 
@@ -475,22 +491,20 @@ def test_internal_error_exits_3(instances, monkeypatch):
 
     monkeypatch.setattr(dad, "kl_dad_search", broken)
     p7 = str(instances / "p7.json")
-    res = CliRunner().invoke(cli.main, ["dad", p7, "--k-spec", "units"])
+    res = invoke(capsys, ["dad", p7, "--k-spec", "units"])
     assert res.exit_code == cli.EXIT_INTERNAL == 3
     assert res.stdout == ""
     assert res.stderr == "grpdim: internal error: RuntimeError: search blew up\n"
     # refutations and input errors keep their codes
     monkeypatch.setattr(dad, "kl_dad_search", lambda *args: None)
-    assert CliRunner().invoke(cli.main, ["dad", p7, "--k-spec", "units"]).exit_code == 1
-    assert CliRunner().invoke(cli.main, ["dad", p7, "--k-spec", "nonsense"]).exit_code == 2
+    assert invoke(capsys, ["dad", p7, "--k-spec", "units"]).exit_code == 1
+    assert invoke(capsys, ["dad", p7, "--k-spec", "nonsense"]).exit_code == 2
 
 
-def test_uncertifiable_search_result_exits_3(instances, monkeypatch):
+def test_uncertifiable_search_result_exits_3(instances, monkeypatch, capsys):
     # a search answer that fails its own re-certification is a broken
     # invariant, not bad input
     import dataclasses
-
-    from click.testing import CliRunner
 
     import grpdim.cli as cli
     import grpdim.dad as dad
@@ -499,7 +513,7 @@ def test_uncertifiable_search_result_exits_3(instances, monkeypatch):
     monkeypatch.setattr(
         dad, "kl_dad_check", lambda *args: dataclasses.replace(check(*args), certified=False)
     )
-    res = CliRunner().invoke(cli.main, ["dad", str(instances / "p7.json"), "--k-spec", "units"])
+    res = invoke(capsys, ["dad", str(instances / "p7.json"), "--k-spec", "units"])
     assert res.exit_code == cli.EXIT_INTERNAL == 3
     assert res.stderr == (
         "grpdim: internal error: RuntimeError: search produced an uncertifiable cover\n"
@@ -534,25 +548,19 @@ def test_uncertifiable_search_result_exits_3(instances, monkeypatch):
           "--refute-units", "0,49"], "--refute-units"),
     ],
 )
-def test_bad_numbers_are_input_errors(instances, tmp_path, args, option):
-    from click.testing import CliRunner
-
+def test_bad_numbers_are_input_errors(instances, tmp_path, capsys, args, option):
     import grpdim.cli as cli
 
     paths = {"p7": instances / "p7.json", "p7g": instances / "p7.graphing.json",
              "out": tmp_path / "built.json"}
-    res = CliRunner().invoke(cli.main, [a.format(**paths) for a in args])
+    res = invoke(capsys, [a.format(**paths) for a in args])
     assert res.exit_code == cli.EXIT_INPUT == 2
     assert res.stderr.startswith(f"Error: bad {option} value") and res.stderr.count("\n") == 1
 
 
-def test_bad_unit_list_names_its_chunk(instances):
+def test_bad_unit_list_names_its_chunk(instances, capsys):
     # "-3" reads as a range with no lower end: the message quotes the chunk
-    from click.testing import CliRunner
-
-    import grpdim.cli as cli
-
-    res = CliRunner().invoke(cli.main, ["sweep", str(instances / "p7.json"), "--windows", "-3"])
+    res = invoke(capsys, ["sweep", str(instances / "p7.json"), "--windows", "-3"])
     assert res.exit_code == 2 and res.stdout == ""
     assert res.stderr == "Error: bad --windows value '-3': not a range lo-hi\n"
 
@@ -564,16 +572,60 @@ def test_bad_unit_list_names_its_chunk(instances):
     (["product", "--left", "{p7}", "--right", "{p7}", "--refute-units", "1,60,2"],
      "bad --refute-units value '60': unit 60 out of range 0..48"),
 ])
-def test_unit_out_of_range_names_its_chunk(instances, args, stderr):
-    from click.testing import CliRunner
-
-    import grpdim.cli as cli
-
+def test_unit_out_of_range_names_its_chunk(instances, capsys, args, stderr):
     paths = {"p7": instances / "p7.json", "p7g": instances / "p7.graphing.json"}
     args = ["theorem", *args, "--graphing", "{p7g}"]
-    res = CliRunner().invoke(cli.main, [a.format(**paths) for a in args])
+    res = invoke(capsys, [a.format(**paths) for a in args])
     assert res.exit_code == 2 and res.stdout == ""
     assert res.stderr == f"Error: {stderr}\n"
+
+
+# Every parser-level input error: an unknown option, an option's prefix, a
+# value of the wrong kind, a missing option or argument, a path that does not
+# exist.  Each is found before the command runs.
+PARSE_ERRORS = [
+    ["dad", "{p7}", "--no-such-option"],
+    ["dad", "{p7}", "--grap", "{p7g}"],
+    ["dad", "{p7}", "--d-max", "x"],
+    ["dad", "{p7}", "--mode", "fast"],
+    ["build", "--family", "ring", "--out", "{out}"],
+    ["build", "--family", "pair", "--n", "3"],
+    ["theorem", "sum", "--path", "{p7}"],
+    ["sweep", "{p7}", "--graphing", "{p7g}"],
+    ["validate", "{p7}", "{missing}"],
+    ["dad", "{p7}", "--graphing", "{missing}"],
+    ["dad"],
+    [],
+]
+
+
+@pytest.mark.parametrize("args", PARSE_ERRORS, ids=lambda args: " ".join(args) or "none")
+def test_parse_errors_are_one_error_line(instances, tmp_path, capsys, args):
+    paths = {"p7": instances / "p7.json", "p7g": instances / "p7.graphing.json",
+             "out": tmp_path / "built.json", "missing": tmp_path / "missing.json"}
+    res = invoke(capsys, [a.format(**paths) for a in args])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+    assert not paths["out"].exists()
+
+
+def test_dispatcher_runs_a_swapped_in_callback(instances, monkeypatch, capsys):
+    # a wrapper put in place of a command's callback (the benchmark's tracer
+    # puts one there) runs at the next call, with the parsed options
+    import grpdim.cli as cli
+
+    command = cli.main.commands["validate"]
+    original, calls = command.callback, []
+
+    def wrapped(**options):
+        calls.append(options)
+        return original(**options)
+
+    monkeypatch.setattr(command, "callback", wrapped)
+    p7 = str(instances / "p7.json")
+    res = invoke(capsys, ["validate", p7])
+    assert res.exit_code == 0 and res.stdout.startswith(f"{p7}\tvalidate\t-\tok\t")
+    assert calls == [{"paths": [p7]}]
 
 
 # Per theorem, options it reads, then options it does not read and the error's

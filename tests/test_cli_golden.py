@@ -25,9 +25,11 @@ SETUP = [
 GOLDEN_CASES = {
     "validate-ok": ["validate", "p7.json", "p4.json"],
     "validate-invalid": ["validate", "p7.json", "bad.json"],
+    "validate-missing-file": ["validate", "p7.json", "missing.json"],
     "build-ok": ["build", "--family", "action", "--group", "cyclic:4", "--points", "8",
                  "--out", "z4.json"],
     "build-input": ["build", "--family", "pair", "--out", "x.json"],
+    "build-bad-family": ["build", "--family", "ring", "--out", "x.json"],
     "build-pair-empty": ["build", "--family", "pair", "--n", "0", "--out", "x.json"],
     "build-graphing-none": ["build", "--family", "action", "--group", "cyclic:4",
                             "--out", "x.json", "--graphing-out", "x.g.json"],
@@ -36,6 +38,8 @@ GOLDEN_CASES = {
     "dad-incomplete": ["dad", "p7.json", "--graphing", "p7.g.json", "--d-max", "0",
                        "--mode", "greedy"],
     "dad-input": ["dad", "p7.json", "--k-spec", "nonsense"],
+    "dad-unknown-option": ["dad", "p7.json", "--grap", "p7.g.json"],
+    "dad-bad-int": ["dad", "p7.json", "--d-max", "x"],
     "recheck-certified": ["dad", "p7.json", "--recheck", "wit/dad-witness.json"],
     "recheck-rejected": ["dad", "p7.json", "--recheck", "raised.json"],
     "recheck-input": ["dad", "p4.json", "--recheck", "wit/dad-witness.json"],
@@ -90,6 +94,11 @@ GOLDEN = {
         "",
         1,
     ),
+    "validate-missing-file": (
+        [],
+        "Error: bad PATH value 'missing.json': no such file or directory\n",
+        2,
+    ),
     "build-ok": (
         [
             "z4.json\tbuild\taction\tok\t-",
@@ -100,6 +109,12 @@ GOLDEN = {
     "build-input": (
         [],
         "Error: --family pair needs --n\n",
+        2,
+    ),
+    "build-bad-family": (
+        [],
+        "Error: bad --family value 'ring': not one of "
+        "pair, action, partial, tree, product, blowup\n",
         2,
     ),
     "build-pair-empty": (
@@ -137,6 +152,16 @@ GOLDEN = {
     "dad-input": (
         [],
         "Error: unrecognized set spec 'nonsense'\n",
+        2,
+    ),
+    "dad-unknown-option": (
+        [],
+        "Error: unrecognized arguments: --grap p7.g.json\n",
+        2,
+    ),
+    "dad-bad-int": (
+        [],
+        "Error: bad --d-max value 'x': not an integer\n",
         2,
     ),
     "recheck-certified": (

@@ -14,8 +14,8 @@ import grpdim
 
 SRC = str(Path(grpdim.__file__).resolve().parents[1])
 
-# Runs ``grpdim ARGS`` as ``python -m grpdim.cli`` does, then prints the
-# grpdim modules the interpreter loaded as its last stdout line.
+# Runs ``grpdim ARGS`` as ``python -m grpdim.cli`` does, then prints every
+# module the interpreter loaded as its last stdout line.
 PROBE = """\
 import json, runpy, sys
 sys.argv = ["grpdim", *sys.argv[1:]]
@@ -24,22 +24,33 @@ try:
     runpy.run_module("grpdim.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "grpdim")]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 ABOVE_TABLES = ("grpdim._search", "grpdim.covers", "grpdim.dad", "grpdim.coarse",
                 "grpdim.pipelines", "grpdim.artifacts", "grpdim.setspec")
 
 
-def loaded(*args, cwd):
-    """Exit code and grpdim modules of one command in a fresh interpreter."""
+def python(code, *args, cwd=None):
+    """The stdout of ``python -c CODE ARGS`` with the tested package first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-c", PROBE, *args], capture_output=True,
+    res = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                          text=True, cwd=cwd, env=env)
     assert res.returncode == 0, res.stderr
-    code, modules = json.loads(res.stdout.splitlines()[-1])
+    return res.stdout
+
+
+def probe(*args, cwd):
+    """Exit code and every module of one command in a fresh interpreter."""
+    code, modules = json.loads(python(PROBE, *args, cwd=cwd).splitlines()[-1])
     return code, set(modules)
+
+
+def loaded(*args, cwd):
+    """Exit code and grpdim modules of one command in a fresh interpreter."""
+    code, modules = probe(*args, cwd=cwd)
+    return code, {m for m in modules if m.split(".")[0] == "grpdim"}
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +109,38 @@ def test_a_theorem_loads_its_pipeline(workdir):
                            cwd=workdir)
     assert code == 0
     assert set(ABOVE_TABLES) <= modules
+
+
+# Per command: its arguments, then the packages it may not load beyond those
+# that ``python -c pass`` loads.  No command loads click; the table commands
+# load no dataclasses, nor inspect, which dataclasses imports.
+START_UP = {
+    "help": (["--help"], {"click"}),
+    "validate": (["validate", "p6.json"], {"click", "dataclasses", "inspect"}),
+    "build-action": (["build", "--family", "action", "--group", "cyclic:8", "--out", "z8.json"],
+                     {"click", "dataclasses", "inspect"}),
+    "build-blowup": (["build", "--family", "blowup", "--path", "p6.json", "--out", "b6.json"],
+                     {"click", "dataclasses", "inspect"}),
+    "dad": (["dad", "p6.json", "--graphing", "p6.g.json"], {"click"}),
+    "recheck": (["dad", "p6.json", "--recheck", "w/dad-witness.json"], {"click"}),
+    "asdim": (["asdim", "p6.json", "--mode", "tree:1", "--graphing", "p6.g.json"], {"click"}),
+    "theorem": (["theorem", "bridge", "--path", "p6.json", "--graphing", "p6.g.json"], {"click"}),
+    "sweep": (["sweep", "p6.json", "--windows", "3-4", "--graphing", "p6.g.json"], {"click"}),
+}
+
+
+@pytest.fixture(scope="module")
+def bare():
+    """The modules of ``python -c pass``, which site hooks make differ by host."""
+    return set(python("import sys; print(*sys.modules)").split())
+
+
+@pytest.mark.parametrize("command", list(START_UP))
+def test_start_up_loads_no_barred_package(workdir, bare, command):
+    args, barred = START_UP[command]
+    code, modules = probe(*args, cwd=workdir)
+    assert code == 0
+    assert not barred & {m.split(".")[0] for m in modules - bare}
 
 
 EXPORTS = sorted([
