@@ -12,8 +12,11 @@ greedy search found nothing, which refutes nothing; the row reads
 ``incomplete``).  Exit codes are decided in one place, ``_Main.invoke``.
 The parser finds a bad option (an unknown one or a prefix of one, a missing
 one, a value of the wrong kind, a path that does not exist) before the
-command runs.  Artifacts never contain timing, so repeated runs are
-byte-identical; wall time appears only in the stdout report row.
+command runs.  Each theorem (``theorem product|union|morita|bridge``) is a
+sub-command that declares exactly the options it reads, so an option it
+does not read is an unknown one, whatever its value.  Artifacts never
+contain timing, so repeated runs are byte-identical; wall time appears only
+in the stdout report row.
 
 At module level this imports only the standard library's ``argparse`` and the
 table layer (``groupoid`` and ``builders``); each command imports the layers
@@ -148,7 +151,9 @@ class _Main:
         self.commands: dict[str, _Command] = {}
 
     def command(self, name: str, *arguments):
-        """Register the decorated function as the command ``name``."""
+        """Register the decorated function as the command ``name``.  A name
+        of two words, ``"group which"``, is the sub-command ``which`` of
+        ``group``, and the function receives ``which``."""
 
         def register(callback):
             self.commands[name] = _Command(callback, arguments)
@@ -156,21 +161,38 @@ class _Main:
 
         return register
 
-    def parser(self, prog: str) -> argparse.ArgumentParser:
+    def parser(self, prog: str, args: list[str]) -> argparse.ArgumentParser:
+        """A sub-parser for every command, but arguments, and a group's
+        sub-parsers, only for the command that ``args`` names: a child runs
+        one command, and the others' would cost its start-up time."""
         # allow_abbrev=False: an option's prefix is an unknown option
         parser = _Parser(prog=prog, description=self.description, allow_abbrev=False)
-        sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+        levels = {"": parser.add_subparsers(dest="command", metavar="COMMAND", required=True)}
         for name, command in self.commands.items():
-            cmd = sub.add_parser(name, help=command.help, description=command.help,
-                                 allow_abbrev=False)
-            for names, kwargs in command.arguments:
-                cmd.add_argument(*names, **kwargs)
+            group, _, which = name.rpartition(" ")
+            if group not in levels:  # a group's first sub-command lists the group
+                cmd = levels[""].add_parser(group, help=command.help, description=command.help,
+                                            allow_abbrev=False)
+                named = args[:1] == [group]
+                levels[group] = cmd.add_subparsers(dest="which", metavar=group.upper(),
+                                                   required=True) if named else None
+            if levels[group] is None:
+                continue
+            cmd = levels[group].add_parser(which, help=command.help, description=command.help,
+                                           allow_abbrev=False)
+            if args[:name.count(" ") + 1] == name.split():
+                for names, kwargs in command.arguments:
+                    cmd.add_argument(*names, **kwargs)
         return parser
 
     def invoke(self, args, prog: str) -> int:
+        args = list(sys.argv[1:] if args is None else args)
         try:
-            options = vars(self.parser(prog).parse_args(args))
-            return self.commands[options.pop("command")].callback(**options)
+            options = vars(self.parser(prog, args).parse_args(args))
+            name = options.pop("command")
+            if name not in self.commands:  # a group: the sub-command names the rest
+                name += " " + options["which"]
+            return self.commands[name].callback(**options)
         except GroupoidError as exc:
             if _refutation(exc):
                 print(f"grpdim: refuted: {exc}", file=sys.stderr)
@@ -236,6 +258,7 @@ def cmd_validate(paths):
 def cmd_build(family, n, group, points, trivial_action, shape, left, right,
               path, multiplicity, out, graphing_out):
     """Build an instance file (and optionally a graphing sidecar)."""
+    started = time.monotonic()
     if graphing_out and family not in ("pair", "tree"):
         raise InputError(f"--family {family} defines no graphing for --graphing-out")
     graphing = None
@@ -278,7 +301,7 @@ def cmd_build(family, n, group, points, trivial_action, shape, left, right,
     builders.save(g, out)
     if graphing_out:
         builders.save_graphing(graphing, graphing_out)
-    print(f"{out}\tbuild\t{family}\tok\t-\t0")
+    _row(out, "build", family, "ok", None, started)
     return EXIT_OK
 
 
@@ -385,88 +408,48 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
     return EXIT_OK
 
 
-# Per theorem: the options it needs, then the others it reads.  All read --out.
-_THEOREM_OPTIONS = {
-    "product": (("left", "right"), ("graphing", "left_graphing", "right_graphing",
-                                    "k_spec", "l_power", "d_max", "refute_units")),
-    "union": (("path", "parts"), ("graphing", "k_spec", "l_power", "d_max")),
-    "morita": (("path",), ("graphing", "k_spec", "l_spec", "d_max", "multiplicity")),
-    "bridge": (("path",), ("graphing", "k_spec", "l_spec", "d_max")),
-}
-# The parser leaves a theorem option None until it is given, so one given
-# at its default value still counts as given.
-_THEOREM_DEFAULTS = {"k_spec": "ball:1", "l_spec": "power:K:2", "l_power": 2, "d_max": 2,
-                     "multiplicity": 2}
+_GRAPHING = _arg("--graphing", check=_existing)
+_K_SPEC = _arg("--k-spec", default="ball:1", help=_DEFAULT)
+_L_SPEC = _arg("--l-spec", default="power:K:2", help=_DEFAULT)
+_L_POWER = _arg("--l-power", check=_parse_int, default=2, help=_DEFAULT)
+_D_MAX = _arg("--d-max", check=_parse_int, default=2, help=_DEFAULT)
+_PATH = _arg("--path", required=True, check=_existing)
+_OUT = _arg("--out")
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
+def cmd_theorem(which, out, graphing, k_spec, d_max, **o):
+    """Run a permanence pipeline end to end and certify the inequality.
 
-
-def _theorem_options(which: str, options: dict) -> argparse.Namespace:
-    """The options with their defaults.  Missing an option the theorem
-    needs, or given one it does not read: exit 2."""
-    needs, reads = _THEOREM_OPTIONS[which]
-    if not all(options[name] for name in needs):
-        raise InputError(f"{which} needs {' and '.join(map(_flag, needs))}")
-    unread = [_flag(name) for name, value in options.items()
-              if value is not None and name not in (*needs, *reads)]
-    if unread:
-        raise InputError(f"{which} does not read {', '.join(unread)}")
-    return argparse.Namespace(**{name: _THEOREM_DEFAULTS.get(name) if value is None else value
-                                 for name, value in options.items()})
-
-
-@main.command(
-    "theorem",
-    _arg("which", metavar="THEOREM", choices=tuple(_THEOREM_OPTIONS), help="%(choices)s"),
-    _arg("--path", check=_existing),
-    _arg("--left", check=_existing),
-    _arg("--right", check=_existing),
-    _arg("--graphing", check=_existing),
-    _arg("--left-graphing", check=_existing),
-    _arg("--right-graphing", check=_existing),
-    _arg("--k-spec", help=f"default: {_THEOREM_DEFAULTS['k_spec']}"),
-    _arg("--l-spec", help=f"default: {_THEOREM_DEFAULTS['l_spec']}"),
-    _arg("--l-power", check=_parse_int, help=f"default: {_THEOREM_DEFAULTS['l_power']}"),
-    _arg("--d-max", check=_parse_int, help=f"default: {_THEOREM_DEFAULTS['d_max']}"),
-    _arg("--parts", help="unit ranges, e.g. 0-6;7-12"),
-    _arg("--multiplicity", check=_parse_int,
-         help=f"default: {_THEOREM_DEFAULTS['multiplicity']}"),
-    _arg("--refute-units", help="unit list/range for the refutation stage"),
-    _arg("--out"),
-)
-def cmd_theorem(which, out, **options):
-    """Run a permanence pipeline end to end and certify the inequality."""
+    All four theorems declare the named options; ``o`` holds the others
+    that ``which`` declares below."""
     from . import artifacts
     from .pipelines import bridge_theorem, morita_theorem, product_theorem, union_theorem
     from .setspec import parse_arrow_spec
 
     started = time.monotonic()
-    o = _theorem_options(which, options)
     if which == "product":
-        gl, gl_graph = _load(o.left, o.left_graphing or o.graphing)
-        gr_, gr_graph = _load(o.right, o.right_graphing or o.graphing)
-        k_l = parse_arrow_spec(gl, o.k_spec, graphing=gl_graph)
-        k_r = parse_arrow_spec(gr_, o.k_spec, graphing=gr_graph)
+        gl, gl_graph = _load(o["left"], o["left_graphing"] or graphing)
+        gr_, gr_graph = _load(o["right"], o["right_graphing"] or graphing)
+        k_l = parse_arrow_spec(gl, k_spec, graphing=gl_graph)
+        k_r = parse_arrow_spec(gr_, k_spec, graphing=gr_graph)
         n = gl.n_units * gr_.n_units  # the product's units
-        units = _parse_units(o.refute_units, "--refute-units", n) if o.refute_units else None
-        report = product_theorem(gl, k_l, gr_, k_r, o.l_power, o.d_max, units)
-        instance = f"{o.left}|{o.right}"
+        units = _parse_units(o["refute_units"], "--refute-units", n) if o["refute_units"] else None
+        report = product_theorem(gl, k_l, gr_, k_r, o["l_power"], d_max, units)
+        instance = f"{o['left']}|{o['right']}"
     else:
-        g, gr0 = _load(o.path, o.graphing)
+        instance = o["path"]
+        g, gr0 = _load(instance, graphing)
         if which == "union":
             part_sets = [g.unit_set(_parse_units(p, "--parts", g.n_units))
-                         for p in o.parts.split(";")]
-            k_set = parse_arrow_spec(g, o.k_spec, graphing=gr0)
-            report = union_theorem(g, part_sets, k_set, o.l_power, o.d_max)
+                         for p in o["parts"].split(";")]
+            k_set = parse_arrow_spec(g, k_spec, graphing=gr0)
+            report = union_theorem(g, part_sets, k_set, o["l_power"], d_max)
         else:
-            k_set, l_set = _specs(g, o.k_spec, o.l_spec, gr0)
+            k_set, l_set = _specs(g, k_spec, o["l_spec"], gr0)
             if which == "morita":
-                report = morita_theorem(g, o.multiplicity, k_set, l_set, o.d_max)
+                report = morita_theorem(g, o["multiplicity"], k_set, l_set, d_max)
             else:
-                report = bridge_theorem(g, k_set, l_set, o.d_max)
-        instance = o.path
+                report = bridge_theorem(g, k_set, l_set, d_max)
 
     for name, obj in report["artifacts"].items():
         artifacts.write(out, f"{which}-{name}.json", obj)
@@ -476,8 +459,24 @@ def cmd_theorem(which, out, **options):
     result = f"d={report.get('d')};certified={certified}"
     if "refuted_below" in report:
         result += f";refuted_below={report['refuted_below']}"
-    _row(instance, f"theorem-{which}", f"k={o.k_spec}", result, spath, started)
+    _row(instance, f"theorem-{which}", f"k={k_spec}", result, spath, started)
     return EXIT_OK if certified else EXIT_REFUTED
+
+
+# Each theorem declares exactly the options it reads, as README's table lists them.
+main.command("theorem product", _arg("--left", required=True, check=_existing),
+             _arg("--right", required=True, check=_existing), _GRAPHING,
+             _arg("--left-graphing", check=_existing), _arg("--right-graphing", check=_existing),
+             _K_SPEC, _L_POWER, _D_MAX,
+             _arg("--refute-units", help="unit list/range for the refutation stage"),
+             _OUT)(cmd_theorem)
+main.command("theorem union", _PATH, _arg("--parts", required=True,
+                                          help="unit ranges, e.g. 0-6;7-12"),
+             _GRAPHING, _K_SPEC, _L_POWER, _D_MAX, _OUT)(cmd_theorem)
+main.command("theorem morita", _PATH, _GRAPHING, _K_SPEC, _L_SPEC, _D_MAX,
+             _arg("--multiplicity", check=_parse_int, default=2, help=_DEFAULT),
+             _OUT)(cmd_theorem)
+main.command("theorem bridge", _PATH, _GRAPHING, _K_SPEC, _L_SPEC, _D_MAX, _OUT)(cmd_theorem)
 
 
 def _parse_units(text: str, option: str, n: "int | None" = None) -> list[int]:

@@ -31,7 +31,6 @@ from .groupoid import (
     symmetrize,
     translate,
     transversal,
-    unit_graph,
 )
 
 
@@ -280,7 +279,7 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
     for (k, x, _), mask in sources.items():
         family_sources[k % 2, x] = family_sources.get((k % 2, x), 0) | mask
         annulus_sources[k, x] = annulus_sources.get((k, x), 0) | mask
-    adj = unit_graph(g, graphing.q)
+    adj = graphing.adjacency
     min_separation = None
     min_same_annulus = None
     # a family's classes in one fiber are disjoint and g is principal, so

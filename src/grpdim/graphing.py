@@ -51,6 +51,7 @@ class Graphing:
         self._balls: list[ArrowSet] = [ArrowSet(owner, owner.units_mask)]
         self.lengths = self._compute_lengths()
         self.treeable, self.failure = self._check_treeable()
+        self.adjacency = unit_graph(owner, q_set)  # per unit, its neighbours' mask
         self._paths: dict[int, list[int]] = {}
 
     def _compute_lengths(self) -> tuple[int, ...]:
@@ -117,14 +118,13 @@ class Graphing:
         root = g.rng[a]
         parents = self._paths.get(root)
         if parents is None:
-            adj = unit_graph(g, self.q)
             parents = [-1] * g.n_units
             parents[root] = root
             frontier = [root]
             while frontier:
                 nxt = []
                 for u in frontier:
-                    for v in iter_bits(adj[u]):
+                    for v in iter_bits(self.adjacency[u]):
                         if parents[v] == -1:
                             parents[v] = u
                             nxt.append(v)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -628,33 +629,77 @@ def test_dispatcher_runs_a_swapped_in_callback(instances, monkeypatch, capsys):
     assert calls == [{"paths": [p7]}]
 
 
-# Per theorem, options it reads, then options it does not read and the error's
-# list of them: an unread option is an input error that names it.
+# Per theorem, options it reads, then options it does not read: the parser
+# rejects an option a theorem does not declare as an unrecognized argument.
 UNREAD_OPTIONS = {
     "product": (["--left", "{p7}", "--right", "{p7}", "--graphing", "{p7g}"],
-                ["--l-spec", "all"], "--l-spec"),
+                ["--l-spec", "all"]),
     "union": (["--path", "{p7}", "--graphing", "{p7g}", "--parts", "0-3;4-6"],
-              ["--multiplicity", "3"], "--multiplicity"),
-    "morita": (["--path", "{p7}", "--graphing", "{p7g}"], ["--l-power", "7"], "--l-power"),
-    "bridge": (["--path", "{p7}", "--graphing", "{p7g}"], ["--l-power", "7", "--parts", "junk"],
-               "--l-power, --parts"),
+              ["--multiplicity", "3"]),
+    "morita": (["--path", "{p7}", "--graphing", "{p7g}"], ["--l-power", "7"]),
+    "bridge": (["--path", "{p7}", "--graphing", "{p7g}"], ["--l-power", "7", "--parts", "junk"]),
 }
 
 
 @pytest.mark.parametrize("which", list(UNREAD_OPTIONS))
 def test_theorem_rejects_options_it_does_not_read(instances, which):
     paths = {"p7": instances / "p7.json", "p7g": instances / "p7.graphing.json"}
-    reads, unread, named = UNREAD_OPTIONS[which]
+    reads, unread = UNREAD_OPTIONS[which]
     args = ["theorem", which, *[a.format(**paths) for a in reads], "--d-max", "0"]
     res = run_cli(*args, *unread)
     assert res.returncode == 2 and res.stdout == ""
-    assert res.stderr == f"Error: {which} does not read {named}\n"
-    # given its default value, the option still counts as given
+    assert res.stderr == f"Error: unrecognized arguments: {' '.join(unread)}\n"
+    # given at the value another theorem reads by default, it is still rejected
     default = {"--l-spec": "power:K:2", "--multiplicity": "2", "--l-power": "2"}[unread[0]]
     res = run_cli(*args, unread[0], default)
-    assert res.returncode == 2 and res.stderr.startswith(f"Error: {which} does not read ")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == f"Error: unrecognized arguments: {unread[0]} {default}\n"
     # without it, the theorem runs: refuted at d_max 0, or certified
     assert run_cli(*args).returncode in (0, 1)
+
+
+def readme_theorem_options():
+    """README's theorem table: per theorem, the options it needs and all it
+    reads, ``--out`` included, which the sentence above the table gives all
+    four."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("Each theorem reads its own options, and all four read `--out`:\n", 1)[1]
+    table = {}
+    for row in section.strip().split("\n\n", 1)[0].splitlines()[2:]:  # below the header
+        which, needs, reads = (re.findall(r"`([^`]+)`", cell) for cell in row.strip("|").split("|"))
+        table[which[0]] = (set(needs), {*needs, *reads, "--out"})
+    return table
+
+
+def theorem_parser(which):
+    """The sub-parser of ``theorem WHICH``, as a child that runs it builds it."""
+    import argparse
+
+    import grpdim.cli as cli
+
+    parser = cli.main.parser("grpdim", ["theorem", which])
+    for word in ("theorem", which):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    return parser
+
+
+def test_theorem_sub_commands_declare_readme_table():
+    table = readme_theorem_options()
+    assert list(table) == ["product", "union", "morita", "bridge"]
+    for which, (needs, reads) in table.items():
+        declared = {option: action.required for action in theorem_parser(which)._actions
+                    for option in action.option_strings if option not in ("-h", "--help")}
+        assert set(declared) == reads, which
+        assert {option for option, required in declared.items() if required} == needs, which
+
+
+@pytest.mark.parametrize("which", ["product", "union", "morita", "bridge"])
+def test_theorem_help_names_only_its_options(capsys, which):
+    _, reads = readme_theorem_options()[which]
+    res = invoke(capsys, ["theorem", which, "--help"])
+    assert res.exit_code == 0 and res.stderr == ""
+    assert set(re.findall(r"--[a-z-]+", res.stdout)) == reads | {"--help"}
 
 
 def readme_cli_commands():

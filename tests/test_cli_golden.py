@@ -269,7 +269,7 @@ GOLDEN = {
     ),
     "product-input": (
         [],
-        "Error: product needs --left and --right\n",
+        "Error: the following arguments are required: --right\n",
         2,
     ),
     "union-certified": (
@@ -281,7 +281,7 @@ GOLDEN = {
     ),
     "union-input": (
         [],
-        "Error: union needs --path and --parts\n",
+        "Error: the following arguments are required: --parts\n",
         2,
     ),
     "morita-certified": (
@@ -315,7 +315,7 @@ GOLDEN = {
     ),
     "bridge-input": (
         [],
-        "Error: bridge needs --path\n",
+        "Error: the following arguments are required: --path\n",
         2,
     ),
     "sweep-ok": (
