@@ -87,6 +87,8 @@ def _parse_int(text: str, option: str) -> int:
 
 
 def _existing(text: str, label: str) -> str:
+    if not text:  # Path("") is the working directory
+        raise InputError(f"bad {label} value '': empty path")
     if not Path(text).exists():
         raise InputError(f"bad {label} value {text!r}: no such file or directory")
     return text
@@ -125,14 +127,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Command:
-    """A command's parser arguments and ``callback``, the function that runs
-    it; ``_Main`` reads ``callback`` at every call, so a wrapper put in its
-    place (the benchmark's tracer does this) runs instead."""
+    """A command's parser arguments, help line and ``callback``, the function
+    that runs it; ``_Main`` reads ``callback`` at every call, so a wrapper put
+    in its place (the benchmark's tracer does this) runs instead."""
 
-    def __init__(self, callback, arguments):
+    def __init__(self, callback, arguments, help):
         self.callback = callback
         self.arguments = arguments
-        self.help = callback.__doc__.splitlines()[0]
+        self.doc = callback.__doc__.splitlines()[0]  # a group's line, for a sub-command
+        self.help = help or self.doc
 
 
 class _Main:
@@ -150,13 +153,14 @@ class _Main:
         self.description = description
         self.commands: dict[str, _Command] = {}
 
-    def command(self, name: str, *arguments):
+    def command(self, name: str, *arguments, help=None):
         """Register the decorated function as the command ``name``.  A name
         of two words, ``"group which"``, is the sub-command ``which`` of
-        ``group``, and the function receives ``which``."""
+        ``group``, and the function receives ``which``.  ``help`` replaces
+        the first line of its docstring as the command's help line."""
 
         def register(callback):
-            self.commands[name] = _Command(callback, arguments)
+            self.commands[name] = _Command(callback, arguments, help)
             return callback
 
         return register
@@ -171,7 +175,7 @@ class _Main:
         for name, command in self.commands.items():
             group, _, which = name.rpartition(" ")
             if group not in levels:  # a group's first sub-command lists the group
-                cmd = levels[""].add_parser(group, help=command.help, description=command.help,
+                cmd = levels[""].add_parser(group, help=command.doc, description=command.doc,
                                             allow_abbrev=False)
                 named = args[:1] == [group]
                 levels[group] = cmd.add_subparsers(dest="which", metavar=group.upper(),
@@ -463,20 +467,23 @@ def cmd_theorem(which, out, graphing, k_spec, d_max, **o):
     return EXIT_OK if certified else EXIT_REFUTED
 
 
-# Each theorem declares exactly the options it reads, as README's table lists them.
+# Each theorem declares exactly the options it reads, as README's table
+# lists them, and its help line names the estimate it certifies.
 main.command("theorem product", _arg("--left", required=True, check=_existing),
              _arg("--right", required=True, check=_existing), _GRAPHING,
              _arg("--left-graphing", check=_existing), _arg("--right-graphing", check=_existing),
              _K_SPEC, _L_POWER, _D_MAX,
              _arg("--refute-units", help="unit list/range for the refutation stage"),
-             _OUT)(cmd_theorem)
+             _OUT, help="Certify dad(G x H) <= dad(G) + dad(H) at window scale.")(cmd_theorem)
 main.command("theorem union", _PATH, _arg("--parts", required=True,
                                           help="unit ranges, e.g. 0-6;7-12"),
-             _GRAPHING, _K_SPEC, _L_POWER, _D_MAX, _OUT)(cmd_theorem)
+             _GRAPHING, _K_SPEC, _L_POWER, _D_MAX, _OUT,
+             help="Certify dad(G) <= max dad of the parts of a clopen partition.")(cmd_theorem)
 main.command("theorem morita", _PATH, _GRAPHING, _K_SPEC, _L_SPEC, _D_MAX,
              _arg("--multiplicity", check=_parse_int, default=2, help=_DEFAULT),
-             _OUT)(cmd_theorem)
-main.command("theorem bridge", _PATH, _GRAPHING, _K_SPEC, _L_SPEC, _D_MAX, _OUT)(cmd_theorem)
+             _OUT, help="Certify dad(G) = dad of a blow-up of G (Morita invariance).")(cmd_theorem)
+main.command("theorem bridge", _PATH, _GRAPHING, _K_SPEC, _L_SPEC, _D_MAX, _OUT,
+             help="Certify asdim(G) <= dad(G) and dad(G) back from asdim.")(cmd_theorem)
 
 
 def _parse_units(text: str, option: str, n: "int | None" = None) -> list[int]:

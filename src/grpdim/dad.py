@@ -19,8 +19,10 @@ from .groupoid import (
     Groupoid,
     GroupoidError,
     UnitSet,
-    _close,
+    _fiber,
+    _orbit,
     _same_owner,
+    arrows_within,
     compose_sets,
     generated,
     is_principal,
@@ -115,39 +117,40 @@ def _principal_tables(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet):
     return adj, ok
 
 
-def _generic_try_add(g, k_mask, l_mask, state, u):
-    units, srcm, rngm, closure = state
-    srcm2 = srcm | g.by_src[u]
-    rngm2 = rngm | g.by_rng[u]
-    seeds = k_mask & ((g.by_src[u] & rngm2) | (g.by_rng[u] & srcm2)) & ~closure
-    els = _close(g, seeds, closure, l_mask)
-    return None if els is None else (units | 1 << u, srcm2, rngm2, els)
+def _generic_try_add(g, steps, l_mask, units, u):
+    """The class ``units`` with u added, or None if K (``steps``, with its
+    inverses) generates outside L on it.  Only the orbit through u changes,
+    and only if a K-arrow inside the class touches u; its fiber is checked first."""
+    units |= 1 << u
+    if not any(units >> g.rng[a] & 1 for a in iter_bits(steps & g.by_src[u])):
+        return units
+    fiber = _fiber(g, u, steps & arrows_within(g, UnitSet(g, units)).mask)
+    return None if fiber & ~l_mask or _orbit(g, fiber) & ~l_mask else units
 
 
 def _generic_search(
     g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, d: int, mode: str, order=None
 ):
-    """Closure-tracking partition search for arbitrary (possibly non-principal) groupoids.
+    """Partition search for arbitrary (possibly non-principal) groupoids.
 
-    A class state is ``(units, sources, ranges, closure)``: its unit mask,
-    the arrows with source or range in it, and the subgroupoid its K-arrows
-    generate, which must stay inside L.  Exact mode refutes in ``order``
-    (default: ``compact_order`` of K's ``unit_graph``) and takes a solution
-    from the id-order run, as ``partition_search`` does.  It stores no
-    failed states, so ``kl_dad_search`` calls it only at a d whose principal
-    shadow has a solution; there the obstruction, if any, is isotropy.
+    A class state is its unit mask, feasible while the subgroupoid its
+    K-arrows generate stays inside L; K is joined with its inverses once per
+    search.  Exact mode refutes in ``order`` (default: ``compact_order`` of
+    K's ``unit_graph``) and takes a solution from the id-order run, as
+    ``partition_search`` does.  It stores no failed states, so
+    ``kl_dad_search`` calls it only at a d whose principal shadow has a
+    solution; there the obstruction, if any, is isotropy.
     """
-    k_mask, l_mask = k_set.mask, l_set.mask
+    steps, l_mask = k_set.mask | k_set.inverse().mask, l_set.mask
 
     def run(units):
         return class_search(
-            units, d + 1, (0, 0, 0, 0), lambda s, u: _generic_try_add(g, k_mask, l_mask, s, u), mode
+            units, d + 1, 0, lambda s, u: _generic_try_add(g, steps, l_mask, s, u), mode
         )
 
     if mode == "exact" and order is None:
         order = compact_order(g.n_units, unit_graph(g, k_set))
-    states = refute_then_witness(run, g.n_units, order, mode)
-    return None if states is None else [s[0] for s in states]
+    return refute_then_witness(run, g.n_units, order, mode)
 
 
 def kl_dad_search(

@@ -409,53 +409,46 @@ def unit_graph(g: Groupoid, k_set: ArrowSet) -> list[int]:
 def generated(k: ArrowSet, units: UnitSet) -> ArrowSet:
     """Subgroupoid generated by the arrows of ``k`` with both endpoints in ``units``.
 
-    Computed as the closure fixpoint of the seed set under inversion and
-    all defined compositions.
+    Read orbit by orbit from the fiber at the least unit of each orbit that
+    those arrows touch (:func:`_fiber`, :func:`_orbit`).
     """
     _same_owner(k.owner, units.owner)
     g = k.owner
-    return ArrowSet(g, _close(g, (k & arrows_within(g, units)).mask, 0, g.arrows_mask))
+    steps = _steps(g, k, units)
+    out = 0
+    for x in units:
+        if not out >> x & 1 and steps & g.by_rng[x]:
+            out |= _orbit(g, _fiber(g, x, steps))
+    return ArrowSet(g, out)
 
 
-def _close(g: Groupoid, seeds: int, els: int, limit: int) -> "int | None":
-    """Closure of the arrow mask ``els | seeds`` under inversion and composition.
+def _steps(g: Groupoid, k: ArrowSet, units: UnitSet) -> int:
+    """The arrow mask of ``k``'s arrows with both endpoints in ``units``, and their inverses."""
+    inside = (k & arrows_within(g, units)).mask
+    return inside | ArrowSet(g, inside).inverse().mask
 
-    ``els`` must already be closed, so only products with an arrow of
-    ``seeds`` or a later one are formed.  Returns None as soon as the
-    closure leaves the arrow mask ``limit``.
-    """
-    els |= seeds
-    if els & ~limit:
-        return None
-    src, rng, inv, by_src, by_rng = g.src, g.rng, g.inv, g.by_src, g.by_rng
-    label, pos, at, table = g.label, g.pos, g.at, g.table
-    queue = list(iter_bits(seeds))
-    for x in queue:  # the queue grows while it is read
-        y = inv[x]
-        if not els >> y & 1:
-            if not limit >> y & 1:
-                return None
-            els |= 1 << y
-            queue.append(y)
-        u = rng[x]
-        rows, tab = at[u], table[u]
-        hx = tab[label[x]]
-        for y in iter_bits(by_rng[src[x]] & els):
-            c = rows[hx[label[y]]][pos[src[y]]]
-            if not els >> c & 1:
-                if not limit >> c & 1:
-                    return None
-                els |= 1 << c
-                queue.append(c)
-        lx, px = label[x], pos[src[x]]
-        for y in iter_bits(by_src[u] & els):
-            c = at[rng[y]][tab[label[y]][lx]][px]
-            if not els >> c & 1:
-                if not limit >> c & 1:
-                    return None
-                els |= 1 << c
-                queue.append(c)
-    return els
+
+def _fiber(g: Groupoid, x: int, steps: int) -> int:
+    """The arrow mask of the range fiber H^x of the subgroupoid H that the
+    unit x and the symmetric arrow mask ``steps`` generate: {x} closed under
+    right multiplication by ``steps``, one :func:`translate` per arrow of H^x."""
+    fiber = 1 << x
+    queue = [x]
+    for h in queue:  # the queue grows while it is read
+        new = translate(g, h, steps) & ~fiber
+        fiber |= new
+        queue.extend(iter_bits(new))
+    return fiber
+
+
+def _orbit(g: Groupoid, fiber: int) -> int:
+    """The arrow mask of the orbit X×S×X of H, read from its fiber H^x: it is
+    b⁻¹·H^x over one b in H^x per unit of X (Brandt), one :func:`translate` each."""
+    out = 0
+    for b in iter_bits(fiber):
+        if not out >> g.src[b] & 1:  # b⁻¹·H^x holds the unit src b
+            out |= translate(g, g.inv[b], fiber)
+    return out
 
 
 def restrict(g: Groupoid, units: UnitSet) -> Groupoid:
@@ -522,29 +515,20 @@ def orbit_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, int]:
     units of Y, the arrow mask of its range fiber at the least unit of each
     H-orbit in Y, by unit.
 
-    H is the set of words in those arrows and their inverses, so its fiber
-    at x is the closure of {x} under right multiplication by them, and the
-    H-orbit of x is the set of sources of that fiber.  Units of Y are taken
-    in increasing order, and a unit that no earlier fiber reaches is the
-    least of its orbit.  Only those fibers are walked, so the cost is their
-    size times the window degree, on any groupoid, principal or not.
+    Units of Y are taken in increasing order, and a unit that no earlier
+    fiber reaches is the least of its orbit; only those fibers are walked,
+    by the walk that :func:`generated` reads (:func:`_fiber`).  So the cost
+    is their size times the window degree, on any groupoid, principal or not.
     """
-    inside = (k_set & arrows_within(g, y)).mask
-    steps = inside | ArrowSet(g, inside).inverse().mask
+    steps = _steps(g, k_set, y)
     fibers = {}
     reached = 0
     for x in y:
         if reached >> x & 1:
             continue
-        fiber = 1 << x
-        queue = [x]
-        for h in queue:  # the queue grows while it is read
-            new = translate(g, h, steps) & ~fiber
-            fiber |= new
-            queue.extend(iter_bits(new))
-        for h in queue:
+        fibers[x] = fiber = _fiber(g, x, steps)
+        for h in iter_bits(fiber):
             reached |= 1 << g.src[h]
-        fibers[x] = fiber
     return fibers
 
 

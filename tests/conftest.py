@@ -2,7 +2,8 @@
 
 The oracles here are deliberately dumb: word enumeration by repeated set
 products, and exhaustive enumeration of color assignments.  They are the
-reference against which the engine's closures and searches are judged.
+reference against which the engine's generated subgroupoids and searches
+are judged.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from grpdim import (
     fiber_gauge,
     from_triples,
     gauge_from,
-    generated,
     kl_dad_check,
     pair_groupoid,
     pair_index,
@@ -36,7 +36,6 @@ from grpdim import (
 )
 from grpdim.coarse import _ef_violation
 from grpdim.groupoid import iter_bits, mask_of
-from grpdim.dad import _generic_try_add
 
 
 # -- generators --------------------------------------------------------------
@@ -368,23 +367,35 @@ def first_fit_search(order, n_classes, empty, try_add):
     return states
 
 
-def recursive_generic_search(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, d: int):
-    """Exact closure-tracking search by plain recursion: the unit masks of
-    the d+1 classes, or None.
+def generated_inside(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet):
+    """The class transition of the generic engine judged by word enumeration:
+    a unit mask with unit u added, or None if ``oracle_generated`` of the
+    grown class leaves L."""
 
-    The same search order and class states as exact
-    ``grpdim.dad._generic_search``, with one recursion level per unit: the
-    oracle for that engine.
+    def try_add(units, u):
+        units |= 1 << u
+        return units if oracle_generated(g, k_set, UnitSet(g, units)) <= l_set else None
+
+    return try_add
+
+
+def recursive_generic_search(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, d: int):
+    """Exact search over generated subgroupoids by plain recursion: the unit
+    masks of the d+1 classes, or None.
+
+    The same search order as exact ``grpdim.dad._generic_search``, with one
+    recursion level per unit and each class judged by ``generated_inside``:
+    the oracle for that engine.
     """
     n = g.n_units
-    k_mask, l_mask = k_set.mask, l_set.mask
+    try_add = generated_inside(g, k_set, l_set)
 
     def dfs(u, states, used):
         if u == n:
             return states
         limit = min(used + 1, d + 1)
         for c in range(limit):
-            ns = _generic_try_add(g, k_mask, l_mask, states[c], u)
+            ns = try_add(states[c], u)
             if ns is None:
                 continue
             nxt = list(states)
@@ -394,8 +405,7 @@ def recursive_generic_search(g: Groupoid, k_set: ArrowSet, l_set: ArrowSet, d: i
                 return res
         return None
 
-    res = dfs(0, [(0, 0, 0, 0)] * (d + 1), 0)
-    return None if res is None else [s[0] for s in res]
+    return dfs(0, [0] * (d + 1), 0)
 
 
 def brute_gauge(g: Groupoid, k_set: ArrowSet) -> Gauge:
@@ -606,12 +616,13 @@ def union_find_treeable(g: Groupoid, q_set: ArrowSet) -> tuple[bool, "str | None
 
 
 def closure_h_fibers(g: Groupoid, y: UnitSet, k_set: ArrowSet) -> dict[int, int]:
-    """H-fibers through the whole generated subgroupoid: H = ``generated(K, Y)``
-    by closure over every arrow, its orbits by union-find, and at the least
-    unit of each orbit in Y the mask of the arrows of H with that range.  The
-    oracle for ``grpdim.groupoid.orbit_fibers``.
+    """H-fibers through the whole generated subgroupoid: H =
+    ``oracle_generated(g, K, Y)`` by word enumeration, its orbits by
+    union-find, and at the least unit of each orbit in Y the mask of the
+    arrows of H with that range.  The oracle for
+    ``grpdim.groupoid.orbit_fibers``.
     """
-    h_arrows = generated(k_set, y)
+    h_arrows = oracle_generated(g, k_set, y)
     uf = UnionFind(g.n_units)
     for a in h_arrows:
         uf.union(g.src[a], g.rng[a])

@@ -610,6 +610,19 @@ def test_parse_errors_are_one_error_line(instances, tmp_path, capsys, args):
     assert not paths["out"].exists()
 
 
+@pytest.mark.parametrize("args, label", [(["validate", ""], "PATH"),
+                                         (["theorem", "bridge", "--path", ""], "--path")])
+def test_empty_path_is_a_bad_value(instances, tmp_path, monkeypatch, capsys, args, label):
+    # Path("") is the working directory: validate would sweep it and exit 0,
+    # and bridge would fail on reading it as a file
+    (tmp_path / "p7.json").write_bytes((instances / "p7.json").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    res = invoke(capsys, args)
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == f"Error: bad {label} value '': empty path\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p7.json"]
+
+
 def test_dispatcher_runs_a_swapped_in_callback(instances, monkeypatch, capsys):
     # a wrapper put in place of a command's callback (the benchmark's tracer
     # puts one there) runs at the next call, with the parsed options
@@ -700,6 +713,27 @@ def test_theorem_help_names_only_its_options(capsys, which):
     res = invoke(capsys, ["theorem", which, "--help"])
     assert res.exit_code == 0 and res.stderr == ""
     assert set(re.findall(r"--[a-z-]+", res.stdout)) == reads | {"--help"}
+
+
+THEOREM_ESTIMATES = {
+    "product": "dad(G x H) <= dad(G) + dad(H)",
+    "union": "dad(G) <= max dad of the parts of a clopen partition",
+    "morita": "dad(G) = dad of a blow-up of G",
+    "bridge": "asdim(G) <= dad(G)",
+}
+
+
+def test_theorem_help_names_each_estimate(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per sub-command
+    res = invoke(capsys, ["theorem", "--help"])
+    assert res.exit_code == 0 and res.stderr == ""
+    lines = dict(line.split(None, 1) for line in res.stdout.splitlines()
+                 if line.split()[:1] and line.split()[0] in THEOREM_ESTIMATES)
+    assert list(lines) == list(THEOREM_ESTIMATES)
+    assert len(set(lines.values())) == len(lines)
+    for which, estimate in THEOREM_ESTIMATES.items():
+        assert estimate in lines[which], which
+        assert estimate in invoke(capsys, ["theorem", which, "--help"]).stdout
 
 
 def readme_cli_commands():

@@ -968,7 +968,7 @@ def test_treeable_rows_shape_and_diameters():
 
 
 def test_h_fibers_match_closure_oracle():
-    # the fiber walk against the closure of the whole generated subgroupoid,
+    # the fiber walk against word enumeration of the whole generated subgroupoid,
     # on groupoids with and without isotropy
     rng = random.Random(43)
     kinds = {True: 0, False: 0}

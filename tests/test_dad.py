@@ -574,7 +574,7 @@ def test_search_monotone_in_both_scales():
 
 
 def test_principal_fast_path_matches_generic_search():
-    # the component-merging fast path and the generic closure search must
+    # the component-merging fast path and the generic search must
     # agree exactly (same lex-least witness) on principal instances
     from grpdim.dad import _generic_search, _principal_tables
     from grpdim._search import partition_search

@@ -408,6 +408,95 @@ def test_generated_equals_bruteforce_small_instances():
         assert compose_sets(got, got) <= got
 
 
+def pair_times_cyclic(n, k):
+    """pair(n) times Z/k acting trivially on one point: one orbit of n units
+    with isotropy Z/k; arrow (a, h) is ``arrow_ids[a][h]``."""
+    return product(pair_groupoid(n), action_groupoid(cyclic_table(k), trivial_perms(k, 1)))
+
+
+def isotropy_arrows(g, aset):
+    return [a for a in aset if g.src[a] == g.rng[a] and not g.is_unit(a)]
+
+
+def test_generated_sees_the_isotropy_of_a_twisted_cycle():
+    # K is a cycle through the units of pair(n) x Z/2 with every edge
+    # labelled 0 but one: K holds no isotropy arrow, yet with the twist the
+    # word once round the cycle is the flip, so K generates all of G
+    n = 6
+    prod = pair_times_cyclic(n, 2)
+    g, ids = prod.groupoid, prod.arrow_ids
+    for twist in (0, 1):
+        edges = [ids[pair_index(n, i, (i + 1) % n)][twist if i == n - 1 else 0] for i in range(n)]
+        k = ArrowSet(g, mask_of(edges))
+        assert not isotropy_arrows(g, k)
+        everywhere = generated(k, g.all_units())
+        assert everywhere == oracle_generated(g, k, g.all_units())
+        assert len(everywhere) == n * n * (1 + twist)
+        assert bool(isotropy_arrows(g, everywhere)) == bool(twist)
+        cut = g.unit_set(range(1, n))  # without unit 0 the cycle is a path
+        assert generated(k, cut) == oracle_generated(g, k, cut)
+        assert len(generated(k, cut)) == (n - 1) ** 2
+        assert not isotropy_arrows(g, generated(k, cut))
+
+
+def test_generated_spreads_isotropy_loops_over_their_orbit():
+    # a path through pair(n) x Z/4 and the loop of label 2 at one unit: the
+    # loop's subgroup {0, 2} reaches every pair of units of the path
+    n = 5
+    prod = pair_times_cyclic(n, 4)
+    g, ids = prod.groupoid, prod.arrow_ids
+    path = [ids[pair_index(n, i, i + 1)][0] for i in range(n - 1)]
+    loop = ids[pair_index(n, 2, 2)][2]
+    k = ArrowSet(g, mask_of(path + [loop]))
+    # by units: 5 units with {0, 2}; 3 with {0, 2}; two principal pairs; the loop
+    for units, size in (([0, 1, 2, 3, 4], 50), ([0, 1, 2], 18), ([0, 1, 3, 4], 8), ([2], 2)):
+        got = generated(k, g.unit_set(units))
+        assert got == oracle_generated(g, k, g.unit_set(units))
+        assert len(got) == size
+    rng = random.Random(5)
+    for _ in range(20):  # random loops and arrows on random isotropic groupoids
+        g = random_groupoid(rng, max_arrows=80)
+        loops = ArrowSet(g, mask_of(isotropy_arrows(g, g.all_arrows())))
+        k = random_arrow_set(rng, g, 0.2) | (loops & random_arrow_set(rng, g, 0.5))
+        u = random_unit_set(rng, g, 0.7)
+        assert generated(k, u) == oracle_generated(g, k, u)
+
+
+def test_generated_without_units_holds_only_touched_units():
+    # K holds no unit: H holds a unit only where an arrow of K inside U
+    # touches it, as a * inv(a)
+    g = pair_groupoid(6)
+    k = ArrowSet(g, mask_of([pair_index(6, 0, 1), pair_index(6, 1, 3), pair_index(6, 4, 5)]))
+    for units, touched, size in ((g.all_units(), [0, 1, 3, 4, 5], 9 + 4),
+                                 (g.unit_set([0, 1, 2, 4]), [0, 1], 4)):
+        got = generated(k, units)
+        assert got == oracle_generated(g, k, units)
+        assert [u for u in units if u in got] == touched
+        assert len(got) == size
+
+
+def test_generated_translates_once_per_fiber_arrow_and_orbit_unit(monkeypatch):
+    # P8 x P8 under K = ball(1) x ball(1) is one principal orbit of 64 units:
+    # 64 translates walk its fiber and 64 read the orbit from it, where a
+    # closure under every product forms arrows x units products
+    ga, gra = tree_window("path", 8)
+    gb, grb = tree_window("path", 8)
+    prod = product(ga, gb)
+    g = prod.groupoid
+    k = symmetrize(prod.lift_sets(gra.ball(1), grb.ball(1)))
+    calls = 0
+    inner = groupoid_module.translate
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(groupoid_module, "translate", counting)
+    assert generated(k, g.all_units()) == g.all_arrows()
+    assert calls == 128
+
+
 def test_set_constructors_reject_out_of_range():
     g = pair_groupoid(3)
     with pytest.raises(GroupoidError):

@@ -11,7 +11,9 @@ from conftest import (
     brute_ef_exists,
     first_fit_search,
     full_try_add,
+    generated_inside,
     naive_compact_order,
+    oracle_generated,
     random_arrow_set,
     random_groupoid,
     recursive_generic_search,
@@ -39,7 +41,7 @@ from grpdim import (
 )
 from grpdim import _search, dad
 from grpdim._search import compact_order, partition_search
-from grpdim.dad import _generic_search, _generic_try_add, _principal_tables
+from grpdim.dad import _generic_search, _principal_tables
 from grpdim.groupoid import iter_bits, mask_of
 
 
@@ -144,8 +146,8 @@ def test_exact_search_matches_recursive_oracle_on_relabelled_grids():
 
 
 def test_generic_search_matches_recursive_oracle():
-    # groupoids with isotropy take the closure-tracking class states; a
-    # random bound need not contain K, so seeds outside L must be refused
+    # groupoids with isotropy take the generic engine's unit-mask states; a
+    # random bound need not contain K, so K-arrows outside L must be refused
     rng = random.Random(11)
     instances = found = refuted = 0
     while instances < 120:
@@ -171,9 +173,9 @@ def test_generic_search_matches_recursive_oracle():
 
 def test_principal_shadow_refutes_only_what_the_closure_refutes():
     # kl_dad_search searches each d on the principal shadow first and runs
-    # the closure engine only where the shadow finds a solution: a shadow
+    # the generic engine only where the shadow finds a solution: a shadow
     # refutation must be a refutation on g, and the least d and its masks
-    # must be those of the closure engine run d by d
+    # must be those of the generic search run d by d
     rng = random.Random(43)
     outcomes = {"shadow refutes": 0, "both find": 0, "closure refutes": 0}
     instances = small = 0
@@ -229,8 +231,8 @@ def test_trivial_isotropy_outside_the_bound_is_found_on_the_shadow_only():
 
 
 def test_searches_match_brute_force_on_small_instances():
-    # the oracles above share the transitions; exhaustive colourings do not,
-    # so a closure that wrongly refuses a class shows up here
+    # the partition oracles above share the engine's transitions; exhaustive
+    # colourings do not, so a transition that wrongly refuses a class shows up here
     rng = random.Random(17)
     counts = {True: [0, 0], False: [0, 0]}  # principal -> [found, refuted]
     while sum(counts[False]) < 200 or sum(counts[True]) < 60:
@@ -376,6 +378,24 @@ def test_greedy_ef_search_is_first_fit():
     assert hits > 800 and gaps > 30 and misses > 15
 
 
+def test_untouched_unit_joins_a_class_whose_bound_lacks_it():
+    # K holds no unit, and a class generates a unit only where a K-arrow
+    # inside it touches it: unit 2, which no arrow of K touches, joins the
+    # one class although L lacks it; with unit 4 out of L too, 5 must leave
+    # 4's class, since the arrow between them makes 4 a unit of the class
+    g = pair_groupoid(6)
+    k_set = ArrowSet(g, mask_of([pair_index(6, 0, 1), pair_index(6, 1, 3), pair_index(6, 4, 5)]))
+    l_set = oracle_generated(g, k_set, g.all_units())
+    assert 2 not in l_set
+    assert _generic_search(g, k_set, l_set, 0, "exact") == [g.units_mask]
+    l_set = l_set - ArrowSet(g, 1 << 4)
+    assert _generic_search(g, k_set, l_set, 0, "exact") is None
+    for d in (1, 2):
+        expected = recursive_generic_search(g, k_set, l_set, d)
+        assert expected == [0b011111, 0b100000] + [0] * (d - 1)
+        assert _generic_search(g, k_set, l_set, d, "exact") == expected
+
+
 def random_window_times_z2(rng):
     """The pair groupoid on 6-10 units times Z/2 acting trivially, with the
     window of a random graph and the bound equal to it."""
@@ -411,16 +431,13 @@ def test_greedy_generic_search_is_first_fit():
         instances += 1
         if instances % 4 < 2:
             g, k_set, l_set = relabel_instance(rng, g, k_set, l_set)
-        k_mask, l_mask = k_set.mask, l_set.mask
         d_max = rng.randint(1, 2)
         expected = None
         for d in range(d_max + 1):
-            states = first_fit_search(
-                range(g.n_units), d + 1, (0, 0, 0, 0),
-                lambda s, u: _generic_try_add(g, k_mask, l_mask, s, u),
+            expected = first_fit_search(
+                range(g.n_units), d + 1, 0, generated_inside(g, k_set, l_set)
             )
-            if states is not None:
-                expected = [s[0] for s in states]
+            if expected is not None:
                 assert _generic_search(g, k_set, l_set, d, "exact") == expected
                 break
         got = kl_dad_search(g, k_set, l_set, d_max, mode="greedy")
@@ -480,7 +497,7 @@ def test_generic_node_count(monkeypatch):
         calls = 0
         w = kl_dad_search(prod.groupoid, k_set, power(k_set, 2), 2)
         assert w is not None and w.d == 2
-        # 3,545 and 3,555 calls when the closure engine refuted d=1 itself;
+        # 3,545 and 3,555 calls when the generic engine refuted d=1 itself;
         # the principal shadow refutes d <= 1, leaving 50 and 60 at d=2
         assert calls <= 100
 
