@@ -100,6 +100,13 @@ def _chosen(text: str, label: str, choices) -> str:
     return text
 
 
+def _search_mode(text: str, label: str) -> str:
+    kind, _, n = text.partition(":")
+    if text in ("exact", "greedy") or kind == "tree" and n.isdecimal() and int(n) >= 1:
+        return text
+    raise InputError(f"bad {label} value {text!r}: not exact, greedy or tree:<N> with N >= 1")
+
+
 def _arg(*names, check=None, **kwargs):
     """One argument of a command, as ``add_argument`` takes it.
 
@@ -366,7 +373,7 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
     _arg("--e-spec", default="ball:1", help=_DEFAULT),
     _arg("--f-spec", default="ball:4", help=_DEFAULT),
     _arg("--d-max", check=_parse_int, default=2, help=_DEFAULT),
-    _arg("--mode", default="exact",
+    _arg("--mode", check=_search_mode, default="exact",
          help="exact, greedy, or tree:<N> for the annuli certificate; " + _DEFAULT),
     _arg("--graphing", check=_existing),
     _arg("--out"),
@@ -381,8 +388,7 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
     if mode.startswith("tree:"):
         if gr is None:
             raise InputError("tree mode needs --graphing")
-        n_scale = _parse_int(mode.split(":", 1)[1], "--mode")
-        res = treeable_cover(g, gr, n_scale)
+        res = treeable_cover(g, gr, int(mode[len("tree:"):]))
         params = f"mode={mode}"
         wpath = artifacts.write(out, "tree-cover.json", artifacts.tree_cover(res))
         for fam_i, cls_i, annulus, fib, size, diam in res.rows:

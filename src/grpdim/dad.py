@@ -21,9 +21,9 @@ from .groupoid import (
     UnitSet,
     _fiber,
     _orbit,
+    _powers,
     _same_owner,
     arrows_within,
-    compose_sets,
     generated,
     is_principal,
     iter_bits,
@@ -201,7 +201,8 @@ def kl_dad_search(
     adj, ok = _principal_tables(g, k_set, l_set)
     order = compact_order(g.n_units, adj) if mode == "exact" else None
 
-    for d in range(d_max + 1):
+    # more classes than units leave one empty: no d above n_units − 1 is new
+    for d in range(min(d_max, max(g.n_units - 1, 0)) + 1):
         if principal or mode == "exact":
             states = partition_search(g.n_units, d + 1, adj, ok, mode, order)
             if states is None:
@@ -512,27 +513,21 @@ def blowup_transfer(
 def discover_control_function(g: Groupoid, d: int) -> ControlFunction:
     """Control function whose bounds are minimal powers found by witness search.
 
-    For each window the provider searches ``L = K^j`` for j = 1, 2, ... until
-    a d-witness certifies; the search is exact, so the bound is the least
-    power of the window that admits a d-witness.
+    For each window the provider searches ``L = K^j`` for j = 1, 2, ... along
+    the power ladder (only j = 0 if K is the units) until a d-witness
+    certifies; the search is exact, so the bound is the least power of the
+    window that admits a d-witness.  The stable power is generated(K, all
+    units), so one class is a witness there at the latest.
     """
 
     def provider(k_set: ArrowSet) -> tuple[ArrowSet, Cover]:
         if not k_set.is_oc_normal():
             raise CoverError("control windows must be symmetric with units")
-        bound = k_set  # K^1; K holds every unit, so K^(j+1) = K . K^j
-        while True:
-            witness = kl_dad_search(g, k_set, bound, d)
-            if witness is not None:
-                # pad lower-dimensional witnesses with empty classes
-                classes = witness.cover.classes
-                classes += tuple(g.unit_set() for _ in range(d + 1 - len(classes)))
-                return bound, Cover(g, classes)
-            nxt = compose_sets(k_set, bound)
-            if nxt == bound:
-                raise CoverError(
-                    f"no {d}-dimensional witness exists even at the stable power"
-                )
-            bound = nxt
+        bounds = _powers(k_set)
+        if k_set.mask != g.units_mask:
+            next(bounds)  # K^0, the units, lies below K^1 = K
+        witness = next(filter(None, (kl_dad_search(g, k_set, bound, d) for bound in bounds)))
+        # a lower-dimensional witness is padded with empty classes
+        return witness.L, Cover(g, witness.cover.classes + (g.unit_set(),) * (d - witness.d))
 
     return ControlFunction(d, provider)

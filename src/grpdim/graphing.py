@@ -13,8 +13,8 @@ from .groupoid import (
     ArrowSet,
     Groupoid,
     GroupoidError,
+    _powers,
     _same_owner,
-    compose_sets,
     iter_bits,
     symmetrize,
     unit_graph,
@@ -28,12 +28,8 @@ class CoarseError(GroupoidError):
 class Graphing:
     """A symmetric generating arrow set off the units, with word-length data.
 
-    Balls grow from their frontier.  With step = symmetrize(q), ball(0) the
-    units and F(r) = ball(r) − ball(r−1) (ball(−1) empty), ball(r+1) =
-    step·ball(r−1) ∪ step·F(r) = ball(r) ∪ step·F(r): for r ≥ 1 by the
-    definition of ball(r), and for r = 0 because step holds the units.  So
-    each level composes step with its frontier only, and each arrow is
-    composed once.
+    The balls are the power ladder of symmetrize(q) (``groupoid._powers``),
+    and an arrow's word length is the radius of the first ball that holds it.
 
     Treeability (unique reduced factorizations) holds exactly when the unit
     multigraph induced by the generator pairs is a forest; the check records
@@ -48,30 +44,18 @@ class Graphing:
             raise CoarseError("graphing must be symmetric")
         self.owner = owner
         self.q = q_set
-        self._balls: list[ArrowSet] = [ArrowSet(owner, owner.units_mask)]
-        self.lengths = self._compute_lengths()
+        self._balls = list(_powers(symmetrize(q_set)))
+        if self._balls[-1].mask != owner.arrows_mask:
+            raise CoarseError("graphing does not generate the groupoid")
+        lengths = [-1] * owner.n_arrows
+        inner = [0] + [ball.mask for ball in self._balls]  # ball r - 1, by r
+        for r, ball in enumerate(self._balls):
+            for a in iter_bits(ball.mask & ~inner[r]):
+                lengths[a] = r
+        self.lengths = tuple(lengths)
         self.treeable, self.failure = self._check_treeable()
         self.adjacency = unit_graph(owner, q_set)  # per unit, its neighbours' mask
         self._paths: dict[int, list[int]] = {}
-
-    def _compute_lengths(self) -> tuple[int, ...]:
-        g = self.owner
-        lengths = [-1] * g.n_arrows
-        step = symmetrize(self.q)
-        ball = frontier = g.units_mask
-        level = 0
-        while True:
-            for a in iter_bits(frontier):
-                lengths[a] = level
-            frontier = compose_sets(step, ArrowSet(g, frontier)).mask & ~ball
-            if not frontier:
-                break
-            level += 1
-            ball |= frontier
-            self._balls.append(ArrowSet(g, ball))
-        if ball != g.arrows_mask:
-            raise CoarseError("graphing does not generate the groupoid")
-        return tuple(lengths)
 
     def _check_treeable(self):
         g = self.owner
@@ -99,8 +83,7 @@ class Graphing:
         """All arrows of word length at most r."""
         if r < 0:
             raise CoarseError("ball radius must be nonnegative")
-        idx = min(r, len(self._balls) - 1)
-        return self._balls[idx]
+        return self._balls[min(r, len(self._balls) - 1)]
 
     def length(self, a: int) -> int:
         return self.lengths[a]

@@ -16,6 +16,7 @@ is a pure function, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -370,17 +371,29 @@ def symmetrize(k: ArrowSet) -> ArrowSet:
 
 
 def power(k: ArrowSet, n: int) -> ArrowSet:
-    """n-fold set product of ``k``; the 0-th power is the unit set."""
+    """n-fold set product of ``k``, which must hold every unit: item n of
+    :func:`_powers`, or the stable power if the ladder stops earlier."""
     if n < 0:
         raise GroupoidError("power exponent must be nonnegative")
-    g = k.owner
-    acc = ArrowSet(g, g.units_mask)
-    for _ in range(n):
-        nxt = compose_sets(k, acc)
-        if nxt.mask == acc.mask:
-            break
-        acc = nxt
+    for acc in islice(_powers(k), n + 1):
+        pass
     return acc
+
+
+def _powers(k: ArrowSet) -> Iterator[ArrowSet]:
+    """The power ladder K^0 = units, K^1 = K, K^2, ..., up to the first
+    power that the next one repeats.  K holds every unit, so the powers
+    increase and, with F(j) = K^j − K^(j−1) (K^(−1) empty), K^(j+1) =
+    K·K^(j−1) ∪ K·F(j) = K^j ∪ K·F(j): each level composes K with its
+    frontier only, and each arrow is composed once."""
+    g = k.owner
+    if k.mask & g.units_mask != g.units_mask:
+        raise GroupoidError("a power ladder needs a set that holds every unit")
+    acc = frontier = g.units_mask
+    yield ArrowSet(g, acc)
+    while frontier := compose_sets(k, ArrowSet(g, frontier)).mask & ~acc:
+        acc |= frontier
+        yield ArrowSet(g, acc)
 
 
 def arrows_within(g: Groupoid, units: UnitSet) -> ArrowSet:

@@ -14,7 +14,6 @@ from itertools import combinations, product as iproduct
 from grpdim import (
     ArrowSet,
     BuilderError,
-    CoarseError,
     Cover,
     CoverError,
     Graphing,
@@ -32,6 +31,7 @@ from grpdim import (
     pair_groupoid,
     pair_index,
     symmetrize,
+    tree_window,
     triples,
 )
 from grpdim.coarse import _ef_violation
@@ -926,27 +926,43 @@ def tuple_keyed_product(gl, gr) -> tuple[DictGroupoid, dict]:
     return DictGroupoid(nl * nr, src, rng, inv, comp), ids
 
 
-class WholeBallGraphing(Graphing):
-    """``Graphing`` that recomposes the whole ball at every level: the oracle
-    for growing the balls from their frontier."""
+def whole_powers(k_set: ArrowSet) -> list[ArrowSet]:
+    """The power ladder recomposed whole at every level: K^0 = units and
+    K^(j+1) = K·K^j, up to the first power that the next one repeats.  The
+    oracle for ``groupoid._powers``, which grows the ladder from its frontier."""
+    g = k_set.owner
+    ladder = [ArrowSet(g, g.units_mask)]
+    while (nxt := compose_sets(k_set, ladder[-1])) != ladder[-1]:
+        ladder.append(nxt)
+    return ladder
 
-    def _compute_lengths(self) -> tuple[int, ...]:
-        g = self.owner
-        lengths = [-1] * g.n_arrows
-        level = 0
-        current = self._balls[0]
-        for a in iter_bits(current.mask):
-            lengths[a] = 0
-        step = symmetrize(self.q)
-        while True:
-            nxt = compose_sets(step, current)
-            if nxt.mask == current.mask:
-                break
-            level += 1
-            for a in iter_bits(nxt.mask & ~current.mask):
-                lengths[a] = level
-            current = nxt
-            self._balls.append(current)
-        if current.mask != g.arrows_mask:
-            raise CoarseError("graphing does not generate the groupoid")
-        return tuple(lengths)
+
+def generator_sets() -> list[tuple[Groupoid, ArrowSet]]:
+    """Symmetric arrow sets off the units: the generators of path and binary
+    tree windows and of random trees, then 80 random ones on random
+    groupoids, isotropic ones among them, and on pair groupoids, mostly not
+    treeable and some not generating."""
+    cases = [tree_window(shape, size) for shape, size in
+             [("path", n) for n in range(1, 13)] + [("binary", d) for d in range(4)]]
+    cases += [random_tree(n, shape, 0) for n in (2, 7, 16) for shape in range(3)]
+    inputs = [(g, graphing.q) for g, graphing in cases]
+    rng = random.Random(20)
+    for _ in range(80):
+        g = random_groupoid(rng, max_arrows=60) if rng.random() < 0.5 else (
+            pair_groupoid(rng.randint(1, 6)))
+        q_set = random_arrow_set(rng, g, density=rng.choice((0.1, 0.3, 0.6)))
+        inputs.append((g, ArrowSet(g, q_set.mask & ~g.units_mask)))
+    return inputs
+
+
+def ladder_windows() -> list[ArrowSet]:
+    """Windows that hold every unit: symmetrize(q) of every generator set,
+    then random windows with isotropy loops on random isotropic groupoids."""
+    windows = [symmetrize(q_set) for _, q_set in generator_sets()]
+    rng = random.Random(27)
+    for _ in range(20):
+        g = random_groupoid(rng, max_arrows=80)
+        loops = ArrowSet(g, mask_of(a for a in range(g.n_units, g.n_arrows)
+                                    if g.src[a] == g.rng[a]))
+        windows.append(random_arrow_set(rng, g, 0.1) | (loops & random_arrow_set(rng, g, 0.5)))
+    return windows

@@ -589,6 +589,9 @@ PARSE_ERRORS = [
     ["dad", "{p7}", "--grap", "{p7g}"],
     ["dad", "{p7}", "--d-max", "x"],
     ["dad", "{p7}", "--mode", "fast"],
+    ["asdim", "{p7}", "--mode", "foo"],
+    ["asdim", "{p7}", "--mode", "tree:0"],
+    ["asdim", "{p7}", "--graphing", "{p7g}", "--mode", "tree:x"],
     ["build", "--family", "ring", "--out", "{out}"],
     ["build", "--family", "pair", "--n", "3"],
     ["theorem", "sum", "--path", "{p7}"],
@@ -608,6 +611,28 @@ def test_parse_errors_are_one_error_line(instances, tmp_path, capsys, args):
     assert res.exit_code == 2 and res.stdout == ""
     assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("mode", ["foo", "tree:0", "tree:-1", "tree:x", "tree:", "greedy:1"])
+def test_bad_asdim_mode_names_the_option(instances, capsys, mode):
+    # found by the parser, before the instance is loaded or a gauge is built
+    res = invoke(capsys, ["asdim", str(instances / "p7.json"), "--mode", mode])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == (f"Error: bad --mode value {mode!r}: "
+                          "not exact, greedy or tree:<N> with N >= 1\n")
+
+
+def test_dad_past_the_unit_count_is_refuted_as_given(tmp_path, capsys):
+    # Z/2 acting trivially on 5 points, K = all, L = units: every d is
+    # refuted, and the search stops at d = 4; the row states the d_max given
+    t2 = tmp_path / "t2.json"
+    assert run_cli("build", "--family", "action", "--group", "cyclic:2", "--points", "5",
+                   "--trivial-action", "--out", str(t2)).returncode == 0
+    res = invoke(capsys, ["dad", str(t2), "--k-spec", "all", "--l-spec", "units",
+                          "--d-max", "1000000"])
+    assert res.exit_code == 1 and res.stderr == ""
+    row = res.stdout.split("\t")
+    assert row[1:5] == ["dad", "k=all;l=units;d_max=1000000;mode=exact", "none", "-"]
 
 
 @pytest.mark.parametrize("args, label", [(["validate", ""], "PATH"),

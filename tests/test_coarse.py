@@ -11,6 +11,7 @@ from conftest import (
     disjoint_union,
     fiber_points,
     first_fit_dad_blocks,
+    generator_sets,
     pair_blocks_groupoid,
     pairwise_ef_asdim_check,
     pairwise_tree_bounds,
@@ -23,7 +24,7 @@ from conftest import (
     union_find_orbits,
     union_find_treeable,
     whole_arrow_bridge,
-    WholeBallGraphing,
+    whole_powers,
 )
 from grpdim import (
     ArrowSet,
@@ -1011,32 +1012,35 @@ def test_asdim_to_dad_missing_fiber_errors():
         asdim_to_dad(g, g.all_units(), k, power(k, 2), {})
 
 
-def graphing_outcome(cls, g, q_set):
+def graphing_outcome(g, q_set):
     """Lengths, every ball up to one past the diameter, and the treeability
-    verdict of ``cls(g, q_set)``; the CoarseError text if it raises."""
+    verdict of ``Graphing(g, q_set)``; the CoarseError text if it raises."""
     try:
-        graphing = cls(g, q_set)
+        graphing = Graphing(g, q_set)
     except CoarseError as exc:
         return str(exc)
     radii = range(max(graphing.lengths) + 2)
-    return (graphing.lengths, [graphing.ball(r).mask for r in radii],
-            graphing.treeable, graphing.failure)
+    return (graphing.lengths, [graphing.ball(r) for r in radii],
+            (graphing.treeable, graphing.failure))
+
+
+def whole_power_outcome(g, q_set):
+    """``graphing_outcome`` read from the whole-power oracle: the balls are
+    the powers of symmetrize(q), and a length is the first ball holding the arrow."""
+    balls = whole_powers(symmetrize(q_set))
+    if balls[-1].mask != g.arrows_mask:
+        return "graphing does not generate the groupoid"
+    lengths = tuple(next(r for r, ball in enumerate(balls) if a in ball)
+                    for a in range(g.n_arrows))
+    radii = range(max(lengths) + 2)
+    return (lengths, [balls[min(r, len(balls) - 1)] for r in radii],
+            union_find_treeable(g, q_set))
 
 
 def test_frontier_balls_agree_with_the_whole_ball_oracle():
-    cases = [tree_window(shape, size) for shape, size in
-             [("path", n) for n in range(1, 13)] + [("binary", d) for d in range(4)]]
-    cases += [random_tree(n, shape, 0) for n in (2, 7, 16) for shape in range(3)]
-    inputs = [(g, graphing.q) for g, graphing in cases]
-    rng = random.Random(20)
-    for _ in range(80):  # random symmetric generator sets, mostly not treeable
-        g = random_groupoid(rng, max_arrows=60) if rng.random() < 0.5 else (
-            pair_groupoid(rng.randint(1, 6)))
-        q_set = random_arrow_set(rng, g, density=rng.choice((0.1, 0.3, 0.6)))
-        inputs.append((g, ArrowSet(g, q_set.mask & ~g.units_mask)))
     kinds = set()
-    for g, q_set in inputs:
-        outcome = graphing_outcome(Graphing, g, q_set)
-        assert outcome == graphing_outcome(WholeBallGraphing, g, q_set)
-        kinds.add(outcome if isinstance(outcome, str) else outcome[2])
+    for g, q_set in generator_sets():
+        outcome = graphing_outcome(g, q_set)
+        assert outcome == whole_power_outcome(g, q_set)
+        kinds.add(outcome if isinstance(outcome, str) else outcome[2][0])
     assert kinds == {True, False, "graphing does not generate the groupoid"}

@@ -3,7 +3,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from conftest import check_nfold_subfamilies
+from conftest import check_nfold_subfamilies, ladder_windows, whole_powers
 from grpdim import (
     ArrowSet,
     ControlFunction,
@@ -238,3 +238,36 @@ def test_ostrand_lift_level_cap():
     ctrl = discover_control_function(g, 0)
     with pytest.raises(CoverError):
         ostrand_lift(g, ctrl, k, 13)
+
+
+def least_power_bound(g, k, d):
+    """The least of K^1, K^2, ... up to the stable power, read from the
+    whole-power oracle, that admits a d-witness.  One always does: the
+    stable power is generated(K, all units), so one class is a 0-witness."""
+    ladder = whole_powers(k)
+    return next(bound for bound in ladder[1:] or ladder  # K^1 = K^0 when K is the units
+                if kl_dad_search(g, k, bound, d) is not None)
+
+
+def test_discovered_bounds_agree_with_the_whole_power_oracle():
+    for k in ladder_windows():
+        for d in (0, 1):
+            assert discover_control_function(k.owner, d).bound(k) == least_power_bound(k.owner, k, d)
+
+
+def test_discovery_on_the_units_searches_the_units_once(monkeypatch):
+    # K = units: K^0 = K^1, and that one bound is searched
+    import grpdim.dad as dad
+
+    g, _ = line(5)
+    units = ArrowSet(g, g.units_mask)
+    searched = []
+
+    def search(g, k_set, l_set, d_max):
+        searched.append(l_set)
+        return kl_dad_search(g, k_set, l_set, d_max)
+
+    monkeypatch.setattr(dad, "kl_dad_search", search)
+    for d in (0, 1):
+        assert discover_control_function(g, d).bound(units) == units
+    assert searched == [units, units]

@@ -36,6 +36,7 @@ from grpdim import (
     rotation_perms,
     symmetrize,
     tree_window,
+    trivial_perms,
     union_combine,
 )
 from grpdim.artifacts import read_witness
@@ -163,6 +164,27 @@ def test_search_monotone_in_scales():
     assert w is not None
     bigger = kl_dad_search(g, k, power(k, 3), 2)
     assert bigger is not None and bigger.d <= w.d
+
+
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_search_tries_no_d_past_the_unit_count(monkeypatch, mode):
+    # Z/2 acting trivially on 5 points, K = all, L = units: every class
+    # generates the isotropy outside L, so every d is refuted, and past
+    # d = 4 no new partition exists
+    g = action_groupoid(cyclic_table(2), trivial_perms(2, 5))
+    runs = {"partition_search": 0, "_generic_search": 0}
+    for name in runs:
+        engine = getattr(dad_module, name)
+
+        def counted(*args, _engine=engine, _name=name):
+            runs[_name] += 1
+            assert runs[_name] <= g.n_units  # fail at once, not after 10**6 runs
+            return _engine(*args)
+
+        monkeypatch.setattr(dad_module, name, counted)
+    units = symmetrize(g.arrow_set())  # the unit arrows
+    assert kl_dad_search(g, g.all_arrows(), units, 10**6, mode) is None
+    assert max(runs.values()) == g.n_units
 
 
 def test_witness_json_roundtrip():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     disjoint_union,
+    ladder_windows,
     oracle_generated,
     pair_blocks_groupoid,
     random_arrow_set,
@@ -15,6 +16,7 @@ from conftest import (
     same_groupoid,
     tables_of,
     union_find_orbits,
+    whole_powers,
 )
 import grpdim.groupoid as groupoid_module
 from grpdim.groupoid import mask_of, translate, transversal
@@ -233,6 +235,25 @@ def test_power():
     assert power(k, 3) == ball(g, 7, 3)
     units = ArrowSet(g, g.units_mask)
     assert power(units, 5) == units
+
+
+def test_power_ladder_agrees_with_the_whole_power_oracle():
+    for k in ladder_windows():
+        ladder = whole_powers(k)
+        assert list(groupoid_module._powers(k)) == ladder
+        for n in range(len(ladder) + 2):  # past the stable power too
+            assert power(k, n) == ladder[min(n, len(ladder) - 1)]
+
+
+def test_power_needs_every_unit():
+    # K lacking unit 1: the ladder is not monotone, so there is no stable power
+    g = pair_groupoid(3)
+    k = ArrowSet(g, g.arrows_mask & ~(1 << 1))
+    for n in (0, 1, 4):
+        with pytest.raises(GroupoidError, match="holds every unit"):
+            power(k, n)
+    with pytest.raises(GroupoidError, match="holds every unit"):
+        next(groupoid_module._powers(k))
 
 
 def test_restrict_full_and_empty():
