@@ -8,7 +8,6 @@ formats" lists every format's keys, the two shapes of
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 
 from .builders import canonical_dumps
@@ -19,6 +18,8 @@ from .setspec import SpecError, parse_arrow_spec
 
 def digest(path) -> str:
     """An ``instance_digest``: the first 16 hex digits of the file's sha256."""
+    import hashlib  # only here: most commands take no digest
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 

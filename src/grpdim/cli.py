@@ -21,7 +21,11 @@ in the stdout report row.
 At module level this imports only the standard library's ``argparse`` and the
 table layer (``groupoid`` and ``builders``); each command imports the layers
 it runs, so ``validate`` and ``build`` never load the search, the coarse
-layer or the pipelines.
+layer or the pipelines.  The coarse layer loads only for ``theorem bridge``,
+``asdim`` and ``sweep --what asdim``; ``hashlib`` only where a digest is
+taken (``dad``, and ``asdim`` on a point set).  Every record is a
+``typing.NamedTuple``, so no command loads the standard library's dataclass
+module, nor the ``inspect`` it imports.
 """
 
 from __future__ import annotations

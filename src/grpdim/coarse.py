@@ -10,8 +10,7 @@ certificate read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._search import compact_order, partition_search
 from .covers import Cover
@@ -164,8 +163,7 @@ def ef_asdim_search(
 # -- treeable covers --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeCoverResult:
+class TreeCoverResult(NamedTuple):
     """Even/odd annuli decomposition with its certificate.
 
     Rows carry (family, class id, annulus, fiber, size, diameter) per class.
@@ -321,8 +319,7 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
 # -- dad -> asdim -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsdimBridge:
+class AsdimBridge(NamedTuple):
     """Decomposition of the arrow space induced by a dad witness, certified on
     the window rows of ``e_window`` and ``f_window`` in arrow ids."""
 

@@ -7,9 +7,8 @@ are the driver for the fold-increasing lift in :func:`ostrand_lift`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .groupoid import (
     ArrowSet,
@@ -32,16 +31,31 @@ class CoverError(GroupoidError):
 MAX_LIFT_LEVEL = 12  # residual-class subset enumeration is binomial in the level
 
 
-@dataclass(frozen=True)
-class Cover:
-    """Ordered classes ``U_0..U_k`` over every unit of ``owner``."""
-
+class _CoverFields(NamedTuple):
     owner: Groupoid
     classes: tuple[UnitSet, ...]
 
-    def __post_init__(self):
-        for c in self.classes:
-            _same_owner(self.owner, c.owner)
+
+class Cover(_CoverFields):
+    """Ordered classes ``U_0..U_k`` over every unit of ``owner``.
+
+    Every class must be a ``UnitSet`` of ``owner``.  The check runs in
+    ``__new__`` and in ``_make``, which a namedtuple's ``_replace`` builds
+    through and which would otherwise skip ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, owner: Groupoid, classes: tuple[UnitSet, ...]):
+        for i, c in enumerate(classes):
+            if not isinstance(c, UnitSet):
+                raise CoverError(f"cover class {i} is not a UnitSet (got {type(c).__name__})")
+            _same_owner(owner, c.owner)
+        return super().__new__(cls, owner, classes)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def k(self) -> int:

@@ -9,8 +9,7 @@ computed, never trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._search import class_search, compact_order, partition_search, refute_then_witness
 from .covers import ControlFunction, Cover, CoverError, fold_number
@@ -43,8 +42,7 @@ class HypothesisError(GroupoidError):
     """A transfer operation's preconditions failed re-verification."""
 
 
-@dataclass(frozen=True)
-class DadWitness:
+class DadWitness(NamedTuple):
     """A cover with its per-class generated subgroupoids and the verdict."""
 
     cover: Cover
@@ -221,8 +219,7 @@ def kl_dad_search(
 # -- gluing ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GluingCertificate:
+class GluingCertificate(NamedTuple):
     """Outcome of a gluing containment check: the generated set and its bound."""
 
     holds: bool

@@ -3,19 +3,13 @@ through search, transfer, and re-certification, and reports every stage.
 
 Reports are plain dicts (JSON-ready); artifacts carry serialized witnesses so
 that every "certified" result can be re-verified from the artifact alone.
+Only the bridge and the asdim sweep import the coarse layer, when they run.
 """
 
 from __future__ import annotations
 
 from . import artifacts
 from .builders import blowup, product, replicate_psi
-from .coarse import (
-    Graphing,
-    asdim_fiber_decompositions,
-    asdim_to_dad,
-    dad_to_asdim,
-    treeable_cover,
-)
 from .covers import control_apply, level_cover
 from .dad import (
     blowup_lift,
@@ -26,6 +20,7 @@ from .dad import (
     product_combine,
     union_combine,
 )
+from .graphing import Graphing
 from .groupoid import ArrowSet, Groupoid, GroupoidError, UnitSet, power, restrict, symmetrize
 from .setspec import parse_arrow_spec
 
@@ -200,6 +195,8 @@ def bridge_theorem(
     d_max: int = 2,
 ) -> dict:
     """dad -> asdim -> dad at one window scale, closing at equal dimension."""
+    from .coarse import asdim_fiber_decompositions, asdim_to_dad, dad_to_asdim
+
     report = {"operation": "theorem-bridge", "stages": [], "artifacts": {}}
     w = _need_witness(kl_dad_search(g, k_set, l_set, d_max), "dad-search")
     _stage(report, "dad-search", d=w.d)
@@ -263,6 +260,8 @@ def sweep_rows(
         elif what == "asdim":
             if sub_graphing is None:
                 raise PipelineError("asdim sweeps need a graphing")
+            from .coarse import treeable_cover
+
             res = treeable_cover(sub, sub_graphing, n_scale)
             rows.append(
                 {

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from itertools import combinations, product as iproduct
 
+import pytest
+
 from grpdim import (
     ArrowSet,
     BuilderError,
@@ -562,6 +564,20 @@ def pairwise_tree_bounds(g: Groupoid, graphing: Graphing, n: int) -> TreeCoverRe
     return TreeCoverResult(
         families, rows, max_diameter, min_separation, min_same_annulus, n, certified
     )
+
+
+def assert_frozen_record(record, fields: tuple[str, ...]) -> None:
+    """``record`` has exactly ``fields`` in order, reads each by name as by
+    position, equals and hashes like its copy rebuilt from its fields, and
+    takes no assignment, to a field or to a new name."""
+    cls = type(record)
+    assert cls._fields == fields
+    assert tuple(getattr(record, name) for name in fields) == tuple(record)
+    copy = cls(*record)
+    assert copy is not record and copy == record and hash(copy) == hash(record)
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 class UnionFind:

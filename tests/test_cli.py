@@ -505,14 +505,12 @@ def test_internal_error_exits_3(instances, monkeypatch, capsys):
 def test_uncertifiable_search_result_exits_3(instances, monkeypatch, capsys):
     # a search answer that fails its own re-certification is a broken
     # invariant, not bad input
-    import dataclasses
-
     import grpdim.cli as cli
     import grpdim.dad as dad
 
     check = dad.kl_dad_check
     monkeypatch.setattr(
-        dad, "kl_dad_check", lambda *args: dataclasses.replace(check(*args), certified=False)
+        dad, "kl_dad_check", lambda *args: check(*args)._replace(certified=False)
     )
     res = invoke(capsys, ["dad", str(instances / "p7.json"), "--k-spec", "units"])
     assert res.exit_code == cli.EXIT_INTERNAL == 3

@@ -1,10 +1,10 @@
-import dataclasses
 import random
 
 import pytest
 
 from conftest import (
     Gauge,
+    assert_frozen_record,
     brute_ef_exists,
     brute_gauge,
     closure_h_fibers,
@@ -488,6 +488,15 @@ def test_treeable_cover_path9():
     assert res.min_same_annulus_separation >= 2
 
 
+def test_tree_cover_result_record():
+    g, graphing = line(9)
+    res = treeable_cover(g, graphing, 1)
+    assert_frozen_record(res, ("families", "rows", "max_diameter", "min_separation",
+                               "min_same_annulus_separation", "scale", "certified"))
+    assert res == treeable_cover(g, graphing, 1)
+    assert res != res._replace(scale=2)
+
+
 def test_treeable_cover_binary_depth4_scales():
     g, graphing = tree_window("binary", 4)
     for n in (1, 2, 3):
@@ -596,6 +605,14 @@ def test_dad_to_asdim_p7():
     assert bridge.e_window == k
 
 
+def test_asdim_bridge_record():
+    g, graphing = line(7)
+    k = graphing.ball(1)
+    bridge = dad_to_asdim(g, kl_dad_search(g, k, power(k, 2), 1))
+    assert_frozen_record(bridge, ("families", "e_window", "f_window", "certified"))
+    assert bridge != bridge._replace(certified=False)
+
+
 def test_dad_to_asdim_disjoint_union_naturality():
     g = disjoint_union([pair_groupoid(3), pair_groupoid(4)])
     k = symmetrize(g.all_arrows())
@@ -680,7 +697,7 @@ def test_dad_to_asdim_matches_whole_arrow_oracle():
         forged = kl_dad_check(g, k_set, k_set, Cover(g, tuple(classes)))
         witnesses = [(kl_dad_search(g, k_set, l_set, 2), False)]
         if not forged.certified:
-            witnesses.append((dataclasses.replace(forged, certified=True), True))
+            witnesses.append((forged._replace(certified=True), True))
         for w, is_forged in witnesses:
             if w is None:
                 continue

@@ -3,17 +3,19 @@ from itertools import product as iproduct
 
 import pytest
 
-from conftest import check_nfold_subfamilies, ladder_windows, whole_powers
+from conftest import assert_frozen_record, check_nfold_subfamilies, ladder_windows, whole_powers
 from grpdim import (
     ArrowSet,
     ControlFunction,
     Cover,
     CoverError,
     Groupoid,
+    OwnerMismatchError,
     control_apply,
     discover_control_function,
     fold_number,
     generated,
+    kl_dad_check,
     kl_dad_search,
     ostrand_lift,
     pair_groupoid,
@@ -43,6 +45,39 @@ def test_fold_number_basic():
     # no units: vacuously covered with the maximal fold
     no_units = cover_of(Groupoid(0, (), (), (), (), ()), [], [])
     assert fold_number(no_units) == 2
+
+
+def test_cover_record():
+    g = pair_groupoid(4)
+    cover = cover_of(g, [0, 1], [1, 2, 3])
+    assert_frozen_record(cover, ("owner", "classes"))
+    assert cover.k == 1
+    assert cover.union_mask() == 0b1111
+    assert cover_of(g, [2]).union_mask() == 0b100
+    assert cover != cover_of(g, [0, 1], [2, 3])
+    assert cover._replace(classes=cover.classes[:1]).k == 0
+
+
+def test_cover_classes_are_unit_sets_of_its_owner():
+    # an arrow set is not a class: fold_number would read it as one, and the
+    # check of the witness would then index past the units
+    g = pair_groupoid(4)
+    other = pair_groupoid(4)
+    cover = cover_of(g, range(4))
+    with pytest.raises(CoverError, match=r"class 0 is not a UnitSet \(got ArrowSet\)"):
+        Cover(g, (g.all_arrows(),))
+    with pytest.raises(OwnerMismatchError):
+        Cover(g, (g.all_units(), other.all_units()))
+    # _replace and _make would otherwise skip Cover's own constructor
+    with pytest.raises(CoverError, match="not a UnitSet"):
+        cover._replace(classes=(g.all_units(), g.all_arrows()))
+    with pytest.raises(OwnerMismatchError):
+        cover._replace(classes=(other.all_units(),))
+    with pytest.raises(OwnerMismatchError):
+        cover._replace(owner=other)
+    with pytest.raises(CoverError, match="not a UnitSet"):
+        Cover._make((g, (g.all_arrows(),)))
+    assert kl_dad_check(g, g.all_arrows(), g.all_arrows(), cover).certified
 
 
 def test_check_nfold_subfamilies_examples():

@@ -1,9 +1,9 @@
-import dataclasses
 import random
 
 import pytest
 
 from conftest import (
+    assert_frozen_record,
     brute_dad_search,
     disjoint_union,
     pair_blocks_groupoid,
@@ -195,7 +195,30 @@ def test_witness_json_roundtrip():
     assert w.to_json_obj()["cover"]["base"] == list(range(g.n_units))
 
 
+def test_dad_witness_record():
+    g, k = line(7)
+    w = kl_dad_check(g, k, power(k, 2), cover_of(g, [0, 1, 2, 6], [3, 4, 5]))
+    assert_frozen_record(w, ("cover", "K", "L", "generated_per_class", "certified"))
+    assert w != w._replace(certified=False)
+    assert w.d == 1 and w.owner is g
+    assert w.reach == w.generated_per_class[0] | w.generated_per_class[1]
+    assert w.to_json_obj()["d"] == 1
+    assert read_witness(g, w.to_json_obj()) == w
+
+
 # -- gluing -------------------------------------------------------------------
+
+
+def test_gluing_certificate_record():
+    g, k0 = line(13)
+    v0, v1 = g.unit_set(range(7)), g.unit_set(range(6, 13))
+    k1 = power(k0, 7)
+    cert = glue_two(g, v0, v1, k0, k1, power(k1, 21))
+    assert_frozen_record(cert, ("holds", "generated_set", "bound"))
+    assert cert != cert._replace(holds=False)
+    # truth is the verdict, not the tuple's length
+    assert bool(cert) is True
+    assert bool(cert._replace(holds=False)) is False
 
 
 def test_glue_two_degenerate_union():
@@ -356,7 +379,7 @@ def test_union_rechecks_each_part_witness():
     witnesses, k_list = _part_witnesses(g, parts, k)
     w = witnesses[0]
     emptied = Cover(w.owner, (w.owner.unit_set(),) + w.cover.classes[1:])
-    witnesses[0] = dataclasses.replace(w, cover=emptied)
+    witnesses[0] = w._replace(cover=emptied)
     with pytest.raises(HypothesisError, match="witness 0 fails re-certification against K1"):
         union_combine(g, parts, witnesses, k_list)
 
@@ -367,7 +390,7 @@ def _uncertified_on(target, monkeypatch):
 
     def check(g, k_set, l_set, cover):
         w = real(g, k_set, l_set, cover)
-        return dataclasses.replace(w, certified=False) if g is target else w
+        return w._replace(certified=False) if g is target else w
 
     monkeypatch.setattr(dad_module, "kl_dad_check", check)
 
@@ -471,7 +494,7 @@ def test_pullback_restriction_inclusion():
 def test_pullback_rechecks_the_target_witness():
     g, k = line(7)
     w = kl_dad_search(g, k, power(k, 2), 1)
-    forged = dataclasses.replace(w, L=k)
+    forged = w._replace(L=k)
     with pytest.raises(HypothesisError, match="target witness fails re-certification"):
         pullback_witness(g, g, list(range(g.n_arrows)), k, forged)
 
@@ -483,7 +506,7 @@ def test_pullback_bound_comes_from_the_rechecked_witness():
     identity = list(range(g.n_arrows))
     honest = pullback_witness(g, g, identity, k, w)
     assert len(honest.L) == 19
-    forged = dataclasses.replace(w, generated_per_class=(g.all_arrows(),) * (w.d + 1))
+    forged = w._replace(generated_per_class=(g.all_arrows(),) * (w.d + 1))
     out = pullback_witness(g, g, identity, k, forged)
     assert out.certified and out.L == honest.L
 
@@ -562,7 +585,7 @@ def test_blowup_transfer_rechecks_input_and_output():
     w = kl_dad_search(g, k, power(k, 2), 1)
     bl = blowup(g, replicate_psi(g, 2))
     lifted = blowup_lift(bl, w)
-    forged = dataclasses.replace(lifted, L=lifted.K)
+    forged = lifted._replace(L=lifted.K)
     with pytest.raises(HypothesisError, match="blow-up witness fails re-certification"):
         blowup_transfer(bl, forged, k, power(k, 2))
     units = g.arrow_set(range(g.n_units))

@@ -103,6 +103,20 @@ def test_dad_loads_neither_coarse_nor_pipelines(workdir, args):
     assert not modules & {"grpdim.coarse", "grpdim.pipelines"}
 
 
+@pytest.mark.parametrize("args", [
+    ["theorem", "union", "--path", "p6.json", "--graphing", "p6.g.json", "--parts", "0-2;3-5"],
+    ["theorem", "product", "--left", "p6.json", "--right", "p6.json", "--graphing", "p6.g.json"],
+    ["theorem", "morita", "--path", "p6.json", "--graphing", "p6.g.json"],
+    ["sweep", "p6.json", "--windows", "3-4", "--what", "dad", "--graphing", "p6.g.json"],
+])
+def test_dad_pipelines_do_not_load_coarse(workdir, args):
+    # only the bridge and the asdim sweep run the coarse layer
+    code, modules = loaded(*args, cwd=workdir)
+    assert code == 0
+    assert "grpdim.pipelines" in modules
+    assert "grpdim.coarse" not in modules
+
+
 def test_a_theorem_loads_its_pipeline(workdir):
     # the probe sees the upper layers when a command runs them
     code, modules = loaded("theorem", "bridge", "--path", "p6.json", "--graphing", "p6.g.json",
@@ -112,20 +126,23 @@ def test_a_theorem_loads_its_pipeline(workdir):
 
 
 # Per command: its arguments, then the packages it may not load beyond those
-# that ``python -c pass`` loads.  No command loads click; the table commands
-# load no dataclasses, nor inspect, which dataclasses imports.
+# that ``python -c pass`` loads.  No command loads click or dataclasses, nor
+# inspect, which dataclasses imports; hashlib loads only where a digest is
+# taken: ``dad`` and ``asdim`` on a point set.
+NO_RECORDS = {"click", "dataclasses", "inspect"}
+NO_DIGEST = NO_RECORDS | {"hashlib", "_hashlib"}
 START_UP = {
-    "help": (["--help"], {"click"}),
-    "validate": (["validate", "p6.json"], {"click", "dataclasses", "inspect"}),
+    "help": (["--help"], NO_RECORDS),
+    "validate": (["validate", "p6.json"], NO_RECORDS),
     "build-action": (["build", "--family", "action", "--group", "cyclic:8", "--out", "z8.json"],
-                     {"click", "dataclasses", "inspect"}),
+                     NO_RECORDS),
     "build-blowup": (["build", "--family", "blowup", "--path", "p6.json", "--out", "b6.json"],
-                     {"click", "dataclasses", "inspect"}),
-    "dad": (["dad", "p6.json", "--graphing", "p6.g.json"], {"click"}),
-    "recheck": (["dad", "p6.json", "--recheck", "w/dad-witness.json"], {"click"}),
-    "asdim": (["asdim", "p6.json", "--mode", "tree:1", "--graphing", "p6.g.json"], {"click"}),
-    "theorem": (["theorem", "bridge", "--path", "p6.json", "--graphing", "p6.g.json"], {"click"}),
-    "sweep": (["sweep", "p6.json", "--windows", "3-4", "--graphing", "p6.g.json"], {"click"}),
+                     NO_RECORDS),
+    "dad": (["dad", "p6.json", "--graphing", "p6.g.json"], NO_RECORDS),
+    "recheck": (["dad", "p6.json", "--recheck", "w/dad-witness.json"], NO_RECORDS),
+    "asdim": (["asdim", "p6.json", "--mode", "tree:1", "--graphing", "p6.g.json"], NO_DIGEST),
+    "theorem": (["theorem", "bridge", "--path", "p6.json", "--graphing", "p6.g.json"], NO_DIGEST),
+    "sweep": (["sweep", "p6.json", "--windows", "3-4", "--graphing", "p6.g.json"], NO_DIGEST),
 }
 
 
