@@ -48,7 +48,9 @@ def fiber_gauge(g: Groupoid, points: "int | Iterable[int]", window: ArrowSet) ->
 
 def gauge_from(g: Groupoid, window: ArrowSet) -> dict[int, int]:
     """``fiber_gauge`` over every arrow.  The window must be symmetric and
-    contain every unit; then so is the relation, which E and F must be."""
+    contain every unit; then so is the relation, which E and F must be.
+    Nothing in the package calls it: each certificate reads ``fiber_gauge``
+    on the fibers it checks, and tests read the whole-arrow rows as oracles."""
     rows = fiber_gauge(g, g.arrows_mask, window)
     if not window.is_oc_normal():
         raise CoarseError("gauge windows must be symmetric and contain every unit")
@@ -87,6 +89,60 @@ def _ef_violation(e_rows, f_rows, families, points: int) -> "tuple | None":
                     return i, j, p, "F"
             earlier |= mask
     return None
+
+
+def _representative_fibers(g: Groupoid) -> tuple[list[int], int]:
+    """``transversal(g)`` and the arrow mask of the range fibers at the least
+    unit of each orbit, the units whose entry is their own unit arrow."""
+    t = transversal(g)
+    rep_mask = 0
+    for x, a in enumerate(t):
+        if a == x:
+            rep_mask |= g.by_rng[x]
+    return t, rep_mask
+
+
+def _separated_cover(g: Groupoid, window: ArrowSet, families) -> bool:
+    """True iff families of arrow masks cover every arrow, exactly, and the
+    members of each family are separated by the window relation; checked on
+    the window rows of one range fiber per orbit.
+
+    This is ``_ef_violation`` without F on ``gauge_from(g, window)`` over
+    every arrow.  Rows never leave their fiber, so that check is the same one
+    run fiber by fiber, on each member's part in the fiber.  For the fiber
+    G^y, left translation by the inverse of ``transversal``'s arrow t from
+    the orbit's least unit x to y maps G^y onto G^x one to one and keeps
+    quotients (see ``dad_to_asdim``).  So it moves the parts into G^x with
+    the same relation among them, and rows are built on G^x only.  The window
+    must be symmetric and contain every unit, as for ``gauge_from``.
+    """
+    _same_owner(g, window.owner)
+    if not window.is_oc_normal():
+        raise CoarseError("gauge windows must be symmetric and contain every unit")
+    covered = 0
+    for members in families:
+        for mask in members:
+            covered |= mask
+    if covered != g.arrows_mask:
+        return False
+    rng, inv, by_rng = g.rng, g.inv, g.by_rng
+    parts = [[[] for _ in families] for _ in range(g.n_units)]  # fiber -> family -> parts
+    for i, members in enumerate(families):
+        for mask in members:
+            while mask:
+                y = rng[(mask & -mask).bit_length() - 1]
+                part = mask & by_rng[y]
+                parts[y][i].append(part)
+                mask ^= part
+    t, rep_mask = _representative_fibers(g)
+    rows = fiber_gauge(g, rep_mask, window)
+    for y, fams in enumerate(parts):
+        ty = t[y]
+        if ty != y:
+            fams = [[translate(g, inv[ty], part) for part in fam] for fam in fams]
+        if _ef_violation(rows, None, fams, by_rng[g.src[ty]]) is not None:
+            return False
+    return True
 
 
 def _relation_points(e_rows: dict[int, int], f_rows: dict[int, int]) -> int:
@@ -208,7 +264,10 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
     pairwise word lengths inside each class; since ball(4N) is the set of
     arrows of length <= 4N, they are also the F-boundedness check at
     F = ball(4N).  The cover and E-separation at E = ball(N-1) are re-checked
-    on window rows in arrow ids.
+    on window rows in arrow ids, on one range fiber per orbit: each fiber's
+    classes are moved into the fiber at the orbit's least unit by left
+    translation, which keeps quotients (``_separated_cover``).  A groupoid
+    with no units has the empty cover, vacuously certified.
 
     Separations are forest distances, by two facts about a treeable graphing
     Q (its unit graph is a forest, with one generator and its inverse per
@@ -269,7 +328,7 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
                 if d > diameter:
                     diameter = d
         diameters[key] = diameter
-    max_diameter = max(diameters.values())
+    max_diameter = max(diameters.values(), default=0)  # no units: the empty cover
 
     sources = {key: mask_of(g.src[a] for a in members) for key, members in classes.items()}
     family_sources: dict[tuple[int, int], int] = {}  # (parity, fiber) -> source units
@@ -290,13 +349,12 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
         if gap is not None:
             min_same_annulus = gap
 
-    e_rows = gauge_from(g, graphing.ball(n - 1))
     masks = [[mask_of(member) for member in fam] for fam in family_members]
     certified = (
         max_diameter <= 4 * n
         and (min_separation is None or min_separation >= n)
         and (min_same_annulus is None or min_same_annulus >= 2 * n)
-        and _ef_violation(e_rows, None, masks, g.arrows_mask) is None
+        and _separated_cover(g, graphing.ball(n - 1), masks)
     )
 
     rows = []
@@ -371,11 +429,7 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
 
     f_window = symmetrize(witness.reach)
 
-    t = transversal(g)
-    rep_mask = 0
-    for x, a in enumerate(t):
-        if a == x:
-            rep_mask |= g.by_rng[x]
+    t, rep_mask = _representative_fibers(g)
     src, rng = g.src, g.rng
     families = []
     for cls, h_i in zip(witness.cover.classes, witness.generated_per_class):

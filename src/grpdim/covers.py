@@ -72,16 +72,17 @@ def fold_number(cover: Cover) -> int:
     """Minimum multiplicity of the classes over the units; 0 if uncovered.
 
     A groupoid with no units is vacuously covered with the maximal fold, the
-    number of classes.
+    number of classes.  Read on the class masks: ``at_least[k]`` is the mask
+    of the units in at least k of the classes so far, and the fold is the
+    number of k >= 1 whose mask holds every unit.
     """
-    best = len(cover.classes)
-    for x in range(cover.owner.n_units):
-        count = sum(1 for c in cover.classes if x in c)
-        if count == 0:
-            return 0
-        if count < best:
-            best = count
-    return best
+    units = cover.owner.units_mask
+    at_least = [units]
+    for c in cover.classes:
+        at_least.append(0)
+        for k in range(len(at_least) - 1, 0, -1):
+            at_least[k] |= at_least[k - 1] & c.mask
+    return sum(1 for mask in at_least[1:] if mask == units)
 
 
 def shrink_nfold(cover: Cover, n: int) -> Cover:

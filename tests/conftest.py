@@ -502,6 +502,14 @@ def whole_arrow_bridge(g: Groupoid, witness) -> tuple[tuple, bool]:
     return tuple(families), violation is None
 
 
+def whole_arrow_separated_cover(g: Groupoid, window: ArrowSet, families) -> bool:
+    """The cover and window-separation check of families of arrow masks on
+    ``gauge_from`` over every arrow, as ``treeable_cover`` once ran it: the
+    oracle for ``coarse._separated_cover``, which reads one range fiber per
+    orbit."""
+    return _ef_violation(gauge_from(g, window), None, families, g.arrows_mask) is None
+
+
 def pairwise_tree_bounds(g: Groupoid, graphing: Graphing, n: int) -> TreeCoverResult:
     """``treeable_cover`` by exhaustive pairwise word lengths: every pair of
     arrows in a class for its diameter, every pair of arrows in two classes
@@ -546,7 +554,7 @@ def pairwise_tree_bounds(g: Groupoid, graphing: Graphing, n: int) -> TreeCoverRe
         tuple(frozenset(classes[key]) for key in keys if key[0] % 2 == parity)
         for parity in (0, 1)
     )
-    max_diameter = max(diameters.values())
+    max_diameter = max(diameters.values(), default=0)
     min_separation = min(separations, default=-1)
     min_same_annulus = min(same_annulus, default=-1)
     e_gauge = brute_gauge(g, graphing.ball(n - 1))

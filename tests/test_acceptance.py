@@ -15,6 +15,7 @@ from itertools import product as iproduct
 from conftest import check_nfold_subfamilies, disjoint_union, tables_of, oracle_generated, random_arrow_set, random_groupoid, random_principal_groupoid, random_unit_set
 from grpdim import (
     Cover,
+    UnitSet,
     action_groupoid,
     blowup,
     cyclic_table,
@@ -264,13 +265,13 @@ def test_criterion_09_nfold_equivalence():
         n_units = rng.randint(5, 6)
         k_classes = rng.randint(1, 5)
         g = pairs[n_units]
-        cover = Cover(
-            g,
-            tuple(
-                g.unit_set([u for u in range(n_units) if rng.getrandbits(1)])
-                for _ in range(k_classes)
-            ),
-        )
+        classes = []
+        for _ in range(k_classes):
+            mask = 0
+            for u in range(n_units):
+                mask |= rng.getrandbits(1) << u
+            classes.append(UnitSet(g, mask))
+        cover = Cover(g, tuple(classes))
         n = rng.randint(0, k_classes)
         if check_nfold_subfamilies(cover, n) != (fold_number(cover) >= n):
             mismatches += 1

@@ -341,6 +341,21 @@ def test_asdim_fiber_and_tree(instances, tmp_path):
     assert res.returncode == 0 and "certified" in res.stdout
 
 
+def test_asdim_tree_on_no_units_is_certified(tmp_path):
+    # validate accepts a groupoid with no units; its annuli cover is empty
+    # and vacuously certified, as dad and theorem bridge certify d=0 there
+    inst, graph = tmp_path / "e0.json", tmp_path / "e0.g.json"
+    inst.write_text(json.dumps({"units": 0, "arrows": [], "inv": [], "comp": []}))
+    graph.write_text(json.dumps({"q": []}))
+    res = run_cli("asdim", str(inst), "--mode", "tree:1", "--graphing", str(graph),
+                  "--out", str(tmp_path / "tree"))
+    assert res.returncode == 0, res.stderr
+    assert [row.split("\t")[3] for row in res.stdout.splitlines()] == ["certified"]
+    cover = json.loads((tmp_path / "tree" / "tree-cover.json").read_text())
+    assert cover == {"certified": True, "families": [[], []], "format": "tree-cover",
+                     "max_diameter": 0, "min_separation": -1, "scale": 1, "version": 1}
+
+
 def test_theorem_bridge_and_morita(instances, tmp_path):
     p7 = str(instances / "p7.json")
     p7g = str(instances / "p7.graphing.json")

@@ -24,6 +24,7 @@ from conftest import (
     union_find_orbits,
     union_find_treeable,
     whole_arrow_bridge,
+    whole_arrow_separated_cover,
     whole_powers,
 )
 from grpdim import (
@@ -31,6 +32,8 @@ from grpdim import (
     CoarseError,
     Cover,
     Graphing,
+    Groupoid,
+    TreeCoverResult,
     action_groupoid,
     asdim_fiber_decompositions,
     asdim_to_dad,
@@ -54,7 +57,7 @@ from grpdim import (
     treeable_cover,
     trivial_perms,
 )
-from grpdim.coarse import _ef_violation, _forest_gap
+from grpdim.coarse import _ef_violation, _forest_gap, _separated_cover
 from grpdim.groupoid import iter_bits, mask_of, orbit_fibers, transversal, unit_graph
 
 
@@ -579,6 +582,122 @@ def test_treeable_cover_requires_treeable():
     bad = Graphing(g, chord)
     with pytest.raises(CoarseError):
         treeable_cover(g, bad, 1)
+
+
+def test_treeable_cover_with_no_units_is_the_empty_certified_cover():
+    # validate accepts a groupoid with no units; its cover is empty and
+    # vacuously certified, as dad and the bridge certify d=0 there
+    g = Groupoid(0, (), (), (), (), ())
+    graphing = Graphing(g, g.arrow_set())
+    res = treeable_cover(g, graphing, 1)
+    assert res == TreeCoverResult(((), ()), (), 0, -1, -1, 1, True)
+    assert res == pairwise_tree_bounds(g, graphing, 1)
+
+
+def _tree_cover_families():
+    """(g, E, families as arrow masks) for the families ``treeable_cover``
+    builds at N = 1..3, E = ball(N-1), on the two-tree forest (two orbits),
+    a path and random trees."""
+    rng = random.Random(29)
+    trees = [two_tree_forest(), line(7), *(
+        random_tree(rng.randint(2, 20), rng.randrange(99), rng.randrange(99)) for _ in range(6)
+    )]
+    return [
+        (g, graphing.ball(n_scale - 1),
+         [[mask_of(m) for m in fam] for fam in treeable_cover(g, graphing, n_scale).families])
+        for g, graphing in trees
+        for n_scale in (1, 2, 3)
+    ]
+
+
+def _forgeries(rng, g, families):
+    """The families and forged copies: a class moved to the next family, two
+    classes of one family merged, one arrow dropped, and a member joined with
+    a class of the next family from another fiber, so that it spans two."""
+    def fiber(mask):
+        return g.rng[(mask & -mask).bit_length() - 1] if mask else -1
+
+    out = [families]
+    slots = [(i, j) for i, fam in enumerate(families) for j in range(len(fam))]
+    for _ in range(3):
+        i, j = rng.choice(slots)
+        member, nxt = families[i][j], (i + 1) % len(families)
+        moved = [list(fam) for fam in families]
+        moved[nxt].append(moved[i].pop(j))
+        out.append(moved)
+        if len(families[i]) > 1:
+            merged = [list(fam) for fam in families]
+            k = rng.choice([k for k in range(len(families[i])) if k != j])
+            merged[i][j] |= merged[i][k]
+            del merged[i][k]
+            out.append(merged)
+        if member:
+            dropped = [list(fam) for fam in families]
+            dropped[i][j] &= ~(1 << rng.choice(list(iter_bits(member))))
+            out.append(dropped)
+        far = [k for k, m in enumerate(families[nxt]) if m and fiber(m) != fiber(member)]
+        if far and nxt != i:
+            spanning = [list(fam) for fam in families]
+            spanning[i][j] |= spanning[nxt].pop(rng.choice(far))
+            out.append(spanning)
+    return out
+
+
+def _separated_cover_cases():
+    """Every tree-cover family set with its forgeries, then random families
+    with members across fibers, and their forgeries, on path(n) x Z/2 with
+    Z/2 acting trivially, under random symmetric windows."""
+    rng = random.Random(2029)
+    cases = [(g, e_set, fams) for g, e_set, built in _tree_cover_families()
+             for fams in _forgeries(rng, g, built)]
+    z2 = action_groupoid(cyclic_table(2), trivial_perms(2, 1))
+    for _ in range(40):
+        g = product(line(rng.randint(1, 5))[0], z2).groupoid
+        e_set = random_arrow_set(rng, g, rng.choice([0.0, 0.05, 0.2]))
+        fams = [[0] * rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        for a in range(g.n_arrows):
+            fam = rng.choice(fams)
+            fam[rng.randrange(len(fam))] |= 1 << a
+        cases += [(g, e_set, forged) for forged in _forgeries(rng, g, fams)]
+    return cases
+
+
+def _separated_cover_verdicts(cases):
+    """The verdicts of ``_separated_cover`` on the cases, and the cases on
+    which the whole-arrow oracle reads otherwise."""
+    verdicts, disagreements = {True: 0, False: 0}, []
+    for g, e_set, fams in cases:
+        got = _separated_cover(g, e_set, fams)
+        verdicts[got] += 1
+        if got != whole_arrow_separated_cover(g, e_set, fams):
+            disagreements.append((g, e_set, fams))
+    return verdicts, disagreements
+
+
+def test_separated_cover_agrees_with_the_whole_arrow_oracle():
+    # the tree cover's re-check reads one range fiber per orbit; the oracle
+    # reads the window rows of every arrow
+    for g, e_set, fams in _tree_cover_families():
+        assert _separated_cover(g, e_set, fams)
+    verdicts, disagreements = _separated_cover_verdicts(_separated_cover_cases())
+    assert disagreements == []
+    assert min(verdicts.values()) > 100, verdicts
+
+
+def test_separated_cover_oracle_check_sees_a_skipped_fiber(monkeypatch):
+    # a re-check that passes the second fiber it is given unread disagrees
+    # with the oracle on some case, so the check above would fail
+    cases = _separated_cover_cases()
+    seen = {"rows": None, "calls": 0}
+
+    def skip_second_fiber(e_rows, f_rows, families, points):
+        if e_rows is not seen["rows"]:  # a new call of the re-check
+            seen["rows"], seen["calls"] = e_rows, 0
+        seen["calls"] += 1
+        return None if seen["calls"] == 2 else _ef_violation(e_rows, f_rows, families, points)
+
+    monkeypatch.setattr("grpdim.coarse._ef_violation", skip_second_fiber)
+    assert _separated_cover_verdicts(cases)[1]
 
 
 # -- dad -> asdim ---------------------------------------------------------------
