@@ -369,16 +369,23 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
     return EXIT_OK
 
 
+# The asdim options that tree mode does not read, with their defaults in the
+# other modes.  They parse to None when not given, so tree mode can refuse
+# one that is given, even at its default value.
+_SEARCH_ONLY = {"--points": "fiber:0", "--e-spec": "ball:1", "--f-spec": "ball:4", "--d-max": 2}
+
+
 @main.command(
     "asdim",
     _arg("path", metavar="PATH", check=_existing),
-    _arg("--points", dest="points_spec", default="fiber:0",
-         help="fiber:<unit> or arrows; " + _DEFAULT),
-    _arg("--e-spec", default="ball:1", help=_DEFAULT),
-    _arg("--f-spec", default="ball:4", help=_DEFAULT),
-    _arg("--d-max", check=_parse_int, default=2, help=_DEFAULT),
+    _arg("--points", dest="points_spec",
+         help="fiber:<unit> or arrows; default: " + _SEARCH_ONLY["--points"]),
+    _arg("--e-spec", help="default: " + _SEARCH_ONLY["--e-spec"]),
+    _arg("--f-spec", help="default: " + _SEARCH_ONLY["--f-spec"]),
+    _arg("--d-max", check=_parse_int, help=f"default: {_SEARCH_ONLY['--d-max']}"),
     _arg("--mode", check=_search_mode, default="exact",
-         help="exact, greedy, or tree:<N> for the annuli certificate; " + _DEFAULT),
+         help="exact, greedy, or tree:<N> for the annuli certificate, which reads "
+              "--graphing and --out only; " + _DEFAULT),
     _arg("--graphing", check=_existing),
     _arg("--out"),
 )
@@ -388,10 +395,14 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
     from .coarse import ef_asdim_search, fiber_gauge, treeable_cover
 
     started = time.monotonic()
-    g, gr = _load(path, graphing)
+    given = {"--points": points_spec, "--e-spec": e_spec, "--f-spec": f_spec, "--d-max": d_max}
     if mode.startswith("tree:"):
-        if gr is None:
+        unread = [name for name, value in given.items() if value is not None]
+        if unread:
+            raise InputError(f"tree mode reads no {', '.join(unread)}")
+        if graphing is None:
             raise InputError("tree mode needs --graphing")
+        g, gr = _load(path, graphing)
         res = treeable_cover(g, gr, int(mode[len("tree:"):]))
         params = f"mode={mode}"
         wpath = artifacts.write(out, "tree-cover.json", artifacts.tree_cover(res))
@@ -401,6 +412,10 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
         _row(path, "asdim-tree", params, result, wpath, started)
         return EXIT_OK if res.certified else EXIT_REFUTED
 
+    points_spec, e_spec, f_spec, d_max = (
+        _SEARCH_ONLY[name] if value is None else value for name, value in given.items()
+    )
+    g, gr = _load(path, graphing)
     if points_spec == "arrows":
         pts = g.arrows_mask
     elif points_spec.startswith("fiber:"):

@@ -3,13 +3,16 @@ covers, and the two bridges between dad witnesses and coarse decompositions.
 
 Points of the coarse spaces here are arrows of a groupoid; a window set
 relates two arrows in the same range fiber when the quotient ``g^-1 h`` lies
-in it.  Arrows in different fibers are never related.  The relation has one
-form, window rows in arrow ids (``fiber_gauge``); the search and every
-certificate read it.
+in it.  Arrows in different fibers are never related.  The search, the
+bridges and the (E,F)-check read the relation as window rows in arrow ids
+(``fiber_gauge``); the tree cover's re-check reads the same rows on the
+cells of one orbit, which stand for the arrows of each of its fibers
+(``_separated_cover``).
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from ._search import compact_order, partition_search
@@ -102,47 +105,49 @@ def _representative_fibers(g: Groupoid) -> tuple[list[int], int]:
     return t, rep_mask
 
 
-def _separated_cover(g: Groupoid, window: ArrowSet, families) -> bool:
-    """True iff families of arrow masks cover every arrow, exactly, and the
-    members of each family are separated by the window relation; checked on
-    the window rows of one range fiber per orbit.
+def _separated_cover(g: Groupoid, window: ArrowSet, fibers) -> bool:
+    """True iff per-fiber members cover every arrow, exactly, and the members
+    of each family are separated by the window relation.
 
-    This is ``_ef_violation`` without F on ``gauge_from(g, window)`` over
-    every arrow.  Rows never leave their fiber, so that check is the same one
-    run fiber by fiber, on each member's part in the fiber.  For the fiber
-    G^y, left translation by the inverse of ``transversal``'s arrow t from
-    the orbit's least unit x to y maps G^y onto G^x one to one and keeps
-    quotients (see ``dad_to_asdim``).  So it moves the parts into G^x with
-    the same relation among them, and rows are built on G^x only.  The window
-    must be symmetric and contain every unit, as for ``gauge_from``.
+    ``fibers[x]`` holds the families of the range fiber G^x, each a list of
+    members as cell masks.  An orbit is X×H×X, and the arrow (x, h, y) of
+    G^x is the cell (h, y), bit ``h * n_units + y``: on a principal orbit,
+    the source unit y.  Two arrows a = (x, h, y) and b = (x, h', z) of G^x
+    are related iff a^-1 b = (y, h^-1 h', z) lies in the window, which does
+    not depend on x; so the window rows are built on cells once per orbit,
+    one pass over the window's arrows, and every fiber of the orbit reads
+    them.  This is ``_ef_violation`` without F on ``gauge_from(g, window)``
+    over every arrow, run fiber by fiber (rows never leave their fiber) with
+    each arrow named by its cell; a cell outside the fiber's orbit is a
+    point the members may not hold.  The window must be symmetric and
+    contain every unit, as for ``gauge_from``: exactly when the cell rows
+    are symmetric and reflexive, which is checked on them.
     """
     _same_owner(g, window.owner)
-    if not window.is_oc_normal():
-        raise CoarseError("gauge windows must be symmetric and contain every unit")
-    covered = 0
-    for members in families:
-        for mask in members:
-            covered |= mask
-    if covered != g.arrows_mask:
+    n = g.n_units
+    if len(fibers) != n:
         return False
-    rng, inv, by_rng = g.rng, g.inv, g.by_rng
-    parts = [[[] for _ in families] for _ in range(g.n_units)]  # fiber -> family -> parts
-    for i, members in enumerate(families):
-        for mask in members:
-            while mask:
-                y = rng[(mask & -mask).bit_length() - 1]
-                part = mask & by_rng[y]
-                parts[y][i].append(part)
-                mask ^= part
-    t, rep_mask = _representative_fibers(g)
-    rows = fiber_gauge(g, rep_mask, window)
-    for y, fams in enumerate(parts):
-        ty = t[y]
-        if ty != y:
-            fams = [[translate(g, inv[ty], part) for part in fam] for fam in fams]
-        if _ef_violation(rows, None, fams, by_rng[g.src[ty]]) is not None:
-            return False
-    return True
+    src, rng, label, table = g.src, g.rng, g.label, g.table
+    rows = {h * n + y: 0 for y in range(n) for h in range(len(table[y]))}
+    for e in iter_bits(window.mask):  # e = (y, k, z) relates (h, y) to (hk, z)
+        y, z, k = rng[e], src[e], label[e]
+        for h, products in enumerate(table[y]):
+            rows[h * n + y] |= 1 << (products[k] * n + z)
+    for p, row in rows.items():
+        if not row >> p & 1 or any(not rows[q] >> p & 1 for q in iter_bits(row)):
+            raise CoarseError("gauge windows must be symmetric and contain every unit")
+    orbit_cells = [0] * n  # unit -> the cells of its orbit
+    for x in range(n):
+        if not orbit_cells[x]:
+            units = mask_of(src[a] for a in g.at[x][0])
+            cells = 0
+            for h in range(len(table[x])):
+                cells |= units << h * n
+            for y in iter_bits(units):
+                orbit_cells[y] = cells
+    return all(
+        _ef_violation(rows, None, fams, orbit_cells[x]) is None for x, fams in enumerate(fibers)
+    )
 
 
 def _relation_points(e_rows: dict[int, int], f_rows: dict[int, int]) -> int:
@@ -264,30 +269,35 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
     pairwise word lengths inside each class; since ball(4N) is the set of
     arrows of length <= 4N, they are also the F-boundedness check at
     F = ball(4N).  The cover and E-separation at E = ball(N-1) are re-checked
-    on window rows in arrow ids, on one range fiber per orbit: each fiber's
-    classes are moved into the fiber at the orbit's least unit by left
-    translation, which keeps quotients (``_separated_cover``).  A groupoid
-    with no units has the empty cover, vacuously certified.
+    by ``_separated_cover`` on the classes' source masks, which are their
+    cells, against window rows built once per orbit.  A groupoid with no
+    units has the empty cover, vacuously certified.
 
-    Separations are forest distances, by two facts about a treeable graphing
-    Q (its unit graph is a forest, with one generator and its inverse per
-    edge, and Q generates g):
+    Everything is read in source units, by two facts about a treeable
+    graphing Q (its unit graph is a forest, with one generator and its
+    inverse per edge, and Q generates g):
 
     1. g is principal.  Every arrow is a word in Q, which walks the forest;
        a word whose walk is closed backtracks somewhere, at a step ``q^-1 q``
        (the edge has no other generator) that cancels to a unit, so the
        word reduces to the unit at its base.  Hence every arrow with equal
        source and range is a unit, and two arrows with the same ends are
-       equal (their quotient is such an arrow).
+       equal (their quotient is such an arrow).  This is checked, by
+       ``is_principal``, not assumed.
     2. For a, b in one range fiber, |a^-1 b| is the forest distance from
        src a to src b.  A word of length l for a^-1 b walks l edges from
        src b to src a, so |a^-1 b| is at least the distance; the word along
        the forest path is an arrow with those ends, so it is a^-1 b by 1.
 
-    So a class's distance to the other classes of its family (or annulus) in
-    its fiber is the first layer of a BFS from its source units that meets
-    their source units.  A BFS stops once it reaches the least separation
-    found so far, which it cannot improve.
+    By 1, a class in the fiber G^x is its mask of source units.  The classes
+    of G^x come from one walk of the forest from x, whose stack of the path
+    back to x gives each arrow's past vertex: ``lengths[a] - t`` steps up
+    from src a, stopping at x.  A class's diameter is the largest length of
+    the arrows between its source units, read once per distinct source mask.
+    By 2, a class's distance to the other classes of its family (or annulus)
+    in its fiber is the first layer of a BFS from its source units that
+    meets their source units.  A BFS stops once it reaches the least
+    separation found so far, which it cannot improve.
     """
     if graphing.owner is not g:
         raise CoarseError("graphing belongs to a different groupoid")
@@ -295,52 +305,71 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
         raise CoarseError(f"graphing is not treeable: {graphing.failure}")
     if n_scale < 1:
         raise CoarseError("annulus width must be positive")
+    if not is_principal(g):  # fact 1 below
+        raise CoarseError("a treeable graphing generates a principal groupoid, and this one is not")
     n = n_scale
-    classes: dict[tuple, list[int]] = {}
-    for a in range(g.n_arrows):
-        length = graphing.length(a)
-        ks = {length // n}
-        if length % n == 0 and length > 0:
-            ks.add(length // n - 1)
-        for k in ks:
-            if k >= 2:
-                key = (k, g.rng[a], graphing.path_vertex(a, n * (k - 1)))
+    lengths, adj, at, pos = graphing.lengths, graphing.adjacency, g.at, g.pos
+    neighbours = [list(iter_bits(row)) for row in adj]
+    classes: dict[tuple[int, int, int], list[int]] = {}  # (annulus, fiber, past) -> sources
+    for x in range(g.n_units):
+        fiber = at[x][0]  # fiber[pos[v]] is the arrow from v to x
+        path: list[int] = []  # the forest path from x to the unit on top of the stack
+        stack = [(x, 0)]
+        while stack:
+            v, depth = stack.pop()
+            del path[depth:]
+            path.append(v)
+            length = lengths[fiber[pos[v]]]
+            k = length // n
+            i = depth - length + n * (k - 1)  # the past vertex's index on the path, or x below 0
+            key = (k, x, -1 if k < 2 else path[i] if i > 0 else x)
+            if key in classes:
+                classes[key].append(v)
             else:
-                key = (k, g.rng[a], -1)
-            classes.setdefault(key, []).append(a)
-
-    family_members: list[list[frozenset[int]]] = [[], []]
+                classes[key] = [v]
+            if length % n == 0 and length:  # on the boundary: in annulus k - 1 too
+                k -= 1
+                i -= n
+                key = (k, x, -1 if k < 2 else path[i] if i > 0 else x)
+                if key in classes:
+                    classes[key].append(v)
+                else:
+                    classes[key] = [v]
+            parent = path[depth - 1] if depth else -1
+            for w in neighbours[v]:
+                if w != parent:
+                    stack.append((w, depth + 1))
     keys = sorted(classes)
-    for key in keys:
-        family_members[key[0] % 2].append(frozenset(classes[key]))
 
-    lengths, src, inv, label, pos, at, table = (
-        graphing.lengths, g.src, g.inv, g.label, g.pos, g.at, g.table
-    )
-    diameters = {}
-    for key, members in classes.items():
-        diameter = 0
-        for i, a in enumerate(members):
-            x = src[a]  # inv(a) b runs src b -> src a
-            row, ha = at[x], table[x][label[inv[a]]]
-            for b in members[i:]:
-                d = lengths[row[ha[label[b]]][pos[src[b]]]]
-                if d > diameter:
-                    diameter = d
-        diameters[key] = diameter
+    bits = [1 << v for v in range(g.n_units)]
+    reach = [[lengths[a] for a in at[u][0]] for u in range(g.n_units)]  # [u][pos v]: |v -> u|
+    sources: dict[tuple[int, int, int], int] = {}  # class key -> its source units
+    diameters: dict[int, int] = {}  # source units -> the largest length between two of them
+    family_members: list[list[frozenset[int]]] = [[], []]
+    cells = [([], []) for _ in range(g.n_units)]  # fiber -> parity -> source masks
+    rows = []
+    for idx, key in enumerate(keys):
+        k, x, _ = key
+        units = classes[key]
+        places = [pos[v] for v in units]
+        sources[key] = mask = sum(map(bits.__getitem__, units))
+        if mask not in diameters:  # a second index keeps itemgetter's result a tuple
+            read = itemgetter(*places, places[0])
+            diameters[mask] = max(map(max, map(read, map(reach.__getitem__, units))))
+        family_members[k % 2].append(frozenset(map(at[x][0].__getitem__, places)))
+        cells[x][k % 2].append(mask)
+        rows.append((k % 2, idx, k, x, len(units), diameters[mask]))
     max_diameter = max(diameters.values(), default=0)  # no units: the empty cover
 
-    sources = {key: mask_of(g.src[a] for a in members) for key, members in classes.items()}
     family_sources: dict[tuple[int, int], int] = {}  # (parity, fiber) -> source units
     annulus_sources: dict[tuple[int, int], int] = {}  # (annulus, fiber) -> source units
     for (k, x, _), mask in sources.items():
         family_sources[k % 2, x] = family_sources.get((k % 2, x), 0) | mask
         annulus_sources[k, x] = annulus_sources.get((k, x), 0) | mask
-    adj = graphing.adjacency
     min_separation = None
     min_same_annulus = None
-    # a family's classes in one fiber are disjoint and g is principal, so
-    # their source masks are disjoint too: "& ~mask" leaves the other classes
+    # a family's classes in one fiber are disjoint, so their source masks are
+    # disjoint too: "& ~mask" leaves the other classes
     for (k, x, _), mask in sources.items():
         gap = _forest_gap(adj, mask, family_sources[k % 2, x] & ~mask, min_separation)
         if gap is not None:
@@ -349,18 +378,12 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
         if gap is not None:
             min_same_annulus = gap
 
-    masks = [[mask_of(member) for member in fam] for fam in family_members]
     certified = (
         max_diameter <= 4 * n
         and (min_separation is None or min_separation >= n)
         and (min_same_annulus is None or min_same_annulus >= 2 * n)
-        and _separated_cover(g, graphing.ball(n - 1), masks)
+        and _separated_cover(g, graphing.ball(n - 1), cells)
     )
-
-    rows = []
-    for idx, key in enumerate(keys):
-        members = classes[key]
-        rows.append((key[0] % 2, idx, key[0], key[1], len(members), diameters[key]))
     return TreeCoverResult(
         families=tuple(tuple(f) for f in family_members),
         rows=tuple(rows),

@@ -55,7 +55,6 @@ class Graphing:
         self.lengths = tuple(lengths)
         self.treeable, self.failure = self._check_treeable()
         self.adjacency = unit_graph(owner, q_set)  # per unit, its neighbours' mask
-        self._paths: dict[int, list[int]] = {}
 
     def _check_treeable(self):
         g = self.owner
@@ -87,35 +86,3 @@ class Graphing:
 
     def length(self, a: int) -> int:
         return self.lengths[a]
-
-    def path_vertex(self, a: int, t: int) -> int:
-        """The t-th unit on the unique reduced path from rng(a) to src(a).
-
-        The path has |a| edges (word length is forest distance; see
-        ``treeable_cover``), so the unit is |a| - t steps from src(a) toward
-        rng(a) in the BFS tree rooted at rng(a).
-        """
-        if not self.treeable:
-            raise CoarseError("paths require a treeable graphing")
-        g = self.owner
-        root = g.rng[a]
-        parents = self._paths.get(root)
-        if parents is None:
-            parents = [-1] * g.n_units
-            parents[root] = root
-            frontier = [root]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in iter_bits(self.adjacency[u]):
-                        if parents[v] == -1:
-                            parents[v] = u
-                            nxt.append(v)
-                frontier = nxt
-            self._paths[root] = parents
-        if not 0 <= t <= self.lengths[a]:
-            raise CoarseError(f"path position {t} out of range for arrow {a}")
-        v = g.src[a]
-        for _ in range(self.lengths[a] - t):
-            v = parents[v]
-        return v

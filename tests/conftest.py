@@ -505,9 +505,27 @@ def whole_arrow_bridge(g: Groupoid, witness) -> tuple[tuple, bool]:
 def whole_arrow_separated_cover(g: Groupoid, window: ArrowSet, families) -> bool:
     """The cover and window-separation check of families of arrow masks on
     ``gauge_from`` over every arrow, as ``treeable_cover`` once ran it: the
-    oracle for ``coarse._separated_cover``, which reads one range fiber per
-    orbit."""
+    oracle for ``coarse._separated_cover``, which reads window rows on cells
+    once per orbit (its members converted by ``fiber_cells``)."""
     return _ef_violation(gauge_from(g, window), None, families, g.arrows_mask) is None
+
+
+def fiber_cells(g: Groupoid, families) -> list[list[list[int]]]:
+    """Families of arrow masks as ``coarse._separated_cover`` takes them: for
+    each range fiber x, each family's members cut to G^x, as cell masks (the
+    arrow (x, h, y) is bit ``h * n_units + y``).  A member that spans several
+    fibers becomes one part in each, and an empty one none."""
+    n = g.n_units
+    fibers = [[[] for _ in families] for _ in range(n)]
+    for i, members in enumerate(families):
+        for mask in members:
+            parts: dict[int, int] = {}
+            for a in iter_bits(mask):
+                x = g.rng[a]
+                parts[x] = parts.get(x, 0) | 1 << (g.label[a] * n + g.src[a])
+            for x, part in parts.items():
+                fibers[x][i].append(part)
+    return fibers
 
 
 def pairwise_tree_bounds(g: Groupoid, graphing: Graphing, n: int) -> TreeCoverResult:

@@ -596,7 +596,8 @@ def test_unit_out_of_range_names_its_chunk(instances, capsys, args, stderr):
 
 # Every parser-level input error: an unknown option, an option's prefix, a
 # value of the wrong kind, a missing option or argument, a path that does not
-# exist.  Each is found before the command runs.
+# exist.  Each is found before the command runs; asdim's tree mode given an
+# option it does not read, or no graphing, before the instance is loaded.
 PARSE_ERRORS = [
     ["dad", "{p7}", "--no-such-option"],
     ["dad", "{p7}", "--grap", "{p7g}"],
@@ -605,6 +606,11 @@ PARSE_ERRORS = [
     ["asdim", "{p7}", "--mode", "foo"],
     ["asdim", "{p7}", "--mode", "tree:0"],
     ["asdim", "{p7}", "--graphing", "{p7g}", "--mode", "tree:x"],
+    ["asdim", "{p7}", "--graphing", "{p7g}", "--mode", "tree:1", "--points", "fiber:0"],
+    ["asdim", "{p7}", "--graphing", "{p7g}", "--mode", "tree:1", "--e-spec", "ball:1"],
+    ["asdim", "{p7}", "--graphing", "{p7g}", "--mode", "tree:2", "--f-spec", "ball:4"],
+    ["asdim", "{p7}", "--graphing", "{p7g}", "--mode", "tree:1", "--d-max", "2"],
+    ["asdim", "{p7}", "--mode", "tree:1"],
     ["build", "--family", "ring", "--out", "{out}"],
     ["build", "--family", "pair", "--n", "3"],
     ["theorem", "sum", "--path", "{p7}"],
@@ -633,6 +639,31 @@ def test_bad_asdim_mode_names_the_option(instances, capsys, mode):
     assert res.exit_code == 2 and res.stdout == ""
     assert res.stderr == (f"Error: bad --mode value {mode!r}: "
                           "not exact, greedy or tree:<N> with N >= 1\n")
+
+
+@pytest.mark.parametrize("args, stderr", [
+    (["--points", "fiber:0", "--d-max", "0"], "tree mode reads no --points, --d-max"),
+    (["--e-spec", "ball:1", "--f-spec", "ball:4"], "tree mode reads no --e-spec, --f-spec"),
+    ([], "tree mode needs --graphing"),
+])
+def test_tree_mode_refuses_before_loading(tmp_path, capsys, args, stderr):
+    # the instance is not a groupoid file: tree mode's own checks come first
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    graphing = ["--graphing", str(bad)] if args else []
+    res = invoke(capsys, ["asdim", str(bad), "--mode", "tree:1", *graphing, *args])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == f"Error: {stderr}\n"
+
+
+def test_asdim_help_states_each_default(capsys):
+    # the options that tree mode refuses parse to None, but --help still
+    # states the value the other modes take
+    out = " ".join(invoke(capsys, ["asdim", "--help"]).stdout.split())
+    for option, default in (("--points POINTS_SPEC", "fiber:0"), ("--e-spec E_SPEC", "ball:1"),
+                            ("--f-spec F_SPEC", "ball:4"), ("--d-max D_MAX", "2"),
+                            ("--mode MODE", "exact")):
+        assert re.search(re.escape(option) + r" .*?default: (\S+)", out)[1] == default, option
 
 
 def test_dad_past_the_unit_count_is_refuted_as_given(tmp_path, capsys):

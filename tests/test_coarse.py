@@ -9,6 +9,7 @@ from conftest import (
     brute_gauge,
     closure_h_fibers,
     disjoint_union,
+    fiber_cells,
     fiber_points,
     first_fit_dad_blocks,
     generator_sets,
@@ -529,7 +530,25 @@ def two_tree_forest():
     return g, Graphing(g, ArrowSet(g, q))
 
 
-@pytest.mark.parametrize("n_scale", [1, 2, 3])
+def random_forest(rng, n):
+    """A random forest on n units: an isolated unit, then blocks of random
+    sizes (more isolated units among them), each spanned by a random
+    recursive tree, with the units and the arrow ids shuffled."""
+    units = list(range(n))
+    rng.shuffle(units)
+    blocks, edges = [], set()
+    while units:
+        size = rng.choice([1, 1, 2, 3, 5, 8]) if blocks else 1
+        block, units = units[:size], units[size:]
+        blocks.append(block)
+        edges |= {frozenset((block[rng.randrange(i)], block[i])) for i in range(1, len(block))}
+    g = pair_blocks_groupoid(blocks, n, shuffle_rng=rng)
+    q = mask_of(a for a in range(g.n_units, g.n_arrows)
+                if frozenset((g.src[a], g.rng[a])) in edges)
+    return g, Graphing(g, ArrowSet(g, q))
+
+
+@pytest.mark.parametrize("n_scale", [1, 2, 3, 4])
 def test_treeable_cover_matches_pairwise_oracle(n_scale):
     # separations are forest distances from a BFS; the oracle takes the
     # least word length over every pair of arrows in two classes
@@ -539,6 +558,9 @@ def test_treeable_cover_matches_pairwise_oracle(n_scale):
     for _ in range(10):
         n = rng.randint(2, 40)
         cases.append((f"tree{n}", *random_tree(n, rng.randrange(99), rng.randrange(99))))
+    for _ in range(4):
+        n = rng.randint(6, 24)
+        cases.append((f"forest{n}", *random_forest(rng, n)))
     for name, g, graphing in cases:
         assert treeable_cover(g, graphing, n_scale) == pairwise_tree_bounds(
             g, graphing, n_scale
@@ -574,6 +596,34 @@ def test_treeable_cover_rejects_a_class_wider_than_4n():
     assert wide == [(1, 1, 6), (1, 2, 6)]
     assert (res.min_separation, res.min_same_annulus_separation) == (1, 2)
     assert res.max_diameter == 6 and not res.certified
+
+
+def test_treeable_cover_reads_no_arrow_rows(monkeypatch):
+    # classes, diameters and the re-check are read in source units: neither
+    # translate nor fiber_gauge, which build arrow masks, is called
+    rng = random.Random(30)
+    cases = [two_tree_forest(), line(9), tree_window("binary", 3), random_forest(rng, 15)]
+    expected = [treeable_cover(g, graphing, n) for g, graphing in cases for n in (1, 2, 3)]
+
+    def refuse(*args):
+        raise AssertionError("treeable_cover read window rows in arrow ids")
+
+    for name in ("grpdim.groupoid.translate", "grpdim.coarse.translate",
+                 "grpdim.coarse.fiber_gauge"):
+        monkeypatch.setattr(name, refuse)
+    got = [treeable_cover(g, graphing, n) for g, graphing in cases for n in (1, 2, 3)]
+    assert got == expected and all(res.certified for res in got)
+
+
+def test_treeable_cover_checks_that_the_groupoid_is_principal():
+    # a treeable graphing generates a principal groupoid, so a graphing that
+    # reads treeable on a groupoid with isotropy is refused, not trusted
+    z2 = action_groupoid(cyclic_table(2), trivial_perms(2, 2))
+    graphing = Graphing(z2, z2.all_arrows() - z2.all_units())
+    assert not graphing.treeable
+    graphing.treeable = True
+    with pytest.raises(CoarseError, match="principal"):
+        treeable_cover(z2, graphing, 1)
 
 
 def test_treeable_cover_requires_treeable():
@@ -643,13 +693,30 @@ def _forgeries(rng, g, families):
     return out
 
 
+def _with_stray_cell(rng, g, families):
+    """A forgery in both forms: one member given a point that is no arrow of
+    its fiber.  The cell form (``fiber_cells``) gets the least cell outside
+    the fiber's orbit, a unit of another orbit or a label past its H; the
+    arrow form, for the whole-arrow oracle, the arrow id n_arrows, which
+    names no arrow of g."""
+    cells = fiber_cells(g, families)
+    x, i, j = rng.choice([(x, i, j) for x, fams in enumerate(cells)
+                          for i, fam in enumerate(fams) for j in range(len(fam))])
+    orbit = mask_of(g.label[a] * g.n_units + g.src[a] for a in iter_bits(g.by_rng[x]))
+    cells[x][i][j] |= ~orbit & (orbit + 1)
+    arrows = [list(fam) for fam in families]
+    arrows[i][0] |= 1 << g.n_arrows
+    return arrows, cells
+
+
 def _separated_cover_cases():
-    """Every tree-cover family set with its forgeries, then random families
-    with members across fibers, and their forgeries, on path(n) x Z/2 with
-    Z/2 acting trivially, under random symmetric windows."""
+    """Every tree-cover family set, then random families with members across
+    fibers on path(n) x Z/2 with Z/2 acting trivially, under random
+    symmetric windows; each with its forgeries and a stray cell.  A case is
+    (g, E, the families as arrow masks for the oracle, the same per fiber
+    as cell masks for ``_separated_cover``)."""
     rng = random.Random(2029)
-    cases = [(g, e_set, fams) for g, e_set, built in _tree_cover_families()
-             for fams in _forgeries(rng, g, built)]
+    family_sets = _tree_cover_families()
     z2 = action_groupoid(cyclic_table(2), trivial_perms(2, 1))
     for _ in range(40):
         g = product(line(rng.randint(1, 5))[0], z2).groupoid
@@ -658,7 +725,12 @@ def _separated_cover_cases():
         for a in range(g.n_arrows):
             fam = rng.choice(fams)
             fam[rng.randrange(len(fam))] |= 1 << a
-        cases += [(g, e_set, forged) for forged in _forgeries(rng, g, fams)]
+        family_sets.append((g, e_set, fams))
+    cases = []
+    for g, e_set, fams in family_sets:
+        cases += [(g, e_set, forged, fiber_cells(g, forged))
+                  for forged in _forgeries(rng, g, fams)]
+        cases.append((g, e_set, *_with_stray_cell(rng, g, fams)))
     return cases
 
 
@@ -666,8 +738,8 @@ def _separated_cover_verdicts(cases):
     """The verdicts of ``_separated_cover`` on the cases, and the cases on
     which the whole-arrow oracle reads otherwise."""
     verdicts, disagreements = {True: 0, False: 0}, []
-    for g, e_set, fams in cases:
-        got = _separated_cover(g, e_set, fams)
+    for g, e_set, fams, cells in cases:
+        got = _separated_cover(g, e_set, cells)
         verdicts[got] += 1
         if got != whole_arrow_separated_cover(g, e_set, fams):
             disagreements.append((g, e_set, fams))
@@ -675,13 +747,27 @@ def _separated_cover_verdicts(cases):
 
 
 def test_separated_cover_agrees_with_the_whole_arrow_oracle():
-    # the tree cover's re-check reads one range fiber per orbit; the oracle
-    # reads the window rows of every arrow
+    # the tree cover's re-check reads window rows on cells, once per orbit;
+    # the oracle reads the window rows of every arrow
     for g, e_set, fams in _tree_cover_families():
-        assert _separated_cover(g, e_set, fams)
+        assert _separated_cover(g, e_set, fiber_cells(g, fams))
     verdicts, disagreements = _separated_cover_verdicts(_separated_cover_cases())
     assert disagreements == []
     assert min(verdicts.values()) > 100, verdicts
+
+
+def test_separated_cover_refuses_a_window_that_is_not_oc_normal():
+    # the window check reads the cell rows: a missing unit leaves a row
+    # irreflexive, a missing inverse leaves two rows asymmetric, on a
+    # principal orbit and on one with H = Z/2
+    z2 = action_groupoid(cyclic_table(2), trivial_perms(2, 1))
+    for g in (line(5)[0], product(line(3)[0], z2).groupoid):
+        fibers = fiber_cells(g, [[g.arrows_mask]])
+        assert _separated_cover(g, g.all_arrows(), fibers)
+        a = next(a for a in range(g.n_arrows) if g.inv[a] != a)
+        for window in (g.all_arrows() - g.arrow_set([0]), g.all_arrows() - g.arrow_set([a])):
+            with pytest.raises(CoarseError, match="symmetric and contain every unit"):
+                _separated_cover(g, window, fibers)
 
 
 def test_separated_cover_oracle_check_sees_a_skipped_fiber(monkeypatch):
