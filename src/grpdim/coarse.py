@@ -3,11 +3,11 @@ covers, and the two bridges between dad witnesses and coarse decompositions.
 
 Points of the coarse spaces here are arrows of a groupoid; a window set
 relates two arrows in the same range fiber when the quotient ``g^-1 h`` lies
-in it.  Arrows in different fibers are never related.  The search, the
-bridges and the (E,F)-check read the relation as window rows in arrow ids
-(``fiber_gauge``); the tree cover's re-check reads the same rows on the
-cells of one orbit, which stand for the arrows of each of its fibers
-(``_separated_cover``).
+in it.  Arrows in different fibers are never related.  The search,
+``asdim_to_dad`` and the (E,F)-check read the relation as window rows in
+arrow ids (``fiber_gauge``); ``dad_to_asdim`` and the tree cover's re-check
+read the same rows on the cells of each orbit, which stand for the arrows of
+each of its fibers (``_cell_rows``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .groupoid import (
     restrict,
     symmetrize,
     translate,
-    transversal,
 )
 
 
@@ -40,9 +39,9 @@ def fiber_gauge(g: Groupoid, points: "int | Iterable[int]", window: ArrowSet) ->
     """The window relation on ``points`` (an arrow mask or arrow ids), as rows.
 
     Arrow a's row is the mask of a and the arrows ``a q`` with q in the
-    window, masked to ``points``; every row lies in a's range fiber.  This
-    is the one form of the relation: the search and the certificates read
-    it, keyed and valued in arrow ids.
+    window, masked to ``points``; every row lies in a's range fiber.  The
+    search, ``asdim_to_dad`` and ``ef_asdim_check`` read the relation in
+    this form, keyed and valued in arrow ids.
     """
     _same_owner(g, window.owner)
     mask = points if isinstance(points, int) else mask_of(points)
@@ -52,8 +51,8 @@ def fiber_gauge(g: Groupoid, points: "int | Iterable[int]", window: ArrowSet) ->
 def gauge_from(g: Groupoid, window: ArrowSet) -> dict[int, int]:
     """``fiber_gauge`` over every arrow.  The window must be symmetric and
     contain every unit; then so is the relation, which E and F must be.
-    Nothing in the package calls it: each certificate reads ``fiber_gauge``
-    on the fibers it checks, and tests read the whole-arrow rows as oracles."""
+    Nothing in the package calls it: each certificate reads rows on the
+    fibers or cells it checks, and tests read the whole-arrow rows as oracles."""
     rows = fiber_gauge(g, g.arrows_mask, window)
     if not window.is_oc_normal():
         raise CoarseError("gauge windows must be symmetric and contain every unit")
@@ -67,7 +66,8 @@ def _ef_violation(e_rows, f_rows, families, points: int) -> "tuple | None":
     """The first (family, member, point, kind) that keeps families of member
     masks from (E,F)-decomposing the mask ``points``; None if there is none.
 
-    Rows map each point to its row, as ``fiber_gauge`` builds them.  Kind
+    Rows map each point to its row, as ``fiber_gauge`` builds them in arrow
+    ids and ``_cell_rows`` on cells.  Kind
     "cover" (no family or member) is the least point missed or stray.  Then
     one pass per family: each point's E-row is tested against the union of
     the earlier members ("E"), which covers every pair of members because E
@@ -94,15 +94,37 @@ def _ef_violation(e_rows, f_rows, families, points: int) -> "tuple | None":
     return None
 
 
-def _representative_fibers(g: Groupoid) -> tuple[list[int], int]:
-    """``transversal(g)`` and the arrow mask of the range fibers at the least
-    unit of each orbit, the units whose entry is their own unit arrow."""
-    t = transversal(g)
-    rep_mask = 0
-    for x, a in enumerate(t):
-        if a == x:
-            rep_mask |= g.by_rng[x]
-    return t, rep_mask
+def _cell_rows(g: Groupoid, mask: int) -> dict[int, int]:
+    """The window relation of the arrow mask ``mask`` on cells, as rows over
+    every cell of every orbit, built in one pass over the window's arrows.
+
+    An orbit is X×H×X, and the arrow (x, h, y) of the range fiber G^x is the
+    cell (h, y), bit ``h * n_units + y``: on a principal orbit, the source
+    unit y.  Two arrows a = (x, h, y) and b = (x, h', z) of G^x are related
+    iff a^-1 b = (y, h^-1 h', z) lies in the window, which does not depend
+    on x; so one row per cell serves every fiber of its orbit.  A row holds
+    its own cell only if the window holds the cell's source unit.
+    """
+    n = g.n_units
+    src, rng, label, table = g.src, g.rng, g.label, g.table
+    rows = {h * n + y: 0 for y in range(n) for h in range(len(table[y]))}
+    for e in iter_bits(mask):  # e = (y, k, z) relates (h, y) to (hk, z)
+        y, z, k = rng[e], src[e], label[e]
+        for h, products in enumerate(table[y]):
+            rows[h * n + y] |= 1 << (products[k] * n + z)
+    return rows
+
+
+def _gauge_rows(g: Groupoid, window: ArrowSet) -> dict[int, int]:
+    """``_cell_rows`` of a gauge window, which must be symmetric and contain
+    every unit, as for ``gauge_from``: exactly when the cell rows are
+    symmetric and reflexive, which is checked on them."""
+    _same_owner(g, window.owner)
+    rows = _cell_rows(g, window.mask)
+    for p, row in rows.items():
+        if not row >> p & 1 or any(not rows[q] >> p & 1 for q in iter_bits(row)):
+            raise CoarseError("gauge windows must be symmetric and contain every unit")
+    return rows
 
 
 def _separated_cover(g: Groupoid, window: ArrowSet, fibers) -> bool:
@@ -110,38 +132,22 @@ def _separated_cover(g: Groupoid, window: ArrowSet, fibers) -> bool:
     of each family are separated by the window relation.
 
     ``fibers[x]`` holds the families of the range fiber G^x, each a list of
-    members as cell masks.  An orbit is X×H×X, and the arrow (x, h, y) of
-    G^x is the cell (h, y), bit ``h * n_units + y``: on a principal orbit,
-    the source unit y.  Two arrows a = (x, h, y) and b = (x, h', z) of G^x
-    are related iff a^-1 b = (y, h^-1 h', z) lies in the window, which does
-    not depend on x; so the window rows are built on cells once per orbit,
-    one pass over the window's arrows, and every fiber of the orbit reads
-    them.  This is ``_ef_violation`` without F on ``gauge_from(g, window)``
-    over every arrow, run fiber by fiber (rows never leave their fiber) with
-    each arrow named by its cell; a cell outside the fiber's orbit is a
-    point the members may not hold.  The window must be symmetric and
-    contain every unit, as for ``gauge_from``: exactly when the cell rows
-    are symmetric and reflexive, which is checked on them.
+    members as cell masks (``_cell_rows``).  This is ``_ef_violation``
+    without F on ``gauge_from(g, window)`` over every arrow, run fiber by
+    fiber (rows never leave their fiber) with each arrow named by its cell,
+    against window rows built on cells once (``_gauge_rows``); a cell
+    outside the fiber's orbit is a point the members may not hold.
     """
-    _same_owner(g, window.owner)
-    n = g.n_units
+    rows = _gauge_rows(g, window)
+    n, src = g.n_units, g.src
     if len(fibers) != n:
         return False
-    src, rng, label, table = g.src, g.rng, g.label, g.table
-    rows = {h * n + y: 0 for y in range(n) for h in range(len(table[y]))}
-    for e in iter_bits(window.mask):  # e = (y, k, z) relates (h, y) to (hk, z)
-        y, z, k = rng[e], src[e], label[e]
-        for h, products in enumerate(table[y]):
-            rows[h * n + y] |= 1 << (products[k] * n + z)
-    for p, row in rows.items():
-        if not row >> p & 1 or any(not rows[q] >> p & 1 for q in iter_bits(row)):
-            raise CoarseError("gauge windows must be symmetric and contain every unit")
     orbit_cells = [0] * n  # unit -> the cells of its orbit
     for x in range(n):
         if not orbit_cells[x]:
             units = mask_of(src[a] for a in g.at[x][0])
             cells = 0
-            for h in range(len(table[x])):
+            for h in range(len(g.table[x])):
                 cells |= units << h * n
             for y in iter_bits(units):
                 orbit_cells[y] = cells
@@ -239,24 +245,33 @@ class TreeCoverResult(NamedTuple):
     certified: bool
 
 
-def _forest_gap(adj: Sequence[int], start: int, target: int, limit: "int | None") -> "int | None":
-    """The least number of edges from a unit of the mask ``start`` to one of
-    ``target`` in the graph ``adj``, by bitmask BFS; None if it is not below
-    ``limit`` (None: no limit) or ``target`` is out of reach."""
-    if not target:
-        return None
+def _forest_gaps(
+    adj: Sequence[int], start: int, family: int, annulus: int, family_limit, annulus_limit
+) -> tuple["int | None", "int | None"]:
+    """The least numbers of edges from a unit of the mask ``start`` to one of
+    ``family`` and to one of ``annulus`` in the graph ``adj``, by one bitmask
+    BFS that records the first layer meeting each; None for a target out of
+    reach, or where the gap is not below its limit (None: no limit).  The
+    BFS stops once both targets are met or cut off."""
+    family_gap = annulus_gap = None
+    open_family, open_annulus = bool(family), bool(annulus)
     seen = frontier = start
     gap = 0
-    while not frontier & target:
+    while True:
+        if open_family and frontier & family:
+            family_gap, open_family = gap, False
+        if open_annulus and frontier & annulus:
+            annulus_gap, open_annulus = gap, False
         gap += 1
-        if not frontier or gap == limit:
-            return None
+        open_family = open_family and gap != family_limit
+        open_annulus = open_annulus and gap != annulus_limit
+        if not (frontier and (open_family or open_annulus)):
+            return family_gap, annulus_gap
         nxt = 0
         for u in iter_bits(frontier):
             nxt |= adj[u]
         frontier = nxt & ~seen
         seen |= frontier
-    return gap
 
 
 def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverResult:
@@ -296,8 +311,9 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
     the arrows between its source units, read once per distinct source mask.
     By 2, a class's distance to the other classes of its family (or annulus)
     in its fiber is the first layer of a BFS from its source units that
-    meets their source units.  A BFS stops once it reaches the least
-    separation found so far, which it cannot improve.
+    meets their source units: one BFS per class, which reads both.  Each of
+    the two stops once it reaches the least separation found so far for it,
+    which it cannot improve, and the BFS once both have stopped.
     """
     if graphing.owner is not g:
         raise CoarseError("graphing belongs to a different groupoid")
@@ -371,12 +387,14 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
     # a family's classes in one fiber are disjoint, so their source masks are
     # disjoint too: "& ~mask" leaves the other classes
     for (k, x, _), mask in sources.items():
-        gap = _forest_gap(adj, mask, family_sources[k % 2, x] & ~mask, min_separation)
-        if gap is not None:
-            min_separation = gap
-        gap = _forest_gap(adj, mask, annulus_sources[k, x] & ~mask, min_same_annulus)
-        if gap is not None:
-            min_same_annulus = gap
+        family_gap, annulus_gap = _forest_gaps(
+            adj, mask, family_sources[k % 2, x] & ~mask, annulus_sources[k, x] & ~mask,
+            min_separation, min_same_annulus,
+        )
+        if family_gap is not None:
+            min_separation = family_gap
+        if annulus_gap is not None:
+            min_same_annulus = annulus_gap
 
     certified = (
         max_diameter <= 4 * n
@@ -402,7 +420,7 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
 
 class AsdimBridge(NamedTuple):
     """Decomposition of the arrow space induced by a dad witness, certified on
-    the window rows of ``e_window`` and ``f_window`` in arrow ids."""
+    the window rows of ``e_window`` and ``f_window`` on the cells of each orbit."""
 
     families: tuple[tuple[frozenset[int], ...], ...]
     e_window: ArrowSet
@@ -417,85 +435,66 @@ def dad_to_asdim(g: Groupoid, witness: DadWitness) -> AsdimBridge:
     relation "same range and quotient inside the generated subgroupoid H_i"
     on the arrows with source in class i, each fiber's members by least
     arrow.  E is the witness window, F the symmetrized union of the H_i.
-    The members are built and certified on one range fiber per orbit, the
-    fiber G^x at the orbit's least unit x, and translated to the others.
 
-    Left translation.  For an arrow t from x to y, a -> t a maps G^x onto
-    G^y one to one (t^-1 undoes it), keeps sources, src(t a) = src(a), and
-    keeps quotients, (t a)^-1 (t b) = a^-1 b.  So for any window W the row
-    of t a (t a and the arrows t a q, q in W, with source in a class) is the
-    translate of the row of a, and the relation of H_i on G^y is the image
-    of the one on G^x: it is an equivalence there iff it is one on G^x, and
-    its classes, the members of family i on G^y, are the translates t M of
-    the members M on G^x.  So the members are built on G^x only and
-    translated by t = the least arrow from x to y, one composition per
-    arrow; only their order is sorted again.
+    Every window relation on a fiber G^x is one relation on the cells of
+    x's orbit (``_cell_rows``), carried onto G^x by ``at[x]``, which maps the
+    cells one to one onto G^x (the ``Groupoid`` constructor checks it).  So
+    the members of family i are one partition of the cells with source in
+    class i per orbit, and each fiber's members are its images under
+    ``at[x]``, each member read as one list of flat indices into ``at[x]``.
+    (Left translation by t = (y, k, x) sends the cell (h, z) to (kh, z),
+    which only permutes the classes: these are the members that translating
+    one fiber's gives.)
 
-    The certificate.  ``_ef_violation`` checks on the window rows of E and F
-    over the representative fibers that their members cover them, are
-    F-bounded and are E-separated within a family.  Over all arrows, the
-    members must cover every arrow, and no arrow may lie in two members of
-    one family; this confirms that each translation maps its representative
-    fiber onto the other fiber one to one, all that the argument uses of
-    it.  Then every fiber is certified.  Two arrows of G^y in one member t M, or
-    in members t M and t M' of one family, are t a and t b with a and b in
-    M, or in M and M'.  Their quotient is a^-1 b, which the check on G^x put
-    inside F, or outside E.  Arrows of different fibers are never related.
-    E must be symmetric and contain every unit, as a gauge window; F does
-    by construction.
+    The certificate.  ``_ef_violation`` checks on the cell rows of E and F
+    that the members cover every cell, are F-bounded and are E-separated
+    within a family, so also disjoint (E is reflexive); rows never leave an
+    orbit, so this one pass is the check of each orbit's cells.  Through
+    ``at[x]`` it is the check on every fiber of the orbit: two arrows of G^x
+    in one member, or in two members of one family, have their cells in one
+    cell member, or in two, so their quotient is inside F, or outside E.
+    Arrows of different fibers are never related.  E must be symmetric and
+    contain every unit, as a gauge window, which is checked on its cell rows
+    (``_gauge_rows``); F does by construction.
     """
     _same_owner(g, witness.owner)
     if not witness.certified:
         raise CoarseError("bridge requires a certified witness")
-    if not witness.K.is_oc_normal():
-        raise CoarseError("gauge windows must be symmetric and contain every unit")
-
+    e_rows = _gauge_rows(g, witness.K)
     f_window = symmetrize(witness.reach)
 
-    t, rep_mask = _representative_fibers(g)
-    src, rng = g.src, g.rng
-    families = []
+    n, at, pos, table = g.n_units, g.at, g.pos, g.table
+    parts = []  # family -> its members as cell masks, by least cell
     for cls, h_i in zip(witness.cover.classes, witness.generated_per_class):
-        src_mask = 0
-        for u in cls:
-            src_mask |= g.by_src[u]
-        rows = fiber_gauge(g, src_mask & rep_mask, h_i)
-        reps: dict[int, list[int]] = {}  # representative unit -> its members, by least arrow
-        for a, row in rows.items():
-            # the relation is a genuine equivalence on these arrows
-            if any(rows[b] != row for b in iter_bits(row)):
-                raise CoarseError(
-                    "relation is not transitive; generated class is not a subgroupoid"
-                )
-            if row & -row == 1 << a:
-                reps.setdefault(rng[a], []).append(row)
-        members = []
-        for y, ty in enumerate(t):
-            here = reps.get(src[ty], [])
-            if ty != y:
-                here = sorted((translate(g, ty, mask) for mask in here), key=lambda mask: mask & -mask)
-            members += here
-        families.append(members)
+        cells = mask_of(h * n + y for y in cls for h in range(len(table[y])))
+        rows = _cell_rows(g, h_i.mask)
+        holders: dict[int, int] = {}  # row -> the cells whose row it is
+        for p in iter_bits(cells):
+            row = (rows[p] | 1 << p) & cells
+            holders[row] = holders.get(row, 0) | 1 << p
+        # an equivalence iff each row is the cells whose row it is; the rows are its classes
+        if any(held != row for row, held in holders.items()):
+            raise CoarseError("relation is not transitive; generated class is not a subgroupoid")
+        parts.append(list(holders))
+    # rows never leave an orbit, so one check over every cell is one per orbit
+    certified = _ef_violation(e_rows, _cell_rows(g, f_window.mask), parts, mask_of(e_rows)) is None
 
-    covered, disjoint = 0, True
-    for members in families:
-        union = 0
+    least = [g.src[at[y][0][0]] for y in range(n)]  # unit -> the least unit of its orbit
+    flat = [[a for row in at[y] for a in row] for y in range(n)]  # [y][h |X| + pos z]: (y, h, z)
+    families = []
+    for members in parts:
+        places: dict[int, list[list[int]]] = {}  # least unit -> its orbit's members, as flat indices
         for mask in members:
-            union |= mask
-        disjoint = disjoint and union.bit_count() == sum(mask.bit_count() for mask in members)
-        covered |= union
-    violation = _ef_violation(
-        fiber_gauge(g, rep_mask, witness.K),
-        fiber_gauge(g, rep_mask, f_window),
-        [[mask for mask in members if mask & rep_mask] for members in families],
-        rep_mask,
-    )
-    return AsdimBridge(
-        families=tuple(tuple(frozenset(iter_bits(mask)) for mask in fam) for fam in families),
-        e_window=witness.K,
-        f_window=f_window,
-        certified=violation is None and disjoint and covered == g.arrows_mask,
-    )
+            z = ((mask & -mask).bit_length() - 1) % n
+            places.setdefault(least[z], []).append(
+                [p // n * len(at[z][0]) + pos[p % n] for p in iter_bits(mask)]
+            )
+        fam = []
+        for y in range(n):
+            read = flat[y].__getitem__
+            fam += sorted((frozenset(map(read, m)) for m in places.get(least[y], ())), key=min)
+        families.append(tuple(fam))
+    return AsdimBridge(tuple(families), witness.K, f_window, certified)
 
 
 # -- asdim -> dad -----------------------------------------------------------

@@ -171,6 +171,32 @@ def relabel_units(g: Groupoid, perm: list[int]) -> tuple[Groupoid, list[int]]:
     return from_triples(n, src, rng, inv, comp), amap
 
 
+def regauge(g: Groupoid, rng: random.Random) -> Groupoid:
+    """The same groupoid, product for product, with one orbit X×H×X that has
+    |X| > 1 and |H| > 1 re-gauged: the label h of (x, h, y) becomes
+    φ_x·h·φ_y⁻¹, with φ = 1 at the orbit's least unit and random elsewhere,
+    but not 1 at its second unit.  So some arrows from the least unit, the
+    ones ``transversal`` picks, carry a non-identity label."""
+    orbits = [x for x in range(g.n_units)
+              if g.pos[x] == 0 and len(g.table[x]) > 1 and len(g.at[x][0]) > 1]
+    x0 = rng.choice(orbits)
+    tab = g.table[x0]
+    inverse = [row.index(0) for row in tab]
+    units = [g.src[a] for a in g.at[x0][0]]
+    phi = dict.fromkeys(units, 0)
+    for y in units[1:]:
+        phi[y] = rng.randrange(len(tab))
+    phi[units[1]] = rng.randrange(1, len(tab))
+    label = list(g.label)
+    for a in range(g.n_arrows):
+        x, y = g.rng[a], g.src[a]
+        if x in phi:
+            label[a] = tab[tab[phi[x]][g.label[a]]][inverse[phi[y]]]
+    out = Groupoid(g.n_units, g.src, g.rng, g.inv, label, g.table)
+    assert list(triples(out)) == list(triples(g))
+    return out
+
+
 def random_tree(n: int, shape: int, labelling: int) -> tuple[Groupoid, Graphing]:
     """The pair groupoid on n vertices with the edge graphing of a random
     recursive tree: the shape and the vertex labels are seeded separately,

@@ -21,6 +21,7 @@ from conftest import (
     random_principal_groupoid,
     random_tree,
     random_unit_set,
+    regauge,
     relabel_units,
     union_find_orbits,
     union_find_treeable,
@@ -58,7 +59,7 @@ from grpdim import (
     treeable_cover,
     trivial_perms,
 )
-from grpdim.coarse import _ef_violation, _forest_gap, _separated_cover
+from grpdim.coarse import _ef_violation, _forest_gaps, _separated_cover
 from grpdim.groupoid import iter_bits, mask_of, orbit_fibers, transversal, unit_graph
 
 
@@ -571,12 +572,20 @@ def test_forest_gap_stops_below_its_limit():
     g, graphing = line(9)
     adj = unit_graph(g, graphing.q)
     start, target = 1 << 2, 1 << 5 | 1 << 8  # the path 0-1-...-8: 3 edges apart
-    assert _forest_gap(adj, start, target, None) == 3
-    assert _forest_gap(adj, start, target, 4) == 3
-    assert _forest_gap(adj, start, target, 3) is None  # 3 cannot improve on 3
-    assert _forest_gap(adj, start, 0, None) is None
+    for far in (0, 1 << 8):  # the second target, or none
+        assert _forest_gaps(adj, start, target, far, None, None)[0] == 3
+        assert _forest_gaps(adj, start, target, far, 4, None)[0] == 3
+        assert _forest_gaps(adj, start, target, far, 3, None)[0] is None  # 3 cannot improve on 3
+    assert _forest_gaps(adj, start, 0, 0, None, None) == (None, None)
     forest = two_tree_forest()
-    assert _forest_gap(unit_graph(forest[0], forest[1].q), 1 << 0, 1 << 7, None) is None
+    adj2 = unit_graph(forest[0], forest[1].q)
+    assert _forest_gaps(adj2, 1 << 0, 1 << 7, 1 << 7, None, None) == (None, None)
+    # one BFS, each target under its own limit: the far target (6 edges) is
+    # cut off by its limit or found past the near one's, and a target that is
+    # met or cut off early never stops the BFS for the other
+    assert _forest_gaps(adj, start, target, 1 << 8, None, 6) == (3, None)
+    assert _forest_gaps(adj, start, target, 1 << 8, None, 7) == (3, 6)
+    assert _forest_gaps(adj, start, target, 1 << 8, 2, None) == (None, 6)
 
 
 def test_treeable_cover_rejects_a_class_wider_than_4n():
@@ -868,10 +877,34 @@ def test_dad_to_asdim_requires_certified():
         dad_to_asdim(g, bad)
 
 
+def test_dad_to_asdim_refuses_a_class_that_is_not_a_subgroupoid():
+    # the relation of H_i is an equivalence on cells only if H_i is closed:
+    # the steps 0-1 and 1-2 of pair(3) without 0-2 relate cell 0 to 1 and
+    # 1 to 2 but not 0 to 2, on a principal orbit and on one with H = Z/2
+    z2 = action_groupoid(cyclic_table(2), trivial_perms(2, 1))
+    for g in (pair_groupoid(3), product(pair_groupoid(3), z2).groupoid):
+        path = [a for a in range(g.n_arrows)
+                if {g.src[a], g.rng[a]} in ({0, 1}, {1, 2}) and g.label[a] == 0]
+        steps = symmetrize(g.arrow_set(path))
+        w = kl_dad_search(g, steps, g.all_arrows(), 0)
+        assert w.certified
+        with pytest.raises(CoarseError, match="not transitive"):
+            dad_to_asdim(g, w._replace(generated_per_class=(steps,)))
+
+
 def _bridge_groupoid(rng, kind):
-    """A principal, an isotropic or a unit-relabelled groupoid, or a restriction."""
+    """A principal, an isotropic or a unit-relabelled groupoid, a restriction,
+    or a re-gauged one: an isotropic groupoid beside an orbit of pair(m) × Z/k
+    (|X| = m, H = Z/k) whose transversal arrows carry non-identity labels."""
     if kind == 0:
         return random_principal_groupoid(rng, rng.randint(20, 50))
+    if kind == 4:
+        k = rng.randint(2, 3)
+        z_k = action_groupoid(cyclic_table(k), trivial_perms(k, 1))
+        orbit = product(pair_groupoid(rng.randint(2, 4)), z_k).groupoid
+        parts = [random_groupoid(rng, rng.randint(20, 40)), orbit]
+        rng.shuffle(parts)
+        return regauge(disjoint_union(parts), rng)
     g = random_groupoid(rng, rng.randint(40, 80))
     if kind == 2:
         perm = list(range(g.n_units))
@@ -883,16 +916,17 @@ def _bridge_groupoid(rng, kind):
 
 
 def test_dad_to_asdim_matches_whole_arrow_oracle():
-    # the bridge builds and certifies one fiber per orbit; the oracle builds
-    # every fiber and checks over every arrow.  Forged witnesses carry a
-    # cover that kl_dad_check rejects: one that leaves units uncovered fails
-    # the bridge, one whose classes generate outside L does not (F is the
-    # union of the H_i, whatever L is)
+    # the bridge builds and certifies one partition of cells per orbit; the
+    # oracle builds every fiber and checks over every arrow.  Forged
+    # witnesses carry a cover that kl_dad_check rejects: one that leaves
+    # units uncovered fails the bridge, one whose classes generate outside L
+    # does not (F is the union of the H_i, whatever L is).  The last 60
+    # groupoids are re-gauged, so their transversal arrows carry labels
     rng = random.Random(61)
     counts = dict.fromkeys(["certified", "failed", "forged-certified", "non-principal",
-                            "multi-orbit", "translated"], 0)
-    for trial in range(240):
-        g = _bridge_groupoid(rng, trial % 4)
+                            "multi-orbit", "translated", "labelled"], 0)
+    for trial in range(300):
+        g = _bridge_groupoid(rng, trial % 4 if trial < 240 else 4)
         k_set = random_arrow_set(rng, g, rng.uniform(0.05, 0.5))
         l_set = [power(k_set, 2), power(k_set, 3), g.all_arrows()][rng.randrange(3)]
         classes = [random_unit_set(rng, g, 0.5) for _ in range(rng.randint(1, 3))]
@@ -914,9 +948,11 @@ def test_dad_to_asdim_matches_whole_arrow_oracle():
         counts["non-principal"] += not is_principal(g)
         counts["multi-orbit"] += sum(a == y for y, a in enumerate(t)) > 1
         counts["translated"] += any(a != y for y, a in enumerate(t))
+        counts["labelled"] += any(g.label[a] for a in t)
     assert counts["failed"] > 40 and counts["certified"] > 200, counts
     assert counts["forged-certified"] > 40 and counts["non-principal"] > 60, counts
     assert counts["multi-orbit"] > 180 and counts["translated"] > 200, counts
+    assert counts["labelled"] >= 60, counts
 
 
 def test_dad_to_asdim_families_are_pinned():
@@ -940,6 +976,29 @@ def test_dad_to_asdim_families_are_pinned():
         [[15], [43], [23], [51], [31], [59], [3], [39], [11], [47], [19], [55], [27], [63],
          [7], [35]],
     ]
+
+
+def test_dad_to_asdim_translates_nothing(monkeypatch):
+    # the members are cell partitions, one per orbit, read onto each fiber G^y
+    # through at[y]: no arrow is translated, no row is built in arrow ids and
+    # no orbit representative is picked.  The instances are the pinned ones
+    # above: two orbits of pair groupoids, and Z/8 rotating eight points
+    g = disjoint_union([pair_groupoid(3), pair_groupoid(4)])
+    k = symmetrize(g.all_arrows())
+    z8 = action_groupoid(cyclic_table(8), rotation_perms(8, 8))
+    kz = symmetrize(z8.arrow_set(range(8, 16)))
+    cases = [(g, kl_dad_search(g, k, g.all_arrows(), 0)),
+             (z8, kl_dad_search(z8, kz, power(kz, 2), 1))]
+    expected = [dad_to_asdim(h, w) for h, w in cases]
+
+    def refuse(*args):
+        raise AssertionError("dad_to_asdim translated arrows")
+
+    for name in ("grpdim.coarse.translate", "grpdim.coarse.fiber_gauge",
+                 "grpdim.groupoid.translate", "grpdim.groupoid.transversal"):
+        monkeypatch.setattr(name, refuse)
+    assert [dad_to_asdim(h, w) for h, w in cases] == expected
+    assert all(bridge.certified for bridge in expected)
 
 
 # -- asdim -> dad ---------------------------------------------------------------
