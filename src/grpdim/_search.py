@@ -11,6 +11,9 @@ as class states, feasible while the subgroupoid the window generates on the
 class stays inside L, for groupoids with isotropy; ``dad.kl_dad_search``
 runs it only at a d that ``partition_search`` on the principal shadow
 (units joined by the window, bounded by where L's arrows go) cannot refute.
+Both return the item mask of each class and nothing else: the components
+are search state, and ``coarse.ef_asdim_search``, the one caller that reads
+them as members, splits its classes itself.
 
 Exact mode first runs in ``compact_order`` of the adjacency graph, so a
 refutation costs what the instance needs and not what its item ids happen
@@ -97,7 +100,7 @@ def _try_add(state, item, adj, ok, near):
 
     ``near`` holds the items with an unplaced neighbour once ``item`` is
     placed; a component with no member in it can never merge again, so it
-    is dropped from the state (``_components`` rebuilds it at the end).
+    is dropped from the state.
     """
     items, comps = state
     nbr = adj[item] & items
@@ -115,27 +118,6 @@ def _try_add(state, item, adj, ok, near):
     if new_mask & near:
         rest.append((new_mask, new_common))
     return (items | 1 << item, tuple(rest))
-
-
-def _components(items, adj, ok):
-    """The ``(member_mask, common_mask)`` components of a class, by greatest
-    member: the order in which an id-order search last changed them."""
-    comps = []
-    rest = items
-    while rest:
-        mask = grow = 1 << rest.bit_length() - 1
-        while grow:
-            reach = 0
-            for x in iter_bits(grow):
-                reach |= adj[x]
-            grow = reach & rest & ~mask
-            mask |= grow
-        rest &= ~mask
-        common = -1
-        for x in iter_bits(mask):
-            common &= ok[x]
-        comps.append((mask, common))
-    return tuple(reversed(comps))
 
 
 def _state_key(states, near, future, width):
@@ -178,11 +160,8 @@ def partition_search(
     mode: str = "exact",
     order: "Sequence[int] | None" = None,
 ):
-    """Partition items into feasible classes; returns per-class states or None.
-
-    Each returned class is a pair ``(items_mask, components)`` with the
-    components listed as ``(member_mask, common_mask)`` pairs, ordered by
-    greatest member.
+    """Partition items into feasible classes; returns the item mask of each
+    class, or None.
 
     Exact mode searches in ``order`` (default ``compact_order(n_items,
     adj)``; pass it to reuse one order across several ``n_classes``) and
@@ -239,9 +218,7 @@ def partition_search(
     if mode == "exact" and order is None:
         order = compact_order(n_items, adj)
     states = refute_then_witness(run, n_items, order, mode)
-    if states is None:
-        return None
-    return [(items, _components(items, adj, ok)) for items, _ in states]
+    return None if states is None else [items for items, _ in states]
 
 
 def refute_then_witness(run, n_items, order, mode):

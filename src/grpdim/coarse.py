@@ -184,6 +184,23 @@ def ef_asdim_check(e_rows: dict[int, int], f_rows: dict[int, int], families) -> 
     return _ef_violation(e_rows, f_rows, masks, points) is None
 
 
+def _components(mask: int, adj: Sequence[int]) -> list[int]:
+    """The connected components of the item mask ``mask`` in the graph
+    ``adj``, as masks in order of least item."""
+    comps = []
+    while mask:
+        comp = grow = mask & -mask
+        while grow:
+            reach = 0
+            for x in iter_bits(grow):
+                reach |= adj[x]
+            grow = reach & mask & ~comp
+            comp |= grow
+        mask &= ~comp
+        comps.append(comp)
+    return comps
+
+
 def ef_asdim_search(
     e_rows: dict[int, int], f_rows: dict[int, int], d_max: int, mode: str = "exact"
 ) -> "list[list[frozenset[int]]] | None":
@@ -193,7 +210,9 @@ def ef_asdim_search(
     Members are the E-components of each family, which is the finest (hence
     easiest to bound) choice; partitions suffice because dropping a point from
     a family never breaks separation or boundedness.  The search indexes the
-    points densely in increasing order.  Exact mode is complete: it refutes
+    points densely in increasing order and returns each family as one class
+    mask; the family's members are that class split into its components
+    under E, in order of least point.  Exact mode is complete: it refutes
     each d in ``compact_order`` of E, computed once per search, and at the
     least feasible d returns the lexicographically least partition in point
     order.  Greedy is first-fit in point order, and its None refutes nothing.
@@ -214,11 +233,11 @@ def ef_asdim_search(
     ok = [dense(f_rows[a]) for a in ids]
     order = compact_order(n, self_free) if mode == "exact" else None
     for d in range(d_max + 1):
-        states = partition_search(n, d + 1, self_free, ok, mode, order)
-        if states is not None:
+        classes = partition_search(n, d + 1, self_free, ok, mode, order)
+        if classes is not None:
             families = [
-                sorted((frozenset(ids[i] for i in iter_bits(c)) for c, _ in comps), key=min)
-                for _, comps in states
+                [frozenset(ids[i] for i in iter_bits(c)) for c in _components(m, self_free)]
+                for m in classes
             ]
             masks = [[mask_of(member) for member in fam] for fam in families]
             if _ef_violation(e_rows, f_rows, masks, points) is not None:

@@ -202,12 +202,10 @@ def kl_dad_search(
     # more classes than units leave one empty: no d above n_units − 1 is new
     for d in range(min(d_max, max(g.n_units - 1, 0)) + 1):
         if principal or mode == "exact":
-            states = partition_search(g.n_units, d + 1, adj, ok, mode, order)
-            if states is None:
+            masks = partition_search(g.n_units, d + 1, adj, ok, mode, order)
+            if masks is None:
                 continue
-        if principal:
-            masks = [s[0] for s in states]
-        else:
+        if not principal:
             masks = _generic_search(g, k_set, l_set, d, mode, order)
         if masks is not None:
             cover = Cover(g, tuple(UnitSet(g, m) for m in masks))

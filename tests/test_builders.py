@@ -7,7 +7,6 @@ from conftest import (
     dict_blowup,
     dict_partial_action,
     dict_restrict,
-    fiber_points,
     hand_checked_action,
     hand_checked_partial_action,
     pair_index_groupoid,
@@ -23,7 +22,6 @@ from grpdim import (
     action_groupoid,
     blowup,
     cyclic_table,
-    fiber_gauge,
     is_principal,
     load,
     load_graphing,
@@ -317,17 +315,15 @@ def test_product_shapes():
     assert units_only.groupoid.n_arrows == 1
 
 
-def test_product_fibers_multiply():
-    gl, gr = pair_groupoid(2), pair_groupoid(3)
+@pytest.mark.parametrize("a, b", [(2, 3), (3, 4)])
+def test_product_fibers_multiply(a, b):
+    gl, gr = pair_groupoid(a), pair_groupoid(b)
     prod = product(gl, gr)
     gp = prod.groupoid
-    for u in range(2):
-        for v in range(3):
-            assert (
-                len(fiber_gauge(gp, fiber_points(gp, prod.unit_id(u, v)), gp.all_arrows()))
-                == len(fiber_gauge(gl, fiber_points(gl, u), gl.all_arrows()))
-                * len(fiber_gauge(gr, fiber_points(gr, v), gr.all_arrows()))
-            )
+    for u in range(a):
+        for v in range(b):
+            fiber = gp.by_rng[prod.unit_id(u, v)].bit_count()
+            assert fiber == gl.by_rng[u].bit_count() * gr.by_rng[v].bit_count()
 
 
 @pytest.mark.parametrize("n", range(1, 13))

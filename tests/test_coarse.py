@@ -137,22 +137,6 @@ def test_fiber_space():
     assert len(fiber_gauge(trivial, fiber_points(trivial, 1), trivial.all_arrows())) == 1
 
 
-def test_fiber_counts_multiply_in_products():
-    from grpdim import product
-
-    gl = pair_groupoid(3)
-    gr = pair_groupoid(4)
-    prod = product(gl, gr)
-    gp = prod.groupoid
-    for u in range(3):
-        for v in range(4):
-            assert (
-                len(fiber_gauge(gp, fiber_points(gp, prod.unit_id(u, v)), gp.all_arrows()))
-                == len(fiber_gauge(gl, fiber_points(gl, u), gl.all_arrows()))
-                * len(fiber_gauge(gr, fiber_points(gr, v), gr.all_arrows()))
-            )
-
-
 # -- (E,F) checks and search ---------------------------------------------------
 
 

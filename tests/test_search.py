@@ -3,10 +3,12 @@ mode, one first-fit pass for greedy mode."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
     Gauge,
+    UnionFind,
     brute_dad_search,
     brute_ef_exists,
     first_fit_search,
@@ -16,6 +18,7 @@ from conftest import (
     oracle_generated,
     random_arrow_set,
     random_groupoid,
+    random_principal_groupoid,
     recursive_generic_search,
     recursive_partition_search,
     relabel_units,
@@ -39,7 +42,7 @@ from grpdim import (
     trivial_perms,
     UnitSet,
 )
-from grpdim import _search, dad
+from grpdim import _search, coarse, dad
 from grpdim._search import compact_order, partition_search
 from grpdim.dad import _generic_search, _principal_tables
 from grpdim.groupoid import iter_bits, mask_of
@@ -53,6 +56,11 @@ def random_symmetric(rng, n, density, reflexive):
                 rows[p] |= 1 << q
                 rows[q] |= 1 << p
     return rows
+
+
+def class_masks(states):
+    """The item mask of each class of an oracle's class states, or None."""
+    return None if states is None else [m for m, _ in states]
 
 
 def grid_tables(a, b):
@@ -120,7 +128,7 @@ def test_exact_search_matches_recursive_oracle_on_random_instances():
         adj = random_symmetric(rng, n, rng.uniform(0.1, 0.5), reflexive=False)
         ok = random_symmetric(rng, n, rng.uniform(0.3, 0.9), reflexive=True)
         expected = recursive_partition_search(n, classes, adj, ok)
-        assert partition_search(n, classes, adj, ok) == expected
+        assert partition_search(n, classes, adj, ok) == class_masks(expected)
         found += expected is not None
         refuted += expected is None
     assert found > 500 and refuted > 500
@@ -142,7 +150,7 @@ def test_exact_search_matches_recursive_oracle_on_relabelled_grids():
                 got = partition_search(n, classes, adj_p, ok_p)
                 assert (got is not None) == feasible[classes - 1]
                 if got is not None or n <= 25:
-                    assert got == recursive_partition_search(n, classes, adj_p, ok_p)
+                    assert got == class_masks(recursive_partition_search(n, classes, adj_p, ok_p))
 
 
 def test_generic_search_matches_recursive_oracle():
@@ -331,7 +339,7 @@ def test_greedy_partition_search_is_first_fit():
             misses += exact is None
             continue
         hits += 1
-        assert [(m, set(comps)) for m, comps in got] == [(m, set(comps)) for m, comps in expected]
+        assert got == class_masks(expected)
         assert exact == got
     assert hits > 600 and gaps > 80 and misses > 400
 
@@ -364,9 +372,7 @@ def test_greedy_ef_search_is_first_fit():
                     sorted((frozenset(iter_bits(m)) for m, _ in comps), key=min)
                     for _, comps in states
                 ]
-                assert [m for m, _ in partition_search(n, d + 1, self_free, f_rel)] == [
-                    m for m, _ in states
-                ]
+                assert partition_search(n, d + 1, self_free, f_rel) == class_masks(states)
                 break
         assert ef_asdim_search(e, f, d_max, mode="greedy") == expected
         if expected is not None:
@@ -376,6 +382,52 @@ def test_greedy_ef_search_is_first_fit():
         else:
             misses += 1
     assert hits > 800 and gaps > 30 and misses > 15
+
+
+def test_dad_search_reads_classes_without_splitting_members(monkeypatch):
+    # both engines return class masks, which are the cover's classes; only
+    # the (E,F) search splits a class into members
+    rng = random.Random(67)
+    cases = []
+    for i in range(60):
+        g = random_principal_groupoid(rng, 30) if i % 2 else random_groupoid(rng, 80)
+        k = random_arrow_set(rng, g, rng.uniform(0.1, 0.5)) | g.arrow_set(range(g.n_units))
+        cases += [(g, k, power(k, 2), mode) for mode in ("exact", "greedy")]
+    expected = [kl_dad_search(g, k, l_set, 3, mode) for g, k, l_set, mode in cases]
+
+    def split(*_):
+        raise AssertionError("members split")
+
+    monkeypatch.setattr(coarse, "_components", split)
+    assert [kl_dad_search(g, k, l_set, 3, mode) for g, k, l_set, mode in cases] == expected
+    assert sum(w is not None and not is_principal(w.owner) for w in expected) > 20
+    with pytest.raises(AssertionError, match="members split"):
+        ef_asdim_search(Gauge.diagonal(2), Gauge.diagonal(2), 0)
+
+
+def test_ef_members_are_the_e_components_of_their_family():
+    # each member is connected under E, and no E-edge joins two members of
+    # one family: the members are exactly the family's E-components
+    rng = random.Random(71)
+    several = 0
+    for _ in range(300):
+        n = rng.randint(4, 14)
+        e_rel = random_symmetric(rng, n, rng.uniform(0.1, 0.3), reflexive=True)
+        f_rel = random_symmetric(rng, n, rng.uniform(0.3, 0.8), reflexive=True)
+        f_rel = [r | e for r, e in zip(f_rel, e_rel)]
+        got = ef_asdim_search(Gauge(n, e_rel), Gauge(n, f_rel), 2, rng.choice(("exact", "greedy")))
+        for family in got or ():
+            several += len(family) > 1
+            owner = {p: i for i, member in enumerate(family) for p in member}
+            joined = UnionFind(n)
+            for p in owner:
+                for q in iter_bits(e_rel[p]):
+                    if q in owner:
+                        assert owner[q] == owner[p]
+                        joined.union(p, q)
+            for member in family:
+                assert len({joined.find(p) for p in member}) == 1
+    assert several > 100
 
 
 def test_untouched_unit_joins_a_class_whose_bound_lacks_it():
