@@ -264,33 +264,24 @@ class TreeCoverResult(NamedTuple):
     certified: bool
 
 
-def _forest_gaps(
-    adj: Sequence[int], start: int, family: int, annulus: int, family_limit, annulus_limit
-) -> tuple["int | None", "int | None"]:
-    """The least numbers of edges from a unit of the mask ``start`` to one of
-    ``family`` and to one of ``annulus`` in the graph ``adj``, by one bitmask
-    BFS that records the first layer meeting each; None for a target out of
-    reach, or where the gap is not below its limit (None: no limit).  The
-    BFS stops once both targets are met or cut off."""
-    family_gap = annulus_gap = None
-    open_family, open_annulus = bool(family), bool(annulus)
+def _forest_gap(adj: Sequence[int], start: int, target: int, limit: "int | None") -> "int | None":
+    """The least number of edges from a unit of the mask ``start`` to one of
+    ``target`` in the graph ``adj``, by bitmask BFS; None if it is not below
+    ``limit`` (None: no limit) or ``target`` is out of reach."""
+    if not target:
+        return None
     seen = frontier = start
     gap = 0
-    while True:
-        if open_family and frontier & family:
-            family_gap, open_family = gap, False
-        if open_annulus and frontier & annulus:
-            annulus_gap, open_annulus = gap, False
+    while not frontier & target:
         gap += 1
-        open_family = open_family and gap != family_limit
-        open_annulus = open_annulus and gap != annulus_limit
-        if not (frontier and (open_family or open_annulus)):
-            return family_gap, annulus_gap
+        if not frontier or gap == limit:
+            return None
         nxt = 0
         for u in iter_bits(frontier):
             nxt |= adj[u]
         frontier = nxt & ~seen
         seen |= frontier
+    return gap
 
 
 def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverResult:
@@ -330,9 +321,8 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
     the arrows between its source units, read once per distinct source mask.
     By 2, a class's distance to the other classes of its family (or annulus)
     in its fiber is the first layer of a BFS from its source units that
-    meets their source units: one BFS per class, which reads both.  Each of
-    the two stops once it reaches the least separation found so far for it,
-    which it cannot improve, and the BFS once both have stopped.
+    meets their source units.  A BFS stops once it reaches the least
+    separation found so far, which it cannot improve.
     """
     if graphing.owner is not g:
         raise CoarseError("graphing belongs to a different groupoid")
@@ -406,14 +396,12 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
     # a family's classes in one fiber are disjoint, so their source masks are
     # disjoint too: "& ~mask" leaves the other classes
     for (k, x, _), mask in sources.items():
-        family_gap, annulus_gap = _forest_gaps(
-            adj, mask, family_sources[k % 2, x] & ~mask, annulus_sources[k, x] & ~mask,
-            min_separation, min_same_annulus,
-        )
-        if family_gap is not None:
-            min_separation = family_gap
-        if annulus_gap is not None:
-            min_same_annulus = annulus_gap
+        gap = _forest_gap(adj, mask, family_sources[k % 2, x] & ~mask, min_separation)
+        if gap is not None:
+            min_separation = gap
+        gap = _forest_gap(adj, mask, annulus_sources[k, x] & ~mask, min_same_annulus)
+        if gap is not None:
+            min_same_annulus = gap
 
     certified = (
         max_diameter <= 4 * n

@@ -7,7 +7,6 @@ are the driver for the fold-increasing lift in :func:`ostrand_lift`.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .groupoid import (
@@ -26,9 +25,6 @@ from .groupoid import (
 
 class CoverError(GroupoidError):
     pass
-
-
-MAX_LIFT_LEVEL = 12  # residual-class subset enumeration is binomial in the level
 
 
 class _CoverFields(NamedTuple):
@@ -86,25 +82,22 @@ def fold_number(cover: Cover) -> int:
 
 
 def shrink_nfold(cover: Cover, n: int) -> Cover:
-    """Greedy pruning: drop points while every unit stays in >= n classes.
+    """Each unit keeps its first n classes and leaves the later ones.
 
-    Units are scanned in increasing id; memberships are dropped from the
-    highest class index first, so each point keeps its lowest classes.
+    A unit is dropped from class i once n of the classes before it hold it,
+    read from the ``at_least`` ladder of :func:`fold_number` cut at n.  On an
+    n-fold cover every unit then lies in exactly n classes.
     """
     if fold_number(cover) < n:
         raise CoverError(f"cover is not {n}-fold")
-    masks = [c.mask for c in cover.classes]
-    for x in range(cover.owner.n_units):
-        bit = 1 << x
-        count = sum(1 for m in masks if m & bit)
-        for i in range(len(masks) - 1, -1, -1):
-            if count <= n:
-                break
-            if masks[i] & bit:
-                masks[i] &= ~bit
-                count -= 1
     g = cover.owner
-    return Cover(g, tuple(UnitSet(g, m) for m in masks))
+    at_least = [g.units_mask] + [0] * n
+    classes = []
+    for c in cover.classes:
+        classes.append(UnitSet(g, c.mask & ~at_least[n]))
+        for k in range(n, 0, -1):
+            at_least[k] |= at_least[k - 1] & c.mask
+    return Cover(g, tuple(classes))
 
 
 class ControlFunction:
@@ -186,16 +179,15 @@ def level_cover(g: Groupoid, ctrl: ControlFunction, k_set: ArrowSet, k: int) -> 
 def ostrand_lift(g: Groupoid, ctrl: ControlFunction, k_set: ArrowSet, k: int) -> Cover:
     """Lift a level-k cover family to level k+1, gaining one fold.
 
-    The level-k cover for the cubed window is shrunk, saturated by the window,
-    and completed by a residual class assembled from all subsets of size
-    ``k+1-d``.  The returned ``k+2``-class cover is ``(k+2-d)``-fold and every
-    class generates inside ``control_apply(ctrl, k_set, k+1)``; both facts are
-    re-verified before returning.
+    The level-k cover for the cubed window is shrunk, so that every unit lies
+    in exactly ``k+1-d`` classes, saturated by the window, and completed by a
+    residual class: the units that no saturation adds to a class that does
+    not hold them.  The returned ``k+2``-class cover is ``(k+2-d)``-fold and
+    every class generates inside ``control_apply(ctrl, k_set, k+1)``; both
+    facts are re-verified before returning.
     """
     if k < ctrl.d:
         raise CoverError(f"lift level {k} below base dimension {ctrl.d}")
-    if k > MAX_LIFT_LEVEL:
-        raise CoverError(f"lift level {k} exceeds cap {MAX_LIFT_LEVEL}")
     if not k_set.is_oc_normal():
         raise CoverError("window must be symmetric with units")
     d = ctrl.d
@@ -206,21 +198,13 @@ def ostrand_lift(g: Groupoid, ctrl: ControlFunction, k_set: ArrowSet, k: int) ->
     shrunk = shrink_nfold(level, k + 1 - d)
     saturated = [saturate(k_set, v) for v in shrunk.classes]
 
-    # residual class: points deep inside every V_j for some index set S while
-    # clear of the saturations of the complementary classes
-    residual = 0
-    idx = range(k + 1)
-    for subset in combinations(idx, k + 1 - d):
-        inside = g.units_mask
-        for j in subset:
-            inside &= shrunk.classes[j].mask
-        if not inside:
-            continue
-        chosen = set(subset)
-        for i in idx:
-            if i not in chosen:
-                inside &= ~saturated[i].mask
-        residual |= inside
+    # residual class: the units inside every V_j of some (k+1-d)-set S of
+    # indices and clear of the saturations of the classes outside S.  A unit
+    # lies in exactly k+1-d classes V_j, so S can only be its own memberships
+    added = 0
+    for v, sat in zip(shrunk.classes, saturated):
+        added |= sat.mask & ~v.mask
+    residual = g.units_mask & ~added
 
     classes = tuple(saturated) + (UnitSet(g, residual),)
     lifted = Cover(g, classes)

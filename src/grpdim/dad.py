@@ -394,9 +394,8 @@ def product_combine(
     classes = []
     for ul, ur in zip(cover_left.classes, cover_right.classes):
         mask = 0
-        for u in ul:
-            for v in ur:
-                mask |= 1 << prod.unit_id(u, v)
+        for u in ul:  # unit (u, v) is unit_id(u, 0) + v
+            mask |= ur.mask << prod.unit_id(u, 0)
         classes.append(UnitSet(gp, mask))
     return certify(gp, k_prod, l_prod, Cover(gp, tuple(classes)),
                    RuntimeError("product witness failed re-certification"))

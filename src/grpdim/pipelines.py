@@ -108,7 +108,9 @@ def product_theorem(
         sub = restrict(prod.groupoid, prod.groupoid.unit_set(refute_units))
         k_sub = symmetrize(sub.from_parent_arrows(prod.lift_sets(k_left, k_right)))
         l_sub = power(k_sub, l_power)
-        refuted = kl_dad_search(sub, k_sub, l_sub, level - 1) is None
+        # at level 0 nothing is below: a cover of the nonempty restriction
+        # has at least one class, so no search is needed
+        refuted = level == 0 or kl_dad_search(sub, k_sub, l_sub, level - 1) is None
         _stage(report, "refute-below", d_tried=level - 1, refuted=refuted)
         report["refuted_below"] = refuted
     return report

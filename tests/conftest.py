@@ -933,6 +933,42 @@ def check_nfold_subfamilies(cover: Cover, n: int) -> bool:
     return True
 
 
+def unit_by_unit_shrink(cover: Cover, n: int) -> Cover:
+    """The loop ``shrink_nfold`` replaced: units in increasing id, each
+    dropped from its classes from the highest index first while more than n
+    of them hold it.  The oracle for its ``at_least`` ladder."""
+    masks = [c.mask for c in cover.classes]
+    for x in range(cover.owner.n_units):
+        bit = 1 << x
+        count = sum(1 for m in masks if m & bit)
+        for i in range(len(masks) - 1, -1, -1):
+            if count <= n:
+                break
+            if masks[i] & bit:
+                masks[i] &= ~bit
+                count -= 1
+    g = cover.owner
+    return Cover(g, tuple(UnitSet(g, m) for m in masks))
+
+
+def enumerated_residual(shrunk: Cover, saturated: "list[UnitSet]", size: int) -> UnitSet:
+    """The residual class of ``ostrand_lift`` by the subset enumeration it
+    replaced: the units inside every class V_j of some ``size``-set S of
+    indices and clear of the saturations of the classes outside S."""
+    g = shrunk.owner
+    residual = 0
+    idx = range(len(shrunk.classes))
+    for subset in combinations(idx, size):
+        inside = g.units_mask
+        for j in subset:
+            inside &= shrunk.classes[j].mask
+        for i in idx:
+            if i not in subset:
+                inside &= ~saturated[i].mask
+        residual |= inside
+    return UnitSet(g, residual)
+
+
 # -- set-up oracles: the builders and the ball growth they replaced -----------
 
 

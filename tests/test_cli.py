@@ -397,6 +397,16 @@ def test_theorem_union(instances, tmp_path):
     assert res.returncode == 0 and "certified=True" in res.stdout
 
 
+def test_theorem_product_refutes_below_level_zero_without_a_search(instances, capsys):
+    # K = units: both factors have d = 0, so the product level is 0 and
+    # nothing lies below it; no search at d_max = -1 is asked for
+    p7 = str(instances / "p7.json")
+    res = invoke(capsys, ["theorem", "product", "--left", p7, "--right", p7,
+                          "--k-spec", "units", "--refute-units", "0-3"])
+    assert res.exit_code == 0 and res.stderr == ""
+    assert res.stdout.split("\t")[3] == "d=0;certified=True;refuted_below=True"
+
+
 def test_sweep_line(instances):
     p7 = str(instances / "p7.json")
     p7g = str(instances / "p7.graphing.json")

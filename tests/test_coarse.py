@@ -59,7 +59,7 @@ from grpdim import (
     treeable_cover,
     trivial_perms,
 )
-from grpdim.coarse import _ef_violation, _forest_gaps, _separated_cover
+from grpdim.coarse import _ef_violation, _forest_gap, _separated_cover
 from grpdim.groupoid import iter_bits, mask_of, orbit_fibers, transversal, unit_graph
 
 
@@ -556,20 +556,12 @@ def test_forest_gap_stops_below_its_limit():
     g, graphing = line(9)
     adj = unit_graph(g, graphing.q)
     start, target = 1 << 2, 1 << 5 | 1 << 8  # the path 0-1-...-8: 3 edges apart
-    for far in (0, 1 << 8):  # the second target, or none
-        assert _forest_gaps(adj, start, target, far, None, None)[0] == 3
-        assert _forest_gaps(adj, start, target, far, 4, None)[0] == 3
-        assert _forest_gaps(adj, start, target, far, 3, None)[0] is None  # 3 cannot improve on 3
-    assert _forest_gaps(adj, start, 0, 0, None, None) == (None, None)
+    assert _forest_gap(adj, start, target, None) == 3
+    assert _forest_gap(adj, start, target, 4) == 3
+    assert _forest_gap(adj, start, target, 3) is None  # 3 cannot improve on 3
+    assert _forest_gap(adj, start, 0, None) is None
     forest = two_tree_forest()
-    adj2 = unit_graph(forest[0], forest[1].q)
-    assert _forest_gaps(adj2, 1 << 0, 1 << 7, 1 << 7, None, None) == (None, None)
-    # one BFS, each target under its own limit: the far target (6 edges) is
-    # cut off by its limit or found past the near one's, and a target that is
-    # met or cut off early never stops the BFS for the other
-    assert _forest_gaps(adj, start, target, 1 << 8, None, 6) == (3, None)
-    assert _forest_gaps(adj, start, target, 1 << 8, None, 7) == (3, 6)
-    assert _forest_gaps(adj, start, target, 1 << 8, 2, None) == (None, 6)
+    assert _forest_gap(unit_graph(forest[0], forest[1].q), 1 << 0, 1 << 7, None) is None
 
 
 def test_treeable_cover_rejects_a_class_wider_than_4n():

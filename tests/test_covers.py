@@ -3,7 +3,15 @@ from itertools import product as iproduct
 
 import pytest
 
-from conftest import assert_frozen_record, check_nfold_subfamilies, ladder_windows, whole_powers
+from conftest import (
+    assert_frozen_record,
+    check_nfold_subfamilies,
+    enumerated_residual,
+    ladder_windows,
+    random_arrow_set,
+    unit_by_unit_shrink,
+    whole_powers,
+)
 from grpdim import (
     ArrowSet,
     ControlFunction,
@@ -21,8 +29,10 @@ from grpdim import (
     pair_groupoid,
     power,
     shrink_nfold,
+    UnitSet,
     tree_window,
 )
+from grpdim.covers import level_cover, saturate
 
 
 def line(n):
@@ -32,6 +42,25 @@ def line(n):
 
 def cover_of(g, *classes):
     return Cover(g, tuple(g.unit_set(c) for c in classes))
+
+
+def assert_lift_matches_oracles(k_set, level, n, lifted):
+    """Shrink ``level`` to n-fold and saturate it by ``k_set`` again; the
+    shrink equals the unit-by-unit oracle, and ``lifted`` is the saturations
+    followed by the enumerated residual."""
+    shrunk = shrink_nfold(level, n)
+    assert shrunk == unit_by_unit_shrink(level, n)
+    saturated = [saturate(k_set, v) for v in shrunk.classes]
+    assert lifted.classes == (*saturated, enumerated_residual(shrunk, saturated, n))
+
+
+def lift_with_oracles(g, ctrl, k_set, k):
+    """``ostrand_lift`` at level k, checked against the oracles on the
+    level-k cover of the cubed window that it lifts."""
+    lifted = ostrand_lift(g, ctrl, k_set, k)
+    level = level_cover(g, ctrl, power(k_set, 3), k)
+    assert_lift_matches_oracles(k_set, level, k + 1 - ctrl.d, lifted)
+    return lifted
 
 
 def test_fold_number_basic():
@@ -189,7 +218,7 @@ def test_control_absorbs_units_window():
 def test_ostrand_lift_line_trace():
     g, k = line(7)
     ctrl = discover_control_function(g, 1)
-    lifted = ostrand_lift(g, ctrl, k, 1)
+    lifted = lift_with_oracles(g, ctrl, k, 1)
     assert [sorted(c) for c in lifted.classes] == [
         [0, 1, 2, 3, 4],
         [3, 4, 5, 6],
@@ -205,7 +234,7 @@ def test_ostrand_lift_line_trace():
 def test_ostrand_lift_dimension_zero():
     g, k = line(6)
     ctrl = discover_control_function(g, 0)
-    lifted = ostrand_lift(g, ctrl, k, 0)
+    lifted = lift_with_oracles(g, ctrl, k, 0)
     assert len(lifted.classes) == 2
     assert fold_number(lifted) >= 2
     for cls in lifted.classes:
@@ -216,7 +245,7 @@ def test_ostrand_lift_iterated_levels():
     g, k = line(7)
     ctrl = discover_control_function(g, 1)
     for level in (1, 2):
-        lifted = ostrand_lift(g, ctrl, k, level)
+        lifted = lift_with_oracles(g, ctrl, k, level)
         assert len(lifted.classes) == level + 2
         assert fold_number(lifted) >= level + 2 - 1
         bound = control_apply(ctrl, k, level + 1)
@@ -247,8 +276,6 @@ def test_control_cover_must_cover_every_unit():
 
 
 def test_saturation_contains_the_set():
-    from grpdim.covers import saturate
-
     g, k = line(9)
     for ids in ([0, 4], [2, 3, 8], []):
         units = g.unit_set(ids)
@@ -263,16 +290,47 @@ def test_ostrand_lift_duplicate_class_producer():
     def provider(k_set):
         return full, Cover(g, (g.all_units(), g.all_units()))
 
-    lifted = ostrand_lift(g, ControlFunction(1, provider), k, 1)
+    lifted = lift_with_oracles(g, ControlFunction(1, provider), k, 1)
     assert fold_number(lifted) >= 2
     assert len(lifted.classes) == 3
 
 
-def test_ostrand_lift_level_cap():
+def test_ostrand_lift_has_no_level_cap():
+    # the residual is one mask expression, not an enumeration of subsets
+    # binomial in the level, so level 13 lifts like any other
     g, k = line(4)
     ctrl = discover_control_function(g, 0)
-    with pytest.raises(CoverError):
-        ostrand_lift(g, ctrl, k, 13)
+    lifted = lift_with_oracles(g, ctrl, k, 13)
+    assert len(lifted.classes) == 15
+    assert fold_number(lifted) == 15
+    bound = control_apply(ctrl, k, 14)
+    for cls in lifted.classes:
+        assert generated(k, cls) <= bound
+
+
+def test_shrink_and_residual_equal_their_oracles_on_random_covers(monkeypatch):
+    # the lift is handed a random level-k cover of fold >= k+1-d in place of
+    # the one it would build; the control bound is every arrow, so the lift
+    # certifies whatever the cover
+    import grpdim.covers as covers
+
+    rng = random.Random(33)
+    groupoids = [pair_groupoid(n) for n in range(1, 13)]
+    for _ in range(2000):
+        g = rng.choice(groupoids)
+        k = rng.randint(0, 6)
+        d = rng.randint(0, k)
+        n = k + 1 - d
+        masks = [0] * (k + 1)
+        for x in range(g.n_units):
+            for i in rng.sample(range(k + 1), rng.randint(n, k + 1)):
+                masks[i] |= 1 << x
+        level = Cover(g, tuple(UnitSet(g, m) for m in masks))
+        single = Cover(g, (g.all_units(),) + (g.unit_set(),) * d)
+        ctrl = ControlFunction(d, lambda k_set, g=g, single=single: (g.all_arrows(), single))
+        k_set = random_arrow_set(rng, g, rng.random())
+        monkeypatch.setattr(covers, "level_cover", lambda *args, level=level: level)
+        assert_lift_matches_oracles(k_set, level, n, ostrand_lift(g, ctrl, k_set, k))
 
 
 def least_power_bound(g, k, d):
