@@ -265,17 +265,17 @@ class TreeCoverResult(NamedTuple):
 
 
 def _forest_gap(adj: Sequence[int], start: int, target: int, limit: "int | None") -> "int | None":
-    """The least number of edges from a unit of the mask ``start`` to one of
-    ``target`` in the graph ``adj``, by bitmask BFS; None if it is not below
-    ``limit`` (None: no limit) or ``target`` is out of reach."""
+    """The least of ``limit`` and the number of edges from a unit of the mask
+    ``start`` to one of ``target`` in the graph ``adj``, by bitmask BFS;
+    ``limit`` (None: no limit) if ``target`` is empty or out of reach."""
     if not target:
-        return None
+        return limit
     seen = frontier = start
     gap = 0
     while not frontier & target:
         gap += 1
         if not frontier or gap == limit:
-            return None
+            return limit
         nxt = 0
         for u in iter_bits(frontier):
             nxt |= adj[u]
@@ -396,12 +396,8 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
     # a family's classes in one fiber are disjoint, so their source masks are
     # disjoint too: "& ~mask" leaves the other classes
     for (k, x, _), mask in sources.items():
-        gap = _forest_gap(adj, mask, family_sources[k % 2, x] & ~mask, min_separation)
-        if gap is not None:
-            min_separation = gap
-        gap = _forest_gap(adj, mask, annulus_sources[k, x] & ~mask, min_same_annulus)
-        if gap is not None:
-            min_same_annulus = gap
+        min_separation = _forest_gap(adj, mask, family_sources[k % 2, x] & ~mask, min_separation)
+        min_same_annulus = _forest_gap(adj, mask, annulus_sources[k, x] & ~mask, min_same_annulus)
 
     certified = (
         max_diameter <= 4 * n
@@ -565,8 +561,7 @@ def asdim_to_dad(
         if not window.is_oc_normal():
             raise CoarseError(f"the {name} must be symmetric and contain every unit")
 
-    n_classes = 0
-    checked: dict[int, list[list[int]]] = {}
+    class_units: list[int] = []  # class i's source units, grown fiber by fiber
     for x, fiber_pts in orbit_fibers(g, y, k_set).items():
         fams = fiber_families.get(x)
         if fams is None:
@@ -595,15 +590,10 @@ def asdim_to_dad(
                 else "has a quotient with its block that escapes the bound"
             )
             raise CoarseError(f"fiber {x}, family {i}, block {j}: arrow {a} {what}")
-        checked[x] = masks
-        n_classes = max(n_classes, len(masks))
-
-    class_units = [0] * n_classes
-    for masks in checked.values():
+        class_units += [0] * (len(masks) - len(class_units))
         for i, fam in enumerate(masks):
             for member in fam:
-                for a in iter_bits(member):
-                    class_units[i] |= 1 << g.src[a]
+                class_units[i] |= mask_of(g.src[a] for a in iter_bits(member))
 
     if y.mask == g.units_mask:  # restrict(g, y) would re-index nothing
         gy, k_local, l_local = g, k_set, l_set

@@ -301,7 +301,7 @@ def union_combine(
     Part ``i`` must carry a certified witness on ``restrict(g, parts[i])`` for
     the window ``K_i^15`` restricted there, with generated classes inside
     ``K_{i+1}``.  Classes are merged index-wise; the result is re-certified at
-    ``(K_0, K_n^5)`` where ``n = len(parts)``.
+    ``(K_0, K_n^5)`` where ``n = len(parts)``, through ``certify``.
     """
     if len(witnesses) != len(parts):
         raise HypothesisError("one witness per part required")
@@ -332,16 +332,9 @@ def union_combine(
             merged[j] |= sub.to_parent_units(cls).mask
 
     cover = Cover(g, tuple(UnitSet(g, m) for m in merged))
-    out = kl_dad_check(g, k_list[0], power(k_list[-1], 5), cover)
-    if not out.certified:
-        offender = next(
-            i for i, gen in enumerate(out.generated_per_class) if not gen <= out.L
-        )
-        raise HypothesisError(
-            f"merged class {offender} escapes the final bound; "
-            "the window chain grows too slowly"
-        )
-    return out
+    return certify(g, k_list[0], power(k_list[-1], 5), cover,
+                   HypothesisError("a merged class escapes the final bound; "
+                                   "the window chain grows too slowly"))
 
 
 # -- product ---------------------------------------------------------------
@@ -362,31 +355,30 @@ def product_combine(
 
     Both covers must sit at level ``k = d_left + d_right``: ``k+1`` classes,
     ``(k+1-d)``-fold for their own ``d``, with every class generating inside
-    the factor bound.  The product witness has classes ``U_i x V_i`` and bound
-    ``L_left x L_right``.  Once the hypotheses hold it certifies, so a failure
-    there is a broken invariant (RuntimeError): ``u`` lies in at least
-    ``k+1-d_left`` classes ``U_i`` and ``v`` in at least ``k+1-d_right``
-    classes ``V_i``, ``k+2`` memberships among ``k+1`` indices, so some
-    ``U_i x V_i`` holds ``(u, v)``; and products in the window are factorwise,
-    so ``generated(K, U_i x V_i)`` lies in ``generated(K_left, U_i) x
-    generated(K_right, V_i)``, inside ``L_left x L_right``.
+    the factor bound, which ``certify`` re-checks on each side.  The product
+    witness has classes ``U_i x V_i`` and bound ``L_left x L_right``.  Once
+    the hypotheses hold it certifies, so a failure there is a broken
+    invariant (RuntimeError): ``u`` lies in at least ``k+1-d_left`` classes
+    ``U_i`` and ``v`` in at least ``k+1-d_right`` classes ``V_i``, ``k+2``
+    memberships among ``k+1`` indices, so some ``U_i x V_i`` holds
+    ``(u, v)``; and products in the window are factorwise, so ``generated(K,
+    U_i x V_i)`` lies in ``generated(K_left, U_i) x generated(K_right,
+    V_i)``, inside ``L_left x L_right``.
     """
     _same_owner(prod.left, cover_left.owner)
     _same_owner(prod.right, cover_right.owner)
     k = d_left + d_right
-    for side, cov, dd in (("left", cover_left, d_left), ("right", cover_right, d_right)):
+    for side, cov, dd, kk, ll in (
+        ("left", cover_left, d_left, k_left, l_left),
+        ("right", cover_right, d_right, k_right, l_right),
+    ):
         if len(cov.classes) != k + 1:
             raise HypothesisError(f"{side} cover must have {k + 1} classes")
         fold = fold_number(cov)
         if fold < k + 1 - dd:
             raise HypothesisError(f"{side} cover is only {fold}-fold, need {k + 1 - dd}")
-    for side, cov, kk, ll in (
-        ("left", cover_left, k_left, l_left),
-        ("right", cover_right, k_right, l_right),
-    ):
-        for i, cls in enumerate(cov.classes):
-            if not generated(kk, cls) <= ll:
-                raise HypothesisError(f"{side} class {i} generates outside its bound")
+        certify(cov.owner, kk, ll, cov,
+                HypothesisError(f"{side} cover generates outside its bound"))
 
     gp = prod.groupoid
     k_prod = prod.lift_sets(k_left, k_right)

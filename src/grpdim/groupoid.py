@@ -351,16 +351,13 @@ class UnitSet(_MaskSet):
 
 
 def compose_sets(a: ArrowSet, b: ArrowSet) -> ArrowSet:
-    """All defined products x*y with x in ``a`` and y in ``b``."""
+    """All defined products x*y with x in ``a`` and y in ``b``: the OR of
+    ``translate(g, x, b.mask)`` over x in ``a``, one row read per left factor."""
     _same_owner(a.owner, b.owner)
     g = a.owner
-    src, rng, label, pos, at, table, by_rng = g.src, g.rng, g.label, g.pos, g.at, g.table, g.by_rng
     out = 0
     for x in iter_bits(a.mask):
-        u = rng[x]
-        rows, hx = at[u], table[u][label[x]]
-        for y in iter_bits(by_rng[src[x]] & b.mask):
-            out |= 1 << rows[hx[label[y]]][pos[src[y]]]
+        out |= translate(g, x, b.mask)
     return ArrowSet(g, out)
 
 

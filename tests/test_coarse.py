@@ -558,7 +558,7 @@ def test_forest_gap_stops_below_its_limit():
     start, target = 1 << 2, 1 << 5 | 1 << 8  # the path 0-1-...-8: 3 edges apart
     assert _forest_gap(adj, start, target, None) == 3
     assert _forest_gap(adj, start, target, 4) == 3
-    assert _forest_gap(adj, start, target, 3) is None  # 3 cannot improve on 3
+    assert _forest_gap(adj, start, target, 3) == 3  # 3 cannot improve on 3: the limit comes back
     assert _forest_gap(adj, start, 0, None) is None
     forest = two_tree_forest()
     assert _forest_gap(unit_graph(forest[0], forest[1].q), 1 << 0, 1 << 7, None) is None

@@ -44,7 +44,7 @@ from grpdim import (
     union_combine,
 )
 from grpdim.artifacts import read_witness
-from grpdim.covers import control_apply, ostrand_lift
+from grpdim.covers import control_apply, fold_number, ostrand_lift
 from grpdim.dad import discover_control_function, map_arrows_back
 
 
@@ -399,6 +399,15 @@ def _uncertified_on(target, monkeypatch):
     monkeypatch.setattr(dad_module, "kl_dad_check", check)
 
 
+def test_union_final_recheck_failure_is_a_hypothesis_error(monkeypatch):
+    g, k = line(13)
+    parts = [g.unit_set(range(7)), g.unit_set(range(7, 13))]
+    witnesses, k_list = _part_witnesses(g, parts, k)
+    _uncertified_on(g, monkeypatch)  # the part witnesses live on restrictions
+    with pytest.raises(HypothesisError, match="a merged class escapes the final bound"):
+        union_combine(g, parts, witnesses, k_list)
+
+
 # -- product ------------------------------------------------------------------
 
 
@@ -421,6 +430,19 @@ def test_product_p7_squared_pipeline():
     prod = product(g, g)
     out = product_combine(prod, 1, lifted, k, bound, 1, lifted, k, bound)
     assert out.certified and out.d == 2
+
+
+def test_product_rejects_a_factor_class_outside_its_bound():
+    g, k = line(7)
+    ctrl = discover_control_function(g, 1)
+    lifted = ostrand_lift(g, ctrl, k, 1)
+    bound = control_apply(ctrl, k, 2)
+    prod = product(g, g)
+    assert fold_number(lifted) == 2  # the fold is right: only the bound fails
+    with pytest.raises(HypothesisError, match="right cover generates outside its bound"):
+        product_combine(prod, 1, lifted, k, bound, 1, lifted, k, k)
+    with pytest.raises(HypothesisError, match="left cover generates outside its bound"):
+        product_combine(prod, 1, lifted, k, k, 1, lifted, k, bound)
 
 
 def test_product_rejects_wrong_fold():

@@ -8,6 +8,7 @@ from conftest import (
     ladder_windows,
     oracle_generated,
     pair_blocks_groupoid,
+    products,
     random_arrow_set,
     random_groupoid,
     random_principal_groupoid,
@@ -204,6 +205,18 @@ def test_compose_sets_line_distance_adds():
     g = pair_groupoid(7)
     k1 = ball(g, 7, 1)
     assert compose_sets(k1, k1) == ball(g, 7, 2)
+
+
+def test_compose_sets_matches_products_with_isotropy():
+    rng = random.Random(34)
+    isotropic = 0
+    for seed in range(6):
+        g = (random_principal_groupoid if seed % 2 else random_groupoid)(rng, 60)
+        isotropic += not is_principal(g)
+        a, b = random_arrow_set(rng, g), random_arrow_set(rng, g)
+        want = {c for x, y, c in products(g) if x in a and y in b}
+        assert set(compose_sets(a, b)) == want
+    assert isotropic  # the random_groupoid instances carry nontrivial isotropy
 
 
 def test_compose_sets_disjoint_fibers_empty():
