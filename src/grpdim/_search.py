@@ -249,9 +249,8 @@ def class_search(order, n_classes, empty, try_add, mode="exact", key_at=None):
     follows the first descent only: each item goes to the first class that
     takes it.  That is first fit over all ``n_classes`` classes, because
     ``try_add`` is pure and every class past the used ones is ``empty``.
+    ``kl_dad_search`` and ``ef_asdim_search``, the callers, check the mode.
     """
-    if mode not in ("exact", "greedy"):
-        raise ValueError(f"unknown search mode: {mode!r}")
     n_items = len(order)
     failed = [set() for _ in range(n_items + 1)]
     # one frame per assigned depth: [states, classes used, next class, key];

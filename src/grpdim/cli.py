@@ -233,6 +233,17 @@ class _Main:
 
 main = _Main("Dimension witnesses for finite groupoid windows.")
 
+# Arguments that more than one command declares, each declared once here.
+_INSTANCE = _arg("path", metavar="PATH", check=_existing)
+_GRAPHING = _arg("--graphing", check=_existing)
+_K_SPEC = _arg("--k-spec", default="ball:1", help=_DEFAULT)
+_L_SPEC = _arg("--l-spec", default="power:K:2", help=_DEFAULT)
+_L_POWER = _arg("--l-power", check=_parse_int, default=2, help=_DEFAULT)
+_D_MAX = _arg("--d-max", check=_parse_int, default=2, help=_DEFAULT)
+_MULTIPLICITY = _arg("--multiplicity", check=_parse_int, default=2, help=_DEFAULT)
+_PATH = _arg("--path", required=True, check=_existing)
+_OUT = _arg("--out")
+
 
 @main.command("validate", _arg("paths", nargs="+", metavar="PATH", check=_existing))
 def cmd_validate(paths):
@@ -266,7 +277,7 @@ def cmd_validate(paths):
     _arg("--left", check=_existing),
     _arg("--right", check=_existing),
     _arg("--path", check=_existing),
-    _arg("--multiplicity", check=_parse_int, default=2, help=_DEFAULT),
+    _MULTIPLICITY,
     _arg("--out", required=True),
     _arg("--graphing-out"),
 )
@@ -322,13 +333,13 @@ def cmd_build(family, n, group, points, trivial_action, shape, left, right,
 
 @main.command(
     "dad",
-    _arg("path", metavar="PATH", check=_existing),
-    _arg("--k-spec", default="ball:1", help=_DEFAULT),
-    _arg("--l-spec", default="power:K:2", help=_DEFAULT),
-    _arg("--d-max", check=_parse_int, default=2, help=_DEFAULT),
+    _INSTANCE,
+    _K_SPEC,
+    _L_SPEC,
+    _D_MAX,
     _arg("--mode", choices=("exact", "greedy"), default="exact", help=_DEFAULT),
-    _arg("--graphing", check=_existing),
-    _arg("--out"),
+    _GRAPHING,
+    _OUT,
     _arg("--recheck", check=_existing, help="re-verify a serialized witness instead of searching"),
 )
 def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
@@ -336,7 +347,7 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
     from . import artifacts
 
     started = time.monotonic()
-    g = load(path)
+    g, gr = _load(path, None if recheck else graphing)
     if recheck:  # the witness lists K and L by id, so no graphing is read
         obj = read_json(recheck)
         if artifacts.other_instance(obj, path):
@@ -354,7 +365,6 @@ def cmd_dad(path, k_spec, l_spec, d_max, mode, graphing, out, recheck):
     from .covers import fold_number
     from .dad import kl_dad_search
 
-    gr = load_graphing(g, graphing) if graphing else None
     k_set, l_set = _specs(g, k_spec, l_spec, gr)
     witness = kl_dad_search(g, k_set, l_set, d_max, mode)
     params = f"k={k_spec};l={l_spec};d_max={d_max};mode={mode}"
@@ -377,7 +387,7 @@ _SEARCH_ONLY = {"--points": "fiber:0", "--e-spec": "ball:1", "--f-spec": "ball:4
 
 @main.command(
     "asdim",
-    _arg("path", metavar="PATH", check=_existing),
+    _INSTANCE,
     _arg("--points", dest="points_spec",
          help="fiber:<unit> or arrows; default: " + _SEARCH_ONLY["--points"]),
     _arg("--e-spec", help="default: " + _SEARCH_ONLY["--e-spec"]),
@@ -386,8 +396,8 @@ _SEARCH_ONLY = {"--points": "fiber:0", "--e-spec": "ball:1", "--f-spec": "ball:4
     _arg("--mode", check=_search_mode, default="exact",
          help="exact, greedy, or tree:<N> for the annuli certificate, which reads "
               "--graphing and --out only; " + _DEFAULT),
-    _arg("--graphing", check=_existing),
-    _arg("--out"),
+    _GRAPHING,
+    _OUT,
 )
 def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
     """Decompose a coarse space, or certify a treeable annuli cover."""
@@ -435,15 +445,6 @@ def cmd_asdim(path, points_spec, e_spec, f_spec, d_max, mode, graphing, out):
     wpath = artifacts.write(out, "asdim-decomposition.json", obj)
     _row(path, "asdim", params, f"d={len(families) - 1}", wpath, started)
     return EXIT_OK
-
-
-_GRAPHING = _arg("--graphing", check=_existing)
-_K_SPEC = _arg("--k-spec", default="ball:1", help=_DEFAULT)
-_L_SPEC = _arg("--l-spec", default="power:K:2", help=_DEFAULT)
-_L_POWER = _arg("--l-power", check=_parse_int, default=2, help=_DEFAULT)
-_D_MAX = _arg("--d-max", check=_parse_int, default=2, help=_DEFAULT)
-_PATH = _arg("--path", required=True, check=_existing)
-_OUT = _arg("--out")
 
 
 def cmd_theorem(which, out, graphing, k_spec, d_max, **o):
@@ -504,8 +505,7 @@ main.command("theorem union", _PATH, _arg("--parts", required=True,
                                           help="unit ranges, e.g. 0-6;7-12"),
              _GRAPHING, _K_SPEC, _L_POWER, _D_MAX, _OUT,
              help="Certify dad(G) <= max dad of the parts of a clopen partition.")(cmd_theorem)
-main.command("theorem morita", _PATH, _GRAPHING, _K_SPEC, _L_SPEC, _D_MAX,
-             _arg("--multiplicity", check=_parse_int, default=2, help=_DEFAULT),
+main.command("theorem morita", _PATH, _GRAPHING, _K_SPEC, _L_SPEC, _D_MAX, _MULTIPLICITY,
              _OUT, help="Certify dad(G) = dad of a blow-up of G (Morita invariance).")(cmd_theorem)
 main.command("theorem bridge", _PATH, _GRAPHING, _K_SPEC, _L_SPEC, _D_MAX, _OUT,
              help="Certify asdim(G) <= dad(G) and dad(G) back from asdim.")(cmd_theorem)
@@ -539,15 +539,15 @@ def _parse_units(text: str, option: str, n: "int | None" = None) -> list[int]:
 
 @main.command(
     "sweep",
-    _arg("path", metavar="PATH", check=_existing),
+    _INSTANCE,
     _arg("--windows", required=True, help="sizes, e.g. 4-16 or 4,8,12"),
     _arg("--what", choices=("dad", "asdim"), default="dad", help=_DEFAULT),
-    _arg("--k-spec", default="ball:1", help=_DEFAULT),
-    _arg("--l-spec", default="power:K:2", help=_DEFAULT),
+    _K_SPEC,
+    _L_SPEC,
     _arg("--d-max", check=_parse_int, default=3, help=_DEFAULT),
     _arg("--n-scale", check=_parse_int, default=1, help=_DEFAULT),
-    _arg("--graphing", check=_existing),
-    _arg("--out"),
+    _GRAPHING,
+    _OUT,
 )
 def cmd_sweep(path, windows, what, k_spec, l_spec, d_max, n_scale, graphing, out):
     """Window sweep over unit-prefix restrictions; TSV rows per window."""

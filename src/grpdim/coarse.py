@@ -345,21 +345,10 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
             del path[depth:]
             path.append(v)
             length = lengths[fiber[pos[v]]]
-            k = length // n
-            i = depth - length + n * (k - 1)  # the past vertex's index on the path, or x below 0
-            key = (k, x, -1 if k < 2 else path[i] if i > 0 else x)
-            if key in classes:
-                classes[key].append(v)
-            else:
-                classes[key] = [v]
-            if length % n == 0 and length:  # on the boundary: in annulus k - 1 too
-                k -= 1
-                i -= n
-                key = (k, x, -1 if k < 2 else path[i] if i > 0 else x)
-                if key in classes:
-                    classes[key].append(v)
-                else:
-                    classes[key] = [v]
+            k = length // n  # a unit on a boundary lies in annulus k - 1 too
+            for a in (k, k - 1) if length % n == 0 and length else (k,):
+                i = depth - length + n * (a - 1)  # the past vertex's path index, or x below 0
+                classes.setdefault((a, x, -1 if a < 2 else path[i] if i > 0 else x), []).append(v)
             parent = path[depth - 1] if depth else -1
             for w in neighbours[v]:
                 if w != parent:
@@ -370,6 +359,8 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
     reach = [[lengths[a] for a in at[u][0]] for u in range(g.n_units)]  # [u][pos v]: |v -> u|
     sources: dict[tuple[int, int, int], int] = {}  # class key -> its source units
     diameters: dict[int, int] = {}  # source units -> the largest length between two of them
+    family_sources: dict[tuple[int, int], int] = {}  # (parity, fiber) -> source units
+    annulus_sources: dict[tuple[int, int], int] = {}  # (annulus, fiber) -> source units
     family_members: list[list[frozenset[int]]] = [[], []]
     cells = [([], []) for _ in range(g.n_units)]  # fiber -> parity -> source masks
     rows = []
@@ -378,6 +369,8 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
         units = classes[key]
         places = [pos[v] for v in units]
         sources[key] = mask = sum(map(bits.__getitem__, units))
+        family_sources[k % 2, x] = family_sources.get((k % 2, x), 0) | mask
+        annulus_sources[k, x] = annulus_sources.get((k, x), 0) | mask
         if mask not in diameters:  # a second index keeps itemgetter's result a tuple
             read = itemgetter(*places, places[0])
             diameters[mask] = max(map(max, map(read, map(reach.__getitem__, units))))
@@ -386,11 +379,6 @@ def treeable_cover(g: Groupoid, graphing: Graphing, n_scale: int) -> TreeCoverRe
         rows.append((k % 2, idx, k, x, len(units), diameters[mask]))
     max_diameter = max(diameters.values(), default=0)  # no units: the empty cover
 
-    family_sources: dict[tuple[int, int], int] = {}  # (parity, fiber) -> source units
-    annulus_sources: dict[tuple[int, int], int] = {}  # (annulus, fiber) -> source units
-    for (k, x, _), mask in sources.items():
-        family_sources[k % 2, x] = family_sources.get((k % 2, x), 0) | mask
-        annulus_sources[k, x] = annulus_sources.get((k, x), 0) | mask
     min_separation = None
     min_same_annulus = None
     # a family's classes in one fiber are disjoint, so their source masks are
@@ -552,6 +540,8 @@ def asdim_to_dad(
     of Y, so each unit of Y is the source of a point of the checked fiber at
     the least unit of its H-orbit.  The fiber checks read window rows of K
     and L in arrow ids, so both must be symmetric and contain every unit.
+    A Y with no units gets one empty class, d = 0, as from ``kl_dad_search``;
+    on a nonempty Y each checked fiber brings at least one family.
     """
     if not is_principal(g):
         raise CoarseError("the reconstruction requires a principal groupoid")
@@ -561,7 +551,7 @@ def asdim_to_dad(
         if not window.is_oc_normal():
             raise CoarseError(f"the {name} must be symmetric and contain every unit")
 
-    class_units: list[int] = []  # class i's source units, grown fiber by fiber
+    class_units = [0]  # class i's source units, grown fiber by fiber
     for x, fiber_pts in orbit_fibers(g, y, k_set).items():
         fams = fiber_families.get(x)
         if fams is None:

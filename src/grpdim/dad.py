@@ -238,13 +238,10 @@ def glue_two(
 ) -> GluingCertificate:
     """Two-set gluing: confine the window's subgroupoid over V0 | V1 in K2^5.
 
-    Hypotheses (re-verified): K0 <= K1 <= K2 symmetric with units,
-    generated(K0, V0) <= K1 and generated(K1^3, V1) <= K2.
+    Hypotheses, re-verified (the windows by ``_window_chain``): K0 <= K1 <= K2
+    symmetric with units, generated(K0, V0) <= K1, generated(K1^3, V1) <= K2.
     """
-    for name, s in (("K0", k0), ("K1", k1), ("K2", k2)):
-        _require_oc(name, s)
-    if not (k0 <= k1 and k1 <= k2):
-        raise HypothesisError("window chain K0 <= K1 <= K2 violated")
+    _window_chain((k0, k1, k2))
     if not generated(k0, v0) <= k1:
         raise HypothesisError("generated(K0, V0) escapes K1")
     if not generated(power(k1, 3), v1) <= k2:

@@ -62,43 +62,27 @@ def product_theorem(
     restriction at the factor-scale product bound.
     """
     report = {"operation": "theorem-product", "stages": [], "artifacts": {}}
-    w_left = _need_witness(
-        kl_dad_search(gl, k_left, power(k_left, l_power), d_max), "left-search"
-    )
-    w_right = _need_witness(
-        kl_dad_search(gr, k_right, power(k_right, l_power), d_max), "right-search"
-    )
-    _stage(report, "factor-search", d_left=w_left.d, d_right=w_right.d)
-    report["artifacts"]["left-witness"] = artifacts.witness(w_left)
-    report["artifacts"]["right-witness"] = artifacts.witness(w_right)
+    factors = (("left", gl, k_left), ("right", gr, k_right))
+    witnesses = [
+        _need_witness(kl_dad_search(g, k, power(k, l_power), d_max), f"{side}-search")
+        for side, g, k in factors
+    ]
+    d_left, d_right = (w.d for w in witnesses)
+    _stage(report, "factor-search", d_left=d_left, d_right=d_right)
 
-    ctrl_left = discover_control_function(gl, w_left.d)
-    ctrl_right = discover_control_function(gr, w_right.d)
-    level = w_left.d + w_right.d
-    cover_left = level_cover(gl, ctrl_left, k_left, level)
-    cover_right = level_cover(gr, ctrl_right, k_right, level)
-    bound_left = control_apply(ctrl_left, k_left, level)
-    bound_right = control_apply(ctrl_right, k_right, level)
-    _stage(
-        report,
-        "ostrand-lift",
-        level=level,
-        left_classes=len(cover_left.classes),
-        right_classes=len(cover_right.classes),
-    )
+    level = d_left + d_right
+    combine_args = []  # product_combine's (d, cover, K, L) per factor
+    lift = {"level": level}
+    for (side, g, k), w in zip(factors, witnesses):
+        report["artifacts"][f"{side}-witness"] = artifacts.witness(w)
+        ctrl = discover_control_function(g, w.d)
+        cover = level_cover(g, ctrl, k, level)
+        combine_args += [w.d, cover, k, control_apply(ctrl, k, level)]
+        lift[f"{side}_classes"] = len(cover.classes)
+    _stage(report, "ostrand-lift", **lift)
 
     prod = product(gl, gr)
-    witness = product_combine(
-        prod,
-        w_left.d,
-        cover_left,
-        k_left,
-        bound_left,
-        w_right.d,
-        cover_right,
-        k_right,
-        bound_right,
-    )
+    witness = product_combine(prod, *combine_args)
     _stage(report, "product-combine", d=witness.d, certified=witness.certified)
     report["artifacts"]["product-witness"] = artifacts.witness(witness)
     report["d"] = witness.d

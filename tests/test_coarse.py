@@ -1021,6 +1021,25 @@ def test_asdim_to_dad_zero_dim_singleton_fibers():
     assert sorted(w.cover.classes[0]) == list(range(5))
 
 
+def test_asdim_to_dad_gives_one_empty_class_on_no_units():
+    # no fibers to read: the witness still has its one empty class, as
+    # kl_dad_search's does
+    g = Groupoid(0, (), (), (), (), ())
+    k = g.all_arrows()
+    w = asdim_to_dad(g, g.all_units(), k, k, {})
+    assert w.certified and w.d == 0 and w.cover.classes == (g.unit_set(),)
+    assert kl_dad_search(g, k, k, 2).d == 0
+
+
+def test_bridge_closes_at_equal_dimension_on_no_units():
+    from grpdim.pipelines import bridge_theorem
+
+    g = Groupoid(0, (), (), (), (), ())
+    k = g.all_arrows()
+    report = bridge_theorem(g, k, k)
+    assert report["d"] == 0 and report["d_preserved"] and report["certified"]
+
+
 def test_asdim_to_dad_restriction_window():
     g, graphing = line(9)
     k = graphing.ball(1)

@@ -311,6 +311,10 @@ def test_window_chain_must_increase():
         glue_chain(g, parts, [k2, k, k2])
     with pytest.raises(HypothesisError, match="window chain not increasing at index 1"):
         union_combine(g, parts, [None, None], [k2, k, k2])
+    with pytest.raises(HypothesisError, match="window chain not increasing at index 2"):
+        glue_two(g, *parts, k, k2, k)  # K1 = K^2 is not inside K2 = K
+    with pytest.raises(WitnessError, match="K1 must be symmetric and contain every unit"):
+        glue_two(g, *parts, k, k2 - g.arrow_set([0]), k2)
 
 
 # -- union --------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import pytest
 
-from grpdim import tree_window
+from grpdim import artifacts, kl_dad_search, power, tree_window
 from grpdim.pipelines import (
+    NoWitnessError,
     PipelineError,
     bridge_theorem,
     morita_theorem,
@@ -88,3 +89,17 @@ def test_product_theorem_mixed_dimensions():
     assert rep["certified"] and rep["d"] == 1
     search = next(s for s in rep["stages"] if s["stage"] == "factor-search")
     assert (search["d_left"], search["d_right"]) == (1, 0)
+    # each factor's witness is its own search's, not the other side's
+    for side, (g, graphing) in (("left", (gl, graph_l)), ("right", (gr, graph_r))):
+        k = graphing.ball(1)
+        w = kl_dad_search(g, k, power(k, 2), 2)
+        assert rep["artifacts"][f"{side}-witness"] == artifacts.witness(w)
+    lift = next(s for s in rep["stages"] if s["stage"] == "ostrand-lift")
+    assert lift["left_classes"] == lift["right_classes"] == lift["level"] + 1 == 2
+
+
+def test_product_theorem_names_the_refuted_right_factor():
+    gl, graph_l = line(2)
+    gr, graph_r = line(7)
+    with pytest.raises(NoWitnessError, match="right-search"):
+        product_theorem(gl, graph_l.ball(1), gr, graph_r.ball(1), d_max=0)
