@@ -8,9 +8,10 @@ component is feasible while it stays inside the common compatibility mask of
 its members (principal dad search: window and bound arrows; coarse
 decompositions: E and F).  ``dad._generic_search`` gives it unit masks
 as class states, feasible while the subgroupoid the window generates on the
-class stays inside L, for groupoids with isotropy; ``dad.kl_dad_search``
-runs it only at a d that ``partition_search`` on the principal shadow
-(units joined by the window, bounded by where L's arrows go) cannot refute.
+class stays inside L, for groupoids with isotropy; exact
+``dad.kl_dad_search`` runs it only at a d where ``partition_search`` on the
+principal shadow (units joined by the window, bounded by where L's arrows
+go) finds a solution whose least cover fails on the groupoid.
 Both return the item mask of each class and nothing else: the components
 are search state, and ``coarse.ef_asdim_search``, the one caller that reads
 them as members, splits its classes itself.

@@ -135,9 +135,10 @@ def _generic_search(
     K-arrows generate stays inside L; K is joined with its inverses once per
     search.  Exact mode refutes in ``order`` (default: ``compact_order`` of
     K's ``unit_graph``) and takes a solution from the id-order run, as
-    ``partition_search`` does.  It stores no failed states, so
-    ``kl_dad_search`` calls it only at a d whose principal shadow has a
-    solution; there the obstruction, if any, is isotropy.
+    ``partition_search`` does.  It stores no failed states, so exact
+    ``kl_dad_search`` calls it only at a d where the principal shadow has a
+    solution but its least cover fails on g; there the obstruction is
+    isotropy.
     """
     steps, l_mask = k_set.mask | k_set.inverse().mask, l_set.mask
 
@@ -181,10 +182,18 @@ def kl_dad_search(
     d refutes d on g.  On a principal g the converse holds too: generated(K,
     U) is the one arrow from x to y for each pair x, y of a component, and
     that arrow lies in L iff y is in ``ok[x]``, so the shadow is g and its
-    solution is the witness.  On a groupoid with isotropy the shadow cannot see the
-    isotropy that generated(K, U) picks up, so a d it does not refute is
-    decided by ``_generic_search``.  Greedy mode skips the shadow there,
-    because a greedy miss proves nothing.
+    solution is the witness.  On a groupoid with isotropy the shadow cannot
+    see the isotropy that generated(K, U) picks up, so at a d it does not
+    refute, its least cover S is checked on g once.  If S certifies, it is
+    the witness ``_generic_search`` would return: both id-order runs go
+    through ``class_search`` in the same item order with the same rule for
+    opening a class, and each prunes only subtrees that hold no feasible
+    assignment, so each returns the least feasible assignment of that
+    order.  Every assignment feasible on g is feasible on the shadow, hence
+    no less than S, and S is feasible on g; so S is g's least assignment.
+    Only where S fails on g, the one case where isotropy obstructs, does
+    ``_generic_search`` decide d.  Greedy mode skips the shadow on a
+    groupoid with isotropy, because a greedy miss proves nothing.
     """
     if d_max < 0:
         raise WitnessError("d_max must be nonnegative")
@@ -206,6 +215,11 @@ def kl_dad_search(
             if masks is None:
                 continue
         if not principal:
+            if mode == "exact":
+                cover = Cover(g, tuple(UnitSet(g, m) for m in masks))
+                witness = kl_dad_check(g, k_set, l_set, cover)
+                if witness.certified:
+                    return witness
             masks = _generic_search(g, k_set, l_set, d, mode, order)
         if masks is not None:
             cover = Cover(g, tuple(UnitSet(g, m) for m in masks))

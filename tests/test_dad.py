@@ -10,6 +10,7 @@ from conftest import (
     random_arrow_set,
     random_groupoid,
     random_principal_groupoid,
+    recursive_generic_search,
     relabel_units,
     tables_of,
 )
@@ -189,6 +190,36 @@ def test_search_tries_no_d_past_the_unit_count(monkeypatch, mode):
     units = symmetrize(g.arrow_set())  # the unit arrows
     assert kl_dad_search(g, g.all_arrows(), units, 10**6, mode) is None
     assert max(runs.values()) == g.n_units
+
+
+def test_generic_engine_decides_where_the_shadow_cover_fails(monkeypatch):
+    # a twisted triangle: pair(3) × Z/2 acting trivially on a point, K the
+    # units and (1,e,0), (2,e,1), (0,t,2) symmetrized, L the units and every
+    # (x,e,y).  The shadow takes any class, but a class holding all three
+    # units generates the loop (0,t,0) outside L, so its least cover fails
+    # on g and the generic engine decides each d
+    g = product(pair_groupoid(3), action_groupoid(cyclic_table(2), trivial_perms(2, 1))).groupoid
+
+    def arrow(x, h, y):
+        return g.at[x][h][g.pos[y]]
+
+    k_set = symmetrize(g.arrow_set([arrow(1, 0, 0), arrow(2, 0, 1), arrow(0, 1, 2)]))
+    l_set = g.arrow_set(arrow(x, 0, y) for x in range(3) for y in range(3))
+    runs = 0
+    engine = dad_module._generic_search
+
+    def counted(*args):
+        nonlocal runs
+        runs += 1
+        return engine(*args)
+
+    monkeypatch.setattr(dad_module, "_generic_search", counted)
+    assert kl_dad_search(g, k_set, l_set, 0) is None and runs == 1
+    runs = 0
+    w = kl_dad_search(g, k_set, l_set, 1)
+    assert w.certified and runs == 2
+    masks = [c.mask for c in w.cover.classes]
+    assert masks == [3, 4] == recursive_generic_search(g, k_set, l_set, 1)
 
 
 def test_witness_json_roundtrip():

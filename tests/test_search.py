@@ -179,13 +179,22 @@ def test_generic_search_matches_recursive_oracle():
     assert found > 200 and refuted > 60
 
 
-def test_principal_shadow_refutes_only_what_the_closure_refutes():
-    # kl_dad_search searches each d on the principal shadow first and runs
-    # the generic engine only where the shadow finds a solution: a shadow
-    # refutation must be a refutation on g, and the least d and its masks
-    # must be those of the generic search run d by d
+def test_principal_shadow_refutes_only_what_the_closure_refutes(monkeypatch):
+    # kl_dad_search searches each d on the principal shadow first, returns the
+    # shadow's least cover where it certifies on g, and runs the generic
+    # engine only where that cover fails: a shadow refutation must be a
+    # refutation on g, and the least d and its masks must be those of the
+    # generic search run d by d
+    generic_ds = []
+
+    def recording(g, k_set, l_set, d, *args):
+        generic_ds.append(d)
+        return _generic_search(g, k_set, l_set, d, *args)
+
+    monkeypatch.setattr(dad, "_generic_search", recording)
     rng = random.Random(43)
-    outcomes = {"shadow refutes": 0, "both find": 0, "closure refutes": 0}
+    outcomes = {"shadow refutes": 0, "shadow cover certifies": 0, "both find": 0,
+                "closure refutes": 0}
     instances = small = 0
     while instances < 120:
         g = random_groupoid(rng, rng.randint(30, 60))
@@ -198,16 +207,24 @@ def test_principal_shadow_refutes_only_what_the_closure_refutes():
         if instances % 2:
             g, k_set, l_set = relabel_instance(rng, g, k_set, l_set)
         adj, ok = _principal_tables(g, k_set, l_set)
-        least = None
+        least, shadow_fails = None, set()
         for d in range(3):
             closure = recursive_generic_search(g, k_set, l_set, d)
-            if partition_search(g.n_units, d + 1, adj, ok) is None:
+            shadow = partition_search(g.n_units, d + 1, adj, ok)
+            if shadow is None:
                 assert closure is None
                 outcomes["shadow refutes"] += 1
+            elif kl_dad_check(
+                g, k_set, l_set, Cover(g, tuple(UnitSet(g, m) for m in shadow))
+            ).certified:
+                assert closure == shadow
+                outcomes["shadow cover certifies"] += 1
             else:
+                shadow_fails.add(d)
                 outcomes["both find" if closure is not None else "closure refutes"] += 1
             if least is None and closure is not None:
                 least = d, closure
+        generic_ds.clear()
         got = kl_dad_search(g, k_set, l_set, 2)
         if least is None:
             assert got is None
@@ -221,7 +238,10 @@ def test_principal_shadow_refutes_only_what_the_closure_refutes():
                 assert got is None
             else:
                 assert got.d == expected[0] and got.cover.classes == expected[1].classes
-    assert outcomes["shadow refutes"] > 20 and outcomes["both find"] > 100
+        assert set(generic_ds) <= shadow_fails
+    # no instance here has a failing shadow cover that g can beat ("both
+    # find" reads 0); the twisted triangle in test_dad.py is one
+    assert outcomes["shadow refutes"] > 20 and outcomes["shadow cover certifies"] > 200
     assert outcomes["closure refutes"] > 15 and small > 20
 
 
@@ -549,9 +569,11 @@ def test_generic_node_count(monkeypatch):
         calls = 0
         w = kl_dad_search(prod.groupoid, k_set, power(k_set, 2), 2)
         assert w is not None and w.d == 2
-        # 3,545 and 3,555 calls when the generic engine refuted d=1 itself;
-        # the principal shadow refutes d <= 1, leaving 50 and 60 at d=2
-        assert calls <= 100
+        # the shadow refutes d <= 1 and its least cover certifies at d=2, so
+        # the generic engine never runs; the masks are still g's least ones
+        assert calls == 0
+        masks = [c.mask for c in w.cover.classes]
+        assert masks == recursive_generic_search(prod.groupoid, k_set, power(k_set, 2), 2)
 
 
 def test_exact_search_depth_is_not_bounded_by_recursion():
