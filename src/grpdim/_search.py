@@ -54,8 +54,6 @@ def compact_order(n: int, adj: Sequence[int]) -> list[int]:
     O((n + m) log n) steps for m edges.
     """
     nbrs = [adj[v] & ~(1 << v) for v in range(n)]
-    if not any(nbrs):
-        return list(range(n))
     left = [row.bit_count() for row in nbrs]  # unplaced neighbours
     leaving = [0] * n  # placed items whose last unplaced neighbour it is
     oldest = [-1] * n  # position of the oldest placed neighbour

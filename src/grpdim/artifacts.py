@@ -13,7 +13,8 @@ from pathlib import Path
 from .builders import canonical_dumps
 from .covers import Cover
 from .dad import DadWitness, WitnessError, kl_dad_check
-from .setspec import SpecError, parse_arrow_spec
+from .groupoid import GroupoidError
+from .setspec import parse_arrow_spec
 
 
 def digest(path) -> str:
@@ -56,7 +57,8 @@ def read_witness(g, obj) -> DadWitness:
 
     A malformed object (another ``format`` or ``version``, a missing
     ``k``, ``l`` or ``cover`` key, or an id list that holds anything but
-    distinct nonnegative ints) raises WitnessError, and so does a cover
+    distinct ints in range: arrow ids of ``g`` in ``k`` and ``l``, unit ids
+    in ``base`` and each class) raises WitnessError, and so does a cover
     ``base`` other than every unit, checked after ``kl_dad_check``'s owner
     and normality checks.  The object's own claims (``d``,
     ``generated_sizes``, ``certified``) are not read here: :func:`misstated`
@@ -69,9 +71,10 @@ def read_witness(g, obj) -> DadWitness:
         id_lists = [obj["k"], obj["l"], obj["cover"]["base"], *obj["cover"]["classes"]]
     except (KeyError, TypeError) as exc:
         raise WitnessError(f"malformed witness: missing or misplaced key ({exc})") from None
-    for ids in id_lists:
-        if not isinstance(ids, list) or any(type(i) is not int or i < 0 for i in ids):
-            raise WitnessError(f"malformed witness: {ids!r} is not a list of nonnegative ids")
+    for j, ids in enumerate(id_lists):
+        bound = g.n_arrows if j < 2 else g.n_units  # k and l list arrows, the rest units
+        if not isinstance(ids, list) or any(type(i) is not int or not 0 <= i < bound for i in ids):
+            raise WitnessError(f"malformed witness: {ids!r} is not a list of ids in 0..{bound - 1}")
         if len(set(ids)) != len(ids):
             raise WitnessError(f"malformed witness: an id is listed twice in {ids!r}")
     cover = Cover(g, tuple(g.unit_set(ids) for ids in obj["cover"]["classes"]))
@@ -105,7 +108,7 @@ def misstated(g, obj, w: DadWitness) -> list[str]:
         try:
             if isinstance(spec, str) and parse_arrow_spec(g, spec, k_set=k_set) == ids:
                 continue
-        except SpecError:
+        except GroupoidError:
             pass
         out.append(key)
     return out

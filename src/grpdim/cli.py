@@ -511,10 +511,10 @@ main.command("theorem bridge", _PATH, _GRAPHING, _K_SPEC, _L_SPEC, _D_MAX, _OUT,
              help="Certify asdim(G) <= dad(G) and dad(G) back from asdim.")(cmd_theorem)
 
 
-def _parse_units(text: str, option: str, n: "int | None" = None) -> list[int]:
+def _parse_units(text: str, option: str, n: int) -> list[int]:
     """Units listed as ids and ranges ``lo-hi``; a reversed range, a list
-    with no unit in it or, given ``n``, a unit outside ``0..n-1`` is an
-    input error."""
+    with no unit in it or a unit outside ``0..n-1`` is an input error, found
+    before any range is expanded."""
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -529,7 +529,7 @@ def _parse_units(text: str, option: str, n: "int | None" = None) -> list[int]:
             lo = hi = _parse_int(chunk, option)
         else:
             continue
-        if n is not None and hi >= n:
+        if hi >= n:
             raise InputError(f"bad {option} value {chunk!r}: unit {hi} out of range 0..{n - 1}")
         out.extend(range(lo, hi + 1))
     if not out:
@@ -556,9 +556,8 @@ def cmd_sweep(path, windows, what, k_spec, l_spec, d_max, n_scale, graphing, out
 
     started = time.monotonic()
     g, gr = _load(path, graphing)
-    rows = sweep_rows(
-        g, gr, _parse_units(windows, "--windows"), what, k_spec, l_spec, d_max, n_scale
-    )
+    sizes = _parse_units(windows, "--windows", g.n_units + 1)  # a window may hold every unit
+    rows = sweep_rows(g, gr, sizes, what, k_spec, l_spec, d_max, n_scale)
     for row in rows:
         print(f"{row['window']}\t{row['result']}")
     artifacts.write(out, f"sweep-{what}.json", artifacts.sweep(what, k_spec, l_spec, rows))

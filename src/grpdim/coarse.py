@@ -590,8 +590,8 @@ def asdim_to_dad(
         classes = tuple(UnitSet(g, mask) for mask in class_units)
     else:
         gy = restrict(g, y)
-        k_local = gy.from_parent_arrows(k_set)
-        l_local = gy.from_parent_arrows(l_set)
-        classes = tuple(gy.from_parent_units(UnitSet(g, mask)) for mask in class_units)
+        k_local = gy.from_parent(k_set)
+        l_local = gy.from_parent(l_set)
+        classes = tuple(gy.from_parent(UnitSet(g, mask)) for mask in class_units)
     return certify(gy, k_local, l_local, Cover(gy, classes), RuntimeError(
         "fiber decompositions passed their checks but the witness failed"))

@@ -334,13 +334,13 @@ def union_combine(
         sub = w.owner
         if sub.parent is not g or set(sub.parent_arrows[:sub.n_units]) != set(part):
             raise HypothesisError(f"witness {i} is not a witness on restrict(g, parts[{i}])")
-        expected_k = sub.from_parent_arrows(power(k_list[i], 15))
+        expected_k = sub.from_parent(power(k_list[i], 15))
         if w.K != expected_k:
             raise HypothesisError(f"witness {i} window is not K{i}^15 restricted to its part")
-        certify(sub, expected_k, sub.from_parent_arrows(k_list[i + 1]), w.cover,
+        certify(sub, expected_k, sub.from_parent(k_list[i + 1]), w.cover,
                 HypothesisError(f"witness {i} fails re-certification against K{i + 1}"))
         for j, cls in enumerate(w.cover.classes):
-            merged[j] |= sub.to_parent_units(cls).mask
+            merged[j] |= sub.to_parent(cls).mask
 
     cover = Cover(g, tuple(UnitSet(g, m) for m in merged))
     return certify(g, k_list[0], power(k_list[-1], 5), cover,

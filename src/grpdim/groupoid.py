@@ -126,7 +126,8 @@ class Groupoid(_Arrows):
     The tables hold m + Σ|H|² + n entries, against one per composable pair.
 
     The constructor reads ``label`` and ``table`` and checks shapes only:
-    ids and labels in range, and each arrow alone in its cell of ``at``.
+    ids and labels in range, one table per orbit (every unit carries its
+    orbit's least unit's), and each arrow alone in its cell of ``at``.
     The builders make these directly; tables read as triples are judged by
     :func:`validate` first (:func:`from_triples`).
     """
@@ -174,6 +175,8 @@ class Groupoid(_Arrows):
             for i, x in enumerate(xs):
                 if root[x] >= 0:
                     raise GroupoidError(f"unit {x} lies in two orbits")
+                if self.table[x] != self.table[r]:
+                    raise GroupoidError(f"unit {x} has another table than unit {r} of its orbit")
                 root[x] = r
                 pos[x] = i
                 at[x] = [[-1] * len(xs) for _ in range(k)]
@@ -225,32 +228,21 @@ class Groupoid(_Arrows):
     # -- restriction back-maps -----------------------------------------
     # Units have the least ids in both groupoids, so a unit's parent id is
     # its identity arrow's, and the kept units are ``parent_arrows[:n_units]``.
+    # Each map returns a set of its argument's own kind.
 
-    def to_parent_arrows(self, aset: "ArrowSet") -> "ArrowSet":
-        return self._to_parent(ArrowSet, aset)
-
-    def from_parent_arrows(self, aset: "ArrowSet") -> "ArrowSet":
-        return self._from_parent(ArrowSet, aset, self.n_arrows)
-
-    def to_parent_units(self, uset: "UnitSet") -> "UnitSet":
-        return self._to_parent(UnitSet, uset)
-
-    def from_parent_units(self, uset: "UnitSet") -> "UnitSet":
-        return self._from_parent(UnitSet, uset, self.n_units)
-
-    def _to_parent(self, cls, local_set):
+    def to_parent(self, s: "_MaskSet") -> "_MaskSet":
         if self.parent is None:
             raise GroupoidError("groupoid has no parent")
-        _same_owner(self, local_set.owner)
-        return cls(self.parent, mask_of(self.parent_arrows[i] for i in local_set))
+        _same_owner(self, s.owner)
+        return s.__class__(self.parent, mask_of(self.parent_arrows[i] for i in s))
 
-    def _from_parent(self, cls, parent_set, count):
+    def from_parent(self, s: "_MaskSet") -> "_MaskSet":
         if self.parent is None:
             raise GroupoidError("groupoid has no parent")
-        _same_owner(self.parent, parent_set.owner)
-        mask = parent_set.mask
-        kept = self.parent_arrows[:count]
-        return cls(self, mask_of(i for i, orig in enumerate(kept) if mask >> orig & 1))
+        _same_owner(self.parent, s.owner)
+        mask = s.mask
+        kept = self.parent_arrows[:getattr(self, s._size)]
+        return s.__class__(self, mask_of(i for i, orig in enumerate(kept) if mask >> orig & 1))
 
     def __repr__(self):
         return f"Groupoid(units={self.n_units}, arrows={self.n_arrows})"
@@ -333,10 +325,8 @@ class ArrowSet(_MaskSet):
         return ArrowSet(self.owner, mask_of(inv[a] for a in self))
 
     def is_oc_normal(self) -> bool:
-        """Symmetric, closed under endpoints and containing every unit."""
-        if self.mask & self.owner.units_mask != self.owner.units_mask:
-            return False
-        return self.inverse().mask == self.mask
+        """Its own :func:`symmetrize`: symmetric and containing every unit."""
+        return symmetrize(self).mask == self.mask
 
 
 class UnitSet(_MaskSet):

@@ -90,7 +90,7 @@ def product_theorem(
 
     if refute_units is not None:
         sub = restrict(prod.groupoid, prod.groupoid.unit_set(refute_units))
-        k_sub = symmetrize(sub.from_parent_arrows(prod.lift_sets(k_left, k_right)))
+        k_sub = symmetrize(sub.from_parent(prod.lift_sets(k_left, k_right)))
         l_sub = power(k_sub, l_power)
         # at level 0 nothing is below: a cover of the nonempty restriction
         # has at least one class, so no search is needed
@@ -119,13 +119,13 @@ def union_theorem(
     for i, part in enumerate(parts):
         cubed15 = power(k_list[-1], 15)
         sub = restrict(g, part)
-        k_local = sub.from_parent_arrows(cubed15)
+        k_local = sub.from_parent(cubed15)
         w = _need_witness(
             kl_dad_search(sub, k_local, power(k_local, l_power), d_max),
             f"part-{i}-search",
         )
         witnesses.append(w)
-        k_list.append(symmetrize(cubed15 | sub.to_parent_arrows(w.reach)))
+        k_list.append(symmetrize(cubed15 | sub.to_parent(w.reach)))
         _stage(report, f"part-{i}", units=len(part), d=w.d)
         report["artifacts"][f"part-{i}-witness"] = artifacts.witness(w)
 
@@ -231,7 +231,7 @@ def sweep_rows(
         sub = restrict(g, g.unit_set(range(w_size)))
         sub_graphing = None
         if graphing is not None:
-            sub_graphing = Graphing(sub, sub.from_parent_arrows(graphing.q))
+            sub_graphing = Graphing(sub, sub.from_parent(graphing.q))
         if what == "dad":
             k_set = parse_arrow_spec(sub, k_spec, graphing=sub_graphing)
             l_set = parse_arrow_spec(sub, l_spec, k_set=k_set, graphing=sub_graphing)

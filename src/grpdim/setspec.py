@@ -20,6 +20,9 @@ def parse_arrow_spec(
     k_set: "ArrowSet | None" = None,
     graphing: "Graphing | None" = None,
 ) -> ArrowSet:
+    """The set ``text`` names on ``g``.  Every refusal is a ``GroupoidError``:
+    ``Graphing.ball`` and ``power`` refuse a negative R or N themselves, and
+    every other bad spec is a ``SpecError`` raised here."""
     parts = text.strip().split(":")
     head = parts[0]
     if head == "units" and len(parts) == 1:
@@ -35,8 +38,6 @@ def parse_arrow_spec(
             radius = int(parts[1])
         except ValueError:
             raise SpecError(f"bad ball radius in {text!r}") from None
-        if radius < 0:
-            raise SpecError("ball radius must be nonnegative")
         return graphing.ball(radius)
     if head == "power" and len(parts) == 3 and parts[1] == "K":
         if k_set is None:
@@ -45,7 +46,5 @@ def parse_arrow_spec(
             exponent = int(parts[2])
         except ValueError:
             raise SpecError(f"bad exponent in {text!r}") from None
-        if exponent < 0:
-            raise SpecError("power exponent must be nonnegative")
         return power(k_set, exponent)
     raise SpecError(f"unrecognized set spec {text!r}")

@@ -193,6 +193,12 @@ MALFORMED_WITNESSES = {
     ),
     "string-k": lambda w: json.dumps(dict(w, k="3")),
     "out-of-range-id": lambda w: json.dumps(dict(w, l=[*w["l"], 10**6])),
+    # ids far past the instance are refused before any mask is built
+    "huge-arrow-id": lambda w: json.dumps(dict(w, l=[*w["l"], 2**70])),
+    "huge-unit-id": lambda w: json.dumps(
+        dict(w, cover=dict(w["cover"], classes=[[*w["cover"]["classes"][0], 2**70],
+                                                 *w["cover"]["classes"][1:]]))
+    ),
     "other-format": lambda w: json.dumps(dict(w, format="tree-cover")),
     "other-version": lambda w: json.dumps(dict(w, version=7)),
     "no-format": lambda w: json.dumps({k: v for k, v in w.items() if k != "format"}),
@@ -242,6 +248,7 @@ MISSTATED_WITNESSES = {
     "l-spec-power": lambda w: dict(w, l_spec="power:K:3"),
     "k-spec-all": lambda w: dict(w, k_spec="all"),
     "l-spec-not-a-spec": lambda w: dict(w, l_spec="nonsense"),
+    "l-spec-negative-power": lambda w: dict(w, l_spec="power:K:-1"),
     "l-spec-not-a-string": lambda w: dict(w, l_spec=2),
 }
 
@@ -580,6 +587,29 @@ def test_bad_numbers_are_input_errors(instances, tmp_path, capsys, args, option)
     res = invoke(capsys, [a.format(**paths) for a in args])
     assert res.exit_code == cli.EXIT_INPUT == 2
     assert res.stderr.startswith(f"Error: bad {option} value") and res.stderr.count("\n") == 1
+
+
+def test_window_sizes_past_the_instance_are_refused_before_expansion(instances):
+    # the range is checked against the instance before it is expanded into a
+    # list; the address-space cap turns an expansion into a prompt MemoryError
+    import resource
+
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "grpdim.cli", "sweep", str(instances / "p7.json"),
+         "--windows", "1-100000000000", "--graphing", str(instances / "p7.graphing.json")],
+        capture_output=True, text=True, env=env, preexec_fn=limit,
+    )
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == (
+        "Error: bad --windows value '1-100000000000': unit 100000000000 out of range 0..7\n"
+    )
 
 
 def test_bad_unit_list_names_its_chunk(instances, capsys):

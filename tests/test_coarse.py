@@ -1274,8 +1274,8 @@ def test_asdim_to_dad_on_every_unit_matches_the_restriction():
         y = g.all_units()
         w = asdim_to_dad(g, y, k, l_set, asdim_fiber_decompositions(g, y, k, l_set, 2))
         gy = restrict(g, y)
-        classes = tuple(gy.from_parent_units(g.unit_set(c)) for c in w.cover.classes)
-        ref = kl_dad_check(gy, gy.from_parent_arrows(k), gy.from_parent_arrows(l_set),
+        classes = tuple(gy.from_parent(g.unit_set(c)) for c in w.cover.classes)
+        ref = kl_dad_check(gy, gy.from_parent(k), gy.from_parent(l_set),
                            Cover(gy, classes))
         assert w.owner is g and w.certified and ref.certified
         assert w.to_json_obj() == ref.to_json_obj()

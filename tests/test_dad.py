@@ -357,11 +357,11 @@ def _part_witnesses(g, parts, k0, l_power=2, d_max=2):
     for part in parts:
         cubed15 = power(k_list[-1], 15)
         sub = restrict(g, part)
-        k_local = sub.from_parent_arrows(cubed15)
+        k_local = sub.from_parent(cubed15)
         w = kl_dad_search(sub, k_local, power(k_local, l_power), d_max)
         assert w is not None
         witnesses.append(w)
-        k_list.append(symmetrize(cubed15 | sub.to_parent_arrows(w.reach)))
+        k_list.append(symmetrize(cubed15 | sub.to_parent(w.reach)))
     return witnesses, k_list
 
 
@@ -545,7 +545,7 @@ def test_pullback_restriction_inclusion():
     sub = restrict(g, g.unit_set(range(5)))
     pi = list(sub.parent_arrows)
     w = kl_dad_search(g, k, power(k, 2), 1)
-    k_sub = sub.from_parent_arrows(k)
+    k_sub = sub.from_parent(k)
     out = pullback_witness(sub, g, pi, k_sub, w)
     assert out.certified
     expected = [sorted(u for u in c if u < 5) for c in w.cover.classes]
@@ -698,7 +698,7 @@ def test_least_d_is_monotone_under_restriction_and_invariant_under_relabelling()
         d = least_d(g, k, l_set)
         s = g.unit_set(u for u in range(g.n_units) if rng.random() < 0.6)
         h = restrict(g, s or g.unit_set([rng.randrange(g.n_units)]))
-        d_sub = least_d(h, h.from_parent_arrows(k), h.from_parent_arrows(l_set))
+        d_sub = least_d(h, h.from_parent(k), h.from_parent(l_set))
         assert d_sub <= d
         lower += d_sub < d
         perm = rng.sample(range(g.n_units), g.n_units)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +21,10 @@ from conftest import (
     whole_powers,
 )
 import grpdim.groupoid as groupoid_module
-from grpdim.groupoid import mask_of, translate, transversal
+from grpdim.groupoid import TRIVIAL, mask_of, translate, transversal
 from grpdim import (
     ArrowSet,
+    Groupoid,
     GroupoidError,
     Tables,
     UnitSet,
@@ -87,6 +89,39 @@ def test_constructor_rejects_a_pair_given_two_products():
         Tables(3, g.src, g.rng, g.inv, comp + [(a, b, g.n_arrows)])
     again = Tables(3, g.src, g.rng, g.inv, comp + [(a, b, c)] + comp[:4])
     assert again.comp == tables_of(g).comp and validate(again).ok
+
+
+@pytest.mark.parametrize("args, message", [
+    # n_units, src, rng, inv, label, table
+    ((2, [0], [0], [0], [0], [TRIVIAL] * 2), "n_units=2 out of range for 1 arrows"),
+    ((1, [0], [0, 0], [0], [0], [TRIVIAL]), "src/rng/inv tables must have equal length"),
+    ((2, [0, 1], [0, 1], [0, 1], [0], [TRIVIAL] * 2),
+     "one label per arrow and one table per unit required"),
+    # arrows 3: 0 -> 2 and 5: 1 -> 2 with their inverses: unit 2 is reached
+    # from both 0 and 1, which no arrow joins
+    ((3, [0, 1, 2, 0, 2, 1, 2], [0, 1, 2, 2, 0, 2, 1], [0, 1, 2, 4, 3, 6, 5], [0] * 7,
+      [TRIVIAL] * 3), "unit 2 lies in two orbits"),
+    # a label outside the orbit's table; two arrows in one cell
+    ((1, [0], [0], [0], [1], [TRIVIAL]), "arrow 0 has no cell of its own in its orbit"),
+    ((1, [0, 0], [0, 0], [0, 1], [0, 0], [TRIVIAL]),
+     "arrow 1 has no cell of its own in its orbit"),
+    # the single arrow 0 -> 1, its own inverse: no arrow 1 -> 0
+    ((2, [0, 1, 0], [0, 1, 1], [0, 1, 2], [0] * 3, [TRIVIAL] * 2),
+     "some cell of an orbit holds no arrow"),
+])
+def test_groupoid_constructor_refusals(args, message):
+    with pytest.raises(GroupoidError, match=f"^{re.escape(message)}$"):
+        Groupoid(*args)
+
+
+def test_constructor_refuses_an_orbit_with_two_tables():
+    # every unit of an orbit must carry one table: composition reads the
+    # table at the range unit, the cells are sized by the root's
+    p = product(pair_groupoid(2), action_groupoid(cyclic_table(2), trivial_perms(2, 1))).groupoid
+    assert p.n_units == 2 and len(p.table[0]) == 2
+    Groupoid(p.n_units, p.src, p.rng, p.inv, p.label, p.table)
+    with pytest.raises(GroupoidError, match="^unit 1 has another table than unit 0 of its orbit$"):
+        Groupoid(p.n_units, p.src, p.rng, p.inv, p.label, [p.table[0], TRIVIAL])
 
 
 def _with_comp(t, key, value):
@@ -429,6 +464,17 @@ def test_oc_normal_algebra(mask_a, mask_b, data):
     assert symmetrize(symmetrize(a)) == symmetrize(a)
 
 
+def test_is_oc_normal_is_symmetric_and_holds_every_unit():
+    rng = random.Random(7)
+    for g in (pair_groupoid(4), product(pair_groupoid(2), action_groupoid(
+            cyclic_table(2), trivial_perms(2, 2))).groupoid):
+        for _ in range(200):
+            s = ArrowSet(g, rng.getrandbits(g.n_arrows) | g.units_mask * rng.randrange(2))
+            s = s | s.inverse() if rng.randrange(2) else s
+            by_hand = s.mask & g.units_mask == g.units_mask and s.inverse() == s
+            assert s.is_oc_normal() == by_hand
+
+
 def test_generated_equals_bruteforce_small_instances():
     rng = random.Random(3)
     for _ in range(10):
@@ -616,9 +662,9 @@ def test_restricted_units_are_the_first_parent_arrows():
         units = UnitSet(g, 0b1011 & g.units_mask)
         sub = restrict(g, units)
         assert sub.parent_arrows[:sub.n_units] == tuple(units)
-        assert sub.to_parent_units(sub.all_units()) == units
-        assert sub.from_parent_units(g.all_units()) == sub.all_units()
-        assert sub.from_parent_units(g.unit_set()) == sub.unit_set()
+        assert sub.to_parent(sub.all_units()) == units
+        assert sub.from_parent(g.all_units()) == sub.all_units()
+        assert sub.from_parent(g.unit_set()) == sub.unit_set()
 
 
 def test_normal_form_of_p12xp12_holds_no_pair_table():
