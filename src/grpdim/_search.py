@@ -16,6 +16,15 @@ Both return the item mask of each class and nothing else: the components
 are search state, and ``coarse.ef_asdim_search``, the one caller that reads
 them as members, splits its classes itself.
 
+Exact ``partition_search`` also checks forward: each component carries
+``reach``, the items adjacent to a member, and a class refuses an unassigned
+item in ``reach & ~common`` of one of its components, since that item would
+join the component and break it.  A child in which some unassigned item is
+refused by every class is skipped.  Refusals only grow along a branch, so
+no skipped subtree holds a solution and the search finds what it found
+without the check, only in fewer nodes.  Greedy mode never checks forward:
+a skipped child would send it on to another class, and it is first fit.
+
 Exact mode first runs in ``compact_order`` of the adjacency graph, so a
 refutation costs what the instance needs and not what its item ids happen
 to be.  Only when that run finds a solution does a second run go in
@@ -34,8 +43,9 @@ from typing import Sequence
 from .groupoid import iter_bits
 
 # per-class search state: (items_mask, live components) where each component
-# is (member_mask, common_mask), common_mask = intersection of ok[] members,
-# and a component is live while a member has an unplaced neighbour
+# is (member_mask, common_mask, reach_mask), common_mask = intersection of
+# ok[] over the members, reach_mask = union of their adj[] rows, and a
+# component is live while a member has an unplaced neighbour
 
 
 def compact_order(n: int, adj: Sequence[int]) -> list[int]:
@@ -105,18 +115,40 @@ def _try_add(state, item, adj, ok, near):
     nbr = adj[item] & items
     new_mask = 1 << item
     new_common = ok[item]
+    new_reach = adj[item]
     rest = []
-    for cmask, ccommon in comps:
+    for comp in comps:
+        cmask, ccommon, creach = comp
         if cmask & nbr:
             new_mask |= cmask
             new_common &= ccommon
+            new_reach |= creach
         elif cmask & near:
-            rest.append((cmask, ccommon))
+            rest.append(comp)
     if new_mask & ~new_common:
         return None
     if new_mask & near:
-        rest.append((new_mask, new_common))
+        rest.append((new_mask, new_common, new_reach))
     return (items | 1 << item, tuple(rest))
+
+
+def _refused(states, future):
+    """The items of ``future`` that every class of ``states`` refuses.
+
+    A class refuses y when y lies in ``reach & ~common`` of one of its
+    components: y would join that component and is outside its common mask.
+    A class with no live component refuses nothing, so the result is 0
+    until every class is open.
+    """
+    out = future
+    for _, comps in states:
+        refused = 0
+        for _, common, reach in comps:
+            refused |= reach & ~common
+        out &= refused
+        if not out:
+            break
+    return out
 
 
 def _state_key(states, near, future, width):
@@ -129,12 +161,14 @@ def _state_key(states, near, future, width):
     components of its class it may merge with (``members_i <= common_j``,
     itself included).  A class packs its sorted component ints into one int;
     the first field of each is nonzero, so the bit length splits it back.
-    Classes are interchangeable, so the key is their sorted ints.
+    Classes are interchangeable, so the key is their sorted ints.  A
+    component's ``reach`` is left out: its part in F is the items of F
+    adjacent to ``members & near``.
     """
     shift = 3 * width
     keys = []
     for _, comps in states:
-        live = [(m, q) for m, q in comps if m & near]
+        live = [(m, q) for m, q, _ in comps if m & near]
         recs = []
         for m, q in live:
             compat = 0
@@ -189,6 +223,15 @@ def partition_search(
     never a hash, so a stored key proves that its subtree has no solution.
     Only failures are stored, so the first solution reached, the least one
     in the search order, is the same as without the cache.
+
+    Exact mode also skips a child in which some unassigned item y is
+    refused by every class (``_refused``): y lies in ``reach & ~common`` of
+    a component of each class, so joining any class merges y into a
+    component whose common mask lacks it.  This is sound because refusals
+    only grow along a branch: components only merge, so ``reach`` grows and
+    ``common`` shrinks, and a component adjacent to an unassigned item stays
+    live.  The check runs before the key lookup and stores nothing; greedy
+    mode does not use it, so it stays first fit.
     """
     try_add = _try_add  # looked up per call, so a replaced _try_add is used
 
@@ -205,6 +248,9 @@ def partition_search(
         def key_at(states, depth):
             return _state_key(states, near[depth], future[depth], n_items)
 
+        def dead_end(states, depth):
+            return _refused(states, future[depth])
+
         return class_search(
             items,
             n_classes,
@@ -212,6 +258,7 @@ def partition_search(
             lambda s, item: try_add(s, item, adj, ok, after[item]),
             mode,
             key_at,
+            dead_end if mode == "exact" else None,
         )
 
     if mode == "exact" and order is None:
@@ -230,7 +277,9 @@ def refute_then_witness(run, n_items, order, mode):
     return run(ids)
 
 
-def class_search(order, n_classes, empty, try_add, mode="exact", key_at=None):
+def class_search(
+    order, n_classes, empty, try_add, mode="exact", key_at=None, dead_end=None
+):
     """Assign the items of ``order``, in that order, to ``n_classes`` classes;
     the class states or None.
 
@@ -243,6 +292,10 @@ def class_search(order, n_classes, empty, try_add, mode="exact", key_at=None):
     exact key of what ``states`` leaves for the items ``order[depth:]``: when
     every child of a node has failed, its key is stored, and a node whose
     key is stored is not entered.  Without ``key_at`` nothing is stored.
+    ``dead_end(states, depth)``, if given, is true only when ``states`` has
+    no completion over ``order[depth:]``; such a child is skipped before its
+    key is looked up, and is not stored.  Exact ``partition_search`` passes
+    its forward check here.
 
     Greedy mode gives up at the first node whose children all fail, so it
     follows the first descent only: each item goes to the first class that
@@ -270,6 +323,8 @@ def class_search(order, n_classes, empty, try_add, mode="exact", key_at=None):
                 continue
             nxt = list(states)
             nxt[c - 1] = ns
+            if dead_end is not None and dead_end(nxt, depth + 1):
+                continue
             child_key = None
             if failed[depth + 1]:
                 child_key = key_at(nxt, depth + 1)

@@ -58,11 +58,11 @@ def read_witness(g, obj) -> DadWitness:
     A malformed object (another ``format`` or ``version``, a missing
     ``k``, ``l`` or ``cover`` key, or an id list that holds anything but
     distinct ints in range: arrow ids of ``g`` in ``k`` and ``l``, unit ids
-    in ``base`` and each class) raises WitnessError, and so does a cover
-    ``base`` other than every unit, checked after ``kl_dad_check``'s owner
-    and normality checks.  The object's own claims (``d``,
-    ``generated_sizes``, ``certified``) are not read here: :func:`misstated`
-    compares them.
+    in ``base`` and each class, and none at all on an instance with no
+    units) raises WitnessError, and so does a cover ``base`` other than
+    every unit, checked after ``kl_dad_check``'s owner and normality
+    checks.  The object's own claims (``d``, ``generated_sizes``,
+    ``certified``) are not read here: :func:`misstated` compares them.
     """
     try:
         if (obj["format"], obj["version"]) != ("dad-witness", 1):
@@ -74,7 +74,8 @@ def read_witness(g, obj) -> DadWitness:
     for j, ids in enumerate(id_lists):
         bound = g.n_arrows if j < 2 else g.n_units  # k and l list arrows, the rest units
         if not isinstance(ids, list) or any(type(i) is not int or not 0 <= i < bound for i in ids):
-            raise WitnessError(f"malformed witness: {ids!r} is not a list of ids in 0..{bound - 1}")
+            ids_in = f"ids in 0..{bound - 1}" if bound else "ids (the instance has no units)"
+            raise WitnessError(f"malformed witness: {ids!r} is not a list of {ids_in}")
         if len(set(ids)) != len(ids):
             raise WitnessError(f"malformed witness: an id is listed twice in {ids!r}")
     cover = Cover(g, tuple(g.unit_set(ids) for ids in obj["cover"]["classes"]))

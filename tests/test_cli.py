@@ -221,6 +221,29 @@ def test_recheck_rejects_malformed_witness(instances, witness, tmp_path, case):
     assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
 
 
+def test_recheck_on_no_units_says_the_instance_has_none(tmp_path):
+    # the id range 0..n-1 is empty here, so the message names the cause
+    inst = tmp_path / "e0.json"
+    inst.write_text(json.dumps({"units": 0, "arrows": [], "inv": [], "comp": []}))
+    res = run_cli("dad", str(inst), "--k-spec", "all", "--l-spec", "all",
+                  "--out", str(tmp_path / "w"))
+    assert res.returncode == 0, res.stderr
+    w = json.loads((tmp_path / "w" / "dad-witness.json").read_text())
+    for field, edit in (("class", lambda c: dict(c, classes=[[0]])),
+                        ("base", lambda c: dict(c, base=[0]))):
+        bad = tmp_path / f"{field}.json"
+        bad.write_text(json.dumps(dict(w, cover=edit(w["cover"]))))
+        res = run_cli("dad", str(inst), "--recheck", str(bad))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == ("Error: malformed witness: [0] is not a list of ids"
+                              " (the instance has no units)\n")
+    bad = tmp_path / "k.json"
+    bad.write_text(json.dumps(dict(w, k=[0])))
+    res = run_cli("dad", str(inst), "--recheck", str(bad))
+    assert res.returncode == 2 and "0..-1" not in res.stderr
+    assert res.stderr.endswith("(the instance has no units)\n")
+
+
 def test_recheck_of_a_witness_that_fails_is_rejected(instances, witness, tmp_path):
     # the whole line in one class generates every arrow, outside L = K^2
     classes = witness["cover"]["classes"]

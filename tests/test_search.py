@@ -72,6 +72,15 @@ def grid_tables(a, b):
     return prod.groupoid, k_set, power(k_set, 2)
 
 
+def cube_tables(a):
+    """Principal tables of Pa x Pa x Pa with K = ball(1)^3 and L = K^2."""
+    g, k_plane, _ = grid_tables(a, a)
+    gc, grc = tree_window("path", a)
+    prod = product(g, gc)
+    k_set = symmetrize(prod.lift_sets(k_plane, grc.ball(1)))
+    return prod.groupoid, k_set, power(k_set, 2)
+
+
 def relabel(rows, perm):
     out = [0] * len(rows)
     for p, row in enumerate(rows):
@@ -115,23 +124,42 @@ def test_compact_order_follows_its_definition(graph):
         placed |= 1 << v
 
 
-def test_exact_search_matches_recursive_oracle_on_random_instances():
+def count_pruned(monkeypatch):
+    """A one-item list counting the children that forward checking skips,
+    from now until the test ends."""
+    pruned = [0]
+    refused = _search._refused
+
+    def counting(states, future):
+        out = refused(states, future)
+        pruned[0] += out != 0
+        return out
+
+    monkeypatch.setattr(_search, "_refused", counting)
+    return pruned
+
+
+def test_exact_search_matches_recursive_oracle_on_random_instances(monkeypatch):
     # random tables carry random labels, so the compact order differs from
     # id order on nearly every instance; dense enough that frontiers carry
     # several components whose pairwise mergeability differs, so a key
-    # without it (or without common & F) reports false failures here
+    # without it (or without common & F) reports false failures here, and
+    # so does a refusal mask wider than reach & ~common
     rng = random.Random(3)
-    found = refuted = 0
+    pruned = count_pruned(monkeypatch)
+    found = refuted = fired = 0
     for _ in range(3000):
         n = rng.randint(6, 16)
         classes = rng.randint(2, 3)
         adj = random_symmetric(rng, n, rng.uniform(0.1, 0.5), reflexive=False)
         ok = random_symmetric(rng, n, rng.uniform(0.3, 0.9), reflexive=True)
         expected = recursive_partition_search(n, classes, adj, ok)
+        before = pruned[0]
         assert partition_search(n, classes, adj, ok) == class_masks(expected)
         found += expected is not None
         refuted += expected is None
-    assert found > 500 and refuted > 500
+        fired += pruned[0] > before
+    assert found > 500 and refuted > 500 and fired > 1000
 
 
 def test_exact_search_matches_recursive_oracle_on_relabelled_grids():
@@ -287,11 +315,12 @@ def test_searches_match_brute_force_on_small_instances():
     assert min(counts[True]) > 10
 
 
-def test_ef_search_matches_oracles_on_relabelled_gauges():
+def test_ef_search_matches_oracles_on_relabelled_gauges(monkeypatch):
     # E is a union of paths, so id order and the compact order differ once
     # the points are shuffled
     rng = random.Random(29)
-    found = refuted = 0
+    pruned = count_pruned(monkeypatch)
+    found = refuted = fired = 0
     for _ in range(400):
         n = rng.randint(2, 14)
         perm = shuffled(rng, n)
@@ -308,7 +337,9 @@ def test_ef_search_matches_oracles_on_relabelled_gauges():
                     f_rel[q] |= 1 << p
         e, f = Gauge(n, e_rel), Gauge(n, f_rel)
         d_max = rng.randint(0, 2)
+        before = pruned[0]
         got = ef_asdim_search(e, f, d_max, mode="exact")
+        fired += pruned[0] > before
         self_free = [e_rel[p] & ~(1 << p) for p in range(n)]
         for d in range(d_max + 1):
             states = recursive_partition_search(n, d + 1, self_free, f_rel)
@@ -325,7 +356,7 @@ def test_ef_search_matches_oracles_on_relabelled_gauges():
             refuted += 1
         if n <= 7:
             assert (got is not None) == brute_ef_exists(e, f, n, d_max)
-    assert found > 100 and refuted > 50
+    assert found > 100 and refuted > 50 and fired > 250
 
 
 def first_fit_partition(n, classes, adj, ok):
@@ -362,6 +393,34 @@ def test_greedy_partition_search_is_first_fit():
         assert got == class_masks(expected)
         assert exact == got
     assert hits > 600 and gaps > 80 and misses > 400
+
+
+def test_greedy_never_consults_forward_checking(monkeypatch):
+    # a skipped child would send greedy on to the next class where first fit
+    # descends and gives up, so greedy must not see the refusal masks; the
+    # exact runs show the instances are ones where they prune
+    rng = random.Random(41)
+    tables = []
+    for a, b in ((4, 4), (5, 5), (6, 6)):
+        adj, ok = _principal_tables(*grid_tables(a, b))
+        for _ in range(4):
+            perm = shuffled(rng, a * b)
+            tables += [(a * b, c, relabel(adj, perm), relabel(ok, perm)) for c in (2, 3)]
+    pruned = count_pruned(monkeypatch)
+    for n, classes, adj, ok in tables:
+        partition_search(n, classes, adj, ok)
+    assert pruned[0] > 100
+
+    def refused(states, future):
+        raise AssertionError("greedy consulted the refusal masks")
+
+    monkeypatch.setattr(_search, "_refused", refused)
+    hits = 0
+    for n, classes, adj, ok in tables:
+        got = partition_search(n, classes, adj, ok, "greedy")
+        assert got == class_masks(first_fit_partition(n, classes, adj, ok))
+        hits += got is not None
+    assert 0 < hits < len(tables)
 
 
 def test_greedy_ef_search_is_first_fit():
@@ -538,17 +597,23 @@ def test_refutation_node_count(monkeypatch):
     g, k_set, l_set = grid_tables(6, 6)
     assert kl_dad_search(g, k_set, l_set, 1) is None
     # 61,097 calls in id order without the failure records, 6,619 with
-    # them, 1,455 in compact order
-    assert calls <= 1_600
+    # them, 1,455 in compact order, 536 with forward checking
+    assert calls == 536
     g, k_set, l_set = grid_tables(8, 8)
     adj, ok = _principal_tables(g, k_set, l_set)
     n = g.n_units
-    for seed in (0, 1):
-        # hundreds of thousands of calls in id order; 1,395 and 1,299 here
+    for seed, pinned in ((0, 567), (1, 547)):
+        # hundreds of thousands of calls in id order; 1,395 and 1,299
+        # without forward checking
         perm = shuffled(random.Random(seed), n)
         calls = 0
         assert partition_search(n, 2, relabel(adj, perm), relabel(ok, perm)) is None
-        assert calls <= 1_600
+        assert calls == pinned
+    # P4xP4xP4 at d=1: 7,933,759 calls without forward checking
+    cube, k_set, l_set = cube_tables(4)
+    calls = 0
+    assert kl_dad_search(cube, k_set, l_set, 1) is None
+    assert calls == 145_464
 
 
 def test_generic_node_count(monkeypatch):
